@@ -332,37 +332,41 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _print_warnings(config.sampler)
     layout = config.sampler.layout
     if isinstance(config, SequentialConfig):
-        total, runs = run_sequential_scenario(config)
-        records = [rec for run in runs for rec in run.records]
+        total, parts = run_sequential_scenario(config)
         if args.format == "table":
-            sys.stdout.write(_sequential_table(total, runs))
+            sys.stdout.write(_sequential_table(total, parts))
         elif args.format == "csv":
+            records = _records(parts)
             outcomes = [classify(rec, layout) for rec in records]
             sys.stdout.write(write_csv(records, outcomes))
         else:
-            sys.stdout.write(write_json(_sequential_doc(config, total, runs)))
-        plot_series = _chained_series(runs[0].records)
+            sys.stdout.write(write_json(_sequential_doc(config, total, parts)))
         chained, xlabel = True, "step"
     else:
-        results = run_independent_scenario(config)
-        records = [rec for r in results for rec in r.records]
-        outcomes = [o for r in results for o in r.outcomes]
+        parts = run_independent_scenario(config)
         if args.format == "table":
-            sys.stdout.write(_independent_table(results))
+            sys.stdout.write(_independent_table(parts))
         elif args.format == "csv":
-            sys.stdout.write(write_csv(records, outcomes))
+            outcomes = [o for r in parts for o in r.outcomes]
+            sys.stdout.write(write_csv(_records(parts), outcomes))
         else:
-            sys.stdout.write(write_json(_independent_doc(config, results)))
-        plot_series = _independent_series(records)
+            sys.stdout.write(write_json(_independent_doc(config, parts)))
         chained, xlabel = False, "trial"
     if args.trace:
-        _write_text(args.trace, format_trace(records, args.step_headers))
+        _write_text(args.trace, format_trace(_records(parts), args.step_headers))
     if args.plot:
+        series = (_chained_series(parts[0].records) if chained
+                  else _independent_series(_records(parts)))
         title = (f"scenario {args.scenario}" if args.scenario is not None
                  else "custom scenario")
         _write_text(args.plot, _render_plot(
-            *plot_series, layout.brink, chained, title, xlabel, args.ascii))
+            *series, layout.brink, chained, title, xlabel, args.ascii))
     return 0
+
+
+def _records(parts: Sequence[SampleResult | SequentialRun]) -> list:
+    """All move records of a scenario's samples or walks, in order."""
+    return [rec for part in parts for rec in part.records]
 
 
 def _independent_doc(
@@ -371,7 +375,7 @@ def _independent_doc(
     total = Tally()
     for r in results:
         total = total + r.tally
-    steps = [rec.step for r in results for rec in r.records]
+    steps = [step for r in results for step in r.steps]
     avg = average_step_length(steps)
     layout = config.sampler.layout
     if avg > 0:
@@ -475,7 +479,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if args.format == "table":
             sys.stdout.write(
                 f"dataset {dataset.id}: sequential walk, {len(records)} rows\n")
-            state = "timed out" if run.timed_out else "crossed"
+            if run.timed_out:
+                state = "timed out"
+            elif run.terminal is Outcome.NO_OVERLAP:
+                state = "ended without crossing"
+            else:
+                state = "crossed"
             sys.stdout.write(
                 f"terminal outcome: {run.terminal.value} at step "
                 f"{run.steps_taken} ({state})\n")
@@ -650,7 +659,7 @@ def _estimate_scenario(args: argparse.Namespace) -> int:
     layout = config.sampler.layout
     if isinstance(config, SequentialConfig):
         total, runs = run_sequential_scenario(config)
-        steps = [rec.step for run in runs for rec in run.records]
+        steps = [step for run in runs for step in run.steps]
         avg = average_step_length(steps)
         if avg <= 0:
             raise UsageError(
@@ -681,7 +690,7 @@ def _estimate_scenario(args: argparse.Namespace) -> int:
         }
         return _emit_estimate(args, lines, doc, None)
     results = run_independent_scenario(config)
-    steps = [rec.step for r in results for rec in r.records]
+    steps = [step for r in results for step in r.steps]
     total = Tally()
     for r in results:
         total = total + r.tally
@@ -782,8 +791,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             chained, xlabel = True, "step"
         else:
             results = run_independent_scenario(config)
-            records = [rec for r in results for rec in r.records]
-            series = _independent_series(records)
+            series = _independent_series(_records(results))
             chained, xlabel = False, "trial"
         title = (f"scenario {args.scenario}" if args.scenario is not None
                  else "custom scenario")

@@ -169,18 +169,29 @@ def mn1_crossed(p: Position, layout: ZoneLayout) -> bool:
     return p <= layout.brink
 
 
+_NO_OVERLAP = Outcome.NO_OVERLAP
+_MN0_OVERLAP = Outcome.MN0_OVERLAP
+_MN1_OVERLAP = Outcome.MN1_OVERLAP
+_SIMULTANEOUS_OVERLAP = Outcome.SIMULTANEOUS_OVERLAP
+
+
+def crossing(mn0: Position, mn1: Position, brink: Position) -> Outcome:
+    """Outcome of a move that leaves MN_0 at ``mn0`` and MN_1 at ``mn1``.
+
+    The rule of :func:`mn0_crossed` and :func:`mn1_crossed` for both nodes
+    at once, on a bare brink: :func:`classify` and the scenario loops call
+    it per move, so it reads the outcomes from module constants rather than
+    through the (slower) enum class attributes.
+    """
+    if mn0 >= brink:
+        return _SIMULTANEOUS_OVERLAP if mn1 <= brink else _MN0_OVERLAP
+    return _MN1_OVERLAP if mn1 <= brink else _NO_OVERLAP
+
+
 def classify(rec: MoveRecord, layout: ZoneLayout) -> Outcome:
     """Name which nodes crossed the brink plane on this move.
 
     Crossing is inclusive (touching the brink counts) for both nodes; the
     four outcomes partition all (record, layout) pairs.
     """
-    c0 = mn0_crossed(rec.mn0_new, layout)
-    c1 = mn1_crossed(rec.mn1_new, layout)
-    if c0 and c1:
-        return Outcome.SIMULTANEOUS_OVERLAP
-    if c0:
-        return Outcome.MN0_OVERLAP
-    if c1:
-        return Outcome.MN1_OVERLAP
-    return Outcome.NO_OVERLAP
+    return crossing(rec.mn0_new, rec.mn1_new, layout.brink)

@@ -16,9 +16,19 @@ order, or in parallel, without changing results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .model import MoveRecord, Outcome, ZoneLayout, check_layout, classify
+from .model import (
+    MoveRecord,
+    Outcome,
+    Position,
+    StepLength,
+    ZoneLayout,
+    check_layout,
+    classify,
+    crossing,
+)
 from .sampling import Sampler, SamplerConfig, validate
 from .stats import Tally, tally
 
@@ -68,27 +78,84 @@ class SequentialConfig:
 
 @dataclass(frozen=True)
 class SequentialRun:
-    """One chained walk: all moves taken, ended by crossing or cap."""
+    """One chained walk: the shared step of every move taken from ``start``,
+    ended by crossing or cap.
 
-    records: tuple[MoveRecord, ...]
+    ``records`` is rebuilt from the start positions and the steps on first
+    access; table and estimate output never need it.
+    """
+
+    start: tuple[Position, Position]
+    steps: tuple[StepLength, ...]
     terminal: Outcome
-    steps_taken: int
     timed_out: bool
 
+    @classmethod
+    def from_records(
+        cls, records: Sequence[MoveRecord], terminal: Outcome
+    ) -> "SequentialRun":
+        """A replayed run over already-chained records, kept as given
+        (``time_s`` too). A replay has no step cap, so it never times out.
+        """
+        first = records[0]
+        run = cls((first.mn0_init, first.mn1_init),
+                  tuple(rec.step for rec in records), terminal, False)
+        vars(run)["records"] = tuple(records)  # pre-fills the cached view
+        return run
+
     @property
-    def final_positions(self) -> tuple[int, int]:
-        last = self.records[-1]
-        return (last.mn0_new, last.mn1_new)
+    def steps_taken(self) -> int:
+        return len(self.steps)
+
+    @property
+    def final_positions(self) -> tuple[Position, Position]:
+        moved = sum(self.steps)
+        return (self.start[0] + moved, self.start[1] - moved)
+
+    @cached_property
+    def records(self) -> tuple[MoveRecord, ...]:
+        records = []
+        mn0, mn1 = self.start
+        for step in self.steps:
+            rec = MoveRecord.from_inits(mn0, mn1, step)
+            records.append(rec)
+            mn0, mn1 = rec.mn0_new, rec.mn1_new
+        return tuple(records)
 
 
 @dataclass(frozen=True)
 class SampleResult:
-    """One sample of an independent-trial scenario."""
+    """One sample of an independent-trial scenario.
+
+    ``draws`` holds the three ints every trial drew, in draw order
+    (mn0_init, mn1_init, step), trial after trial. ``records`` and
+    ``outcomes`` are rebuilt from it on first access; table and estimate
+    output never need them.
+    """
 
     sample: int
     tally: Tally
-    records: tuple[MoveRecord, ...]
-    outcomes: tuple[Outcome, ...]
+    draws: tuple[int, ...]
+    brink: Position
+
+    @property
+    def steps(self) -> tuple[StepLength, ...]:
+        return self.draws[2::3]
+
+    @cached_property
+    def records(self) -> tuple[MoveRecord, ...]:
+        draws = self.draws
+        return tuple(
+            map(MoveRecord.from_inits, draws[0::3], draws[1::3], draws[2::3])
+        )
+
+    @cached_property
+    def outcomes(self) -> tuple[Outcome, ...]:
+        draws, brink = self.draws, self.brink
+        return tuple(
+            crossing(mn0 + step, mn1 - step, brink)
+            for mn0, mn1, step in zip(draws[0::3], draws[1::3], draws[2::3])
+        )
 
 
 def run_independent_trial(
@@ -102,21 +169,26 @@ def run_independent_trial(
 
 
 def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResult]:
-    """Run all samples; sample k draws from substream k."""
+    """Run all samples; sample k draws from substream k.
+
+    Each trial draws as :func:`run_independent_trial` does, but only its
+    three ints are kept and its outcome counted; no record is built.
+    """
     validate(config.sampler)
-    layout = config.sampler.layout
+    brink = config.sampler.layout.brink
     results = []
     for k in range(config.samples):
         sampler = Sampler(config.sampler, stream=k)
-        records = []
+        draw_init_positions = sampler.draw_init_positions
+        draw_step = sampler.draw_step
+        draws: list[int] = []
         outcomes = []
         for _ in range(config.runs_per_sample):
-            rec, outcome = run_independent_trial(sampler, layout)
-            records.append(rec)
-            outcomes.append(outcome)
-        results.append(
-            SampleResult(k, tally(outcomes), tuple(records), tuple(outcomes))
-        )
+            mn0, mn1 = draw_init_positions()
+            step = draw_step()
+            draws += (mn0, mn1, step)
+            outcomes.append(crossing(mn0 + step, mn1 - step, brink))
+        results.append(SampleResult(k, tally(outcomes), tuple(draws), brink))
     return results
 
 
@@ -126,17 +198,21 @@ def run_sequential(sampler: Sampler, config: SequentialConfig) -> SequentialRun:
     Timing out is a result (timed_out=True, terminal NoOverlap), not an
     error.
     """
-    layout = config.sampler.layout
-    mn0, mn1 = config.mn0_start, config.mn1_start
-    records: list[MoveRecord] = []
+    brink = config.sampler.layout.brink
+    no_overlap = Outcome.NO_OVERLAP
+    start = (config.mn0_start, config.mn1_start)
+    mn0, mn1 = start
+    draw_step = sampler.draw_step
+    steps: list[int] = []
     for _ in range(config.max_steps_cap):
-        rec = MoveRecord.from_inits(mn0, mn1, sampler.draw_step())
-        records.append(rec)
-        outcome = classify(rec, layout)
-        if outcome is not Outcome.NO_OVERLAP:
-            return SequentialRun(tuple(records), outcome, len(records), False)
-        mn0, mn1 = rec.mn0_new, rec.mn1_new
-    return SequentialRun(tuple(records), Outcome.NO_OVERLAP, len(records), True)
+        step = draw_step()
+        steps.append(step)
+        mn0 += step
+        mn1 -= step
+        outcome = crossing(mn0, mn1, brink)
+        if outcome is not no_overlap:
+            return SequentialRun(start, tuple(steps), outcome, False)
+    return SequentialRun(start, tuple(steps), no_overlap, True)
 
 
 def run_sequential_scenario(
@@ -168,30 +244,30 @@ def replay_sequential(
 ) -> SequentialRun:
     """Re-run a recorded chained walk, validating the chain as it goes.
 
-    Raises ValueError when consecutive rows do not chain or when rows
-    continue past the first crossing.
+    A walk whose rows never cross ends with terminal no_overlap, not timed
+    out. Raises ValueError when
+    consecutive rows do not chain or when rows continue past the first
+    crossing.
     """
     check_layout(layout)
     if not records:
         raise ValueError("sequential replay needs at least one record")
-    seen: list[MoveRecord] = []
     for i, rec in enumerate(records):
-        if seen:
-            prev = seen[-1]
+        if i:
+            prev = records[i - 1]
             if (rec.mn0_init, rec.mn1_init) != (prev.mn0_new, prev.mn1_new):
                 raise ValueError(
                     f"row {i + 1} inits ({rec.mn0_init}, {rec.mn1_init}) do not "
                     f"chain from row {i} finals ({prev.mn0_new}, {prev.mn1_new})"
                 )
-        seen.append(rec)
         outcome = classify(rec, layout)
         if outcome is not Outcome.NO_OVERLAP:
             if i + 1 != len(records):
                 raise ValueError(
                     f"rows continue past the first crossing at row {i + 1}"
                 )
-            return SequentialRun(tuple(seen), outcome, len(seen), False)
-    return SequentialRun(tuple(seen), Outcome.NO_OVERLAP, len(seen), True)
+            return SequentialRun.from_records(records, outcome)
+    return SequentialRun.from_records(records, Outcome.NO_OVERLAP)
 
 
 def preset(scenario_id: int, seed: int = 0) -> IndependentTrialConfig | SequentialConfig:

@@ -118,12 +118,17 @@ def parse_trace_line(line: str) -> TraceLine:
     cur = _Cursor(line)
     cur.literal("M", "marker")
     cur.literal(" ", "separator")
+    if line[cur.pos:cur.pos + 1] == "-":
+        raise TraceParseError("move time must not be negative", cur.column)
     time_s = cur.number("move time")
     cur.literal(" ", "separator")
     node_col = cur.column
-    node_id = int(cur.number("node id"))
-    if node_id not in (0, 1):
-        raise TraceParseError(f"node id must be 0 or 1, got {node_id}", node_col)
+    node = line[cur.pos:cur.pos + 1]
+    if node not in ("0", "1") or line[cur.pos + 1:cur.pos + 2] not in (" ", ""):
+        token = line[cur.pos:].split(" ", 1)[0]
+        raise TraceParseError(f"node id must be 0 or 1, got {token!r}", node_col)
+    node_id = int(node)
+    cur.pos += 1
     cur.literal(" ", "separator")
     cur.literal("(", "open paren")
     init_x = cur.number("initial x")

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from simulmob.cli import main
+from simulmob.datasets import load_dataset
+from simulmob.model import MoveRecord
 from simulmob.scenarios import config_to_dict, preset
 from simulmob.stats import METRIC_LABELS
 from simulmob.traceio import parse_trace
@@ -212,6 +215,20 @@ class TestReplay:
         assert "simultaneous_overlap at step 11" in out
         assert "(289, 221)" in out
 
+    def test_walk_without_crossing_summary(self, capsys, monkeypatch):
+        import simulmob.cli as cli
+
+        dataset = load_dataset("table-6")
+        cut = replace(dataset, rows=dataset.rows[:5])
+        monkeypatch.setattr(cli, "load_dataset", lambda _id: cut)
+        code, out, _ = run_cli(capsys, "replay", "--dataset", "table-6")
+        assert code == 0
+        assert "no_overlap at step 5 (ended without crossing)" in out
+        code, out, _ = run_cli(
+            capsys, "replay", "--dataset", "table-6", "--format", "json")
+        doc = json.loads(out)
+        assert (doc["terminal"], doc["timed_out"]) == ("no_overlap", False)
+
     def test_table1_requires_layout(self, capsys):
         code, _, err = run_cli(capsys, "replay", "--dataset", "table-1")
         assert code == 2
@@ -366,3 +383,28 @@ class TestPlot:
 
     def test_requires_exactly_one_source(self, capsys):
         assert run_cli(capsys, "plot")[0] == 2
+
+
+class TestNoRecordsForTables:
+    """Table and estimate output are tallies; they must build no MoveRecord."""
+
+    @pytest.fixture(autouse=True)
+    def _no_records(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("MoveRecord built")
+
+        monkeypatch.setattr(MoveRecord, "__init__", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scenario", "2"),
+        ("simulate", "--scenario", "3"),
+        ("estimate", "--scenario", "2"),
+    ])
+    def test_tally_outputs(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--seed", "5", "--format", "table")
+        assert code == 0
+        assert out
+
+    def test_patch_is_live(self, capsys):
+        with pytest.raises(AssertionError):
+            run_cli(capsys, "simulate", "--scenario", "2", "--format", "csv")

@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 
 from simulmob.datasets import load_dataset
-from simulmob.model import LayoutError, MoveRecord, Outcome, ZoneLayout
-from simulmob.sampling import SamplerConfig
+from simulmob.model import LayoutError, MoveRecord, Outcome, ZoneLayout, classify
+from simulmob.sampling import Sampler, SamplerConfig
+from simulmob.stats import tally
 from simulmob.scenarios import (
     IndependentTrialConfig,
     SequentialConfig,
@@ -223,6 +224,20 @@ class TestReplay:
         assert run.terminal is Outcome.SIMULTANEOUS_OVERLAP
         assert run.final_positions == (289, 221)
 
+    def test_walk_that_never_crosses_is_not_timed_out(self):
+        ds = load_dataset("table-6")
+        run = replay_sequential(ds.rows[:5], ds.layout)
+        assert run.terminal is Outcome.NO_OVERLAP
+        assert not run.timed_out
+        assert run.steps_taken == 5
+        assert run.records == ds.rows[:5]
+        assert run.final_positions == (ds.rows[4].mn0_new, ds.rows[4].mn1_new)
+
+    def test_replayed_records_kept_as_given(self):
+        rows = [MoveRecord(10, 240, 250, 260, 250, time_s=0.25)]
+        run = replay_sequential(rows, ZoneLayout(0, 249, 251, 500, 250))
+        assert run.records[0] is rows[0]
+
     def test_broken_chain_rejected(self):
         rows = [MoveRecord.from_inits(10, 500, 5),
                 MoveRecord.from_inits(16, 495, 5)]
@@ -238,6 +253,125 @@ class TestReplay:
     def test_empty_sequential_replay_rejected(self):
         with pytest.raises(ValueError):
             replay_sequential([], ZoneLayout(0, 249, 251, 500, 250))
+
+
+def reference_independent(config):
+    """Record-building loop: (tally, records, outcomes) per sample."""
+    layout = config.sampler.layout
+    samples = []
+    for k in range(config.samples):
+        sampler = Sampler(config.sampler, stream=k)
+        records, outcomes = [], []
+        for _ in range(config.runs_per_sample):
+            mn0, mn1 = sampler.draw_init_positions()
+            rec = MoveRecord.from_inits(mn0, mn1, sampler.draw_step())
+            records.append(rec)
+            outcomes.append(classify(rec, layout))
+        samples.append((tally(outcomes), tuple(records), tuple(outcomes)))
+    return samples
+
+
+def reference_sequential(config):
+    """Record-building walks: (tally, [(records, terminal, timed_out)])."""
+    layout = config.sampler.layout
+    runs = []
+    for j in range(config.runs):
+        sampler = Sampler(config.sampler, stream=j)
+        mn0, mn1 = config.mn0_start, config.mn1_start
+        records = []
+        outcome = Outcome.NO_OVERLAP
+        while len(records) < config.max_steps_cap:
+            rec = MoveRecord.from_inits(mn0, mn1, sampler.draw_step())
+            records.append(rec)
+            outcome = classify(rec, layout)
+            if outcome is not Outcome.NO_OVERLAP:
+                break
+            mn0, mn1 = rec.mn0_new, rec.mn1_new
+        runs.append((tuple(records), outcome, outcome is Outcome.NO_OVERLAP))
+    return tally(terminal for _, terminal, _ in runs), runs
+
+
+WIDE = ZoneLayout(1000, 1399, 1401, 1800, 1400)  # positions above 256
+
+
+def _shifted(config, c):
+    """The same config with the layout and the starts moved by ``c``."""
+    old = config.sampler.layout
+    layout = ZoneLayout(old.zone0_lo + c, old.zone0_hi + c, old.zone1_lo + c,
+                        old.zone1_hi + c, old.brink + c)
+    sampler = replace(config.sampler, layout=layout)
+    if isinstance(config, SequentialConfig):
+        return replace(config, sampler=sampler, mn0_start=config.mn0_start + c,
+                       mn1_start=config.mn1_start + c)
+    return replace(config, sampler=sampler)
+
+
+INDEPENDENT_CASES = [
+    *(replace(preset(s, seed=seed), runs_per_sample=40, samples=3)
+      for s in (1, 2) for seed in (0, 1, 2**64 - 1)),
+    IndependentTrialConfig(SamplerConfig(11, 300, WIDE), 50, 3),
+    IndependentTrialConfig(SamplerConfig(3, 0, WIDE), 20, 2),
+]
+SEQUENTIAL_CASES = [
+    *(replace(preset(3, seed=seed), runs=25) for seed in (0, 1, 2**64 - 1)),
+    SequentialConfig(SamplerConfig(11, 90, WIDE), 1010, 1790, runs=10),
+    SequentialConfig(SamplerConfig(4, 0, WIDE), 1200, 1600, runs=3,
+                     max_steps_cap=40),
+    replace(preset(3, seed=6), runs=25, max_steps_cap=7),
+]
+
+
+class TestAgainstReferenceLoop:
+    """The streaming runners against the record-building loop they replaced."""
+
+    @pytest.mark.parametrize("config", INDEPENDENT_CASES)
+    def test_independent(self, config):
+        results = run_independent_scenario(config)
+        expected = reference_independent(config)
+        assert [r.sample for r in results] == list(range(config.samples))
+        for result, (total, records, outcomes) in zip(results, expected,
+                                                      strict=True):
+            assert result.tally == total
+            assert result.records == records
+            assert result.outcomes == outcomes
+            assert result.steps == tuple(rec.step for rec in records)
+
+    @pytest.mark.parametrize("config", SEQUENTIAL_CASES)
+    def test_sequential(self, config):
+        total, runs = run_sequential_scenario(config)
+        expected_total, expected = reference_sequential(config)
+        assert total == expected_total
+        for run, (records, terminal, timed_out) in zip(runs, expected,
+                                                       strict=True):
+            assert run.records == records
+            assert run.terminal is terminal
+            assert run.steps_taken == len(records)
+            assert run.timed_out is timed_out
+            assert run.final_positions == (records[-1].mn0_new,
+                                           records[-1].mn1_new)
+
+    def test_cases_cover_caps(self):
+        capped = [run for config in SEQUENTIAL_CASES
+                  for run in run_sequential_scenario(config)[1]
+                  if run.timed_out]
+        assert capped
+        assert {run.steps_taken for run in capped} == {7, 40}
+
+    @pytest.mark.parametrize("c", [-1000, 1, 2**40])
+    @pytest.mark.parametrize("config", [INDEPENDENT_CASES[3],
+                                        INDEPENDENT_CASES[6],
+                                        SEQUENTIAL_CASES[0],
+                                        SEQUENTIAL_CASES[3]])
+    def test_translation_leaves_tallies(self, config, c):
+        if isinstance(config, SequentialConfig):
+            before, runs = run_sequential_scenario(config)
+            after, moved = run_sequential_scenario(_shifted(config, c))
+            assert after == before
+            assert [r.steps for r in moved] == [r.steps for r in runs]
+        else:
+            before = run_independent_scenario(config)
+            after = run_independent_scenario(_shifted(config, c))
+            assert [r.tally for r in after] == [r.tally for r in before]
 
 
 class TestConfigDicts:

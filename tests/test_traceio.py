@@ -69,6 +69,27 @@ class TestParseTraceLine:
         with pytest.raises(TraceParseError):
             parse_trace_line("M 0.00100 2 (500.00, 00.00), (472.00, 00.00), 28.00")
 
+    @pytest.mark.parametrize("node", ["0.9", "1.0", "01", "-0", "10"])
+    def test_node_id_is_one_character(self, node):
+        with pytest.raises(TraceParseError) as err:
+            parse_trace_line(
+                f"M 0.00100 {node} (500.00, 00.00), (472.00, 00.00), 28.00")
+        assert err.value.column == 11
+        assert repr(node) in err.value.reason
+
+    def test_negative_move_time_rejected(self):
+        with pytest.raises(TraceParseError) as err:
+            parse_trace_line("M -0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00")
+        assert err.value.column == 3
+        assert "negative" in err.value.reason
+
+    def test_column_survives_in_whole_trace(self):
+        text = ("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00\n"
+                "M 0.00100 0.9 (10.00, 00.00), (38.00, 00.00), 28.00\n")
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(text)
+        assert (err.value.line, err.value.column) == (2, 11)
+
     def test_nonzero_y_rejected(self):
         with pytest.raises(TraceParseError):
             parse_trace_line("M 0.00100 1 (500.00, 01.00), (472.00, 00.00), 28.00")
