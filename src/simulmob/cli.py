@@ -44,6 +44,7 @@ from .stats import (
     exact_crossing_probability,
     expected_crossings,
     expected_steps_to_cross,
+    tally,
 )
 from .traceio import format_trace, read_csv, record_dict, write_csv, write_json
 
@@ -474,7 +475,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     run = None
     if sequential:
         run = replay_sequential(records, layout)
-        total = _terminal_tally(run)
+        total = tally([run.terminal])
         outcomes = [classify(rec, layout) for rec in records]
         if args.format == "table":
             sys.stdout.write(
@@ -534,16 +535,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         _write_text(args.plot, _render_plot(
             *series, layout.brink, chained, title, xlabel, args.ascii))
     return 0
-
-
-def _terminal_tally(run: SequentialRun) -> Tally:
-    mapping = {
-        Outcome.MN0_OVERLAP: Tally(mn0_only=1),
-        Outcome.MN1_OVERLAP: Tally(mn1_only=1),
-        Outcome.SIMULTANEOUS_OVERLAP: Tally(simultaneous=1),
-        Outcome.NO_OVERLAP: Tally(no_overlap=1),
-    }
-    return mapping[run.terminal]
 
 
 # -- estimate ---------------------------------------------------------------
@@ -631,7 +622,11 @@ def _estimate_dataset(args: argparse.Namespace) -> int:
 def _exact_probability_lines(
     layout: ZoneLayout, max_step: int | None, trials: int, doc: dict
 ) -> list[str]:
-    """Exact enumeration block; skipped when no step bound is known."""
+    """Exact crossing probability block; skipped when no step bound is known.
+
+    The printed label still reads "(enumeration)": the golden outputs pin
+    it, and the closed form gives the same fractions as the enumeration.
+    """
     if max_step is None:
         return ["exact crossing probability: unavailable (no --max-step)"]
     p0 = exact_crossing_probability(layout, max_step, 0)

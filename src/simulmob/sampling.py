@@ -20,6 +20,8 @@ from .model import Position, StepLength, ZoneLayout, check_layout
 
 _MASK64 = (1 << 64) - 1
 _PCG_MULTIPLIER = 6364136223846793005
+# Values one 32-bit draw can select among; the widest range randint accepts.
+_DRAW_RANGE = 1 << 32
 
 
 class Pcg32:
@@ -52,13 +54,19 @@ class Pcg32:
         """Uniform integer on the inclusive range [lo, hi], bias-free.
 
         Rejection sampling below the largest multiple of the range size, as
-        in pcg32_boundedrand_r.
+        in pcg32_boundedrand_r. One 32-bit draw covers at most 2**32
+        values, so a wider range is an error (no draw could ever pass the
+        rejection threshold).
         """
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         bound = hi - lo + 1
         if bound == 1:
             return lo
+        if bound > 1 << 32:
+            raise ValueError(
+                f"range [{lo}, {hi}] holds {bound} values; one 32-bit draw "
+                f"covers at most 2**32")
         threshold = (1 << 32) % bound
         while True:
             r = self._next_u32()
@@ -89,18 +97,29 @@ class ValidationReport:
 def validate(config: SamplerConfig) -> ValidationReport:
     """Check a sampler configuration.
 
-    Broken zone geometry, a negative step bound, or an out-of-range seed is
-    a hard error. A step bound large enough to clear a whole zone in one
-    move is only flagged as a warning: the small-range reference experiment
-    runs with exactly that configuration, so it must stay legal.
+    Broken zone geometry, a negative step bound, an out-of-range seed, or a
+    step range or zone wider than the 2**32 values :meth:`Pcg32.randint`
+    can draw is a hard error. A step bound large enough to clear a whole
+    zone in one move is only flagged as a warning: the small-range
+    reference experiment runs with exactly that configuration, so it must
+    stay legal.
     """
     check_layout(config.layout)
     if not 0 <= config.seed < 1 << 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
     if config.max_step < 0:
         raise ValueError(f"max_step must be non-negative, got {config.max_step}")
+    if config.max_step >= _DRAW_RANGE:
+        raise ValueError(f"max_step must be below 2**32 = {_DRAW_RANGE}, "
+                         f"got {config.max_step}")
+    widths = (config.layout.zone0_width, config.layout.zone1_width)
+    for node, width in enumerate(widths):
+        if width > _DRAW_RANGE:
+            raise ValueError(
+                f"zone {node} holds {width} positions; at most "
+                f"2**32 = {_DRAW_RANGE} can be drawn")
     warnings = []
-    narrowest = min(config.layout.zone0_width, config.layout.zone1_width)
+    narrowest = min(widths)
     if config.max_step >= narrowest:
         warnings.append(
             f"step range >= zone width: max_step {config.max_step} can cross a "

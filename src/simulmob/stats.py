@@ -1,8 +1,9 @@
-"""Outcome tallies, crossing estimators, and the exact enumeration oracle.
+"""Outcome tallies, crossing estimators, and the exact crossing probability.
 
-Pure functions throughout. The enumeration oracle deliberately walks the
-full (init, step) grid instead of using a closed form so it stays an
-independent check on both the samplers and the estimators.
+Pure functions throughout. The exact probability is a closed-form
+arithmetic series over the init-to-brink distances, so its cost does not
+depend on zone width or step bound. The tests check it against a walk of
+the full (init, step) grid and against Monte Carlo frequencies.
 """
 
 from __future__ import annotations
@@ -138,42 +139,40 @@ def expected_crossings(trials: int, zone_span: float, avg_step: float) -> float:
 def exact_crossing_probability(
     layout: ZoneLayout, max_step: int, node: int
 ) -> Fraction:
-    """Exact per-trial crossing probability by full enumeration.
+    """Exact per-trial crossing probability, as a reduced fraction.
 
-    Walks every (init, step) pair with init in the node's zone and step in
-    [0, max_step], counting the pairs whose move touches or passes the
-    brink. Exact rational result; independent of the sampler and estimator
-    code paths, so it serves as their oracle.
+    A trial draws the node's init uniformly from its zone and the step
+    uniformly from [0, max_step]; it crosses when the move touches or
+    passes the brink. An init at distance d from the brink (d >= 1, by
+    :func:`~simulmob.model.check_layout`) crosses on ``max_step + 1 - d``
+    of the steps when d <= max_step and on none otherwise, so the
+    favorable count is an arithmetic series over the zone's distances.
+    O(1) in zone width and step bound.
     """
     check_layout(layout)
     if max_step < 0:
         raise ValueError(f"max_step must be non-negative, got {max_step}")
     if node == 0:
-        inits = range(layout.zone0_lo, layout.zone0_hi + 1)
+        near = layout.brink - layout.zone0_hi
+        far = layout.brink - layout.zone0_lo
     elif node == 1:
-        inits = range(layout.zone1_lo, layout.zone1_hi + 1)
+        near = layout.zone1_lo - layout.brink
+        far = layout.zone1_hi - layout.brink
     else:
         raise ValueError(f"node must be 0 or 1, got {node}")
-    favorable = 0
-    total = 0
-    for init in inits:
-        for step in range(max_step + 1):
-            total += 1
-            if node == 0:
-                if init + step >= layout.brink:
-                    favorable += 1
-            else:
-                if init - step <= layout.brink:
-                    favorable += 1
-    return Fraction(favorable, total)
+    top = min(far, max_step)
+    n = max(0, top - near + 1)
+    favorable = n * (max_step + 1) - (near + top) * n // 2
+    return Fraction(favorable, (far - near + 1) * (max_step + 1))
 
 
 @dataclass(frozen=True)
 class EstimateReport:
     """Crossing estimates for one batch, alongside what was observed.
 
-    ``exact_probability`` is the node-0 enumeration value when available
-    (the bundled presets are brink-symmetric, so node 1's equals it).
+    ``exact_probability`` is node 0's :func:`exact_crossing_probability`
+    when available (the bundled presets are brink-symmetric, so node 1's
+    equals it).
     """
 
     avg_step: float

@@ -26,6 +26,7 @@ from simulmob.stats import (
     expected_steps_to_cross,
 )
 from simulmob.traceio import format_trace, format_trace_line, parse_trace_line
+from test_stats import grid_walk_probability
 
 
 @contextmanager
@@ -134,6 +135,7 @@ def test_criterion_6(capsys):
         p1 = exact_crossing_probability(preset1.layout, preset1.max_step, node=0)
         assert p1 == Fraction(1275, 19125)
         for config, p in ((preset1, p1), (preset2, p2)):
+            assert grid_walk_probability(config.layout, config.max_step, 0) == p
             freq = monte_carlo_frequency(config, 0, trials)
             se = math.sqrt(float(p) * (1 - float(p)) / trials)
             assert abs(freq - float(p)) <= 3 * se

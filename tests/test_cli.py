@@ -1,11 +1,13 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from simulmob.cli import main
 from simulmob.datasets import load_dataset
 from simulmob.model import MoveRecord
+from simulmob.sampling import Pcg32
 from simulmob.scenarios import config_to_dict, preset
 from simulmob.stats import METRIC_LABELS
 from simulmob.traceio import parse_trace
@@ -174,6 +176,24 @@ class TestSimulateErrors:
             capsys, "simulate", "--scenario", "1", "--zone0", "axb")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--scenario", "2", "--max-step", str(2**32)),
+        ("--scenario", "3", "--max-step", str(2**32)),
+        ("--scenario", "2", "--zone0", f"0:{2**32}",
+         "--zone1", f"{2**32 + 2}:{2**32 + 9}", "--brink", str(2**32 + 1)),
+    ])
+    def test_range_wider_than_a_draw(self, capsys, monkeypatch, argv):
+        # Such a range once hung in Pcg32.randint; it must fail before any
+        # draw, with exit 2 and a one-line message.
+        def refuse(self):
+            raise AssertionError("drew from the generator")
+
+        monkeypatch.setattr(Pcg32, "_next_u32", refuse)
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSeedEnv:
     def test_env_seed_used(self, capsys, monkeypatch):
@@ -330,6 +350,26 @@ class TestEstimate:
         doc = json.loads(out)
         assert doc["avg_step"] == 21.5
         assert doc["exact_probability"]["node0"]["fraction"] == "1/2"
+
+    def test_wide_zones_cost_is_bounded(self, capsys):
+        # Two 10^9-wide zones and a 10^6 step bound: a walk of the
+        # (init, step) grid would take 10^15 iterations. Node n's nearest
+        # init sits at distance d_n from the brink, and inits at distance
+        # d <= 10^6 cross on 10^6 + 1 - d steps, so the favorable counts
+        # are 1 + 2 + ... + K with K = 10^6 + 1 - d_n.
+        width, max_step, brink = 10**9, 10**6, 10**9 + 4
+        near = {0: 5, 1: 6}
+        code, out, _ = run_cli(
+            capsys, "estimate", "--scenario", "2", "--seed", "3",
+            "--runs", "5", "--samples", "1", "--max-step", str(max_step),
+            "--zone0", f"0:{width - 1}", "--brink", str(brink),
+            "--zone1", f"{brink + near[1]}:{brink + near[1] + width - 1}")
+        assert code == 0
+        assert brink - (width - 1) == near[0]
+        for node, d in near.items():
+            k = max_step + 1 - d
+            p = Fraction(k * (k + 1) // 2, width * (max_step + 1))
+            assert f"  node {node}: {p} = {float(p):.6f}\n" in out
 
     def test_requires_exactly_one_source(self, capsys):
         assert run_cli(capsys, "estimate")[0] == 2

@@ -25,6 +25,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = ("--seed", "7", "--runs", "4", "--samples", "3")
 SEQ_SMALL = ("--seed", "7", "--runs", "4")
 LAYOUT_1 = ("--zone0", "0:374", "--zone1", "376:750", "--brink", "375")
+ASYM = ("--scenario", "2", "--zone0", "0:4999", "--zone1", "5020:9999",
+        "--brink", "5007", "--max-step", "99", "--seed", "7", "--runs", "5",
+        "--samples", "1")
 
 # name -> (argv, files the run writes). "{out}" in argv is the written file.
 CASES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
@@ -69,6 +72,12 @@ CASES["replay-table-6-trace"] = (
 for _ds in ("table-3", "table-5", "table-6"):
     CASES[f"estimate-{_ds}-json"] = (
         ("estimate", "--dataset", _ds, "--format", "json"), ())
+# The preset layouts are brink-symmetric, so both nodes share one crossing
+# probability; this layout is not, so node 0 and node 1 differ.
+for _fmt in ("table", "json"):
+    CASES[f"estimate-asym-{_fmt}"] = (
+        ("estimate", *ASYM, "--format", _fmt), ())
+CASES["simulate-asym-json"] = (("simulate", *ASYM, "--format", "json"), ())
 
 
 def run_case(name: str, tmp: Path) -> dict[str, bytes]:

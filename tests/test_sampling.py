@@ -10,6 +10,10 @@ LAYOUT_1 = ZoneLayout(0, 374, 376, 750, 375)
 LAYOUT_2 = ZoneLayout(50, 99, 101, 150, 100)
 
 
+def _no_draw():
+    raise AssertionError("drew from the generator")
+
+
 class TestPcg32:
     def test_reference_vector(self):
         # First outputs of the pcg_basic demo for seed 42, sequence 54.
@@ -43,6 +47,23 @@ class TestPcg32:
     def test_randint_rejects_empty_range(self):
         with pytest.raises(ValueError):
             Pcg32(0).randint(5, 4)
+
+    def test_randint_rejects_range_wider_than_a_draw(self, monkeypatch):
+        # No u32 draw reaches the threshold of a range above 2**32, so the
+        # range must be refused before the rejection loop draws anything.
+        gen = Pcg32(0)
+        monkeypatch.setattr(gen, "_next_u32", _no_draw)
+        for lo, hi in ((0, 2**32), (-5, 2**40)):
+            with pytest.raises(ValueError, match="at most 2"):
+                gen.randint(lo, hi)
+
+    def test_randint_full_u32_range_takes_every_draw(self):
+        # Threshold (1 << 32) % 2**32 is 0, so each call returns its draw.
+        gen, twin = Pcg32(9, 3), Pcg32(9, 3)
+        assert [gen.randint(0, 2**32 - 1) for _ in range(5)] == [
+            twin._next_u32() for _ in range(5)]
+        assert [gen.randint(7, 7 + 2**32 - 1) for _ in range(5)] == [
+            7 + twin._next_u32() for _ in range(5)]
 
     def test_seed_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -145,3 +166,18 @@ class TestValidate:
     def test_bad_seed_raises(self):
         with pytest.raises(ValueError):
             validate(SamplerConfig(-1, 50, LAYOUT_1))
+
+    def test_step_range_wider_than_a_draw_raises(self):
+        assert validate(SamplerConfig(0, 2**32 - 1, LAYOUT_1)).warnings
+        with pytest.raises(ValueError, match="max_step must be below 2"):
+            validate(SamplerConfig(0, 2**32, LAYOUT_1))
+
+    def test_zone_wider_than_a_draw_raises(self):
+        top = 2**32
+        validate(SamplerConfig(0, 5, ZoneLayout(0, top - 1, top + 1, 2 * top,
+                                                top)))
+        with pytest.raises(ValueError, match="zone 0 holds"):
+            validate(SamplerConfig(0, 5, ZoneLayout(-1, top - 1, top + 1,
+                                                    top + 9, top)))
+        with pytest.raises(ValueError, match="zone 1 holds"):
+            validate(SamplerConfig(0, 5, ZoneLayout(0, 9, 11, top + 11, 10)))

@@ -2,12 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simulmob.datasets import load_dataset
-from simulmob.model import Outcome, ZoneLayout
+from simulmob.model import LayoutError, Outcome, ZoneLayout
 from simulmob.sampling import Sampler, SamplerConfig
-from simulmob.scenarios import preset, replay_independent
+from simulmob.scenarios import (
+    IndependentTrialConfig,
+    preset,
+    replay_independent,
+    run_independent_scenario,
+)
 from simulmob.stats import (
     METRIC_LABELS,
     EstimateReport,
@@ -19,6 +24,7 @@ from simulmob.stats import (
     expected_steps_to_cross,
     tally,
 )
+from test_scenarios import _shifted
 
 LAYOUT_1 = ZoneLayout(0, 374, 376, 750, 375)
 LAYOUT_2 = ZoneLayout(50, 99, 101, 150, 100)
@@ -126,8 +132,32 @@ class TestEstimators:
         assert math.isclose(direct, trials * avg / span, rel_tol=1e-12)
 
 
-def closed_form_probability(layout: ZoneLayout, max_step: int, node: int) -> Fraction:
-    """Independent route: per-init favorable step counts, summed."""
+def grid_walk_probability(layout: ZoneLayout, max_step: int, node: int) -> Fraction:
+    """Reference route: walk every (init, step) pair and count the crossings.
+
+    O(width x max_step), so only for small layouts; it shares no arithmetic
+    with the closed form in ``exact_crossing_probability``.
+    """
+    if node == 0:
+        inits = range(layout.zone0_lo, layout.zone0_hi + 1)
+    else:
+        inits = range(layout.zone1_lo, layout.zone1_hi + 1)
+    favorable = 0
+    total = 0
+    for init in inits:
+        for step in range(max_step + 1):
+            total += 1
+            if node == 0:
+                if init + step >= layout.brink:
+                    favorable += 1
+            else:
+                if init - step <= layout.brink:
+                    favorable += 1
+    return Fraction(favorable, total)
+
+
+def per_init_probability(layout: ZoneLayout, max_step: int, node: int) -> Fraction:
+    """Reference route: per-init favorable step counts, summed."""
     if node == 0:
         inits = range(layout.zone0_lo, layout.zone0_hi + 1)
         distances = (layout.brink - i for i in inits)
@@ -139,6 +169,23 @@ def closed_form_probability(layout: ZoneLayout, max_step: int, node: int) -> Fra
     favorable = sum(
         max(0, min(max_step + 1, max_step - d + 1)) for d in distances)
     return Fraction(favorable, width * (max_step + 1))
+
+
+@st.composite
+def layouts(draw):
+    """Small valid layouts; unequal gaps put the brink off-centre."""
+    lo = draw(st.integers(-50, 50))
+    w0, w1 = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    g0, g1 = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return ZoneLayout(lo, lo + w0, lo + w0 + g0 + g1,
+                      lo + w0 + g0 + g1 + w1, lo + w0 + g0)
+
+
+def mirrored(layout: ZoneLayout) -> ZoneLayout:
+    """The layout reflected about its brink, x -> 2 * brink - x."""
+    b2 = 2 * layout.brink
+    return ZoneLayout(b2 - layout.zone1_hi, b2 - layout.zone1_lo,
+                      b2 - layout.zone0_hi, b2 - layout.zone0_lo, layout.brink)
 
 
 class TestExactProbability:
@@ -160,27 +207,59 @@ class TestExactProbability:
         assert exact_crossing_probability(LAYOUT_1, 0, 0) == 0
         assert exact_crossing_probability(LAYOUT_1, 0, 1) == 0
 
+    def test_errors(self):
+        with pytest.raises(LayoutError):
+            exact_crossing_probability(ZoneLayout(0, 10, 5, 20, 8), 5, 0)
+        with pytest.raises(ValueError, match="max_step"):
+            exact_crossing_probability(LAYOUT_1, -1, 0)
+        with pytest.raises(ValueError, match="node"):
+            exact_crossing_probability(LAYOUT_1, 5, 2)
+
     def test_matches_closed_form_on_presets(self):
         for layout in (LAYOUT_1, LAYOUT_2, LAYOUT_3):
             for node in (0, 1):
-                assert exact_crossing_probability(layout, 50, node) == \
-                    closed_form_probability(layout, 50, node)
+                p = exact_crossing_probability(layout, 50, node)
+                assert p == per_init_probability(layout, 50, node)
+                assert p == grid_walk_probability(layout, 50, node)
 
-    @given(st.tuples(st.integers(0, 50), st.integers(0, 60),
-                     st.integers(1, 40), st.integers(1, 40),
-                     st.integers(0, 60)),
-           st.integers(0, 80), st.sampled_from([0, 1]))
-    def test_matches_closed_form_everywhere(self, dims, max_step, node):
-        base, w0, g0, g1, w1 = dims
-        layout = ZoneLayout(base, base + w0, base + w0 + g0 + g1,
-                            base + w0 + g0 + g1 + w1, base + w0 + g0)
-        assert exact_crossing_probability(layout, max_step, node) == \
-            closed_form_probability(layout, max_step, node)
+    # The explicit examples put max_step at, above and far above the zone
+    # width and the farthest brink distance.
+    @example(ZoneLayout(0, 3, 5, 8, 4), 4, 0)
+    @example(ZoneLayout(0, 3, 5, 8, 4), 9, 1)
+    @example(ZoneLayout(0, 0, 3, 3, 1), 150, 0)
+    @example(ZoneLayout(0, 0, 3, 3, 1), 150, 1)
+    @given(layouts(), st.integers(0, 150), st.sampled_from([0, 1]))
+    def test_matches_closed_form_everywhere(self, layout, max_step, node):
+        p = exact_crossing_probability(layout, max_step, node)
+        assert p == per_init_probability(layout, max_step, node)
+        assert p == grid_walk_probability(layout, max_step, node)
+
+    @given(layouts(), st.integers(0, 150))
+    def test_mirror_swaps_nodes(self, layout, max_step):
+        image = mirrored(layout)
+        for node in (0, 1):
+            assert exact_crossing_probability(image, max_step, node) == \
+                exact_crossing_probability(layout, max_step, 1 - node)
+
+    @settings(max_examples=50)
+    @given(layouts(), st.integers(0, 150), st.integers(-2**40, 2**40),
+           st.integers(0, 2**64 - 1))
+    def test_translation_leaves_probabilities_and_tallies(
+            self, layout, max_step, c, seed):
+        config = IndependentTrialConfig(SamplerConfig(seed, max_step, layout),
+                                        runs_per_sample=20, samples=2)
+        moved = _shifted(config, c)
+        for node in (0, 1):
+            assert exact_crossing_probability(
+                moved.sampler.layout, max_step, node) == \
+                exact_crossing_probability(layout, max_step, node)
+        assert [r.tally for r in run_independent_scenario(moved)] == \
+            [r.tally for r in run_independent_scenario(config)]
 
     @pytest.mark.parametrize("scenario_id", [1, 2, 3])
     def test_monte_carlo_agreement(self, scenario_id):
         # Empirical crossing frequency lands within 3 standard errors of
-        # the enumerated probability at 10^5 draws.
+        # the exact probability at 10^5 draws.
         config = preset(scenario_id, seed=22).sampler
         layout, max_step = config.layout, config.max_step
         n = 100_000
