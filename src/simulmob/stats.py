@@ -171,8 +171,10 @@ class EstimateReport:
     """Crossing estimates for one batch, alongside what was observed.
 
     ``exact_probability`` is node 0's :func:`exact_crossing_probability`
-    when available (the bundled presets are brink-symmetric, so node 1's
-    equals it).
+    when available, and only node 0's: the ``estimate`` block of
+    ``simulate --format json`` prints it without naming the node. The
+    bundled presets are brink-symmetric, so there node 1's equals it; on
+    an asymmetric layout it does not.
     """
 
     avg_step: float

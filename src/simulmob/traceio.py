@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .model import MoveRecord, Outcome
 
@@ -67,45 +68,67 @@ def format_trace_line(rec: MoveRecord, node_id: int) -> str:
     )
 
 
-class _Cursor:
-    """Single-line scanner that reports 1-based column positions on failure."""
+_UNSIGNED = r"[0-9]+(?:\.[0-9]+)?"
+_NUMBER = re.compile("-?" + _UNSIGNED)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# The movement-line grammar, piece by piece: a str is literal text, a pattern
+# one captured field. ``_MOVE`` is their concatenation; ``_reject`` walks the
+# same pieces to name the first one a rejected line breaks.
+_GRAMMAR = (
+    ("marker", "M"),
+    ("separator", " "),
+    ("move time", re.compile(_UNSIGNED)),
+    ("separator", " "),
+    ("node id", re.compile("[01](?![^ ])")),
+    ("separator", " "),
+    ("open paren", "("),
+    ("initial x", _NUMBER),
+    ("initial y", ", 00.00), "),
+    ("open paren", "("),
+    ("new x", _NUMBER),
+    ("new y", ", 00.00), "),
+    ("step length", _NUMBER),
+)
+_MOVE = re.compile("".join(
+    re.escape(p) if isinstance(p, str) else f"({p.pattern})" for _, p in _GRAMMAR
+)).fullmatch
 
-    @property
-    def column(self) -> int:
-        return self.pos + 1
 
-    def literal(self, expected: str, what: str) -> None:
-        end = self.pos + len(expected)
-        if self.text[self.pos:end] != expected:
-            raise TraceParseError(f"expected {what} {expected!r}", self.column)
-        self.pos = end
+def _reject(line: str) -> NoReturn:
+    """Raise the :class:`TraceParseError` for a line that ``_MOVE`` rejects."""
+    pos = 0
+    for what, piece in _GRAMMAR:
+        if isinstance(piece, str):
+            if not line.startswith(piece, pos):
+                raise TraceParseError(f"expected {what} {piece!r}", pos + 1)
+            pos += len(piece)
+            continue
+        m = piece.match(line, pos)
+        if m is None:
+            if what == "node id":
+                token = line[pos:].split(" ", 1)[0]
+                raise TraceParseError(f"node id must be 0 or 1, got {token!r}", pos + 1)
+            if what == "move time" and line.startswith("-", pos):
+                raise TraceParseError("move time must not be negative", pos + 1)
+            raise TraceParseError(f"expected {what}", pos + 1)
+        pos = m.end()
+        if line.startswith(".", pos) and "." not in m[0]:
+            raise TraceParseError(f"expected decimals in {what}", pos + 2)
+    raise TraceParseError("trailing characters after step length", pos + 1)
 
-    def number(self, what: str) -> float:
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        digits_before = self._digits()
-        if not digits_before:
-            raise TraceParseError(f"expected {what}", start + 1)
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            self.pos += 1
-            if not self._digits():
-                raise TraceParseError(f"expected decimals in {what}", self.column)
-        return float(self.text[start:self.pos])
 
-    def _digits(self) -> bool:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return self.pos > start
-
-    def end(self) -> None:
-        if self.pos != len(self.text):
-            raise TraceParseError("trailing characters after step length", self.column)
+def _fields(line: str) -> tuple[int, float, float, float, float]:
+    """(node id, move time, initial x, new x, step) of one movement line."""
+    m = _MOVE(line)
+    if m is None:
+        _reject(line)
+    time_s, node, init_x, new_x, step = m.groups()
+    init_x, new_x, step = float(init_x), float(new_x), float(step)
+    if abs(new_x - init_x) != step:
+        raise TraceParseError(
+            f"step {step} does not match |{new_x} - {init_x}|", m.start(5) + 1
+        )
+    return int(node), float(time_s), init_x, new_x, step
 
 
 def parse_trace_line(line: str) -> TraceLine:
@@ -115,35 +138,7 @@ def parse_trace_line(line: str) -> TraceLine:
     offending character. The |new - init| == step consistency of the line is
     checked as well as the grammar.
     """
-    cur = _Cursor(line)
-    cur.literal("M", "marker")
-    cur.literal(" ", "separator")
-    if line[cur.pos:cur.pos + 1] == "-":
-        raise TraceParseError("move time must not be negative", cur.column)
-    time_s = cur.number("move time")
-    cur.literal(" ", "separator")
-    node_col = cur.column
-    node = line[cur.pos:cur.pos + 1]
-    if node not in ("0", "1") or line[cur.pos + 1:cur.pos + 2] not in (" ", ""):
-        token = line[cur.pos:].split(" ", 1)[0]
-        raise TraceParseError(f"node id must be 0 or 1, got {token!r}", node_col)
-    node_id = int(node)
-    cur.pos += 1
-    cur.literal(" ", "separator")
-    cur.literal("(", "open paren")
-    init_x = cur.number("initial x")
-    cur.literal(", 00.00), ", "initial y")
-    cur.literal("(", "open paren")
-    new_x = cur.number("new x")
-    cur.literal(", 00.00), ", "new y")
-    step_col = cur.column
-    step = cur.number("step length")
-    cur.end()
-    if abs(new_x - init_x) != step:
-        raise TraceParseError(
-            f"step {step} does not match |{new_x} - {init_x}|", step_col
-        )
-    return TraceLine(node_id, time_s, init_x, new_x, step)
+    return TraceLine(*_fields(line))
 
 
 def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> str:
@@ -171,44 +166,40 @@ def parse_trace(text: str) -> list[MoveRecord]:
     pair. Raises :class:`TraceParseError` on grammar violations, unpaired
     lines, or pairs that do not assemble into a consistent move.
     """
-    fragments: list[tuple[int, TraceLine]] = []
+    fragments = []  # (line number, node id, move time, initial x, new x, step)
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("STEP-"):
             continue
         try:
-            fragments.append((lineno, parse_trace_line(raw)))
+            fragments.append((lineno, *_fields(raw)))
         except TraceParseError as exc:
             raise TraceParseError(exc.reason, exc.column, lineno) from None
     if len(fragments) % 2:
-        lineno = fragments[-1][0]
-        raise TraceParseError("movement line has no partner", 1, lineno)
+        raise TraceParseError("movement line has no partner", 1, fragments[-1][0])
     records = []
-    for (line_a, frag_a), (line_b, frag_b) in zip(
-        fragments[::2], fragments[1::2]
-    ):
-        if {frag_a.node_id, frag_b.node_id} != {0, 1}:
+    pairs = iter(fragments)
+    for a, b in zip(pairs, pairs):
+        lineno = b[0]
+        if a[1] == b[1]:
+            raise TraceParseError("move pair must cover node 0 and node 1", 1, lineno)
+        if a[5] != b[5]:
             raise TraceParseError(
-                "move pair must cover node 0 and node 1", 1, line_b
+                f"paired lines disagree on step ({a[5]} vs {b[5]})", 1, lineno
             )
-        if frag_a.step != frag_b.step:
+        n0, n1 = (a, b) if a[1] == 0 else (b, a)
+        _, _, time_s, init0, new0, step = n0
+        _, _, _, init1, new1, _ = n1
+        if not (step.is_integer() and init0.is_integer() and new0.is_integer()
+                and init1.is_integer() and new1.is_integer()):
             raise TraceParseError(
-                f"paired lines disagree on step ({frag_a.step} vs {frag_b.step})",
-                1,
-                line_b,
-            )
-        n0 = frag_a if frag_a.node_id == 0 else frag_b
-        n1 = frag_a if frag_a.node_id == 1 else frag_b
-        values = (n0.step, n0.init_x, n0.new_x, n1.init_x, n1.new_x)
-        if any(v != int(v) for v in values):
-            raise TraceParseError(
-                "positions and step must be integers to assemble a move", 1, line_b
+                "positions and step must be integers to assemble a move", 1, lineno
             )
         try:
-            records.append(
-                MoveRecord(*(int(v) for v in values), time_s=n0.time_s)
-            )
+            records.append(MoveRecord(
+                int(step), int(init0), int(new0), int(init1), int(new1), time_s
+            ))
         except ValueError as exc:
-            raise TraceParseError(str(exc), 1, line_b) from None
+            raise TraceParseError(str(exc), 1, lineno) from None
     return records
 
 
@@ -248,10 +239,16 @@ def read_csv(text: str) -> list[MoveRecord]:
             continue
         if len(row) not in (5, 6):
             raise CsvFormatError(f"row {rownum}: expected 5 or 6 fields, got {len(row)}")
+        cells = row[:5]
+        # int() also takes "+", "_", spaces and non-ASCII digits; a field of
+        # the schema is -?[0-9]+, so without its sign it is ASCII digits.
+        digits = "".join(cells).replace("-", "")
         try:
-            values = [int(cell) for cell in row[:5]]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(cells)
+            values = list(map(int, cells))
         except ValueError:
-            raise CsvFormatError(f"row {rownum}: non-integer field in {row[:5]}") from None
+            raise CsvFormatError(f"row {rownum}: non-integer field in {cells}") from None
         try:
             records.append(MoveRecord(*values))
         except ValueError as exc:

@@ -8,6 +8,7 @@ from simulmob.model import MoveRecord, Outcome
 from simulmob.traceio import (
     CSV_HEADER,
     CsvFormatError,
+    TraceLine,
     TraceParseError,
     format_trace,
     format_trace_line,
@@ -21,6 +22,184 @@ from simulmob.traceio import (
 records = st.builds(
     MoveRecord.from_inits,
     st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 500))
+
+
+class _Cursor:
+    """Single-line scanner that reports 1-based column positions on failure."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    @property
+    def column(self) -> int:
+        return self.pos + 1
+
+    def literal(self, expected: str, what: str) -> None:
+        end = self.pos + len(expected)
+        if self.text[self.pos:end] != expected:
+            raise TraceParseError(f"expected {what} {expected!r}", self.column)
+        self.pos = end
+
+    def number(self, what: str) -> float:
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] == "-":
+            self.pos += 1
+        digits_before = self._digits()
+        if not digits_before:
+            raise TraceParseError(f"expected {what}", start + 1)
+        if self.pos < len(self.text) and self.text[self.pos] == ".":
+            self.pos += 1
+            if not self._digits():
+                raise TraceParseError(f"expected decimals in {what}", self.column)
+        return float(self.text[start:self.pos])
+
+    def _digits(self) -> bool:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return self.pos > start
+
+    def end(self) -> None:
+        if self.pos != len(self.text):
+            raise TraceParseError("trailing characters after step length", self.column)
+
+
+def cursor_parse_trace_line(line: str) -> TraceLine:
+    """Reference for ``parse_trace_line``: the character-cursor parser it replaced.
+
+    It reads digits with ``str.isdigit``, so unlike ``parse_trace_line`` it
+    takes non-ASCII digits, and ``1²`` makes ``float`` raise a bare
+    ``ValueError``.
+    """
+    cur = _Cursor(line)
+    cur.literal("M", "marker")
+    cur.literal(" ", "separator")
+    if line[cur.pos:cur.pos + 1] == "-":
+        raise TraceParseError("move time must not be negative", cur.column)
+    time_s = cur.number("move time")
+    cur.literal(" ", "separator")
+    node_col = cur.column
+    node = line[cur.pos:cur.pos + 1]
+    if node not in ("0", "1") or line[cur.pos + 1:cur.pos + 2] not in (" ", ""):
+        token = line[cur.pos:].split(" ", 1)[0]
+        raise TraceParseError(f"node id must be 0 or 1, got {token!r}", node_col)
+    node_id = int(node)
+    cur.pos += 1
+    cur.literal(" ", "separator")
+    cur.literal("(", "open paren")
+    init_x = cur.number("initial x")
+    cur.literal(", 00.00), ", "initial y")
+    cur.literal("(", "open paren")
+    new_x = cur.number("new x")
+    cur.literal(", 00.00), ", "new y")
+    step_col = cur.column
+    step = cur.number("step length")
+    cur.end()
+    if abs(new_x - init_x) != step:
+        raise TraceParseError(
+            f"step {step} does not match |{new_x} - {init_x}|", step_col
+        )
+    return TraceLine(node_id, time_s, init_x, new_x, step)
+
+
+def cursor_parse_trace(text: str) -> list[MoveRecord]:
+    """Reference for ``parse_trace``: the whole-trace parser before the regex."""
+    fragments = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip() or raw.startswith("STEP-"):
+            continue
+        try:
+            fragments.append((lineno, cursor_parse_trace_line(raw)))
+        except TraceParseError as exc:
+            raise TraceParseError(exc.reason, exc.column, lineno) from None
+    if len(fragments) % 2:
+        raise TraceParseError("movement line has no partner", 1, fragments[-1][0])
+    out = []
+    for (_, a), (line_b, b) in zip(fragments[::2], fragments[1::2]):
+        if {a.node_id, b.node_id} != {0, 1}:
+            raise TraceParseError("move pair must cover node 0 and node 1", 1, line_b)
+        if a.step != b.step:
+            raise TraceParseError(
+                f"paired lines disagree on step ({a.step} vs {b.step})", 1, line_b)
+        n0, n1 = (a, b) if a.node_id == 0 else (b, a)
+        values = (n0.step, n0.init_x, n0.new_x, n1.init_x, n1.new_x)
+        if any(v != int(v) for v in values):
+            raise TraceParseError(
+                "positions and step must be integers to assemble a move", 1, line_b)
+        try:
+            out.append(MoveRecord(*(int(v) for v in values), time_s=n0.time_s))
+        except ValueError as exc:
+            raise TraceParseError(str(exc), 1, line_b) from None
+    return out
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: its result, or where and why it failed."""
+    try:
+        return parse(text)
+    except TraceParseError as exc:
+        return exc.reason, exc.column, exc.line
+
+
+def _has_non_ascii_digit(text: str) -> bool:
+    return any(c.isdigit() and not c.isascii() for c in text)
+
+
+digit_runs = st.text("0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def numbers(draw, signed=True):
+    sign = draw(st.sampled_from(["", "-"])) if signed else ""
+    fraction = draw(st.one_of(st.just(""), digit_runs.map(".".__add__)))
+    return sign + draw(digit_runs) + fraction
+
+
+@st.composite
+def grammar_lines(draw):
+    """Lines of the trace grammar; the step often matches |new - init|."""
+    init, new = draw(numbers()), draw(numbers())
+    step = draw(st.one_of(
+        st.just(f"{abs(float(new) - float(init)):.2f}"), numbers()))
+    return (f"M {draw(numbers(signed=False))} {draw(st.sampled_from('01'))} "
+            f"({init}, 00.00), ({new}, 00.00), {step}")
+
+
+valid_lines = st.one_of(
+    st.builds(format_trace_line, records, st.sampled_from([0, 1])),
+    grammar_lines())
+
+# Characters the grammar uses or nearly uses, and non-ASCII digits.
+near_chars = st.one_of(
+    st.sampled_from("M 0123456789.-,()\t\r\nxe+_١²٣"),
+    st.characters())
+
+
+@st.composite
+def edited_lines(draw):
+    """A valid line with one character inserted, deleted or replaced."""
+    line = draw(valid_lines)
+    i = draw(st.integers(0, len(line)))
+    c = draw(near_chars)
+    return draw(st.sampled_from([
+        line[:i] + c + line[i:], line[:i] + line[i + 1:], line[:i] + c + line[i + 1:],
+    ]))
+
+
+any_lines = st.one_of(valid_lines, edited_lines())
+
+
+@st.composite
+def traces(draw):
+    """Movement lines, STEP-k headers and blank lines, in any line endings."""
+    pair = st.builds(lambda rec, first: [format_trace_line(rec, first),
+                                         format_trace_line(rec, 1 - first)],
+                     records, st.sampled_from([0, 1]))
+    other = st.one_of(any_lines, st.sampled_from(["", "  ", "STEP-1", "STEP-x"]))
+    chunks = draw(st.lists(st.one_of(pair, other.map(lambda line: [line])), max_size=6))
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n"]))
+    return sep.join(line for chunk in chunks for line in chunk)
 
 
 class TestFormatTraceLine:
@@ -107,6 +286,46 @@ class TestParseTraceLine:
         with pytest.raises(TraceParseError):
             parse_trace_line("M 0.00100 1 (500.00, 00.00), (472.00")
 
+    @pytest.mark.parametrize("x, column, reason", [
+        ("١٠.00", 14, "expected initial x"),
+        ("1².00", 15, "expected initial y ', 00.00), '"),
+    ])
+    def test_non_ascii_digits_rejected(self, x, column, reason):
+        # The cursor parser read "١٠" as 10 and let "1²" raise a bare ValueError.
+        line = f"M 0.00100 0 ({x}, 00.00), (38.00, 00.00), 28.00"
+        with pytest.raises(TraceParseError) as err:
+            parse_trace_line(line)
+        assert (err.value.reason, err.value.column) == (reason, column)
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(f"STEP-1\n{line}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+
+    @pytest.mark.parametrize("line", [
+        "",
+        "M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00",
+        "M 0.00100 0 (-5, 00.00), (3.50, 00.00), 8.5",
+        "M 1. 0 (1, 00.00), (2, 00.00), 1",
+        "M 0.1 0 (1.5.5, 00.00), (2, 00.00), 1",
+        "M 0.1 0 (-x, 00.00), (2, 00.00), 1",
+        "M 0.1 1",
+        "M 0.1 1 ",
+        "M 0.1 1x (1, 00.00), (2, 00.00), 1",
+        "M 0.1 0 (1, 00.00), (2, 00.00), 1.",
+        "M 0.1 0 (1, 00.00), (2, 00.00), 1\n",
+    ])
+    def test_matches_cursor_parser_on_examples(self, line):
+        assert _outcome(parse_trace_line, line) == \
+            _outcome(cursor_parse_trace_line, line)
+
+    @given(any_lines)
+    def test_matches_cursor_parser(self, line):
+        if _has_non_ascii_digit(line):
+            with pytest.raises(TraceParseError):
+                parse_trace_line(line)
+            return
+        assert _outcome(parse_trace_line, line) == \
+            _outcome(cursor_parse_trace_line, line)
+
 
 class TestWholeTrace:
     WALK = [MoveRecord.from_inits(10, 500, 28),
@@ -170,6 +389,61 @@ class TestWholeTrace:
             parse_trace(bad)
         assert err.value.line == 4
         assert err.value.column == 1
+
+    def test_crlf_line_endings(self):
+        text = format_trace(self.WALK, step_headers=True).replace("\n", "\r\n")
+        assert parse_trace(text) == self.WALK
+
+    def test_headers_and_blank_lines_skipped(self):
+        text = "\n \t\n" + format_trace(self.WALK, step_headers=True) + "\n  \nSTEP-9\n"
+        assert parse_trace(text) == self.WALK
+
+    def test_node_order_may_differ_between_pairs(self):
+        text = "\n".join([
+            format_trace_line(self.WALK[0], 0), format_trace_line(self.WALK[0], 1),
+            format_trace_line(self.WALK[1], 1), format_trace_line(self.WALK[1], 0),
+        ])
+        assert parse_trace(text) == self.WALK
+
+    @pytest.mark.parametrize("index, text, line, column", [
+        # The second pair sits on lines 6-7, after a header and a blank line.
+        (6, "Q 0.00100 0 (38.00, 00.00), (81.00, 00.00), 43.00", 7, 1),
+        (5, "M 0.00100 1 (472.00, 00.00), (429.00, 00.00), 43.00 ", 6, 52),
+        (6, "M 0.00100 1 (472.00, 00.00), (429.00, 00.00), 43.00", 7, 1),
+        (6, None, 6, 1),
+    ])
+    def test_line_numbers_count_headers(self, index, text, line, column):
+        lines = format_trace(self.WALK, step_headers=True).splitlines()
+        if text is None:
+            del lines[index]
+        else:
+            lines[index] = text
+        with pytest.raises(TraceParseError) as err:
+            parse_trace("\n".join(lines))
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_overflowing_numbers_rejected(self):
+        # float() turns 400 digits into inf; int(inf) used to escape as
+        # OverflowError.
+        big = "9" * 400
+        text = (f"M 0.00100 1 (0, 00.00), (-{big}, 00.00), {big}\n"
+                f"M 0.00100 0 (0, 00.00), ({big}, 00.00), {big}\n")
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(text)
+        assert "integers" in err.value.reason
+
+    @given(traces())
+    def test_matches_cursor_parser(self, text):
+        if _has_non_ascii_digit(text):
+            return
+        assert _outcome(parse_trace, text) == _outcome(cursor_parse_trace, text)
+
+    @given(st.one_of(st.text(), traces()))
+    def test_only_trace_errors_escape(self, text):
+        try:
+            parse_trace(text)
+        except TraceParseError:
+            pass
 
 
 class TestDatasets:
@@ -245,6 +519,21 @@ class TestCsv:
         text = ",".join(CSV_HEADER) + "\n5,14,19,55,x,no_overlap\n"
         with pytest.raises(CsvFormatError):
             read_csv(text)
+
+    @pytest.mark.parametrize("cell", ["1_0", " 5", "5 ", "+5", "٢٠", "5.0", ""])
+    def test_cell_must_be_ascii_integer(self, cell):
+        # int() takes all of these but the last two.
+        text = f"step,mn0_init,mn0_new,mn1_init,mn1_new\n5,{cell},5,10,5\n"
+        with pytest.raises(CsvFormatError, match="row 2: non-integer field"):
+            read_csv(text)
+
+    def test_mixed_bad_cells_rejected(self):
+        with pytest.raises(CsvFormatError, match="row 2: non-integer field"):
+            read_csv("step,mn0_init,mn0_new,mn1_init,mn1_new\n1_0,5,1_5, ٢٠,10\n")
+
+    def test_negative_positions_accepted(self):
+        text = "step,mn0_init,mn0_new,mn1_init,mn1_new\n5,-3,2,-10,-15\n"
+        assert read_csv(text) == [MoveRecord(5, -3, 2, -10, -15)]
 
     def test_equation_violation_rejected(self):
         text = ",".join(CSV_HEADER) + "\n5,14,20,55,50,no_overlap\n"
