@@ -1,9 +1,11 @@
 """Byte-for-byte golden outputs of seeded CLI runs.
 
-Each case runs ``main(argv)`` in process and compares its stdout, and every
-file it writes (trace, plot), with the bytes frozen in ``tests/golden/``.
-Regenerate them only for an intended output change, and name it in
-CHANGES.md:
+Each case runs ``main(argv)`` in process, from inside ``tests/golden/`` so
+the input files in ``FIXTURES`` are named by relative paths (the replay
+header and the SVG title print them). It compares the exit code, stdout,
+stderr when it is not empty, and every file the run writes (trace, plot)
+with the bytes frozen in ``tests/golden/``. Regenerate them only for an
+intended output change, and name it in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,6 +27,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = ("--seed", "7", "--runs", "4", "--samples", "3")
 SEQ_SMALL = ("--seed", "7", "--runs", "4")
 LAYOUT_1 = ("--zone0", "0:374", "--zone1", "376:750", "--brink", "375")
+LAYOUT_2 = ("--zone0", "50:99", "--zone1", "101:150", "--brink", "100")
+# Inputs read by the cases; regenerating keeps them.
+FIXTURES = ("rows.csv", "empty.csv", "independent.json", "sequential.json")
 ASYM = ("--scenario", "2", "--zone0", "0:4999", "--zone1", "5020:9999",
         "--brink", "5007", "--max-step", "99", "--seed", "7", "--runs", "5",
         "--samples", "1")
@@ -79,23 +84,139 @@ for _fmt in ("table", "json"):
         ("estimate", *ASYM, "--format", _fmt), ())
 CASES["simulate-asym-json"] = (("simulate", *ASYM, "--format", "json"), ())
 
+# Every source each subcommand accepts: CSV input, layout-less table-1,
+# config files of both shapes, and plots of datasets and inputs.
+for _fmt in ("table", "csv", "json"):
+    CASES[f"replay-input-{_fmt}"] = (
+        ("replay", "--input", "rows.csv", *LAYOUT_2, "--format", _fmt), ())
+    for _shape in ("independent", "sequential"):
+        CASES[f"simulate-config-{_shape}-{_fmt}"] = (
+            ("simulate", "--config", f"{_shape}.json", "--format", _fmt), ())
+CASES["replay-input-trace"] = (
+    ("replay", "--input", "rows.csv", *LAYOUT_2, "--trace", "{out}"),
+    ("trace",))
+for _fmt in ("csv", "json"):
+    CASES[f"replay-table-1-{_fmt}"] = (
+        ("replay", "--dataset", "table-1", *LAYOUT_1, "--format", _fmt), ())
+for _src, _argv in (("input", ("--input", "rows.csv", *LAYOUT_2)),
+                    ("table-3", ("--dataset", "table-3")),
+                    ("table-5", ("--dataset", "table-5")),
+                    ("table-6", ("--dataset", "table-6"))):
+    CASES[f"replay-{_src}-plot-svg"] = (
+        ("replay", *_argv, "--plot", "{out}"), ("plot",))
+    CASES[f"replay-{_src}-plot-ascii"] = (
+        ("replay", *_argv, "--plot", "{out}", "--ascii"), ("plot",))
+for _ds in ("table-3", "table-5", "table-6"):
+    CASES[f"plot-{_ds}-svg"] = (("plot", "--dataset", _ds), ())
+    CASES[f"plot-{_ds}-ascii"] = (("plot", "--dataset", _ds, "--ascii"), ())
+CASES["plot-table-1-brink"] = (
+    ("plot", "--dataset", "table-1", "--brink", "30"), ())
+CASES["plot-input-svg"] = (("plot", "--input", "rows.csv", "--brink", "100"), ())
+CASES["plot-input-file"] = (
+    ("plot", "--input", "rows.csv", "--brink", "100", "-o", "{out}"),
+    ("plot",))
+CASES["plot-config-sequential"] = (
+    ("plot", "--config", "sequential.json"), ())
+CASES["plot-config-independent-ascii"] = (
+    ("plot", "--config", "independent.json", "--ascii"), ())
+CASES["plot-s1-ascii"] = (("plot", "--scenario", "1", *SMALL, "--ascii"), ())
+CASES["simulate-s1-plot-svg"] = (
+    ("simulate", "--scenario", "1", *SMALL, "--plot", "{out}"), ("plot",))
+CASES["estimate-table-1-table"] = (
+    ("estimate", "--dataset", "table-1", *LAYOUT_1), ())
+for _ds in ("table-3", "table-5", "table-6"):
+    CASES[f"estimate-{_ds}-table"] = (("estimate", "--dataset", _ds), ())
+CASES["estimate-table-5-max-step"] = (
+    ("estimate", "--dataset", "table-5", "--max-step", "30"), ())
+CASES["estimate-table-5-layout-json"] = (
+    ("estimate", "--dataset", "table-5", "--brink", "90", "--zone0", "40:89",
+     "--format", "json"), ())
+for _shape in ("independent", "sequential"):
+    for _fmt in ("table", "json"):
+        CASES[f"estimate-config-{_shape}-{_fmt}"] = (
+            ("estimate", "--config", f"{_shape}.json", "--format", _fmt), ())
+
+# Rejected inputs: name -> exit code. Their stderr is pinned like stdout.
+EXIT = {
+    "error-simulate-no-source": 2,
+    "error-simulate-two-sources": 2,
+    "error-replay-no-source": 2,
+    "error-replay-two-sources": 2,
+    "error-estimate-no-source": 2,
+    "error-estimate-two-sources": 2,
+    "error-plot-no-source": 2,
+    "error-plot-two-sources": 2,
+    "error-replay-input-no-layout": 2,
+    "error-replay-input-brink-only": 2,
+    "error-replay-table-1-no-layout": 2,
+    "error-replay-table-6-chain": 2,
+    "error-replay-missing-input": 1,
+    "error-estimate-table-1-no-layout": 2,
+    "error-estimate-zero-step": 2,
+    "error-plot-input-no-brink": 2,
+    "error-plot-table-1-no-brink": 2,
+    "error-plot-empty-input": 2,
+    "error-plot-unknown-dataset": 2,
+    "error-simulate-missing-config": 1,
+    "error-simulate-sequential-samples": 2,
+}
+CASES.update({
+    "error-simulate-no-source": (("simulate",), ()),
+    "error-simulate-two-sources": (
+        ("simulate", "--scenario", "1", "--config", "independent.json"), ()),
+    "error-replay-no-source": (("replay",), ()),
+    "error-replay-two-sources": (
+        ("replay", "--dataset", "table-5", "--input", "rows.csv"), ()),
+    "error-estimate-no-source": (("estimate",), ()),
+    "error-estimate-two-sources": (
+        ("estimate", "--dataset", "table-5", "--scenario", "1"), ()),
+    "error-plot-no-source": (("plot",), ()),
+    "error-plot-two-sources": (
+        ("plot", "--input", "rows.csv", "--config", "sequential.json"), ()),
+    "error-replay-input-no-layout": (("replay", "--input", "rows.csv"), ()),
+    "error-replay-input-brink-only": (
+        ("replay", "--input", "rows.csv", "--brink", "100"), ()),
+    "error-replay-table-1-no-layout": (("replay", "--dataset", "table-1"), ()),
+    "error-replay-table-6-chain": (
+        ("replay", "--dataset", "table-6", "--zone0", "0:149", "--brink", "150"),
+        ()),
+    "error-replay-missing-input": (("replay", "--input", "missing.csv"), ()),
+    "error-estimate-table-1-no-layout": (
+        ("estimate", "--dataset", "table-1", "--brink", "30"), ()),
+    "error-estimate-zero-step": (
+        ("estimate", "--scenario", "2", "--max-step", "0"), ()),
+    "error-plot-input-no-brink": (("plot", "--input", "rows.csv"), ()),
+    "error-plot-table-1-no-brink": (("plot", "--dataset", "table-1"), ()),
+    "error-plot-empty-input": (("plot", "--input", "empty.csv"), ()),
+    "error-plot-unknown-dataset": (("plot", "--dataset", "table-9"), ()),
+    "error-simulate-missing-config": (
+        ("simulate", "--config", "missing.json"), ()),
+    "error-simulate-sequential-samples": (
+        ("simulate", "--scenario", "3", "--samples", "2"), ()),
+})
+
 
 def run_case(name: str, tmp: Path) -> dict[str, bytes]:
     """Run one case; return its stdout and written files by golden file name."""
     argv, files = CASES[name]
     out_path = tmp / f"{name}.out"
     argv = [a.replace("{out}", str(out_path)) for a in argv]
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     env_seed = os.environ.pop("SIMULMOB_SEED", None)
+    cwd = os.getcwd()
     try:
+        os.chdir(GOLDEN)
         with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(stderr):
             code = main(argv)
     finally:
+        os.chdir(cwd)
         if env_seed is not None:
             os.environ["SIMULMOB_SEED"] = env_seed
-    assert code == 0, f"{name}: exit {code}"
+    assert code == EXIT.get(name, 0), f"{name}: exit {code}"
     outputs = {f"{name}.stdout": stdout.getvalue().encode()}
+    if stderr.getvalue():
+        outputs[f"{name}.stderr"] = stderr.getvalue().encode()
     for kind in files:
         outputs[f"{name}.{kind}"] = out_path.read_bytes()
     return outputs
@@ -103,14 +224,17 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
-    for filename, data in run_case(name, tmp_path).items():
+    outputs = run_case(name, tmp_path)
+    assert (GOLDEN / f"{name}.stderr").exists() == (f"{name}.stderr" in outputs)
+    for filename, data in outputs.items():
         assert data == (GOLDEN / filename).read_bytes(), filename
 
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.iterdir():
-        stale.unlink()
+        if stale.name not in FIXTURES:
+            stale.unlink()
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
             for filename, data in run_case(name, Path(tmp)).items():
