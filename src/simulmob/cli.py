@@ -14,12 +14,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from statistics import fmean
 from typing import Sequence
 
 from .datasets import DATASET_IDS, ReplayDataset, load_dataset
-from .model import Outcome, ZoneLayout, classify
+from .model import MoveRecord, Outcome, ZoneLayout, classify
 from .plotting import render_ascii, render_svg
 from .sampling import SamplerConfig, validate
 from .scenarios import (
@@ -206,27 +206,20 @@ def _layout_from_flags(
     return ZoneLayout(zone0[0], zone0[1], zone1[0], zone1[1], brink)
 
 
-def _effective_layout(
-    args: argparse.Namespace, base: ZoneLayout | None
-) -> ZoneLayout:
-    if args.zone0 or args.zone1 or args.brink is not None or base is None:
-        return _layout_from_flags(args, base)
-    return base
-
-
 def _scenario_config(
     args: argparse.Namespace,
 ) -> IndependentTrialConfig | SequentialConfig:
-    has_scenario = args.scenario is not None
-    has_config = args.config is not None
-    if has_scenario == has_config:
-        raise UsageError("exactly one of --scenario or --config is required")
     seed, explicit = _resolve_seed(args)
-    if has_scenario:
+    if args.scenario is not None:
         config = preset(args.scenario, seed=seed)
     else:
         with open(args.config, encoding="utf-8") as fh:
-            config = config_from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise UsageError(
+                    f"config {args.config} nests too deeply") from None
+        config = config_from_dict(doc)
         if explicit:
             config = replace(config, sampler=replace(config.sampler, seed=seed))
     return _apply_overrides(config, args)
@@ -236,9 +229,7 @@ def _apply_overrides(
     config: IndependentTrialConfig | SequentialConfig, args: argparse.Namespace
 ) -> IndependentTrialConfig | SequentialConfig:
     sampler = config.sampler
-    layout = sampler.layout
-    if args.zone0 or args.zone1 or args.brink is not None:
-        layout = _layout_from_flags(args, layout)
+    layout = _layout_from_flags(args, sampler.layout)
     max_step = args.max_step if args.max_step is not None else sampler.max_step
     sampler = SamplerConfig(sampler.seed, max_step, layout)
     if isinstance(config, SequentialConfig):
@@ -273,6 +264,147 @@ def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- sources ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Source:
+    """One resolved input: a bundled dataset, a CSV file or a scenario run.
+
+    ``kind`` is the mobility shape, "independent" or "sequential". A dataset
+    or CSV file carries its ``records``, and its ``layout`` when it has one.
+    A scenario carries its ``config`` (overrides applied), the samples or
+    walks it ran (``parts``) and their ``total`` tally; it builds no move
+    record until :meth:`moves` asks for them.
+    """
+
+    kind: str
+    layout: ZoneLayout | None
+    title: str
+    dataset: ReplayDataset | None = None
+    records: Sequence[MoveRecord] | None = None
+    config: IndependentTrialConfig | SequentialConfig | None = None
+    parts: Sequence[SampleResult | SequentialRun] = ()
+    total: Tally | None = None
+
+    def moves(self) -> Sequence[MoveRecord]:
+        """Every move record, in order."""
+        if self.records is not None:
+            return self.records
+        return [rec for part in self.parts for rec in part.records]
+
+
+def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
+    """Load, or resolve and run, the one input named by one of ``flags``.
+
+    ``flags`` are the subcommand's source options (``dataset``, ``input``,
+    ``scenario``, ``config``); exactly one must be given. A scenario's
+    warnings are printed before it runs.
+    """
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    if len(given) != 1:
+        names = [f"--{flag}" for flag in flags]
+        raise UsageError(f"exactly one of {', '.join(names[:-1])} or "
+                         f"{names[-1]} is required")
+    if given == ["dataset"]:
+        dataset = load_dataset(args.dataset)
+        return Source(dataset.kind, dataset.layout, dataset.id, dataset,
+                      list(dataset.rows))
+    if given == ["input"]:
+        with open(args.input, encoding="utf-8") as fh:
+            records = read_csv(fh.read())
+        return Source("independent", None, args.input, records=records)
+    config = _scenario_config(args)
+    _print_warnings(config.sampler)
+    layout = config.sampler.layout
+    title = (f"scenario {args.scenario}" if args.scenario is not None
+             else "custom scenario")
+    if isinstance(config, SequentialConfig):
+        total, parts = run_sequential_scenario(config)
+        return Source("sequential", layout, title, config=config, parts=parts,
+                      total=total)
+    parts = run_independent_scenario(config)
+    total = sum((part.tally for part in parts), Tally())
+    return Source("independent", layout, title, config=config, parts=parts,
+                  total=total)
+
+
+def _replay(
+    source: Source, layout: ZoneLayout
+) -> tuple[Tally, list[Outcome], SequentialRun | None]:
+    """Re-classify a dataset's or CSV file's moves under ``layout``.
+
+    Returns the tally, each move's outcome and, for a sequential walk, the
+    replayed run.
+    """
+    if source.kind == "sequential":
+        run = replay_sequential(source.records, layout)
+        outcomes = [classify(rec, layout) for rec in source.records]
+        return tally([run.terminal]), outcomes, run
+    total, outcomes = replay_independent(source.records, layout)
+    return total, outcomes, None
+
+
+def _plot_text(source: Source, brink: int, ascii_mode: bool) -> str:
+    """Plot both nodes' positions after each move against ``brink``.
+
+    A sequential walk is drawn as a chain from its start (a scenario's
+    first walk only); independent moves are one point per trial or row.
+    """
+    chained = source.kind == "sequential"
+    records = (source.parts[0].records if chained and source.config
+               else source.moves())
+    mn0 = [rec.mn0_new for rec in records]
+    mn1 = [rec.mn1_new for rec in records]
+    if chained:
+        mn0.insert(0, records[0].mn0_init)
+        mn1.insert(0, records[0].mn1_init)
+    if ascii_mode:
+        return render_ascii(mn0, mn1, brink)
+    xlabel = "step" if chained else "trial" if source.config else "run"
+    return render_svg(mn0, mn1, brink, chained, source.title, xlabel)
+
+
+def _write_side_files(
+    args: argparse.Namespace, source: Source, brink: int
+) -> None:
+    """The --trace and --plot files of ``simulate`` and ``replay``."""
+    if args.trace:
+        _write_text(args.trace, format_trace(source.moves(), args.step_headers))
+    if args.plot:
+        _write_text(args.plot, _plot_text(source, brink, args.ascii))
+
+
+def _exact_doc(layout: ZoneLayout, max_step: int) -> dict:
+    """Both nodes' exact crossing probabilities, as fraction and value."""
+    doc = {}
+    for node in (0, 1):
+        p = exact_crossing_probability(layout, max_step, node)
+        doc[f"node{node}"] = {"fraction": str(p), "value": float(p)}
+    return doc
+
+
+# -- simulate ---------------------------------------------------------------
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    source = _resolve_source(args, ("scenario", "config"))
+    sequential = source.kind == "sequential"
+    layout = source.layout
+    if args.format == "table":
+        text = (_sequential_table(source.total, source.parts) if sequential
+                else _independent_table(source.parts))
+    elif args.format == "csv":
+        records = source.moves()
+        text = write_csv(records, [classify(rec, layout) for rec in records])
+    else:
+        text = write_json(_sequential_doc(source) if sequential
+                          else _independent_doc(source))
+    sys.stdout.write(text)
+    _write_side_files(args, source, layout.brink)
+    return 0
+
+
 def _independent_table(results: Sequence[SampleResult]) -> str:
     header = ["sample", *METRIC_LABELS]
     rows = [[str(r.sample + 1), *(str(c) for c in r.tally.columns())]
@@ -293,103 +425,22 @@ def _sequential_table(total: Tally, runs: Sequence[SequentialRun]) -> str:
     )
 
 
-def _independent_series(records) -> tuple[list[int], list[int]]:
-    return ([rec.mn0_new for rec in records], [rec.mn1_new for rec in records])
-
-
-def _chained_series(records) -> tuple[list[int], list[int]]:
-    mn0 = [records[0].mn0_init, *(rec.mn0_new for rec in records)]
-    mn1 = [records[0].mn1_init, *(rec.mn1_new for rec in records)]
-    return mn0, mn1
-
-
-def _render_plot(mn0, mn1, brink, chained: bool, title: str, xlabel: str,
-                 ascii_mode: bool) -> str:
-    if ascii_mode:
-        return render_ascii(mn0, mn1, brink)
-    return render_svg(mn0, mn1, brink, chained, title, xlabel)
-
-
-def _estimate_dict(est: EstimateReport) -> dict:
-    doc = {
-        "avg_step": est.avg_step,
-        "expected_steps_to_cross": est.expected_steps_to_cross,
-        "expected_crossings": est.expected_crossings,
-        "observed_crossings": est.observed_crossings,
-    }
-    if est.exact_probability is not None:
-        doc["exact_probability"] = {
-            "fraction": str(est.exact_probability),
-            "value": float(est.exact_probability),
-        }
-    return doc
-
-
-# -- simulate ---------------------------------------------------------------
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _scenario_config(args)
-    _print_warnings(config.sampler)
-    layout = config.sampler.layout
-    if isinstance(config, SequentialConfig):
-        total, parts = run_sequential_scenario(config)
-        if args.format == "table":
-            sys.stdout.write(_sequential_table(total, parts))
-        elif args.format == "csv":
-            records = _records(parts)
-            outcomes = [classify(rec, layout) for rec in records]
-            sys.stdout.write(write_csv(records, outcomes))
-        else:
-            sys.stdout.write(write_json(_sequential_doc(config, total, parts)))
-        chained, xlabel = True, "step"
-    else:
-        parts = run_independent_scenario(config)
-        if args.format == "table":
-            sys.stdout.write(_independent_table(parts))
-        elif args.format == "csv":
-            outcomes = [o for r in parts for o in r.outcomes]
-            sys.stdout.write(write_csv(_records(parts), outcomes))
-        else:
-            sys.stdout.write(write_json(_independent_doc(config, parts)))
-        chained, xlabel = False, "trial"
-    if args.trace:
-        _write_text(args.trace, format_trace(_records(parts), args.step_headers))
-    if args.plot:
-        series = (_chained_series(parts[0].records) if chained
-                  else _independent_series(_records(parts)))
-        title = (f"scenario {args.scenario}" if args.scenario is not None
-                 else "custom scenario")
-        _write_text(args.plot, _render_plot(
-            *series, layout.brink, chained, title, xlabel, args.ascii))
-    return 0
-
-
-def _records(parts: Sequence[SampleResult | SequentialRun]) -> list:
-    """All move records of a scenario's samples or walks, in order."""
-    return [rec for part in parts for rec in part.records]
-
-
-def _independent_doc(
-    config: IndependentTrialConfig, results: Sequence[SampleResult]
-) -> dict:
-    total = Tally()
-    for r in results:
-        total = total + r.tally
+def _independent_doc(source: Source) -> dict:
+    config, results = source.config, source.parts
     steps = [step for r in results for step in r.steps]
     avg = average_step_length(steps)
     layout = config.sampler.layout
     if avg > 0:
-        estimate = _estimate_dict(EstimateReport(
+        estimate = asdict(EstimateReport(
             avg_step=avg,
             expected_steps_to_cross=expected_steps_to_cross(
                 layout.zone0_span, avg),
             expected_crossings=expected_crossings(
                 len(steps), layout.zone0_span, avg),
-            observed_crossings=total.mn0_handover,
-            exact_probability=exact_crossing_probability(
-                layout, config.sampler.max_step, 0),
+            observed_crossings=source.total.mn0_handover,
         ))
+        estimate["exact_probability"] = _exact_doc(
+            layout, config.sampler.max_step)
     else:
         estimate = None
     return {
@@ -403,18 +454,16 @@ def _independent_doc(
             }
             for r in results
         ],
-        "total": total.as_dict(),
+        "total": source.total.as_dict(),
         "estimate": estimate,
     }
 
 
-def _sequential_doc(
-    config: SequentialConfig, total: Tally, runs: Sequence[SequentialRun]
-) -> dict:
+def _sequential_doc(source: Source) -> dict:
     return {
-        "config": config_to_dict(config),
-        "tally": total.as_dict(),
-        "mean_steps_taken": fmean(run.steps_taken for run in runs),
+        "config": config_to_dict(source.config),
+        "tally": source.total.as_dict(),
+        "mean_steps_taken": fmean(run.steps_taken for run in source.parts),
         "runs": [
             {
                 "run": j,
@@ -424,25 +473,12 @@ def _sequential_doc(
                 "final_positions": list(run.final_positions),
                 "records": [record_dict(rec) for rec in run.records],
             }
-            for j, run in enumerate(runs)
+            for j, run in enumerate(source.parts)
         ],
     }
 
 
 # -- replay -----------------------------------------------------------------
-
-
-def _replay_source(
-    args: argparse.Namespace,
-) -> tuple[list, ZoneLayout, ReplayDataset | None]:
-    if (args.dataset is None) == (args.input is None):
-        raise UsageError("exactly one of --dataset or --input is required")
-    if args.dataset is not None:
-        dataset = load_dataset(args.dataset)
-        return list(dataset.rows), _effective_layout(args, dataset.layout), dataset
-    with open(args.input, encoding="utf-8") as fh:
-        records = read_csv(fh.read())
-    return records, _layout_from_flags(args, None), None
 
 
 def _replay_diff_table(tally: Tally, published: tuple[int, ...] | None) -> str:
@@ -470,40 +506,29 @@ def _print_notes(dataset: ReplayDataset | None) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    records, layout, dataset = _replay_source(args)
-    sequential = dataset is not None and dataset.kind == "sequential"
-    run = None
-    if sequential:
-        run = replay_sequential(records, layout)
-        total = tally([run.terminal])
-        outcomes = [classify(rec, layout) for rec in records]
-        if args.format == "table":
+    source = _resolve_source(args, ("dataset", "input"))
+    layout = _layout_from_flags(args, source.layout)
+    total, outcomes, run = _replay(source, layout)
+    dataset, records = source.dataset, source.records
+    if args.format == "table":
+        if run is None:
             sys.stdout.write(
-                f"dataset {dataset.id}: sequential walk, {len(records)} rows\n")
-            if run.timed_out:
-                state = "timed out"
-            elif run.terminal is Outcome.NO_OVERLAP:
-                state = "ended without crossing"
-            else:
-                state = "crossed"
+                f"dataset {source.title}: {len(records)} rows replayed\n")
+        else:
+            # A replayed walk has no step cap, so it never times out.
+            state = ("ended without crossing"
+                     if run.terminal is Outcome.NO_OVERLAP else "crossed")
             sys.stdout.write(
+                f"dataset {dataset.id}: sequential walk, {len(records)} rows\n"
                 f"terminal outcome: {run.terminal.value} at step "
-                f"{run.steps_taken} ({state})\n")
-            sys.stdout.write(
+                f"{run.steps_taken} ({state})\n"
                 f"final positions: {run.final_positions}\n")
-            sys.stdout.write(_replay_diff_table(total, None))
-            _print_notes(dataset)
-    else:
-        total, outcomes = replay_independent(records, layout)
-        if args.format == "table":
-            label = dataset.id if dataset else args.input
-            sys.stdout.write(f"dataset {label}: {len(records)} rows replayed\n")
-            sys.stdout.write(_replay_diff_table(
-                total, dataset.published_counts if dataset else None))
-            _print_notes(dataset)
-    if args.format == "csv":
+        sys.stdout.write(_replay_diff_table(
+            total, dataset.published_counts if dataset else None))
+        _print_notes(dataset)
+    elif args.format == "csv":
         sys.stdout.write(write_csv(records, outcomes))
-    elif args.format == "json":
+    else:
         doc = {
             "dataset": dataset.id if dataset else None,
             "input": args.input,
@@ -522,18 +547,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             doc["timed_out"] = run.timed_out
             doc["final_positions"] = list(run.final_positions)
         sys.stdout.write(write_json(doc))
-    if args.trace:
-        _write_text(args.trace, format_trace(records, args.step_headers))
-    if args.plot:
-        if sequential:
-            series = _chained_series(records)
-            chained, xlabel = True, "step"
-        else:
-            series = _independent_series(records)
-            chained, xlabel = False, "run"
-        title = dataset.id if dataset else args.input
-        _write_text(args.plot, _render_plot(
-            *series, layout.brink, chained, title, xlabel, args.ascii))
+    _write_side_files(args, source, layout.brink)
     return 0
 
 
@@ -541,41 +555,53 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    sources = [s for s in (args.dataset, args.scenario, args.config)
-               if s is not None]
-    if len(sources) != 1:
-        raise UsageError(
-            "exactly one of --dataset, --scenario or --config is required")
-    if args.dataset is not None:
-        return _estimate_dataset(args)
-    return _estimate_scenario(args)
-
-
-def _estimate_dataset(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
-    layout = _effective_layout(args, dataset.layout)
-    max_step = (args.max_step if args.max_step is not None
-                else dataset.max_step)
-    avg = average_step_length(dataset.steps)
+    source = _resolve_source(args, ("dataset", "scenario", "config"))
+    layout = _layout_from_flags(args, source.layout)
+    dataset, config = source.dataset, source.config
+    if dataset is not None:
+        steps = dataset.steps
+        label = f"dataset {dataset.id} ({len(dataset.rows)} rows, {dataset.kind})"
+        size = {"rows": len(dataset.rows)}
+    else:
+        steps = [step for part in source.parts for step in part.steps]
+        if source.kind == "sequential":
+            label = f"scenario ({config.runs} runs, sequential)"
+            size = {"runs": config.runs}
+        else:
+            label = (f"scenario ({config.samples} samples x "
+                     f"{config.runs_per_sample} trials)")
+            size = {"trials": len(steps)}
+    avg = average_step_length(steps)
     if avg <= 0:
         raise UsageError("average step length is zero; estimators undefined")
     steps_to_cross = expected_steps_to_cross(layout.zone0_span, avg)
     lines = [
-        f"source: dataset {dataset.id} ({len(dataset.rows)} rows, "
-        f"{dataset.kind})",
+        f"source: {label}",
         f"average step length: {avg:.2f}",
         f"zone0 span: {layout.zone0_span}",
         f"expected steps to cross (span / avg step): {steps_to_cross:.2f}",
     ]
     doc = {
-        "source": f"dataset {dataset.id}",
-        "rows": len(dataset.rows),
+        "source": f"dataset {dataset.id}" if dataset else "scenario",
+        **size,
         "avg_step": avg,
         "zone0_span": layout.zone0_span,
         "expected_steps_to_cross": steps_to_cross,
     }
-    if dataset.kind == "sequential":
-        run = replay_sequential(dataset.rows, layout)
+    if source.kind == "independent":
+        if dataset is None:
+            total, max_step = source.total, config.sampler.max_step
+        else:
+            total = _replay(source, layout)[0]
+            max_step = (args.max_step if args.max_step is not None
+                        else dataset.max_step)
+        report = EstimateReport(
+            avg, steps_to_cross,
+            expected_crossings(len(steps), layout.zone0_span, avg),
+            total.mn0_handover)
+        lines += _crossing_lines(report, total, layout, max_step, doc)
+    elif dataset is not None:
+        run = _replay(source, layout)[2]
         lines += [
             f"observed steps to first crossing: {run.steps_taken}",
             f"terminal outcome: {run.terminal.value}",
@@ -587,156 +613,21 @@ def _estimate_dataset(args: argparse.Namespace) -> int:
             final_positions=list(run.final_positions),
         )
     else:
-        trials = len(dataset.rows)
-        crossings = expected_crossings(trials, layout.zone0_span, avg)
-        total, _ = replay_independent(dataset.rows, layout)
-        report = EstimateReport(
-            avg_step=avg,
-            expected_steps_to_cross=steps_to_cross,
-            expected_crossings=crossings,
-            observed_crossings=total.mn0_handover,
-        )
-        lines.append(
-            f"expected crossings over {trials} trials: {crossings:.2f}")
-        doc["expected_crossings"] = crossings
-        lines += _exact_probability_lines(layout, max_step, trials, doc)
-        comparison = compare(report, total)
-        lines += [
-            f"observed: mn0 handover {total.mn0_handover}, mn1 handover "
-            f"{total.mn1_handover}, simultaneous {total.simultaneous}, "
-            f"overlap events {total.overlap_events}",
-            f"estimator vs observed overlap events: {comparison.expected:.2f} "
-            f"vs {comparison.observed}, diff {comparison.absolute_difference:.2f} "
-            f"({comparison.relative_difference:.1%})",
-        ]
-        doc["observed"] = total.as_dict()
-        doc["comparison"] = {
-            "expected": comparison.expected,
-            "observed": comparison.observed,
-            "absolute_difference": comparison.absolute_difference,
-            "relative_difference": comparison.relative_difference,
-        }
-    return _emit_estimate(args, lines, doc, dataset)
-
-
-def _exact_probability_lines(
-    layout: ZoneLayout, max_step: int | None, trials: int, doc: dict
-) -> list[str]:
-    """Exact crossing probability block; skipped when no step bound is known.
-
-    The printed label still reads "(enumeration)": the golden outputs pin
-    it, and the closed form gives the same fractions as the enumeration.
-    """
-    if max_step is None:
-        return ["exact crossing probability: unavailable (no --max-step)"]
-    p0 = exact_crossing_probability(layout, max_step, 0)
-    p1 = exact_crossing_probability(layout, max_step, 1)
-    doc["exact_probability"] = {
-        "node0": {"fraction": str(p0), "value": float(p0)},
-        "node1": {"fraction": str(p1), "value": float(p1)},
-    }
-    doc["analytic_expected_crossings"] = {
-        "node0": trials * float(p0),
-        "node1": trials * float(p1),
-    }
-    return [
-        "exact crossing probability (enumeration):",
-        f"  node 0: {p0} = {float(p0):.6f}",
-        f"  node 1: {p1} = {float(p1):.6f}",
-        "expected crossings (trials x probability): "
-        f"node 0 {trials * float(p0):.2f}, node 1 {trials * float(p1):.2f}",
-    ]
-
-
-def _estimate_scenario(args: argparse.Namespace) -> int:
-    config = _scenario_config(args)
-    _print_warnings(config.sampler)
-    layout = config.sampler.layout
-    if isinstance(config, SequentialConfig):
-        total, runs = run_sequential_scenario(config)
-        steps = [step for run in runs for step in run.steps]
-        avg = average_step_length(steps)
-        if avg <= 0:
-            raise UsageError(
-                "average step length is zero; estimators undefined")
-        steps_to_cross = expected_steps_to_cross(layout.zone0_span, avg)
+        total, runs = source.total, source.parts
         mean_taken = fmean(run.steps_taken for run in runs)
         fraction = total.simultaneous / total.trials
         timed_out = sum(1 for run in runs if run.timed_out)
-        lines = [
-            f"source: scenario ({config.runs} runs, sequential)",
-            f"average step length: {avg:.2f}",
-            f"zone0 span: {layout.zone0_span}",
-            f"expected steps to cross (span / avg step): {steps_to_cross:.2f}",
+        lines += [
             f"observed mean steps to first crossing: {mean_taken:.2f}",
             f"simultaneous handover fraction: {fraction:.3f}",
             f"timed out: {timed_out} of {config.runs}",
         ]
-        doc = {
-            "source": "scenario",
-            "runs": config.runs,
-            "avg_step": avg,
-            "zone0_span": layout.zone0_span,
-            "expected_steps_to_cross": steps_to_cross,
-            "observed_mean_steps": mean_taken,
-            "simultaneous_fraction": fraction,
-            "timed_out": timed_out,
-            "tally": total.as_dict(),
-        }
-        return _emit_estimate(args, lines, doc, None)
-    results = run_independent_scenario(config)
-    steps = [step for r in results for step in r.steps]
-    total = Tally()
-    for r in results:
-        total = total + r.tally
-    avg = average_step_length(steps)
-    if avg <= 0:
-        raise UsageError("average step length is zero; estimators undefined")
-    trials = len(steps)
-    steps_to_cross = expected_steps_to_cross(layout.zone0_span, avg)
-    crossings = expected_crossings(trials, layout.zone0_span, avg)
-    report = EstimateReport(avg, steps_to_cross, crossings, total.mn0_handover)
-    comparison = compare(report, total)
-    lines = [
-        f"source: scenario ({config.samples} samples x "
-        f"{config.runs_per_sample} trials)",
-        f"average step length: {avg:.2f}",
-        f"zone0 span: {layout.zone0_span}",
-        f"expected steps to cross (span / avg step): {steps_to_cross:.2f}",
-        f"expected crossings over {trials} trials: {crossings:.2f}",
-    ]
-    doc = {
-        "source": "scenario",
-        "trials": trials,
-        "avg_step": avg,
-        "zone0_span": layout.zone0_span,
-        "expected_steps_to_cross": steps_to_cross,
-        "expected_crossings": crossings,
-    }
-    lines += _exact_probability_lines(
-        layout, config.sampler.max_step, trials, doc)
-    lines += [
-        f"observed: mn0 handover {total.mn0_handover}, mn1 handover "
-        f"{total.mn1_handover}, simultaneous {total.simultaneous}, "
-        f"overlap events {total.overlap_events}",
-        f"estimator vs observed overlap events: {comparison.expected:.2f} "
-        f"vs {comparison.observed}, diff {comparison.absolute_difference:.2f} "
-        f"({comparison.relative_difference:.1%})",
-    ]
-    doc["observed"] = total.as_dict()
-    doc["comparison"] = {
-        "expected": comparison.expected,
-        "observed": comparison.observed,
-        "absolute_difference": comparison.absolute_difference,
-        "relative_difference": comparison.relative_difference,
-    }
-    return _emit_estimate(args, lines, doc, None)
-
-
-def _emit_estimate(
-    args: argparse.Namespace, lines: list[str], doc: dict,
-    dataset: ReplayDataset | None,
-) -> int:
+        doc.update(
+            observed_mean_steps=mean_taken,
+            simultaneous_fraction=fraction,
+            timed_out=timed_out,
+            tally=total.as_dict(),
+        )
     if args.format == "json":
         if dataset is not None and dataset.notes:
             doc["notes"] = list(dataset.notes)
@@ -747,60 +638,62 @@ def _emit_estimate(
     return 0
 
 
+def _crossing_lines(
+    report: EstimateReport, total: Tally, layout: ZoneLayout,
+    max_step: int | None, doc: dict,
+) -> list[str]:
+    """Expected against observed crossings of independent trials.
+
+    Adds the same numbers to ``doc``. The exact probability is skipped when
+    no step bound is known; its label still reads "(enumeration)": the
+    golden outputs pin it, and the closed form gives the same fractions.
+    """
+    trials = total.trials
+    lines = [f"expected crossings over {trials} trials: "
+             f"{report.expected_crossings:.2f}"]
+    doc["expected_crossings"] = report.expected_crossings
+    if max_step is None:
+        lines.append("exact crossing probability: unavailable (no --max-step)")
+    else:
+        exact = doc["exact_probability"] = _exact_doc(layout, max_step)
+        analytic = doc["analytic_expected_crossings"] = {
+            node: trials * p["value"] for node, p in exact.items()}
+        lines += [
+            "exact crossing probability (enumeration):",
+            *(f"  node {n}: {p['fraction']} = {p['value']:.6f}"
+              for n, p in enumerate(exact.values())),
+            "expected crossings (trials x probability): "
+            f"node 0 {analytic['node0']:.2f}, node 1 {analytic['node1']:.2f}",
+        ]
+    comparison = compare(report, total)
+    doc["observed"] = total.as_dict()
+    doc["comparison"] = asdict(comparison)
+    return lines + [
+        f"observed: mn0 handover {total.mn0_handover}, mn1 handover "
+        f"{total.mn1_handover}, simultaneous {total.simultaneous}, "
+        f"overlap events {total.overlap_events}",
+        f"estimator vs observed overlap events: {comparison.expected:.2f} "
+        f"vs {comparison.observed}, diff {comparison.absolute_difference:.2f} "
+        f"({comparison.relative_difference:.1%})",
+    ]
+
+
 # -- plot -------------------------------------------------------------------
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    sources = [s for s in (args.dataset, args.input, args.scenario,
-                           args.config) if s is not None]
-    if len(sources) != 1:
-        raise UsageError(
-            "exactly one of --dataset, --input, --scenario or --config "
-            "is required")
-    if args.dataset is not None:
-        dataset = load_dataset(args.dataset)
-        brink = _plot_brink(args, dataset.layout)
-        if dataset.kind == "sequential":
-            series = _chained_series(dataset.rows)
-            chained, xlabel = True, "step"
-        else:
-            series = _independent_series(dataset.rows)
-            chained, xlabel = False, "run"
-        title = dataset.id
-    elif args.input is not None:
-        with open(args.input, encoding="utf-8") as fh:
-            records = read_csv(fh.read())
-        if not records:
-            raise UsageError("no records to plot")
-        brink = _plot_brink(args, None)
-        series = _independent_series(records)
-        chained, xlabel = False, "run"
-        title = args.input
+    source = _resolve_source(args, ("dataset", "input", "scenario", "config"))
+    if not (source.records or source.parts):
+        raise UsageError("no records to plot")
+    if args.brink is not None:
+        brink = args.brink
+    elif source.layout is not None:
+        brink = source.layout.brink
     else:
-        config = _scenario_config(args)
-        _print_warnings(config.sampler)
-        brink = config.sampler.layout.brink
-        if isinstance(config, SequentialConfig):
-            _, runs = run_sequential_scenario(config)
-            series = _chained_series(runs[0].records)
-            chained, xlabel = True, "step"
-        else:
-            results = run_independent_scenario(config)
-            series = _independent_series(_records(results))
-            chained, xlabel = False, "trial"
-        title = (f"scenario {args.scenario}" if args.scenario is not None
-                 else "custom scenario")
-    text = _render_plot(*series, brink, chained, title, xlabel, args.ascii)
+        raise UsageError("this input carries no zone layout; supply --brink")
+    text = _plot_text(source, brink, args.ascii)
     if args.output:
         _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _plot_brink(args: argparse.Namespace, layout: ZoneLayout | None) -> int:
-    if args.brink is not None:
-        return args.brink
-    if layout is not None:
-        return layout.brink
-    raise UsageError("this input carries no zone layout; supply --brink")

@@ -168,20 +168,12 @@ def exact_crossing_probability(
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Crossing estimates for one batch, alongside what was observed.
-
-    ``exact_probability`` is node 0's :func:`exact_crossing_probability`
-    when available, and only node 0's: the ``estimate`` block of
-    ``simulate --format json`` prints it without naming the node. The
-    bundled presets are brink-symmetric, so there node 1's equals it; on
-    an asymmetric layout it does not.
-    """
+    """Crossing estimates for one batch, alongside what was observed."""
 
     avg_step: float
     expected_steps_to_cross: float
     expected_crossings: float
     observed_crossings: int
-    exact_probability: Fraction | None = None
 
 
 @dataclass(frozen=True)
