@@ -186,6 +186,10 @@ def parse_trace(text: str) -> list[MoveRecord]:
             raise TraceParseError(
                 f"paired lines disagree on step ({a[5]} vs {b[5]})", 1, lineno
             )
+        if a[2] != b[2]:
+            raise TraceParseError(
+                f"paired lines disagree on move time ({a[2]} vs {b[2]})", 1, lineno
+            )
         n0, n1 = (a, b) if a[1] == 0 else (b, a)
         _, _, time_s, init0, new0, step = n0
         _, _, _, init1, new1, _ = n1

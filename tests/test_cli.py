@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from simulmob.cli import main
 from simulmob.datasets import load_dataset
@@ -448,3 +454,101 @@ class TestNoRecordsForTables:
     def test_patch_is_live(self, capsys):
         with pytest.raises(AssertionError):
             run_cli(capsys, "simulate", "--scenario", "2", "--format", "csv")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_ints = st.integers(-3, 300) | st.sampled_from([2**32 - 1, 2**32, 2**40, -2**40])
+# Each subcommand's source options and other options; value strategies, or
+# None for a switch. "{tmp}" is a scratch directory. ``--runs`` is left out:
+# it is always appended, at most 5, so together with ``--samples`` at most 5
+# no run draws more than 150 trials or walks more than five capped walks.
+SOURCES = {
+    "--scenario": st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "x"]),
+    "--config": st.sampled_from(["independent.json", "sequential.json",
+                                 "rows.csv", "missing.json", "{tmp}"]),
+    "--dataset": st.sampled_from(["table-1", "table-3", "table-5", "table-6",
+                                  "table-9"]),
+    "--input": st.sampled_from(["rows.csv", "rows.csv", "empty.csv",
+                                "independent.json", "missing.csv"]),
+}
+OPTIONS = {
+    "--seed": _ints.map(str),
+    "--samples": st.integers(-1, 5).map(str),
+    "--max-step": _ints.map(str),
+    "--format": st.sampled_from(["table", "csv", "json", "svg"]),
+    "--trace": st.sampled_from(["{tmp}/out.tr", "{tmp}"]),
+    "--plot": st.sampled_from(["{tmp}/out.svg", "{tmp}"]),
+    "--output": st.sampled_from(["{tmp}/fig.svg", "{tmp}"]),
+    "--step-headers": None,
+    "--ascii": None,
+}
+_SCENARIO = ("--seed", "--samples", "--max-step")
+_OUTPUT = ("--format", "--trace", "--step-headers", "--plot", "--ascii")
+GRAMMAR = {
+    "simulate": (("--scenario", "--config"), _SCENARIO + _OUTPUT),
+    "replay": (("--dataset", "--input"), ("--max-step",) + _OUTPUT),
+    "estimate": (("--dataset", "--scenario", "--config"),
+                 _SCENARIO + ("--format",)),
+    "plot": (("--dataset", "--input", "--scenario", "--config"),
+             _SCENARIO + ("--ascii", "--output")),
+}
+
+
+@st.composite
+def layout_flags(draw):
+    """--zone0/--zone1/--brink, mostly an ordered layout, sometimes not."""
+    cuts = sorted(draw(st.lists(_ints, min_size=5, max_size=5)))
+    if draw(st.integers(0, 3)) == 0:
+        cuts = draw(st.permutations(cuts))
+    zone0, brink, zone1 = f"{cuts[0]}:{cuts[1]}", str(cuts[2]), f"{cuts[3]}:{cuts[4]}"
+    if draw(st.integers(0, 7)) == 0:
+        zone0 = draw(st.sampled_from(["", ":", "5", "a:b", "1:2:3"]))
+    flags = [f"--zone0={zone0}", f"--brink={brink}", f"--zone1={zone1}"]
+    return draw(st.lists(st.sampled_from(flags), max_size=3))
+
+
+@st.composite
+def argvs(draw):
+    """One subcommand with its real options, values often out of range."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    sources, options = GRAMMAR[command]
+    argv = [command]
+    flags = [draw(st.sampled_from(sources))]
+    if draw(st.integers(0, 5)) == 0:  # none, or two sources
+        flags = draw(st.lists(st.sampled_from(sources), max_size=2))
+    flags += draw(st.lists(st.sampled_from(options), max_size=4))
+    for flag in flags:
+        strategy = SOURCES.get(flag, OPTIONS.get(flag))
+        argv += [flag] if strategy is None else [flag, draw(strategy)]
+    argv += draw(layout_flags())
+    if command != "replay":
+        argv += ["--runs", draw(st.sampled_from("123451230-"))]
+    return argv
+
+
+class TestArgvFuzz:
+    """``main`` answers any argv with exit 0, 1 or 2 and no traceback."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argvs())
+    def test_exit_codes(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [arg.replace("{tmp}", tmp) for arg in argv]
+            argv = [str(GOLDEN / arg) if (GOLDEN / arg).suffix in (".csv", ".json")
+                    else arg for arg in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+
+    def test_deeply_nested_config(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        for command in ("simulate", "estimate", "plot"):
+            code, out, err = run_cli(capsys, command, "--config", str(path))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: config {path} nests too deeply\n"

@@ -2,6 +2,8 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulmob.datasets import load_dataset
 from simulmob.model import LayoutError, MoveRecord, Outcome, ZoneLayout, classify
@@ -412,3 +414,39 @@ class TestConfigDicts:
         doc["samples"] = "thirty"
         with pytest.raises(ValueError):
             config_from_dict(doc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def near_configs(draw):
+    """A valid config document of either shape with one value replaced,
+    one key dropped or one key added, at any depth."""
+    doc = config_to_dict(preset(draw(st.sampled_from([2, 3]))))
+    parent = draw(st.sampled_from(
+        [doc, doc["sampler"], doc["sampler"]["layout"]]))
+    key = draw(st.sampled_from(sorted(parent)) | st.text(max_size=8))
+    if key in parent and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return doc
+
+
+class TestConfigFuzz:
+    """Any JSON document gives a config or a ValueError, nothing else."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(json_values, near_configs()))
+    def test_only_value_errors_escape(self, doc):
+        try:
+            config = config_from_dict(doc)
+        except ValueError:
+            return
+        assert config_from_dict(config_to_dict(config)) == config

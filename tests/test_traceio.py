@@ -122,6 +122,10 @@ def cursor_parse_trace(text: str) -> list[MoveRecord]:
         if a.step != b.step:
             raise TraceParseError(
                 f"paired lines disagree on step ({a.step} vs {b.step})", 1, line_b)
+        if a.time_s != b.time_s:  # both lines of a move carry its one time
+            raise TraceParseError(
+                f"paired lines disagree on move time ({a.time_s} vs {b.time_s})",
+                1, line_b)
         n0, n1 = (a, b) if a.node_id == 0 else (b, a)
         values = (n0.step, n0.init_x, n0.new_x, n1.init_x, n1.new_x)
         if any(v != int(v) for v in values):
@@ -381,6 +385,16 @@ class TestWholeTrace:
         ])
         with pytest.raises(TraceParseError):
             parse_trace(text)
+
+    def test_time_disagreement_rejected(self):
+        # Node 1's line used to be dropped after pairing, time and all, so
+        # this pair came back as one record with time_s 0.001.
+        text = ("M 9.50000 1 (500.00, 00.00), (472.00, 00.00), 28.00\n"
+                "M 0.00100 0 (10.00, 00.00), (38.00, 00.00), 28.00\n")
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(text)
+        assert err.value.reason == "paired lines disagree on move time (9.5 vs 0.001)"
+        assert (err.value.line, err.value.column) == (2, 1)
 
     def test_line_number_in_error(self):
         good = format_trace(self.WALK)
