@@ -21,7 +21,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .model import MoveRecord, Outcome
 
@@ -222,13 +222,22 @@ def write_csv(
     return buf.getvalue()
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of ``text``; the csv module's own errors become CsvFormatError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def read_csv(text: str) -> list[MoveRecord]:
     """Parse rows written by :func:`write_csv` back into move records.
 
     The outcome column is optional and ignored (replays recompute it).
     Raises :class:`CsvFormatError` on schema or arithmetic violations.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -552,3 +552,14 @@ class TestArgvFuzz:
             assert code == 2
             assert out == ""
             assert err == f"error: config {path} nests too deeply\n"
+
+    def test_csv_field_over_the_csv_module_limit(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new\n"
+                        + "9" * 200_000 + ",1,2,3,4\n")
+        code, out, err = run_cli(
+            capsys, "replay", "--input", str(path), "--zone0", "0:9",
+            "--zone1", "11:20", "--brink", "10")
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: field larger than field limit (131072)\n"

@@ -554,6 +554,23 @@ class TestCsv:
         with pytest.raises(CsvFormatError):
             read_csv(text)
 
+    def test_oversized_field_rejected(self):
+        # The csv module's own field limit (131072 characters) raises
+        # csv.Error, which is no ValueError: `replay --input` printed a
+        # traceback.
+        text = ",".join(CSV_HEADER[:5]) + "\n" + "9" * 200_000 + ",1,2,3,4\n"
+        with pytest.raises(CsvFormatError, match="line 2: field larger than"):
+            read_csv(text)
+
+    @given(st.text(), st.booleans())
+    def test_only_csv_errors_escape(self, text, with_header):
+        if with_header:
+            text = ",".join(CSV_HEADER) + "\n" + text
+        try:
+            read_csv(text)
+        except CsvFormatError:
+            pass
+
 
 class TestJson:
     def test_round_trip(self):
