@@ -136,64 +136,44 @@ for _shape in ("independent", "sequential"):
         CASES[f"estimate-config-{_shape}-{_fmt}"] = (
             ("estimate", "--config", f"{_shape}.json", "--format", _fmt), ())
 
-# Rejected inputs: name -> exit code. Their stderr is pinned like stdout.
-EXIT = {
-    "error-simulate-no-source": 2,
-    "error-simulate-two-sources": 2,
-    "error-replay-no-source": 2,
-    "error-replay-two-sources": 2,
-    "error-estimate-no-source": 2,
-    "error-estimate-two-sources": 2,
-    "error-plot-no-source": 2,
-    "error-plot-two-sources": 2,
-    "error-replay-input-no-layout": 2,
-    "error-replay-input-brink-only": 2,
-    "error-replay-table-1-no-layout": 2,
-    "error-replay-table-6-chain": 2,
-    "error-replay-missing-input": 1,
-    "error-estimate-table-1-no-layout": 2,
-    "error-estimate-zero-step": 2,
-    "error-plot-input-no-brink": 2,
-    "error-plot-table-1-no-brink": 2,
-    "error-plot-empty-input": 2,
-    "error-plot-unknown-dataset": 2,
-    "error-simulate-missing-config": 1,
-    "error-simulate-sequential-samples": 2,
-}
-CASES.update({
-    "error-simulate-no-source": (("simulate",), ()),
+# Rejected inputs: name -> (argv, exit code). Their stderr is pinned like
+# stdout.
+ERRORS = {
+    "error-simulate-no-source": (("simulate",), 2),
     "error-simulate-two-sources": (
-        ("simulate", "--scenario", "1", "--config", "independent.json"), ()),
-    "error-replay-no-source": (("replay",), ()),
+        ("simulate", "--scenario", "1", "--config", "independent.json"), 2),
+    "error-replay-no-source": (("replay",), 2),
     "error-replay-two-sources": (
-        ("replay", "--dataset", "table-5", "--input", "rows.csv"), ()),
-    "error-estimate-no-source": (("estimate",), ()),
+        ("replay", "--dataset", "table-5", "--input", "rows.csv"), 2),
+    "error-estimate-no-source": (("estimate",), 2),
     "error-estimate-two-sources": (
-        ("estimate", "--dataset", "table-5", "--scenario", "1"), ()),
-    "error-plot-no-source": (("plot",), ()),
+        ("estimate", "--dataset", "table-5", "--scenario", "1"), 2),
+    "error-plot-no-source": (("plot",), 2),
     "error-plot-two-sources": (
-        ("plot", "--input", "rows.csv", "--config", "sequential.json"), ()),
-    "error-replay-input-no-layout": (("replay", "--input", "rows.csv"), ()),
+        ("plot", "--input", "rows.csv", "--config", "sequential.json"), 2),
+    "error-replay-input-no-layout": (("replay", "--input", "rows.csv"), 2),
     "error-replay-input-brink-only": (
-        ("replay", "--input", "rows.csv", "--brink", "100"), ()),
-    "error-replay-table-1-no-layout": (("replay", "--dataset", "table-1"), ()),
+        ("replay", "--input", "rows.csv", "--brink", "100"), 2),
+    "error-replay-table-1-no-layout": (("replay", "--dataset", "table-1"), 2),
     "error-replay-table-6-chain": (
         ("replay", "--dataset", "table-6", "--zone0", "0:149", "--brink", "150"),
-        ()),
-    "error-replay-missing-input": (("replay", "--input", "missing.csv"), ()),
+        2),
+    "error-replay-missing-input": (("replay", "--input", "missing.csv"), 1),
     "error-estimate-table-1-no-layout": (
-        ("estimate", "--dataset", "table-1", "--brink", "30"), ()),
+        ("estimate", "--dataset", "table-1", "--brink", "30"), 2),
     "error-estimate-zero-step": (
-        ("estimate", "--scenario", "2", "--max-step", "0"), ()),
-    "error-plot-input-no-brink": (("plot", "--input", "rows.csv"), ()),
-    "error-plot-table-1-no-brink": (("plot", "--dataset", "table-1"), ()),
-    "error-plot-empty-input": (("plot", "--input", "empty.csv"), ()),
-    "error-plot-unknown-dataset": (("plot", "--dataset", "table-9"), ()),
+        ("estimate", "--scenario", "2", "--max-step", "0"), 2),
+    "error-plot-input-no-brink": (("plot", "--input", "rows.csv"), 2),
+    "error-plot-table-1-no-brink": (("plot", "--dataset", "table-1"), 2),
+    "error-plot-empty-input": (("plot", "--input", "empty.csv"), 2),
+    "error-plot-unknown-dataset": (("plot", "--dataset", "table-9"), 2),
     "error-simulate-missing-config": (
-        ("simulate", "--config", "missing.json"), ()),
+        ("simulate", "--config", "missing.json"), 1),
     "error-simulate-sequential-samples": (
-        ("simulate", "--scenario", "3", "--samples", "2"), ()),
-})
+        ("simulate", "--scenario", "3", "--samples", "2"), 2),
+}
+for _name, (_argv, _) in ERRORS.items():
+    CASES[_name] = (_argv, ())
 
 
 def run_case(name: str, tmp: Path) -> dict[str, bytes]:
@@ -213,7 +193,7 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
         os.chdir(cwd)
         if env_seed is not None:
             os.environ["SIMULMOB_SEED"] = env_seed
-    assert code == EXIT.get(name, 0), f"{name}: exit {code}"
+    assert code == ERRORS.get(name, ((), 0))[1], f"{name}: exit {code}"
     outputs = {f"{name}.stdout": stdout.getvalue().encode()}
     if stderr.getvalue():
         outputs[f"{name}.stderr"] = stderr.getvalue().encode()
