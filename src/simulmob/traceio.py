@@ -235,7 +235,8 @@ def read_csv(text: str) -> list[MoveRecord]:
     """Parse rows written by :func:`write_csv` back into move records.
 
     The outcome column is optional and ignored (replays recompute it).
-    Raises :class:`CsvFormatError` on schema or arithmetic violations.
+    Raises :class:`CsvFormatError` on schema or arithmetic violations and
+    on text the csv module cannot split into rows.
     """
     reader = _csv_rows(text)
     try:
