@@ -16,14 +16,13 @@ from .model import (
     Position,
     StepLength,
     ZoneLayout,
-    advance,
     check_layout,
     classify,
     crossing,
     mn0_crossed,
     mn1_crossed,
 )
-from .sampling import Pcg32, Sampler, SamplerConfig, ValidationReport, validate
+from .sampling import Pcg32, Sampler, SamplerConfig, validate
 from .scenarios import (
     IndependentTrialConfig,
     SampleResult,
@@ -41,11 +40,8 @@ from .scenarios import (
 )
 from .stats import (
     METRIC_LABELS,
-    ComparisonReport,
-    EstimateReport,
     Tally,
     average_step_length,
-    compare,
     exact_crossing_probability,
     expected_crossings,
     expected_steps_to_cross,
@@ -72,9 +68,7 @@ __all__ = [
     "METRIC_LABELS",
     "CSV_HEADER",
     "DATASET_IDS",
-    "ComparisonReport",
     "CsvFormatError",
-    "EstimateReport",
     "IndependentTrialConfig",
     "LayoutError",
     "MoveRecord",
@@ -91,13 +85,10 @@ __all__ = [
     "Tally",
     "TraceLine",
     "TraceParseError",
-    "ValidationReport",
     "ZoneLayout",
-    "advance",
     "average_step_length",
     "check_layout",
     "classify",
-    "compare",
     "config_from_dict",
     "config_to_dict",
     "crossing",

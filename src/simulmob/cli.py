@@ -14,9 +14,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from statistics import fmean
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .datasets import DATASET_IDS, ReplayDataset, load_dataset
 from .model import MoveRecord, Outcome, ZoneLayout, classify
@@ -37,10 +37,8 @@ from .scenarios import (
 )
 from .stats import (
     METRIC_LABELS,
-    EstimateReport,
     Tally,
     average_step_length,
-    compare,
     exact_crossing_probability,
     expected_crossings,
     expected_steps_to_cross,
@@ -49,6 +47,9 @@ from .stats import (
 from .traceio import format_trace, read_csv, record_dict, write_csv, write_json
 
 ENV_SEED = "SIMULMOB_SEED"
+_DATASET_HELP = f"bundled dataset id ({', '.join(DATASET_IDS)})"
+_LAYOUT_FLAGS = ("zone0", "zone1", "brink")
+_SCENARIO_FLAGS = ("seed", "runs", "samples", "max_step", *_LAYOUT_FLAGS)
 
 
 class UsageError(ValueError):
@@ -68,8 +69,6 @@ def _zone(text: str) -> tuple[int, int]:
 
 
 def _add_layout_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-step", type=int, metavar="N",
-                     help="inclusive upper bound for drawn step lengths")
     sub.add_argument("--zone0", type=_zone, metavar="LO:HI",
                      help="zone 0 bounds, inclusive")
     sub.add_argument("--zone1", type=_zone, metavar="LO:HI",
@@ -89,6 +88,8 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
                      help="override runs per sample (or sequential run count)")
     sub.add_argument("--samples", type=int, metavar="N",
                      help="override sample count (independent shape only)")
+    sub.add_argument("--max-step", type=int, metavar="N",
+                     help="inclusive upper bound for drawn step lengths")
     _add_layout_flags(sub)
 
 
@@ -113,27 +114,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="run a scenario")
+    simulate.set_defaults(handler=_cmd_simulate)
     _add_scenario_flags(simulate)
     _add_output_flags(simulate)
 
     replay = sub.add_parser("replay", help="re-classify recorded moves")
-    replay.add_argument("--dataset", metavar="ID",
-                        help=f"bundled dataset id ({', '.join(DATASET_IDS)})")
+    replay.set_defaults(handler=_cmd_replay)
+    replay.add_argument("--dataset", metavar="ID", help=_DATASET_HELP)
     replay.add_argument("--input", metavar="PATH", help="CSV record file")
     _add_layout_flags(replay)
     _add_output_flags(replay)
 
     estimate = sub.add_parser(
         "estimate", help="print crossing estimators vs observations")
-    estimate.add_argument("--dataset", metavar="ID",
-                          help=f"bundled dataset id ({', '.join(DATASET_IDS)})")
+    estimate.set_defaults(handler=_cmd_estimate)
+    estimate.add_argument("--dataset", metavar="ID", help=_DATASET_HELP)
     _add_scenario_flags(estimate)
     estimate.add_argument("--format", choices=("table", "json"),
                           default="table", help="stdout report format")
 
     plot = sub.add_parser("plot", help="render position series")
-    plot.add_argument("--dataset", metavar="ID",
-                      help=f"bundled dataset id ({', '.join(DATASET_IDS)})")
+    plot.set_defaults(handler=_cmd_plot)
+    plot.add_argument("--dataset", metavar="ID", help=_DATASET_HELP)
     plot.add_argument("--input", metavar="PATH", help="CSV record file")
     _add_scenario_flags(plot)
     plot.add_argument("--ascii", action="store_true",
@@ -149,69 +151,56 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handlers = {
-        "simulate": _cmd_simulate,
-        "replay": _cmd_replay,
-        "estimate": _cmd_estimate,
-        "plot": _cmd_plot,
-    }
     try:
-        return handlers[args.command](args)
-    except OSError as exc:
+        args.handler(args)
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # A reader that stops early is no failure. Python flushes stdout again
+        # at exit, so point it at devnull (the Python docs' note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OSError) else 2
 
 
 # -- shared helpers ---------------------------------------------------------
-
-
-def _resolve_seed(args: argparse.Namespace) -> tuple[int, bool]:
-    """Seed precedence: --seed flag, then $SIMULMOB_SEED, then 0.
-
-    The boolean reports whether the user picked the seed explicitly (so it
-    should override a config file's own seed).
-    """
-    if getattr(args, "seed", None) is not None:
-        return args.seed, True
-    raw = os.environ.get(ENV_SEED)
-    if raw is not None:
-        try:
-            return int(raw), True
-        except ValueError:
-            raise UsageError(
-                f"{ENV_SEED} must be an integer, got {raw!r}"
-            ) from None
-    return 0, False
 
 
 def _layout_from_flags(
     args: argparse.Namespace, base: ZoneLayout | None
 ) -> ZoneLayout:
     """Merge --zone0/--zone1/--brink over an optional base layout."""
-    zone0 = args.zone0 if args.zone0 else (
-        (base.zone0_lo, base.zone0_hi) if base else None)
-    zone1 = args.zone1 if args.zone1 else (
-        (base.zone1_lo, base.zone1_hi) if base else None)
-    brink = args.brink if args.brink is not None else (
-        base.brink if base else None)
-    missing = [flag for flag, value in
-               (("--zone0", zone0), ("--zone1", zone1), ("--brink", brink))
+    own = (((base.zone0_lo, base.zone0_hi), (base.zone1_lo, base.zone1_hi),
+            base.brink) if base else (None, None, None))
+    zone0, zone1, brink = merged = [
+        value if value is not None else default
+        for value, default in zip((args.zone0, args.zone1, args.brink), own)]
+    missing = [f"--{flag}" for flag, value in zip(_LAYOUT_FLAGS, merged)
                if value is None]
     if missing:
         raise UsageError(
             "this input carries no zone layout; supply " + ", ".join(missing))
-    return ZoneLayout(zone0[0], zone0[1], zone1[0], zone1[1], brink)
+    return ZoneLayout(*zone0, *zone1, brink)
 
 
 def _scenario_config(
     args: argparse.Namespace,
 ) -> IndependentTrialConfig | SequentialConfig:
-    seed, explicit = _resolve_seed(args)
+    """The preset or config file's scenario, with the flags applied over it.
+
+    The seed is --seed, else $SIMULMOB_SEED, else the scenario's own.
+    """
+    seed, raw = args.seed, os.environ.get(ENV_SEED)
+    if seed is None and raw is not None:
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError(
+                f"{ENV_SEED} must be an integer, got {raw!r}") from None
     if args.scenario is not None:
-        config = preset(args.scenario, seed=seed)
+        config = preset(args.scenario)
     else:
         with open(args.config, encoding="utf-8") as fh:
             try:
@@ -219,19 +208,16 @@ def _scenario_config(
             except RecursionError:
                 raise UsageError(
                     f"config {args.config} nests too deeply") from None
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise UsageError(
+                    f"config {args.config} is not a JSON document: {exc}"
+                ) from None
         config = config_from_dict(doc)
-        if explicit:
-            config = replace(config, sampler=replace(config.sampler, seed=seed))
-    return _apply_overrides(config, args)
-
-
-def _apply_overrides(
-    config: IndependentTrialConfig | SequentialConfig, args: argparse.Namespace
-) -> IndependentTrialConfig | SequentialConfig:
-    sampler = config.sampler
-    layout = _layout_from_flags(args, sampler.layout)
-    max_step = args.max_step if args.max_step is not None else sampler.max_step
-    sampler = SamplerConfig(sampler.seed, max_step, layout)
+    base = config.sampler
+    sampler = SamplerConfig(
+        base.seed if seed is None else seed,
+        args.max_step if args.max_step is not None else base.max_step,
+        _layout_from_flags(args, base.layout))
     if isinstance(config, SequentialConfig):
         if args.samples is not None:
             raise UsageError(
@@ -242,11 +228,6 @@ def _apply_overrides(
     samples = args.samples if args.samples is not None else config.samples
     return replace(
         config, sampler=sampler, runs_per_sample=runs, samples=samples)
-
-
-def _print_warnings(sampler: SamplerConfig) -> None:
-    for warning in validate(sampler).warnings:
-        print(f"warning: {warning}", file=sys.stderr)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -262,6 +243,12 @@ def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines = ["  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
              for row in [list(header), *rows]]
     return "\n".join(lines) + "\n"
+
+
+def _notes_text(doc: dict) -> str:
+    """The dataset notes a result document carries, as a table footer."""
+    notes = doc.get("notes")
+    return "".join(["notes:\n", *(f"  - {n}\n" for n in notes)]) if notes else ""
 
 
 # -- sources ----------------------------------------------------------------
@@ -294,39 +281,59 @@ class Source:
         return [rec for part in self.parts for rec in part.records]
 
 
+# The scenario flags a dataset or CSV file reads, by subcommand, for
+# (independent rows, a sequential walk); any other one given with it is
+# rejected. A scenario reads them all.
+_RECORDS_READ = {
+    "replay": (_LAYOUT_FLAGS, _LAYOUT_FLAGS),
+    "estimate": ((*_LAYOUT_FLAGS, "max_step"), _LAYOUT_FLAGS),
+    "plot": (("brink",), ("brink",)),
+}
+
+
 def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
     """Load, or resolve and run, the one input named by one of ``flags``.
 
     ``flags`` are the subcommand's source options (``dataset``, ``input``,
     ``scenario``, ``config``); exactly one must be given. A scenario's
-    warnings are printed before it runs.
+    warnings are printed before it runs. A dataset or CSV file rejects the
+    scenario flags it does not read.
     """
     given = [flag for flag in flags if getattr(args, flag) is not None]
     if len(given) != 1:
         names = [f"--{flag}" for flag in flags]
         raise UsageError(f"exactly one of {', '.join(names[:-1])} or "
                          f"{names[-1]} is required")
+    if given in (["scenario"], ["config"]):
+        config = _scenario_config(args)
+        for warning in validate(config.sampler):
+            print(f"warning: {warning}", file=sys.stderr)
+        title = (f"scenario {args.scenario}" if args.scenario is not None
+                 else "custom scenario")
+        sequential = isinstance(config, SequentialConfig)
+        if sequential:
+            total, parts = run_sequential_scenario(config)
+        else:
+            parts = run_independent_scenario(config)
+            total = sum((part.tally for part in parts), Tally())
+        return Source("sequential" if sequential else "independent",
+                      config.sampler.layout, title, config=config,
+                      parts=parts, total=total)
     if given == ["dataset"]:
         dataset = load_dataset(args.dataset)
-        return Source(dataset.kind, dataset.layout, dataset.id, dataset,
-                      list(dataset.rows))
-    if given == ["input"]:
+        source = Source(dataset.kind, dataset.layout, dataset.id, dataset,
+                        list(dataset.rows))
+    else:
         with open(args.input, encoding="utf-8") as fh:
-            records = read_csv(fh.read())
-        return Source("independent", None, args.input, records=records)
-    config = _scenario_config(args)
-    _print_warnings(config.sampler)
-    layout = config.sampler.layout
-    title = (f"scenario {args.scenario}" if args.scenario is not None
-             else "custom scenario")
-    if isinstance(config, SequentialConfig):
-        total, parts = run_sequential_scenario(config)
-        return Source("sequential", layout, title, config=config, parts=parts,
-                      total=total)
-    parts = run_independent_scenario(config)
-    total = sum((part.tally for part in parts), Tally())
-    return Source("independent", layout, title, config=config, parts=parts,
-                  total=total)
+            source = Source("independent", None, args.input,
+                            records=read_csv(fh.read()))
+    reads = _RECORDS_READ[args.command][source.kind == "sequential"]
+    unread = [f"--{flag.replace('_', '-')}" for flag in _SCENARIO_FLAGS
+              if flag not in reads and getattr(args, flag, None) is not None]
+    if unread:
+        raise UsageError(f"{args.command} --{given[0]} {source.title} "
+                         f"does not read {', '.join(unread)}")
+    return source
 
 
 def _replay(
@@ -365,47 +372,78 @@ def _plot_text(source: Source, brink: int, ascii_mode: bool) -> str:
     return render_svg(mn0, mn1, brink, chained, source.title, xlabel)
 
 
-def _write_side_files(
-    args: argparse.Namespace, source: Source, brink: int
+def _report(
+    args: argparse.Namespace, source: Source, layout: ZoneLayout,
+    table: Callable[[], str], doc: Callable[[], dict],
+    outcomes: Sequence[Outcome] | None = None,
 ) -> None:
-    """The --trace and --plot files of ``simulate`` and ``replay``."""
+    """Write the stdout that --format picks, then the --trace and --plot files.
+
+    Only the chosen renderer runs, so table output builds no move record.
+    """
+    if args.format == "table":
+        text = table()
+    elif args.format == "csv":
+        records = source.moves()
+        text = write_csv(records, outcomes if outcomes is not None else
+                         [classify(rec, layout) for rec in records])
+    else:
+        text = write_json(doc())
+    sys.stdout.write(text)
     if args.trace:
         _write_text(args.trace, format_trace(source.moves(), args.step_headers))
     if args.plot:
-        _write_text(args.plot, _plot_text(source, brink, args.ascii))
+        _write_text(args.plot, _plot_text(source, layout.brink, args.ascii))
 
 
-def _exact_doc(layout: ZoneLayout, max_step: int) -> dict:
-    """Both nodes' exact crossing probabilities, as fraction and value."""
-    doc = {}
-    for node in (0, 1):
-        p = exact_crossing_probability(layout, max_step, node)
-        doc[f"node{node}"] = {"fraction": str(p), "value": float(p)}
+def _walk_summary(runs: Sequence[SequentialRun]) -> tuple[float, int]:
+    """Mean steps to first crossing of a batch of walks, and how many timed out."""
+    return fmean(r.steps_taken for r in runs), sum(r.timed_out for r in runs)
+
+
+def _estimators(
+    steps: Sequence[int], layout: ZoneLayout, max_step: int | None,
+    independent: bool = True,
+) -> dict:
+    """The span / average-step estimators of a batch; UsageError if undefined.
+
+    Independent trials add the expected crossings and, with a known
+    ``max_step``, both nodes' exact crossing probabilities.
+    """
+    avg = average_step_length(steps)
+    if avg <= 0:
+        raise UsageError("average step length is zero; estimators undefined")
+    span = layout.zone0_span
+    doc = {"avg_step": avg, "zone0_span": span,
+           "expected_steps_to_cross": expected_steps_to_cross(span, avg)}
+    if independent:
+        if span <= 0:
+            raise UsageError("zone 0 holds one position; estimators undefined")
+        doc["expected_crossings"] = expected_crossings(len(steps), span, avg)
+        if max_step is not None:
+            exact = [exact_crossing_probability(layout, max_step, node)
+                     for node in (0, 1)]
+            doc["exact_probability"] = {
+                f"node{node}": {"fraction": str(p), "value": float(p)}
+                for node, p in enumerate(exact)}
     return doc
 
 
 # -- simulate ---------------------------------------------------------------
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("scenario", "config"))
-    sequential = source.kind == "sequential"
-    layout = source.layout
-    if args.format == "table":
-        text = (_sequential_table(source.total, source.parts) if sequential
-                else _independent_table(source.parts))
-    elif args.format == "csv":
-        records = source.moves()
-        text = write_csv(records, [classify(rec, layout) for rec in records])
+    if source.kind == "sequential":
+        table, doc = _sequential_table, _sequential_doc
     else:
-        text = write_json(_sequential_doc(source) if sequential
-                          else _independent_doc(source))
-    sys.stdout.write(text)
-    _write_side_files(args, source, layout.brink)
-    return 0
+        table, doc = _independent_table, _independent_doc
+    _report(args, source, source.layout,
+            lambda: table(source), lambda: doc(source))
 
 
-def _independent_table(results: Sequence[SampleResult]) -> str:
+def _independent_table(source: Source) -> str:
+    results = source.parts
     header = ["sample", *METRIC_LABELS]
     rows = [[str(r.sample + 1), *(str(c) for c in r.tally.columns())]
             for r in results]
@@ -414,35 +452,29 @@ def _independent_table(results: Sequence[SampleResult]) -> str:
     return _format_table(header, rows)
 
 
-def _sequential_table(total: Tally, runs: Sequence[SequentialRun]) -> str:
+def _sequential_table(source: Source) -> str:
+    total = source.total
     header = ["runs", *METRIC_LABELS]
     rows = [[str(total.trials), *(str(c) for c in total.columns())]]
-    timed_out = sum(1 for run in runs if run.timed_out)
+    mean_taken, timed_out = _walk_summary(source.parts)
     return (
         _format_table(header, rows)
-        + f"mean steps to first crossing: {fmean(r.steps_taken for r in runs):.2f}\n"
-        + f"timed out: {timed_out} of {len(runs)}\n"
+        + f"mean steps to first crossing: {mean_taken:.2f}\n"
+        + f"timed out: {timed_out} of {len(source.parts)}\n"
     )
 
 
 def _independent_doc(source: Source) -> dict:
     config, results = source.config, source.parts
-    steps = [step for r in results for step in r.steps]
-    avg = average_step_length(steps)
-    layout = config.sampler.layout
-    if avg > 0:
-        estimate = asdict(EstimateReport(
-            avg_step=avg,
-            expected_steps_to_cross=expected_steps_to_cross(
-                layout.zone0_span, avg),
-            expected_crossings=expected_crossings(
-                len(steps), layout.zone0_span, avg),
-            observed_crossings=source.total.mn0_handover,
-        ))
-        estimate["exact_probability"] = _exact_doc(
-            layout, config.sampler.max_step)
+    try:
+        estimate = _estimators([step for r in results for step in r.steps],
+                          source.layout, config.sampler.max_step)
+    except UsageError:
+        estimate = None  # undefined estimators are reported as null
     else:
-        estimate = None
+        del estimate["zone0_span"]
+        estimate["observed_crossings"] = source.total.mn0_handover
+        estimate["exact_probability"] = estimate.pop("exact_probability")
     return {
         "config": config_to_dict(config),
         "samples": [
@@ -463,7 +495,7 @@ def _sequential_doc(source: Source) -> dict:
     return {
         "config": config_to_dict(source.config),
         "tally": source.total.as_dict(),
-        "mean_steps_taken": fmean(run.steps_taken for run in source.parts),
+        "mean_steps_taken": _walk_summary(source.parts)[0],
         "runs": [
             {
                 "run": j,
@@ -481,125 +513,98 @@ def _sequential_doc(source: Source) -> dict:
 # -- replay -----------------------------------------------------------------
 
 
-def _replay_diff_table(tally: Tally, published: tuple[int, ...] | None) -> str:
-    if published is None:
-        header = ["metric", "replayed"]
-        rows = [[label, str(count)]
-                for label, count in zip(METRIC_LABELS, tally.columns())]
-        return _format_table(header, rows)
-    header = ["metric", "replayed", "published", ""]
-    rows = []
-    for label, ours, theirs in zip(METRIC_LABELS, tally.columns(), published):
-        mark = "*" if ours != theirs else ""
-        rows.append([label, str(ours), str(theirs), mark])
-    text = _format_table(header, rows)
-    if any(row[3] == "*" for row in rows):
-        text += "* differs from the published count\n"
-    return text
-
-
-def _print_notes(dataset: ReplayDataset | None) -> None:
-    if dataset is not None and dataset.notes:
-        sys.stdout.write("notes:\n")
-        for note in dataset.notes:
-            sys.stdout.write(f"  - {note}\n")
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "input"))
     layout = _layout_from_flags(args, source.layout)
     total, outcomes, run = _replay(source, layout)
     dataset, records = source.dataset, source.records
-    if args.format == "table":
-        if run is None:
-            sys.stdout.write(
-                f"dataset {source.title}: {len(records)} rows replayed\n")
-        else:
-            # A replayed walk has no step cap, so it never times out.
-            state = ("ended without crossing"
-                     if run.terminal is Outcome.NO_OVERLAP else "crossed")
-            sys.stdout.write(
-                f"dataset {dataset.id}: sequential walk, {len(records)} rows\n"
+    # "records" is filled in for JSON output only; the key keeps its place.
+    doc = {"dataset": dataset.id if dataset else None, "input": args.input,
+           "tally": total.as_dict(), "records": None}
+    if dataset is not None:
+        doc["published_counts"] = (
+            dict(zip(METRIC_LABELS, dataset.published_counts))
+            if dataset.published_counts else None)
+        doc["notes"] = list(dataset.notes)
+    if run is not None:
+        doc.update(terminal=run.terminal.value, steps_taken=run.steps_taken,
+                   timed_out=run.timed_out,
+                   final_positions=list(run.final_positions))
+
+    def json_doc() -> dict:
+        doc["records"] = [record_dict(rec, out)
+                          for rec, out in zip(records, outcomes)]
+        return doc
+
+    _report(args, source, layout,
+            lambda: _replay_table(source, total, run, doc), json_doc, outcomes)
+
+
+def _replay_table(
+    source: Source, total: Tally, run: SequentialRun | None, doc: dict
+) -> str:
+    """Replayed counts, beside the published counts and notes in ``doc``."""
+    rows_read = len(source.records)
+    if run is None:
+        text = f"dataset {source.title}: {rows_read} rows replayed\n"
+    else:
+        # A replayed walk has no step cap, so it never times out.
+        state = ("ended without crossing"
+                 if run.terminal is Outcome.NO_OVERLAP else "crossed")
+        text = (f"dataset {source.title}: sequential walk, {rows_read} rows\n"
                 f"terminal outcome: {run.terminal.value} at step "
                 f"{run.steps_taken} ({state})\n"
                 f"final positions: {run.final_positions}\n")
-        sys.stdout.write(_replay_diff_table(
-            total, dataset.published_counts if dataset else None))
-        _print_notes(dataset)
-    elif args.format == "csv":
-        sys.stdout.write(write_csv(records, outcomes))
-    else:
-        doc = {
-            "dataset": dataset.id if dataset else None,
-            "input": args.input,
-            "tally": total.as_dict(),
-            "records": [record_dict(rec, out)
-                        for rec, out in zip(records, outcomes)],
-        }
-        if dataset is not None:
-            doc["published_counts"] = (
-                dict(zip(METRIC_LABELS, dataset.published_counts))
-                if dataset.published_counts else None)
-            doc["notes"] = list(dataset.notes)
-        if run is not None:
-            doc["terminal"] = run.terminal.value
-            doc["steps_taken"] = run.steps_taken
-            doc["timed_out"] = run.timed_out
-            doc["final_positions"] = list(run.final_positions)
-        sys.stdout.write(write_json(doc))
-    _write_side_files(args, source, layout.brink)
-    return 0
+    published = doc.get("published_counts")
+    header = ["metric", "replayed", *(("published", "") if published else ())]
+    rows = []
+    for label, ours in zip(METRIC_LABELS, total.columns()):
+        row = [label, str(ours)]
+        if published:
+            theirs = published[label]
+            row += [str(theirs), "*" if ours != theirs else ""]
+        rows.append(row)
+    text += _format_table(header, rows)
+    if any(row[-1] == "*" for row in rows):
+        text += "* differs from the published count\n"
+    return text + _notes_text(doc)
 
 
 # -- estimate ---------------------------------------------------------------
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "scenario", "config"))
     layout = _layout_from_flags(args, source.layout)
     dataset, config = source.dataset, source.config
+    independent = source.kind == "independent"
     if dataset is not None:
         steps = dataset.steps
         label = f"dataset {dataset.id} ({len(dataset.rows)} rows, {dataset.kind})"
-        size = {"rows": len(dataset.rows)}
+        doc = {"source": f"dataset {dataset.id}", "rows": len(dataset.rows)}
+        max_step = (args.max_step if args.max_step is not None
+                    else dataset.max_step)
     else:
         steps = [step for part in source.parts for step in part.steps]
-        if source.kind == "sequential":
-            label = f"scenario ({config.runs} runs, sequential)"
-            size = {"runs": config.runs}
-        else:
+        max_step = config.sampler.max_step
+        if independent:
             label = (f"scenario ({config.samples} samples x "
                      f"{config.runs_per_sample} trials)")
-            size = {"trials": len(steps)}
-    avg = average_step_length(steps)
-    if avg <= 0:
-        raise UsageError("average step length is zero; estimators undefined")
-    steps_to_cross = expected_steps_to_cross(layout.zone0_span, avg)
+            doc = {"source": "scenario", "trials": len(steps)}
+        else:
+            label = f"scenario ({config.runs} runs, sequential)"
+            doc = {"source": "scenario", "runs": config.runs}
+    doc.update(_estimators(steps, layout, max_step, independent))
     lines = [
         f"source: {label}",
-        f"average step length: {avg:.2f}",
+        f"average step length: {doc['avg_step']:.2f}",
         f"zone0 span: {layout.zone0_span}",
-        f"expected steps to cross (span / avg step): {steps_to_cross:.2f}",
+        "expected steps to cross (span / avg step): "
+        f"{doc['expected_steps_to_cross']:.2f}",
     ]
-    doc = {
-        "source": f"dataset {dataset.id}" if dataset else "scenario",
-        **size,
-        "avg_step": avg,
-        "zone0_span": layout.zone0_span,
-        "expected_steps_to_cross": steps_to_cross,
-    }
-    if source.kind == "independent":
-        if dataset is None:
-            total, max_step = source.total, config.sampler.max_step
-        else:
-            total = _replay(source, layout)[0]
-            max_step = (args.max_step if args.max_step is not None
-                        else dataset.max_step)
-        report = EstimateReport(
-            avg, steps_to_cross,
-            expected_crossings(len(steps), layout.zone0_span, avg),
-            total.mn0_handover)
-        lines += _crossing_lines(report, total, layout, max_step, doc)
+    if independent:
+        total = source.total if dataset is None else _replay(source, layout)[0]
+        lines += _crossing_lines(doc, total)
     elif dataset is not None:
         run = _replay(source, layout)[2]
         lines += [
@@ -613,10 +618,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             final_positions=list(run.final_positions),
         )
     else:
-        total, runs = source.total, source.parts
-        mean_taken = fmean(run.steps_taken for run in runs)
+        total = source.total
+        mean_taken, timed_out = _walk_summary(source.parts)
         fraction = total.simultaneous / total.trials
-        timed_out = sum(1 for run in runs if run.timed_out)
         lines += [
             f"observed mean steps to first crossing: {mean_taken:.2f}",
             f"simultaneous handover fraction: {fraction:.3f}",
@@ -628,34 +632,26 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             timed_out=timed_out,
             tally=total.as_dict(),
         )
-    if args.format == "json":
-        if dataset is not None and dataset.notes:
-            doc["notes"] = list(dataset.notes)
-        sys.stdout.write(write_json(doc))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-        _print_notes(dataset)
-    return 0
+    if dataset is not None and dataset.notes:
+        doc["notes"] = list(dataset.notes)
+    sys.stdout.write(write_json(doc) if args.format == "json"
+                     else "\n".join(lines) + "\n" + _notes_text(doc))
 
 
-def _crossing_lines(
-    report: EstimateReport, total: Tally, layout: ZoneLayout,
-    max_step: int | None, doc: dict,
-) -> list[str]:
+def _crossing_lines(doc: dict, total: Tally) -> list[str]:
     """Expected against observed crossings of independent trials.
 
-    Adds the same numbers to ``doc``. The exact probability is skipped when
-    no step bound is known; its label still reads "(enumeration)": the
-    golden outputs pin it, and the closed form gives the same fractions.
+    Adds the analytic crossings, the observed tally and the comparison to
+    ``doc``. The exact probability is skipped when no step bound is known;
+    its label still reads "(enumeration)": the golden outputs pin it, and
+    the closed form gives the same fractions.
     """
-    trials = total.trials
-    lines = [f"expected crossings over {trials} trials: "
-             f"{report.expected_crossings:.2f}"]
-    doc["expected_crossings"] = report.expected_crossings
-    if max_step is None:
+    trials, expected = total.trials, doc["expected_crossings"]
+    lines = [f"expected crossings over {trials} trials: {expected:.2f}"]
+    exact = doc.get("exact_probability")
+    if exact is None:
         lines.append("exact crossing probability: unavailable (no --max-step)")
     else:
-        exact = doc["exact_probability"] = _exact_doc(layout, max_step)
         analytic = doc["analytic_expected_crossings"] = {
             node: trials * p["value"] for node, p in exact.items()}
         lines += [
@@ -665,35 +661,38 @@ def _crossing_lines(
             "expected crossings (trials x probability): "
             f"node 0 {analytic['node0']:.2f}, node 1 {analytic['node1']:.2f}",
         ]
-    comparison = compare(report, total)
+    # _estimators made sure that expected > 0.
+    observed = total.overlap_events
+    difference = abs(observed - expected)
     doc["observed"] = total.as_dict()
-    doc["comparison"] = asdict(comparison)
+    doc["comparison"] = {
+        "expected": expected,
+        "observed": observed,
+        "absolute_difference": difference,
+        "relative_difference": difference / expected,
+    }
     return lines + [
         f"observed: mn0 handover {total.mn0_handover}, mn1 handover "
         f"{total.mn1_handover}, simultaneous {total.simultaneous}, "
-        f"overlap events {total.overlap_events}",
-        f"estimator vs observed overlap events: {comparison.expected:.2f} "
-        f"vs {comparison.observed}, diff {comparison.absolute_difference:.2f} "
-        f"({comparison.relative_difference:.1%})",
+        f"overlap events {observed}",
+        f"estimator vs observed overlap events: {expected:.2f} vs {observed}, "
+        f"diff {difference:.2f} ({difference / expected:.1%})",
     ]
 
 
 # -- plot -------------------------------------------------------------------
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
+def _cmd_plot(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "input", "scenario", "config"))
     if not (source.records or source.parts):
         raise UsageError("no records to plot")
-    if args.brink is not None:
-        brink = args.brink
-    elif source.layout is not None:
-        brink = source.layout.brink
-    else:
+    brink = args.brink if args.brink is not None else getattr(
+        source.layout, "brink", None)
+    if brink is None:
         raise UsageError("this input carries no zone layout; supply --brink")
     text = _plot_text(source, brink, args.ascii)
     if args.output:
         _write_text(args.output, text)
     else:
         sys.stdout.write(text)
-    return 0

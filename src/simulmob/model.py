@@ -139,21 +139,13 @@ class MoveRecord:
     def from_inits(
         cls, mn0_init: Position, mn1_init: Position, step: StepLength
     ) -> "MoveRecord":
-        """Build a record by advancing both nodes one step from their inits."""
-        mn0_new, mn1_new = advance(mn0_init, mn1_init, step)
-        return cls(step, mn0_init, mn0_new, mn1_init, mn1_new)
+        """Build a record by moving both nodes one shared step toward each other.
 
-
-def advance(
-    mn0: Position, mn1: Position, step: StepLength
-) -> tuple[Position, Position]:
-    """Move both nodes one shared step toward each other.
-
-    MN_0 gains ``step``, MN_1 loses it. Plain integer arithmetic; results
-    past either zone's far boundary (or negative) are permitted and left to
-    the caller to classify.
-    """
-    return mn0 + step, mn1 - step
+        MN_0 gains ``step``, MN_1 loses it. Results past either zone's far
+        boundary (or negative) are permitted and left to the caller to
+        classify.
+        """
+        return cls(step, mn0_init, mn0_init + step, mn1_init, mn1_init - step)
 
 
 def mn0_crossed(p: Position, layout: ZoneLayout) -> bool:

@@ -83,19 +83,8 @@ class SamplerConfig:
     layout: ZoneLayout
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Zero or more warnings about a sampler configuration."""
-
-    warnings: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.warnings
-
-
-def validate(config: SamplerConfig) -> ValidationReport:
-    """Check a sampler configuration.
+def validate(config: SamplerConfig) -> tuple[str, ...]:
+    """Check a sampler configuration; return its warnings, if any.
 
     Broken zone geometry, a negative step bound, an out-of-range seed, or a
     step range or zone wider than the 2**32 values :meth:`Pcg32.randint`
@@ -125,7 +114,7 @@ def validate(config: SamplerConfig) -> ValidationReport:
             f"step range >= zone width: max_step {config.max_step} can cross a "
             f"whole zone in one move (narrowest zone holds {narrowest} positions)"
         )
-    return ValidationReport(tuple(warnings))
+    return tuple(warnings)
 
 
 class Sampler:

@@ -8,7 +8,6 @@ the full (init, step) grid and against Monte Carlo frequencies.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,35 +163,3 @@ def exact_crossing_probability(
     n = max(0, top - near + 1)
     favorable = n * (max_step + 1) - (near + top) * n // 2
     return Fraction(favorable, (far - near + 1) * (max_step + 1))
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Crossing estimates for one batch, alongside what was observed."""
-
-    avg_step: float
-    expected_steps_to_cross: float
-    expected_crossings: float
-    observed_crossings: int
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Estimated vs observed crossing counts; reporting only, no verdict."""
-
-    expected: float
-    observed: int
-    absolute_difference: float
-    relative_difference: float
-
-
-def compare(estimate: EstimateReport, batch: Tally) -> ComparisonReport:
-    """Set the estimator's crossing count against the batch's overlap events."""
-    expected = estimate.expected_crossings
-    observed = batch.overlap_events
-    absolute = abs(observed - expected)
-    if expected != 0:
-        relative = absolute / expected
-    else:
-        relative = 0.0 if absolute == 0 else math.inf
-    return ComparisonReport(expected, observed, absolute, relative)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -152,6 +155,13 @@ class TestSimulateErrors:
         path.write_text("{not json")
         code, _, _ = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
+
+    def test_config_that_is_not_text(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config {path} is not a JSON document: ")
 
     def test_mixed_shape_config(self, capsys, tmp_path):
         doc = config_to_dict(preset(3))
@@ -357,6 +367,29 @@ class TestEstimate:
         assert doc["avg_step"] == 21.5
         assert doc["exact_probability"]["node0"]["fraction"] == "1/2"
 
+    def test_table5_comparison(self, capsys):
+        # 30 trials of mean step 21.5 over span 49 predict 13.163 crossings;
+        # the table has 15 overlap events.
+        code, out, _ = run_cli(
+            capsys, "estimate", "--dataset", "table-5", "--format", "json")
+        assert code == 0
+        comparison = json.loads(out)["comparison"]
+        assert comparison["observed"] == 15
+        assert abs(comparison["expected"] - 13.163) < 0.01
+        assert abs(comparison["relative_difference"] - 0.1396) < 0.001
+
+    def test_one_position_zone0_is_undefined(self, capsys):
+        argv = ("--scenario", "2", "--zone0", "99:99", "--runs", "2",
+                "--samples", "1")
+        code, out, err = run_cli(capsys, "estimate", *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: zone 0 holds one position; estimators undefined\n")
+        for fmt in ("table", "csv", "json"):
+            code, out, _ = run_cli(capsys, "simulate", *argv, "--format", fmt)
+            assert code == 0
+        assert json.loads(out)["estimate"] is None
+
     def test_wide_zones_cost_is_bounded(self, capsys):
         # Two 10^9-wide zones and a 10^6 step bound: a walk of the
         # (init, step) grid would take 10^15 iterations. Node n's nearest
@@ -431,6 +464,79 @@ class TestPlot:
         assert run_cli(capsys, "plot")[0] == 2
 
 
+ROWS_CSV = str(Path(__file__).resolve().parent / "golden" / "rows.csv")
+LAYOUT_2 = ("--zone0", "50:99", "--zone1", "101:150", "--brink", "100")
+FLAG_VALUES = {"--seed": "1", "--runs": "2", "--samples": "2",
+               "--max-step": "30", "--zone0": "40:89", "--zone1": "101:160",
+               "--brink": "100"}
+# Sources that are not scenarios, and the scenario flags each one reads.
+RECORD_SOURCES = [
+    ("replay", ("--dataset", "table-6"), {"--zone0", "--zone1", "--brink"}),
+    ("replay", ("--input", ROWS_CSV, *LAYOUT_2),
+     {"--zone0", "--zone1", "--brink"}),
+    ("estimate", ("--dataset", "table-5"),
+     {"--zone0", "--zone1", "--brink", "--max-step"}),
+    ("estimate", ("--dataset", "table-6"), {"--zone0", "--zone1", "--brink"}),
+    ("plot", ("--dataset", "table-5"), {"--brink"}),
+    ("plot", ("--input", ROWS_CSV, "--brink", "100"), {"--brink"}),
+]
+
+
+class TestSourceFlags:
+    """A dataset or CSV file rejects each scenario flag it does not read."""
+
+    @pytest.mark.parametrize("command,source,reads,flag", [
+        pytest.param(command, source, reads, flag,
+                     id=f"{command}-{Path(source[1]).name}-{flag[2:]}")
+        for command, source, reads in RECORD_SOURCES
+        for flag in sorted(FLAG_VALUES)
+        # replay has no --seed, --runs, --samples or --max-step option
+        if command != "replay" or flag in ("--zone0", "--zone1", "--brink")
+    ])
+    def test_flag_read_or_rejected(self, capsys, command, source, reads,
+                                   flag):
+        code, out, err = run_cli(capsys, command, *source, flag,
+                                 FLAG_VALUES[flag])
+        if flag in reads:
+            assert "does not read" not in err
+        else:
+            assert (code, out) == (2, "")
+            assert err == (f"error: {command} {source[0]} {source[1]} "
+                           f"does not read {flag}\n")
+
+
+PRESET_2_WARNING = (
+    b"warning: step range >= zone width: max_step 50 can cross a whole zone "
+    b"in one move (narrowest zone holds 50 positions)\n")
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the run quietly, with exit 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ("plot", "--dataset", "table-5"),
+        ("replay", "--dataset", "table-5", "--format", "json"),
+        ("estimate", "--dataset", "table-6"),
+        ("simulate", "--scenario", "2", "--runs", "3", "--samples", "2"),
+    ])
+    def test_closed_pipe(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("SIMULMOB_SEED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "simulmob", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        # No error and no "Exception ignored" at shutdown: preset 2's
+        # step-bound warning is the only stderr allowed.
+        assert proc.stderr in (b"", PRESET_2_WARNING)
+
+
 class TestNoRecordsForTables:
     """Table and estimate output are tallies; they must build no MoveRecord."""
 
@@ -460,8 +566,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 _ints = st.integers(-3, 300) | st.sampled_from([2**32 - 1, 2**32, 2**40, -2**40])
 # Each subcommand's source options and other options; value strategies, or
 # None for a switch. "{tmp}" is a scratch directory. ``--runs`` is left out:
-# it is always appended, at most 5, so together with ``--samples`` at most 5
-# no run draws more than 150 trials or walks more than five capped walks.
+# it is appended, at most 5, wherever a scenario may run, so together with
+# ``--samples`` at most 5 no run draws more than 150 trials or walks more
+# than five capped walks. A dataset or CSV file rejects ``--runs``, so it is
+# left off their argv.
 SOURCES = {
     "--scenario": st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "x"]),
     "--config": st.sampled_from(["independent.json", "sequential.json",
@@ -486,7 +594,7 @@ _SCENARIO = ("--seed", "--samples", "--max-step")
 _OUTPUT = ("--format", "--trace", "--step-headers", "--plot", "--ascii")
 GRAMMAR = {
     "simulate": (("--scenario", "--config"), _SCENARIO + _OUTPUT),
-    "replay": (("--dataset", "--input"), ("--max-step",) + _OUTPUT),
+    "replay": (("--dataset", "--input"), _OUTPUT),
     "estimate": (("--dataset", "--scenario", "--config"),
                  _SCENARIO + ("--format",)),
     "plot": (("--dataset", "--input", "--scenario", "--config"),
@@ -521,7 +629,7 @@ def argvs(draw):
         strategy = SOURCES.get(flag, OPTIONS.get(flag))
         argv += [flag] if strategy is None else [flag, draw(strategy)]
     argv += draw(layout_flags())
-    if command != "replay":
+    if command != "replay" and not {"--dataset", "--input"} & set(flags):
         argv += ["--runs", draw(st.sampled_from("123451230-"))]
     return argv
 

@@ -135,6 +135,11 @@ for _shape in ("independent", "sequential"):
     for _fmt in ("table", "json"):
         CASES[f"estimate-config-{_shape}-{_fmt}"] = (
             ("estimate", "--config", f"{_shape}.json", "--format", _fmt), ())
+# Zone 0 holds one position, so the coarse estimators are undefined and the
+# JSON "estimate" block is null.
+CASES["simulate-one-position-zone0-json"] = (
+    ("simulate", "--scenario", "2", "--zone0", "99:99", "--runs", "2",
+     "--samples", "1", "--format", "json"), ())
 
 # Rejected inputs: name -> (argv, exit code). Their stderr is pinned like
 # stdout.
@@ -171,6 +176,20 @@ ERRORS = {
         ("simulate", "--config", "missing.json"), 1),
     "error-simulate-sequential-samples": (
         ("simulate", "--scenario", "3", "--samples", "2"), 2),
+    "error-simulate-config-not-json": (("simulate", "--config", "rows.csv"), 2),
+    # A scenario flag that a dataset or CSV file does not read.
+    "error-estimate-dataset-scenario-flags": (
+        ("estimate", "--dataset", "table-5", "--runs", "3", "--samples", "2",
+         "--seed", "9"), 2),
+    "error-estimate-table-6-max-step": (
+        ("estimate", "--dataset", "table-6", "--max-step", "30"), 2),
+    "error-replay-dataset-max-step": (
+        ("replay", "--dataset", "table-5", "--max-step", "30"), 2),
+    "error-plot-dataset-zones": (
+        ("plot", "--dataset", "table-5", "--zone0", "0:10", "--zone1",
+         "900:901"), 2),
+    "error-plot-input-seed": (
+        ("plot", "--input", "rows.csv", "--brink", "100", "--seed", "3"), 2),
 }
 for _name, (_argv, _) in ERRORS.items():
     CASES[_name] = (_argv, ())

@@ -6,7 +6,6 @@ from simulmob.model import (
     MoveRecord,
     Outcome,
     ZoneLayout,
-    advance,
     check_layout,
     classify,
     mn0_crossed,
@@ -32,19 +31,27 @@ def layouts(max_coord: int = 500):
 
 
 class TestAdvance:
+    """``MoveRecord.from_inits`` moves both nodes one shared step."""
+
+    @staticmethod
+    def _moved(mn0, mn1, step):
+        rec = MoveRecord.from_inits(mn0, mn1, step)
+        assert (rec.step, rec.mn0_init, rec.mn1_init) == (step, mn0, mn1)
+        return rec.mn0_new, rec.mn1_new
+
     def test_reference_row(self):
-        assert advance(14, 55, 5) == (19, 50)
+        assert self._moved(14, 55, 5) == (19, 50)
 
     def test_zero_step_is_identity(self):
-        assert advance(96, 146, 0) == (96, 146)
+        assert self._moved(96, 146, 0) == (96, 146)
 
     def test_walk_start(self):
-        assert advance(10, 500, 28) == (38, 472)
+        assert self._moved(10, 500, 28) == (38, 472)
 
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000),
            st.integers(0, 1000))
     def test_update_equations(self, mn0, mn1, step):
-        new0, new1 = advance(mn0, mn1, step)
+        new0, new1 = self._moved(mn0, mn1, step)
         assert new0 == mn0 + step
         assert new1 == mn1 - step
         # The gap closes by exactly twice the shared step.

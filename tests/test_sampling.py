@@ -140,20 +140,16 @@ class TestSampler:
 
 class TestValidate:
     def test_clean_config_has_no_warnings(self):
-        report = validate(SamplerConfig(0, 49, LAYOUT_1))
-        assert report.ok
-        assert report.warnings == ()
+        assert validate(SamplerConfig(0, 49, LAYOUT_1)) == ()
 
     def test_wide_step_range_warns_but_passes(self):
         # A step bound covering a whole zone is flagged, never rejected.
-        report = validate(SamplerConfig(0, 50, LAYOUT_2))
-        assert not report.ok
-        assert len(report.warnings) == 1
-        assert report.warnings[0].startswith("step range >= zone width")
+        warnings = validate(SamplerConfig(0, 50, LAYOUT_2))
+        assert len(warnings) == 1
+        assert warnings[0].startswith("step range >= zone width")
 
     def test_preset1_width_also_warns(self):
-        report = validate(SamplerConfig(0, 400, LAYOUT_1))
-        assert not report.ok
+        assert len(validate(SamplerConfig(0, 400, LAYOUT_1))) == 1
 
     def test_bad_layout_raises(self):
         with pytest.raises(LayoutError):
@@ -168,7 +164,7 @@ class TestValidate:
             validate(SamplerConfig(-1, 50, LAYOUT_1))
 
     def test_step_range_wider_than_a_draw_raises(self):
-        assert validate(SamplerConfig(0, 2**32 - 1, LAYOUT_1)).warnings
+        assert validate(SamplerConfig(0, 2**32 - 1, LAYOUT_1))
         with pytest.raises(ValueError, match="max_step must be below 2"):
             validate(SamplerConfig(0, 2**32, LAYOUT_1))
 

@@ -15,10 +15,8 @@ from simulmob.scenarios import (
 )
 from simulmob.stats import (
     METRIC_LABELS,
-    EstimateReport,
     Tally,
     average_step_length,
-    compare,
     exact_crossing_probability,
     expected_crossings,
     expected_steps_to_cross,
@@ -274,28 +272,3 @@ class TestExactProbability:
             p = float(exact_crossing_probability(layout, max_step, node))
             se = math.sqrt(p * (1 - p) / n)
             assert abs(hits / n - p) <= 3 * se
-
-
-class TestCompare:
-    def test_overshoot(self):
-        estimate = EstimateReport(21.5, 49 / 21.5, 30 * 21.5 / 49, 13)
-        batch = Tally(mn0_only=8, mn1_only=2, simultaneous=5, no_overlap=15)
-        report = compare(estimate, batch)
-        assert report.observed == 15
-        assert abs(report.expected - 13.163) < 0.01
-        assert abs(report.relative_difference - 0.1396) < 0.001
-
-    def test_exact_match(self):
-        estimate = EstimateReport(22, 374 / 22, 2.0, 2)
-        batch = Tally(mn0_only=1, mn1_only=1)
-        report = compare(estimate, batch)
-        assert report.absolute_difference == 0
-        assert report.relative_difference == 0
-
-    def test_zero_expected_zero_observed(self):
-        report = compare(EstimateReport(1, 1, 0, 0), Tally(no_overlap=4))
-        assert report.relative_difference == 0
-
-    def test_zero_expected_nonzero_observed(self):
-        report = compare(EstimateReport(1, 1, 0, 1), Tally(mn0_only=1))
-        assert report.relative_difference == math.inf
