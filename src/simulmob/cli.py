@@ -372,6 +372,15 @@ def _plot_text(source: Source, brink: int, ascii_mode: bool) -> str:
     return render_svg(mn0, mn1, brink, chained, source.title, xlabel)
 
 
+def _check_output_switches(args: argparse.Namespace) -> None:
+    """Reject --step-headers without --trace and --ascii without --plot."""
+    orphans = [f"{switch} needs {option}" for switch, option, given in (
+        ("--step-headers", "--trace", args.step_headers and not args.trace),
+        ("--ascii", "--plot", args.ascii and not args.plot)) if given]
+    if orphans:
+        raise UsageError("; ".join(orphans))
+
+
 def _report(
     args: argparse.Namespace, source: Source, layout: ZoneLayout,
     table: Callable[[], str], doc: Callable[[], dict],
@@ -433,6 +442,7 @@ def _estimators(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    _check_output_switches(args)
     source = _resolve_source(args, ("scenario", "config"))
     if source.kind == "sequential":
         table, doc = _sequential_table, _sequential_doc
@@ -514,6 +524,7 @@ def _sequential_doc(source: Source) -> dict:
 
 
 def _cmd_replay(args: argparse.Namespace) -> None:
+    _check_output_switches(args)
     source = _resolve_source(args, ("dataset", "input"))
     layout = _layout_from_flags(args, source.layout)
     total, outcomes, run = _replay(source, layout)

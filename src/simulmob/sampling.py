@@ -19,9 +19,19 @@ from dataclasses import dataclass
 from .model import Position, StepLength, ZoneLayout, check_layout
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 _PCG_MULTIPLIER = 6364136223846793005
 # Values one 32-bit draw can select among; the widest range randint accepts.
 _DRAW_RANGE = 1 << 32
+
+
+def pcg32_seed(seed: int, stream: int) -> tuple[int, int]:
+    """State and increment of PCG32 seeded as ``pcg32_srandom_r`` seeds it.
+
+    The reference steps a zero state once, adds the seed, and steps again.
+    """
+    inc = ((stream << 1) | 1) & _MASK64
+    return ((inc + seed) * _PCG_MULTIPLIER + inc) & _MASK64, inc
 
 
 class Pcg32:
@@ -37,18 +47,14 @@ class Pcg32:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         if stream < 0:
             raise ValueError(f"stream must be non-negative, got {stream}")
-        self._state = 0
-        self._inc = ((stream << 1) | 1) & _MASK64
-        self._next_u32()
-        self._state = (self._state + seed) & _MASK64
-        self._next_u32()
+        self._state, self._inc = pcg32_seed(seed, stream)
 
     def _next_u32(self) -> int:
         old = self._state
         self._state = (old * _PCG_MULTIPLIER + self._inc) & _MASK64
-        xorshifted = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
+        xorshifted = (((old >> 18) ^ old) >> 27) & _MASK32
         rot = old >> 59
-        return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0xFFFFFFFF
+        return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer on the inclusive range [lo, hi], bias-free.
@@ -110,9 +116,10 @@ def validate(config: SamplerConfig) -> tuple[str, ...]:
     warnings = []
     narrowest = min(widths)
     if config.max_step >= narrowest:
+        positions = "position" if narrowest == 1 else "positions"
         warnings.append(
             f"step range >= zone width: max_step {config.max_step} can cross a "
-            f"whole zone in one move (narrowest zone holds {narrowest} positions)"
+            f"whole zone in one move (narrowest zone holds {narrowest} {positions})"
         )
     return tuple(warnings)
 

@@ -11,11 +11,17 @@ Two shapes exist:
 
 Each sample (or run) owns a private substream, so samples may run in any
 order, or in parallel, without changing results.
+
+The scenario runners inline PCG32's XSH-RR step and ``pcg32_boundedrand_r``
+rejection (O'Neill 2014), state and bounds in locals; a range of one value
+consumes no draw. They draw exactly what a :class:`Sampler` on the same
+stream draws, and :func:`run_independent_trial` and :func:`run_sequential`
+keep that reference path. The rotation is one shift of the doubled word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -29,7 +35,8 @@ from .model import (
     classify,
     crossing,
 )
-from .sampling import Sampler, SamplerConfig, validate
+from .sampling import (_DRAW_RANGE, _MASK32, _MASK64, _PCG_MULTIPLIER, Sampler,
+                       SamplerConfig, pcg32_seed, validate)
 from .stats import Tally, tally
 
 
@@ -128,19 +135,20 @@ class SampleResult:
     """One sample of an independent-trial scenario.
 
     ``draws`` holds the three ints every trial drew, in draw order
-    (mn0_init, mn1_init, step), trial after trial. ``records`` and
+    (mn0_init, mn1_init, step), trial after trial: the list the runner
+    filled, not a copy, so it takes no part in the hash. ``records`` and
     ``outcomes`` are rebuilt from it on first access; table and estimate
     output never need them.
     """
 
     sample: int
     tally: Tally
-    draws: tuple[int, ...]
+    draws: Sequence[int] = field(hash=False)
     brink: Position
 
     @property
     def steps(self) -> tuple[StepLength, ...]:
-        return self.draws[2::3]
+        return tuple(self.draws[2::3])
 
     @cached_property
     def records(self) -> tuple[MoveRecord, ...]:
@@ -174,21 +182,58 @@ def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResul
     Each trial draws as :func:`run_independent_trial` does, but only its
     three ints are kept and its outcome counted; no record is built.
     """
-    validate(config.sampler)
-    brink = config.sampler.layout.brink
+    sampler = config.sampler
+    validate(sampler)
+    layout = sampler.layout
+    brink, lo0, lo1 = layout.brink, layout.zone0_lo, layout.zone1_lo
+    bound0, bound1 = layout.zone0_width, layout.zone1_width
+    bound_s = sampler.max_step + 1
+    t0, t1, t_s = (_DRAW_RANGE % b for b in (bound0, bound1, bound_s))
+    mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
     results = []
     for k in range(config.samples):
-        sampler = Sampler(config.sampler, stream=k)
-        draw_init_positions = sampler.draw_init_positions
-        draw_step = sampler.draw_step
+        state, inc = pcg32_seed(sampler.seed, k)
         draws: list[int] = []
-        outcomes = []
+        mn0_only = mn1_only = simultaneous = 0
         for _ in range(config.runs_per_sample):
-            mn0, mn1 = draw_init_positions()
-            step = draw_step()
+            mn0 = lo0
+            if bound0 > 1:
+                while True:
+                    old, state = state, (state * mult + inc) & mask64
+                    x = (((old >> 18) ^ old) >> 27) & mask32
+                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
+                    if r >= t0:
+                        break
+                mn0 += r % bound0
+            mn1 = lo1
+            if bound1 > 1:
+                while True:
+                    old, state = state, (state * mult + inc) & mask64
+                    x = (((old >> 18) ^ old) >> 27) & mask32
+                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
+                    if r >= t1:
+                        break
+                mn1 += r % bound1
+            step = 0
+            if bound_s > 1:
+                while True:
+                    old, state = state, (state * mult + inc) & mask64
+                    x = (((old >> 18) ^ old) >> 27) & mask32
+                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
+                    if r >= t_s:
+                        break
+                step = r % bound_s
             draws += (mn0, mn1, step)
-            outcomes.append(crossing(mn0 + step, mn1 - step, brink))
-        results.append(SampleResult(k, tally(outcomes), tuple(draws), brink))
+            if mn0 + step >= brink:
+                if mn1 - step <= brink:
+                    simultaneous += 1
+                else:
+                    mn0_only += 1
+            elif mn1 - step <= brink:
+                mn1_only += 1
+        no_overlap = config.runs_per_sample - mn0_only - mn1_only - simultaneous
+        total = Tally(mn0_only, mn1_only, simultaneous, no_overlap)
+        results.append(SampleResult(k, total, draws, brink))
     return results
 
 
@@ -220,14 +265,45 @@ def run_sequential_scenario(
 ) -> tuple[Tally, list[SequentialRun]]:
     """Run all walks; run j draws from substream j. Tally terminal outcomes.
 
-    Timed-out runs count as no_overlap in the tally.
+    Each walk draws and ends as :func:`run_sequential` does. Timed-out runs
+    count as no_overlap in the tally.
     """
-    validate(config.sampler)
-    runs = [
-        run_sequential(Sampler(config.sampler, stream=j), config)
-        for j in range(config.runs)
-    ]
-    return tally(run.terminal for run in runs), runs
+    sampler = config.sampler
+    validate(sampler)
+    brink, cap = sampler.layout.brink, config.max_steps_cap
+    start = (config.mn0_start, config.mn1_start)
+    bound = sampler.max_step + 1
+    threshold = _DRAW_RANGE % bound
+    mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
+    mn0_only = mn1_only = simultaneous = 0
+    runs = []
+    for j in range(config.runs):
+        state, inc = pcg32_seed(sampler.seed, j)
+        mn0, mn1 = start
+        steps: list[int] = []
+        for _ in range(cap):
+            step = 0
+            if bound > 1:
+                while True:
+                    old, state = state, (state * mult + inc) & mask64
+                    x = (((old >> 18) ^ old) >> 27) & mask32
+                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
+                    if r >= threshold:
+                        break
+                step = r % bound
+            steps.append(step)
+            mn0 += step
+            mn1 -= step
+            if mn0 >= brink or mn1 <= brink:
+                break
+        at0, at1 = mn0 >= brink, mn1 <= brink  # which nodes reached the brink
+        mn0_only += at0 and not at1
+        mn1_only += at1 and not at0
+        simultaneous += at0 and at1
+        runs.append(SequentialRun(start, tuple(steps), crossing(mn0, mn1, brink),
+                                  not (at0 or at1)))
+    no_overlap = config.runs - mn0_only - mn1_only - simultaneous
+    return Tally(mn0_only, mn1_only, simultaneous, no_overlap), runs
 
 
 def replay_independent(

@@ -625,6 +625,13 @@ def argvs(draw):
     if draw(st.integers(0, 5)) == 0:  # none, or two sources
         flags = draw(st.lists(st.sampled_from(sources), max_size=2))
     flags += draw(st.lists(st.sampled_from(options), max_size=4))
+    # simulate and replay reject --step-headers without --trace and --ascii
+    # without --plot; mostly add the file option, so success stays reachable.
+    if command in ("simulate", "replay"):
+        for switch, option in (("--step-headers", "--trace"),
+                               ("--ascii", "--plot")):
+            if switch in flags and option not in flags and draw(st.integers(0, 3)):
+                flags.append(option)
     for flag in flags:
         strategy = SOURCES.get(flag, OPTIONS.get(flag))
         argv += [flag] if strategy is None else [flag, draw(strategy)]

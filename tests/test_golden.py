@@ -190,6 +190,15 @@ ERRORS = {
          "900:901"), 2),
     "error-plot-input-seed": (
         ("plot", "--input", "rows.csv", "--brink", "100", "--seed", "3"), 2),
+    # An output switch without the option whose file it shapes.
+    "error-simulate-switches-without-files": (
+        ("simulate", "--scenario", "1", "--runs", "2", "--samples", "1",
+         "--step-headers", "--ascii"), 2),
+    "error-replay-step-headers-without-trace": (
+        ("replay", "--dataset", "table-6", "--plot", "{out}",
+         "--step-headers"), 2),
+    "error-replay-ascii-without-plot": (
+        ("replay", "--dataset", "table-6", "--trace", "{out}", "--ascii"), 2),
 }
 for _name, (_argv, _) in ERRORS.items():
     CASES[_name] = (_argv, ())

@@ -148,6 +148,11 @@ class TestValidate:
         assert len(warnings) == 1
         assert warnings[0].startswith("step range >= zone width")
 
+    def test_one_position_zone_is_singular(self):
+        layout = ZoneLayout(99, 99, 101, 150, 100)
+        assert validate(SamplerConfig(0, 50, layout))[0].endswith(
+            "(narrowest zone holds 1 position)")
+
     def test_preset1_width_also_warns(self):
         assert len(validate(SamplerConfig(0, 400, LAYOUT_1))) == 1
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from simulmob.datasets import load_dataset
 from simulmob.model import LayoutError, MoveRecord, Outcome, ZoneLayout, classify
-from simulmob.sampling import Sampler, SamplerConfig
+from simulmob.sampling import Pcg32, Sampler, SamplerConfig
 from simulmob.stats import tally
 from simulmob.scenarios import (
     IndependentTrialConfig,
@@ -95,6 +96,7 @@ class TestIndependentTrials:
         b = run_independent_scenario(config)
         assert [r.tally for r in a] == [r.tally for r in b]
         assert [r.records for r in a] == [r.records for r in b]
+        assert {*a} == {*b}
 
     def test_partition_holds_per_sample(self):
         for result in run_independent_scenario(preset(2, seed=9)):
@@ -374,6 +376,126 @@ class TestAgainstReferenceLoop:
             before = run_independent_scenario(config)
             after = run_independent_scenario(_shifted(config, c))
             assert [r.tally for r in after] == [r.tally for r in before]
+
+
+def seed_with_first_draw(value, stream):
+    """A seed whose stream ``stream`` first draws the 32-bit ``value``.
+
+    The state that outputs ``value`` with rotation 0 is solved bit by bit
+    from the top, then the seeding step is inverted for it.
+    """
+    state = 0
+    for i in reversed(range(32)):  # output bit i = state bit 27+i ^ bit 45+i
+        bit = ((value >> i) ^ (state >> (45 + i))) & 1
+        state |= bit << (27 + i)
+    mult, inc = 6364136223846793005, (stream << 1) | 1
+    return ((state - inc) * pow(mult, -1, 2**64) - inc) % 2**64
+
+
+@st.composite
+def kernel_layouts(draw):
+    """Ordered layouts with zones of one position up to 2**32, anywhere from
+    0 to above 2**40, that validate accepts."""
+    widths = st.sampled_from([1, 2, 50, 2**31 + 1, 2**32]) | st.integers(1, 400)
+    w0, w1 = draw(widths), draw(widths)
+    lo0 = draw(st.sampled_from([0, 1000, 2**40 + 7]) | st.integers(0, 2**41))
+    brink = lo0 + w0 - 1 + draw(st.integers(1, 3))
+    lo1 = brink + draw(st.integers(1, 3))
+    return ZoneLayout(lo0, lo0 + w0 - 1, lo1, lo1 + w1 - 1, brink)
+
+
+kernel_seeds = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+kernel_max_steps = (st.sampled_from([0, 1, 50, 2**31, 2**32 - 1])
+                    | st.integers(0, 400))
+
+
+class TestKernelAgainstSampler:
+    """The inline PCG32 draws of both runners against the Sampler path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_seeds, kernel_max_steps, kernel_layouts(),
+           st.integers(1, 12), st.integers(1, 4))
+    def test_independent(self, seed, max_step, layout, runs, samples):
+        config = IndependentTrialConfig(SamplerConfig(seed, max_step, layout),
+                                        runs, samples)
+        results = run_independent_scenario(config)
+        expected = reference_independent(config)
+        for result, (total, records, _) in zip(results, expected, strict=True):
+            assert list(result.draws) == [
+                value for rec in records
+                for value in (rec.mn0_init, rec.mn1_init, rec.step)]
+            assert result.tally == total
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_seeds, kernel_max_steps, kernel_layouts(), st.data())
+    def test_sequential(self, seed, max_step, layout, data):
+        config = SequentialConfig(
+            SamplerConfig(seed, max_step, layout),
+            data.draw(st.integers(layout.zone0_lo, layout.zone0_hi)),
+            data.draw(st.integers(layout.zone1_lo, layout.zone1_hi)),
+            runs=data.draw(st.integers(1, 4)),
+            max_steps_cap=data.draw(st.integers(1, 40)))
+        total, runs = run_sequential_scenario(config)
+        expected_total, expected = reference_sequential(config)
+        assert total == expected_total
+        for run, (records, terminal, timed_out) in zip(runs, expected,
+                                                       strict=True):
+            assert run.steps == tuple(rec.step for rec in records)
+            assert run.terminal is terminal
+            assert run.timed_out is timed_out
+
+    def test_draw_equal_to_the_threshold_is_kept(self):
+        # Width 2**31 + 1 rejects draws below 2**32 % width = 2**31 - 1, so a
+        # stream whose first draw is exactly that keeps it.
+        width = 2**31 + 1
+        seed = seed_with_first_draw(2**31 - 1, stream=0)
+        assert Pcg32(seed).randint(0, width - 1) == 2**31 - 1
+        layout = ZoneLayout(0, width - 1, width + 1, width + 9, width)
+        config = IndependentTrialConfig(SamplerConfig(seed, 3, layout), 2, 1)
+        [result] = run_independent_scenario(config)
+        assert result.draws[0] == 2**31 - 1
+        assert result.records == reference_independent(config)[0][1]
+        walk = SequentialConfig(SamplerConfig(seed, width - 1, WIDE), 1000,
+                                1800, runs=1)
+        assert run_sequential_scenario(walk)[1][0].steps[0] == 2**31 - 1
+
+    def test_runners_draw_without_the_sampler(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Sampler path used")
+
+        independent = replace(preset(2, seed=3), runs_per_sample=20, samples=3)
+        sequential = replace(preset(3, seed=3), runs=5)
+        before = (run_independent_scenario(independent),
+                  run_sequential_scenario(sequential))
+        monkeypatch.setattr(Pcg32, "_next_u32", refuse)
+        monkeypatch.setattr(Sampler, "draw_step", refuse)
+        monkeypatch.setattr(Sampler, "draw_init_positions", refuse)
+        assert (run_independent_scenario(independent),
+                run_sequential_scenario(sequential)) == before
+        with pytest.raises(AssertionError):
+            Sampler(independent.sampler).draw_step()
+
+
+class TestSampleMemory:
+    """One sample of 1M preset-2 trials fits in 50 MB of RSS.
+
+    Computed from the heap peak of a 20,000-trial sample, never run at full
+    size: the draw column is one list of cached small ints, about 27 bytes a
+    trial with its growth slack. A copy of it (a tuple of the list) would
+    briefly hold both, about 51. A one-trial ``simulate`` peaks at about
+    17.5 MB of RSS (CPython 3.11), which bounds the interpreter and imports.
+    """
+
+    def test_million_trials_fit(self):
+        runs = 20_000
+        config = replace(preset(2, seed=1), runs_per_sample=runs, samples=1)
+        tracemalloc.start()
+        try:
+            run_independent_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 18 * 2**20 + peak / runs * 1_000_000 < 50 * 2**20
 
 
 class TestConfigDicts:
