@@ -96,7 +96,7 @@ class TestIndependentTrials:
         b = run_independent_scenario(config)
         assert [r.tally for r in a] == [r.tally for r in b]
         assert [r.records for r in a] == [r.records for r in b]
-        assert {*a} == {*b}
+        assert set(a) == set(b)  # a sample stays hashable
 
     def test_partition_holds_per_sample(self):
         for result in run_independent_scenario(preset(2, seed=9)):
@@ -444,19 +444,26 @@ class TestKernelAgainstSampler:
             assert run.terminal is terminal
             assert run.timed_out is timed_out
 
-    def test_draw_equal_to_the_threshold_is_kept(self):
-        # Width 2**31 + 1 rejects draws below 2**32 % width = 2**31 - 1, so a
-        # stream whose first draw is exactly that keeps it.
-        width = 2**31 + 1
+    # Each case makes one column's range 2**31 + 1 wide and the other ones
+    # a single value, so that column takes the stream's first draw. That
+    # range rejects draws below 2**32 % (2**31 + 1) = 2**31 - 1.
+    @pytest.mark.parametrize("layout, max_step, column", [
+        (ZoneLayout(0, 2**31, 2**31 + 2, 2**31 + 9, 2**31 + 1), 3, 0),
+        (ZoneLayout(0, 0, 2, 2**31 + 2, 1), 3, 1),
+        (ZoneLayout(0, 0, 2, 2, 1), 2**31, 2),
+    ])
+    def test_draw_equal_to_the_threshold_is_kept(self, layout, max_step,
+                                                 column):
         seed = seed_with_first_draw(2**31 - 1, stream=0)
-        assert Pcg32(seed).randint(0, width - 1) == 2**31 - 1
-        layout = ZoneLayout(0, width - 1, width + 1, width + 9, width)
-        config = IndependentTrialConfig(SamplerConfig(seed, 3, layout), 2, 1)
+        assert Pcg32(seed).randint(0, 2**31) == 2**31 - 1
+        config = IndependentTrialConfig(SamplerConfig(seed, max_step, layout),
+                                        2, 1)
         [result] = run_independent_scenario(config)
-        assert result.draws[0] == 2**31 - 1
+        lo = (layout.zone0_lo, layout.zone1_lo, 0)[column]
+        assert result.draws[column] == lo + 2**31 - 1
         assert result.records == reference_independent(config)[0][1]
-        walk = SequentialConfig(SamplerConfig(seed, width - 1, WIDE), 1000,
-                                1800, runs=1)
+        walk = SequentialConfig(SamplerConfig(seed, 2**31, WIDE), 1000, 1800,
+                                runs=1)
         assert run_sequential_scenario(walk)[1][0].steps[0] == 2**31 - 1
 
     def test_runners_draw_without_the_sampler(self, monkeypatch):
@@ -479,15 +486,15 @@ class TestKernelAgainstSampler:
 class TestSampleMemory:
     """One sample of 1M preset-2 trials fits in 50 MB of RSS.
 
-    Computed from the heap peak of a 20,000-trial sample, never run at full
-    size: the draw column is one list of cached small ints, about 27 bytes a
+    Computed from the heap peak of a 10,000-trial sample, never run at full
+    size: the draw column is one list of cached small ints, about 25 bytes a
     trial with its growth slack. A copy of it (a tuple of the list) would
-    briefly hold both, about 51. A one-trial ``simulate`` peaks at about
+    briefly hold both, about 58. A one-trial ``simulate`` peaks at about
     17.5 MB of RSS (CPython 3.11), which bounds the interpreter and imports.
     """
 
     def test_million_trials_fit(self):
-        runs = 20_000
+        runs = 10_000
         config = replace(preset(2, seed=1), runs_per_sample=runs, samples=1)
         tracemalloc.start()
         try:
