@@ -352,12 +352,16 @@ def _replay(
     return total, outcomes, None
 
 
-def _plot_text(source: Source, brink: int, ascii_mode: bool) -> str:
+def _plot_text(source: Source, brink: int | None, ascii_mode: bool) -> str:
     """Plot both nodes' positions after each move against ``brink``.
 
     A sequential walk is drawn as a chain from its start (a scenario's
     first walk only); independent moves are one point per trial or row.
     """
+    if not (source.records or source.parts):
+        raise UsageError("no records to plot")
+    if brink is None:
+        raise UsageError("this input carries no zone layout; supply --brink")
     chained = source.kind == "sequential"
     records = (source.parts[0].records if chained and source.config
                else source.moves())
@@ -389,7 +393,9 @@ def _report(
     """Write the stdout that --format picks, then the --trace and --plot files.
 
     Only the chosen renderer runs, so table output builds no move record.
+    The plot is drawn first, so a source it cannot draw writes nothing.
     """
+    plot = args.plot and _plot_text(source, layout.brink, args.ascii)
     if args.format == "table":
         text = table()
     elif args.format == "csv":
@@ -401,8 +407,8 @@ def _report(
     sys.stdout.write(text)
     if args.trace:
         _write_text(args.trace, format_trace(source.moves(), args.step_headers))
-    if args.plot:
-        _write_text(args.plot, _plot_text(source, layout.brink, args.ascii))
+    if plot:
+        _write_text(args.plot, plot)
 
 
 def _walk_summary(runs: Sequence[SequentialRun]) -> tuple[float, int]:
@@ -696,12 +702,8 @@ def _crossing_lines(doc: dict, total: Tally) -> list[str]:
 
 def _cmd_plot(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "input", "scenario", "config"))
-    if not (source.records or source.parts):
-        raise UsageError("no records to plot")
     brink = args.brink if args.brink is not None else getattr(
         source.layout, "brink", None)
-    if brink is None:
-        raise UsageError("this input carries no zone layout; supply --brink")
     text = _plot_text(source, brink, args.ascii)
     if args.output:
         _write_text(args.output, text)

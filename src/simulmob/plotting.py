@@ -25,6 +25,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _value_range(mn0: Sequence[float], mn1: Sequence[float],
+                 brink: float) -> tuple[float, float]:
+    """Lowest and highest of both series and the brink, never equal."""
+    if not mn0 or len(mn0) != len(mn1):
+        raise ValueError("need two equal-length non-empty series")
+    lo = min(min(mn0), min(mn1), brink)
+    hi = max(max(mn0), max(mn1), brink)
+    return lo, hi if hi > lo else lo + 1.0
+
+
 class _Scale:
     """Affine map from data coordinates to the SVG plot rectangle."""
 
@@ -60,13 +70,8 @@ def render_svg(
     Chained series draw as polylines (a walk), unchained as scatter points
     (independent trials).
     """
-    if not mn0 or len(mn0) != len(mn1):
-        raise ValueError("need two equal-length non-empty series")
+    lo, hi = _value_range(mn0, mn1, brink)
     n = len(mn0)
-    lo = min(min(mn0), min(mn1), brink)
-    hi = max(max(mn0), max(mn1), brink)
-    if hi == lo:
-        hi = lo + 1.0
     pad = (hi - lo) * 0.05
     scale = _Scale(n, lo - pad, hi + pad)
 
@@ -167,16 +172,11 @@ def render_ascii(
 
     Long series are strided down to max_width columns.
     """
-    if not mn0 or len(mn0) != len(mn1):
-        raise ValueError("need two equal-length non-empty series")
+    lo, hi = _value_range(mn0, mn1, brink)
     n = len(mn0)
     stride = max(1, math.ceil(n / max_width))
     indexes = range(0, n, stride)
     cols = len(indexes)
-    lo = min(min(mn0), min(mn1), brink)
-    hi = max(max(mn0), max(mn1), brink)
-    if hi == lo:
-        hi = lo + 1.0
 
     def row_of(value: float) -> int:
         frac = (value - lo) / (hi - lo)

@@ -21,9 +21,9 @@ keep that reference path. The rotation is one shift of the doubled word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .model import (
     MoveRecord,
@@ -67,6 +67,7 @@ class SequentialConfig:
 
     def __post_init__(self):
         layout = self.sampler.layout
+        check_layout(layout)
         if not layout.zone0_lo <= self.mn0_start <= layout.zone0_hi:
             raise ValueError(
                 f"mn0_start {self.mn0_start} outside zone0 "
@@ -350,61 +351,45 @@ def preset(scenario_id: int, seed: int = 0) -> IndependentTrialConfig | Sequenti
     """Compiled-in parameterizations of the three reference scenarios."""
     if scenario_id == 1:
         layout = ZoneLayout(0, 374, 376, 750, 375)
-        return IndependentTrialConfig(SamplerConfig(seed, 50, layout), 30, 30)
+        return IndependentTrialConfig(SamplerConfig(seed, 50, layout))
     if scenario_id == 2:
         layout = ZoneLayout(50, 99, 101, 150, 100)
-        return IndependentTrialConfig(SamplerConfig(seed, 50, layout), 30, 30)
+        return IndependentTrialConfig(SamplerConfig(seed, 50, layout))
     if scenario_id == 3:
         layout = ZoneLayout(0, 249, 251, 500, 250)
-        return SequentialConfig(
-            SamplerConfig(seed, 50, layout),
-            mn0_start=10,
-            mn1_start=500,
-            runs=30,
-            max_steps_cap=10_000,
-        )
+        return SequentialConfig(SamplerConfig(seed, 50, layout),
+                                mn0_start=10, mn1_start=500)
     raise ValueError(f"unknown scenario id {scenario_id}; known ids are 1, 2, 3")
 
 
-_SAMPLER_KEYS = {"seed", "max_step", "layout"}
-_LAYOUT_KEYS = {"zone0_lo", "zone0_hi", "zone1_lo", "zone1_hi", "brink"}
-_INDEPENDENT_KEYS = {"sampler", "runs_per_sample", "samples"}
-_SEQUENTIAL_KEYS = {"sampler", "mn0_start", "mn1_start", "runs", "max_steps_cap"}
+def _from_dict(cls: type, doc: object, what: str):
+    """Build dataclass ``cls`` from a JSON object, field by field.
 
-
-def _require_int(doc: dict, key: str, what: str) -> int:
-    if key not in doc:
-        raise ValueError(f"{what} is missing key {key!r}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _sampler_from_dict(doc: dict) -> SamplerConfig:
+    A dataclass-typed field is built from its nested object the same way
+    and named by its field name; every other field is an int, and a JSON
+    ``true`` is not one. A missing field takes the dataclass default.
+    """
     if not isinstance(doc, dict):
-        raise ValueError(f"sampler must be an object, got {doc!r}")
-    unknown = set(doc) - _SAMPLER_KEYS
+        raise ValueError(f"{what} must be an object, got {doc!r}")
+    known = fields(cls)
+    unknown = set(doc) - {f.name for f in known}
     if unknown:
-        raise ValueError(f"sampler has unknown keys {sorted(unknown)}")
-    layout_doc = doc.get("layout")
-    if not isinstance(layout_doc, dict):
-        raise ValueError("sampler.layout must be an object")
-    unknown = set(layout_doc) - _LAYOUT_KEYS
-    if unknown:
-        raise ValueError(f"layout has unknown keys {sorted(unknown)}")
-    layout = ZoneLayout(
-        _require_int(layout_doc, "zone0_lo", "layout"),
-        _require_int(layout_doc, "zone0_hi", "layout"),
-        _require_int(layout_doc, "zone1_lo", "layout"),
-        _require_int(layout_doc, "zone1_hi", "layout"),
-        _require_int(layout_doc, "brink", "layout"),
-    )
-    return SamplerConfig(
-        _require_int(doc, "seed", "sampler"),
-        _require_int(doc, "max_step", "sampler"),
-        layout,
-    )
+        raise ValueError(f"{what} has unknown keys {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in known:
+        if f.name not in doc:
+            if f.default is MISSING:
+                raise ValueError(f"{what} is missing key {f.name!r}")
+            continue
+        value = doc[f.name]
+        if is_dataclass(hints[f.name]):
+            value = _from_dict(hints[f.name], value, f.name)
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"{what} key {f.name!r} must be an integer, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def config_from_dict(doc: dict) -> IndependentTrialConfig | SequentialConfig:
@@ -421,57 +406,10 @@ def config_from_dict(doc: dict) -> IndependentTrialConfig | SequentialConfig:
             "config mixes independent-trial and sequential fields: "
             f"{sorted(independent_markers | sequential_markers)}"
         )
-    if sequential_markers:
-        unknown = keys - _SEQUENTIAL_KEYS
-        if unknown:
-            raise ValueError(f"config has unknown keys {sorted(unknown)}")
-        return SequentialConfig(
-            _sampler_from_dict(doc.get("sampler", {})),
-            mn0_start=_require_int(doc, "mn0_start", "config"),
-            mn1_start=_require_int(doc, "mn1_start", "config"),
-            runs=_require_int(doc, "runs", "config") if "runs" in doc else 30,
-            max_steps_cap=(
-                _require_int(doc, "max_steps_cap", "config")
-                if "max_steps_cap" in doc
-                else 10_000
-            ),
-        )
-    unknown = keys - _INDEPENDENT_KEYS
-    if unknown:
-        raise ValueError(f"config has unknown keys {sorted(unknown)}")
-    return IndependentTrialConfig(
-        _sampler_from_dict(doc.get("sampler", {})),
-        runs_per_sample=(
-            _require_int(doc, "runs_per_sample", "config")
-            if "runs_per_sample" in doc
-            else 30
-        ),
-        samples=_require_int(doc, "samples", "config") if "samples" in doc else 30,
-    )
+    shape = SequentialConfig if sequential_markers else IndependentTrialConfig
+    return _from_dict(shape, doc, "config")
 
 
 def config_to_dict(config: IndependentTrialConfig | SequentialConfig) -> dict:
-    """Inverse of config_from_dict (stable key order)."""
-    layout = config.sampler.layout
-    doc: dict = {
-        "sampler": {
-            "seed": config.sampler.seed,
-            "max_step": config.sampler.max_step,
-            "layout": {
-                "zone0_lo": layout.zone0_lo,
-                "zone0_hi": layout.zone0_hi,
-                "zone1_lo": layout.zone1_lo,
-                "zone1_hi": layout.zone1_hi,
-                "brink": layout.brink,
-            },
-        }
-    }
-    if isinstance(config, SequentialConfig):
-        doc["mn0_start"] = config.mn0_start
-        doc["mn1_start"] = config.mn1_start
-        doc["runs"] = config.runs
-        doc["max_steps_cap"] = config.max_steps_cap
-    else:
-        doc["runs_per_sample"] = config.runs_per_sample
-        doc["samples"] = config.samples
-    return doc
+    """Inverse of config_from_dict (dataclass field order)."""
+    return asdict(config)

@@ -453,6 +453,17 @@ class TestPlot:
         assert code == 2
         assert "no records" in err
 
+    def test_empty_input_rejected_before_replay_output(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new,outcome\n")
+        plot = tmp_path / "e.svg"
+        code, out, err = run_cli(
+            capsys, "replay", "--input", str(path), "--zone0", "0:9",
+            "--zone1", "11:20", "--brink", "10", "--plot", str(plot))
+        assert (code, out) == (2, "")
+        assert "no records to plot" in err
+        assert not plot.exists()
+
     def test_input_requires_brink(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text(

@@ -171,12 +171,21 @@ ERRORS = {
     "error-plot-input-no-brink": (("plot", "--input", "rows.csv"), 2),
     "error-plot-table-1-no-brink": (("plot", "--dataset", "table-1"), 2),
     "error-plot-empty-input": (("plot", "--input", "empty.csv"), 2),
+    # Rejected before the table reaches stdout.
+    "error-replay-empty-input-plot": (
+        ("replay", "--input", "empty.csv", "--zone0", "0:9", "--zone1", "11:20",
+         "--brink", "10", "--plot", "{out}"), 2),
     "error-plot-unknown-dataset": (("plot", "--dataset", "table-9"), 2),
     "error-simulate-missing-config": (
         ("simulate", "--config", "missing.json"), 1),
     "error-simulate-sequential-samples": (
         ("simulate", "--scenario", "3", "--samples", "2"), 2),
     "error-simulate-config-not-json": (("simulate", "--config", "rows.csv"), 2),
+    # A broken layout gives the same error for either shape.
+    "error-simulate-s2-broken-layout": (
+        ("simulate", "--scenario", "2", "--zone0", "300:5"), 2),
+    "error-simulate-s3-broken-layout": (
+        ("simulate", "--scenario", "3", "--zone0", "300:5"), 2),
     # A scenario flag that a dataset or CSV file does not read.
     "error-estimate-dataset-scenario-flags": (
         ("estimate", "--dataset", "table-5", "--runs", "3", "--samples", "2",

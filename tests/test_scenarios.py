@@ -1,6 +1,7 @@
 import itertools
+import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -543,6 +544,36 @@ class TestConfigDicts:
         doc["samples"] = "thirty"
         with pytest.raises(ValueError):
             config_from_dict(doc)
+        doc["samples"] = True
+        with pytest.raises(ValueError, match="config key 'samples' must be an "
+                                             "integer, got True"):
+            config_from_dict(doc)
+
+    def test_sequential_defaults_fill_in(self):
+        doc = config_to_dict(preset(3))
+        del doc["runs"], doc["max_steps_cap"]
+        config = config_from_dict(doc)
+        assert (config.runs, config.max_steps_cap) == (30, 10_000)
+
+    def test_missing_sampler_names_the_key(self):
+        doc = config_to_dict(preset(2))
+        del doc["sampler"]
+        with pytest.raises(ValueError, match="config is missing key 'sampler'"):
+            config_from_dict(doc)
+
+    def test_non_object_layout_named(self):
+        doc = config_to_dict(preset(2))
+        doc["sampler"]["layout"] = 5
+        with pytest.raises(ValueError, match="layout must be an object, got 5"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("scenario", [2, 3])
+    def test_keys_follow_field_order(self, scenario):
+        config = preset(scenario)
+        doc = config_to_dict(config)
+        for obj, part in ((config, doc), (config.sampler, doc["sampler"]),
+                          (config.sampler.layout, doc["sampler"]["layout"])):
+            assert list(part) == [f.name for f in fields(obj)]
 
 
 json_values = st.recursive(
@@ -568,8 +599,29 @@ def near_configs(draw):
     return doc
 
 
+@st.composite
+def valid_configs(draw):
+    """A config of either shape with every field drawn: a layout validate
+    accepts, starts inside their zones and counts of any size."""
+    layout = draw(kernel_layouts())
+    sampler = SamplerConfig(draw(kernel_seeds), draw(kernel_max_steps), layout)
+    counts = st.integers(min_value=1)
+    if draw(st.booleans()):
+        return IndependentTrialConfig(sampler, draw(counts), draw(counts))
+    return SequentialConfig(
+        sampler, draw(st.integers(layout.zone0_lo, layout.zone0_hi)),
+        draw(st.integers(layout.zone1_lo, layout.zone1_hi)),
+        draw(counts), draw(counts))
+
+
 class TestConfigFuzz:
     """Any JSON document gives a config or a ValueError, nothing else."""
+
+    @settings(max_examples=200)
+    @given(valid_configs())
+    def test_round_trip_through_json(self, config):
+        doc = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(doc) == config
 
     @settings(max_examples=300)
     @given(st.one_of(json_values, near_configs()))
