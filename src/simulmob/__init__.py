@@ -16,7 +16,6 @@ from .model import (
     Position,
     StepLength,
     ZoneLayout,
-    check_layout,
     classify,
     crossing,
     mn0_crossed,
@@ -87,7 +86,6 @@ __all__ = [
     "TraceParseError",
     "ZoneLayout",
     "average_step_length",
-    "check_layout",
     "classify",
     "config_from_dict",
     "config_to_dict",

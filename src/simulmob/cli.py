@@ -379,8 +379,8 @@ def _plot_text(source: Source, brink: int | None, ascii_mode: bool) -> str:
 def _check_output_switches(args: argparse.Namespace) -> None:
     """Reject --step-headers without --trace and --ascii without --plot."""
     orphans = [f"{switch} needs {option}" for switch, option, given in (
-        ("--step-headers", "--trace", args.step_headers and not args.trace),
-        ("--ascii", "--plot", args.ascii and not args.plot)) if given]
+        ("--step-headers", "--trace", args.step_headers and args.trace is None),
+        ("--ascii", "--plot", args.ascii and args.plot is None)) if given]
     if orphans:
         raise UsageError("; ".join(orphans))
 
@@ -395,7 +395,7 @@ def _report(
     Only the chosen renderer runs, so table output builds no move record.
     The plot is drawn first, so a source it cannot draw writes nothing.
     """
-    plot = args.plot and _plot_text(source, layout.brink, args.ascii)
+    plot = None if args.plot is None else _plot_text(source, layout.brink, args.ascii)
     if args.format == "table":
         text = table()
     elif args.format == "csv":
@@ -405,9 +405,9 @@ def _report(
     else:
         text = write_json(doc())
     sys.stdout.write(text)
-    if args.trace:
+    if args.trace is not None:
         _write_text(args.trace, format_trace(source.moves(), args.step_headers))
-    if plot:
+    if plot is not None:
         _write_text(args.plot, plot)
 
 
@@ -705,7 +705,7 @@ def _cmd_plot(args: argparse.Namespace) -> None:
     brink = args.brink if args.brink is not None else getattr(
         source.layout, "brink", None)
     text = _plot_text(source, brink, args.ascii)
-    if args.output:
+    if args.output is not None:
         _write_text(args.output, text)
     else:
         sys.stdout.write(text)

@@ -33,10 +33,9 @@ class LayoutError(ValueError):
 class ZoneLayout:
     """Inclusive integer ranges of the two zones and the brink plane between them.
 
-    A valid layout satisfies ``zone0_lo <= zone0_hi < brink < zone1_lo <=
-    zone1_hi`` (e.g. 0..374, brink 375, 376..750). Construction does not
-    validate; call :func:`check_layout` (the samplers and scenario runners
-    do) so that broken layouts can be represented and reported.
+    Construction raises :class:`LayoutError` unless ``zone0_lo <= zone0_hi
+    < brink < zone1_lo <= zone1_hi`` (e.g. 0..374, brink 375, 376..750), so
+    every layout in hand is ordered and nothing downstream re-checks it.
     """
 
     zone0_lo: Position
@@ -44,6 +43,14 @@ class ZoneLayout:
     zone1_lo: Position
     zone1_hi: Position
     brink: Position
+
+    def __post_init__(self) -> None:
+        if not (self.zone0_lo <= self.zone0_hi < self.brink
+                < self.zone1_lo <= self.zone1_hi):
+            raise LayoutError(
+                "layout must satisfy zone0_lo <= zone0_hi < brink < zone1_lo "
+                f"<= zone1_hi, got {self.describe()}"
+            )
 
     @property
     def zone0_width(self) -> int:
@@ -73,20 +80,6 @@ class ZoneLayout:
         return (
             f"zone0 {self.zone0_lo}:{self.zone0_hi} | brink {self.brink}"
             f" | zone1 {self.zone1_lo}:{self.zone1_hi}"
-        )
-
-
-def check_layout(layout: ZoneLayout) -> None:
-    """Raise :class:`LayoutError` unless the zone ordering invariant holds."""
-    ordered = (
-        layout.zone0_lo <= layout.zone0_hi
-        < layout.brink
-        < layout.zone1_lo <= layout.zone1_hi
-    )
-    if not ordered:
-        raise LayoutError(
-            "layout must satisfy zone0_lo <= zone0_hi < brink < zone1_lo <= "
-            f"zone1_hi, got {layout.describe()}"
         )
 
 

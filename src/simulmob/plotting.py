@@ -13,6 +13,8 @@ from typing import Sequence
 
 _WIDTH = 720
 _HEIGHT = 480
+_ASCII_HEIGHT = 21
+_ASCII_MAX_WIDTH = 72
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 20
 _MARGIN_TOP = 40
@@ -63,7 +65,7 @@ def render_svg(
     brink: float,
     chained: bool,
     title: str,
-    xlabel: str = "index",
+    xlabel: str,
 ) -> str:
     """Render position-vs-index series for both nodes plus the brink line.
 
@@ -165,25 +167,23 @@ def render_ascii(
     mn0: Sequence[float],
     mn1: Sequence[float],
     brink: float,
-    height: int = 21,
-    max_width: int = 72,
 ) -> str:
     """Character plot: '0' node 0, '1' node 1, 'X' both, '-' the brink row.
 
-    Long series are strided down to max_width columns.
+    Long series are strided down to ``_ASCII_MAX_WIDTH`` columns.
     """
     lo, hi = _value_range(mn0, mn1, brink)
     n = len(mn0)
-    stride = max(1, math.ceil(n / max_width))
+    stride = max(1, math.ceil(n / _ASCII_MAX_WIDTH))
     indexes = range(0, n, stride)
     cols = len(indexes)
 
     def row_of(value: float) -> int:
         frac = (value - lo) / (hi - lo)
-        row = round((1 - frac) * (height - 1))
-        return min(max(row, 0), height - 1)
+        row = round((1 - frac) * (_ASCII_HEIGHT - 1))
+        return min(max(row, 0), _ASCII_HEIGHT - 1)
 
-    grid = [[" "] * cols for _ in range(height)]
+    grid = [[" "] * cols for _ in range(_ASCII_HEIGHT)]
     brink_row = row_of(brink)
     for col, i in enumerate(indexes):
         r0 = row_of(mn0[i])
@@ -195,10 +195,10 @@ def render_ascii(
             grid[brink_row][col] = "-"
 
     lines = []
-    for row in range(height):
+    for row in range(_ASCII_HEIGHT):
         if row == 0:
             label = f"{hi:8.1f}"
-        elif row == height - 1:
+        elif row == _ASCII_HEIGHT - 1:
             label = f"{lo:8.1f}"
         elif row == brink_row:
             label = f"{brink:8.1f}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Position, StepLength, ZoneLayout, check_layout
+from .model import Position, StepLength, ZoneLayout
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -82,46 +82,48 @@ class Pcg32:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seed, step bound, and zone geometry that fully determine a sampler."""
+    """Seed, step bound, and zone geometry that fully determine a sampler.
+
+    Construction raises :class:`ValueError` for a seed outside [0, 2**64),
+    a negative step bound, or a step range or zone wider than the 2**32
+    values :meth:`Pcg32.randint` can draw, so no sampler re-checks it.
+    """
 
     seed: int
     max_step: int
     layout: ZoneLayout
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if self.max_step < 0:
+            raise ValueError(f"max_step must be non-negative, got {self.max_step}")
+        if self.max_step >= _DRAW_RANGE:
+            raise ValueError(f"max_step must be below 2**32 = {_DRAW_RANGE}, "
+                             f"got {self.max_step}")
+        for node, width in enumerate((self.layout.zone0_width,
+                                      self.layout.zone1_width)):
+            if width > _DRAW_RANGE:
+                raise ValueError(
+                    f"zone {node} holds {width} positions; at most "
+                    f"2**32 = {_DRAW_RANGE} can be drawn")
+
 
 def validate(config: SamplerConfig) -> tuple[str, ...]:
-    """Check a sampler configuration; return its warnings, if any.
+    """The warnings of a sampler configuration; its errors raise when built.
 
-    Broken zone geometry, a negative step bound, an out-of-range seed, or a
-    step range or zone wider than the 2**32 values :meth:`Pcg32.randint`
-    can draw is a hard error. A step bound large enough to clear a whole
-    zone in one move is only flagged as a warning: the small-range
-    reference experiment runs with exactly that configuration, so it must
-    stay legal.
+    A step bound large enough to clear a whole zone in one move is only
+    flagged: the small-range reference experiment runs with exactly that
+    configuration, so it must stay legal.
     """
-    check_layout(config.layout)
-    if not 0 <= config.seed < 1 << 64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {config.seed}")
-    if config.max_step < 0:
-        raise ValueError(f"max_step must be non-negative, got {config.max_step}")
-    if config.max_step >= _DRAW_RANGE:
-        raise ValueError(f"max_step must be below 2**32 = {_DRAW_RANGE}, "
-                         f"got {config.max_step}")
-    widths = (config.layout.zone0_width, config.layout.zone1_width)
-    for node, width in enumerate(widths):
-        if width > _DRAW_RANGE:
-            raise ValueError(
-                f"zone {node} holds {width} positions; at most "
-                f"2**32 = {_DRAW_RANGE} can be drawn")
-    warnings = []
-    narrowest = min(widths)
-    if config.max_step >= narrowest:
-        positions = "position" if narrowest == 1 else "positions"
-        warnings.append(
-            f"step range >= zone width: max_step {config.max_step} can cross a "
-            f"whole zone in one move (narrowest zone holds {narrowest} {positions})"
-        )
-    return tuple(warnings)
+    narrowest = min(config.layout.zone0_width, config.layout.zone1_width)
+    if config.max_step < narrowest:
+        return ()
+    positions = "position" if narrowest == 1 else "positions"
+    return (
+        f"step range >= zone width: max_step {config.max_step} can cross a "
+        f"whole zone in one move (narrowest zone holds {narrowest} {positions})",
+    )
 
 
 class Sampler:
@@ -132,7 +134,6 @@ class Sampler:
     """
 
     def __init__(self, config: SamplerConfig, stream: int = 0):
-        validate(config)
         self.config = config
         self.stream = stream
         self._rng = Pcg32(config.seed, stream)

@@ -31,12 +31,11 @@ from .model import (
     Position,
     StepLength,
     ZoneLayout,
-    check_layout,
     classify,
     crossing,
 )
 from .sampling import (_DRAW_RANGE, _MASK32, _MASK64, _PCG_MULTIPLIER, Sampler,
-                       SamplerConfig, pcg32_seed, validate)
+                       SamplerConfig, pcg32_seed)
 from .stats import Tally, tally
 
 
@@ -67,7 +66,6 @@ class SequentialConfig:
 
     def __post_init__(self):
         layout = self.sampler.layout
-        check_layout(layout)
         if not layout.zone0_lo <= self.mn0_start <= layout.zone0_hi:
             raise ValueError(
                 f"mn0_start {self.mn0_start} outside zone0 "
@@ -184,7 +182,6 @@ def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResul
     three ints are kept and its outcome counted; no record is built.
     """
     sampler = config.sampler
-    validate(sampler)
     layout = sampler.layout
     brink, lo0, lo1 = layout.brink, layout.zone0_lo, layout.zone1_lo
     bound0, bound1 = layout.zone0_width, layout.zone1_width
@@ -270,7 +267,6 @@ def run_sequential_scenario(
     count as no_overlap in the tally.
     """
     sampler = config.sampler
-    validate(sampler)
     brink, cap = sampler.layout.brink, config.max_steps_cap
     start = (config.mn0_start, config.mn1_start)
     bound = sampler.max_step + 1
@@ -311,7 +307,6 @@ def replay_independent(
     records: Sequence[MoveRecord], layout: ZoneLayout
 ) -> tuple[Tally, list[Outcome]]:
     """Classify pre-recorded independent trials under a layout."""
-    check_layout(layout)
     outcomes = [classify(rec, layout) for rec in records]
     return tally(outcomes), outcomes
 
@@ -326,7 +321,6 @@ def replay_sequential(
     consecutive rows do not chain or when rows continue past the first
     crossing.
     """
-    check_layout(layout)
     if not records:
         raise ValueError("sequential replay needs at least one record")
     for i, rec in enumerate(records):

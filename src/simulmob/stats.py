@@ -14,7 +14,7 @@ from fractions import Fraction
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .model import Outcome, ZoneLayout, check_layout
+from .model import Outcome, ZoneLayout
 
 # Canonical column set of the printed result tables, in printing order.
 METRIC_LABELS = (
@@ -142,13 +142,13 @@ def exact_crossing_probability(
 
     A trial draws the node's init uniformly from its zone and the step
     uniformly from [0, max_step]; it crosses when the move touches or
-    passes the brink. An init at distance d from the brink (d >= 1, by
-    :func:`~simulmob.model.check_layout`) crosses on ``max_step + 1 - d``
-    of the steps when d <= max_step and on none otherwise, so the
-    favorable count is an arithmetic series over the zone's distances.
+    passes the brink. An init at distance d from the brink (d >= 1, as a
+    built :class:`~simulmob.model.ZoneLayout` is ordered) crosses on
+    ``max_step + 1 - d`` of the steps when d <= max_step and on none
+    otherwise, so the favorable count is an arithmetic series over the
+    zone's distances.
     O(1) in zone width and step bound.
     """
-    check_layout(layout)
     if max_step < 0:
         raise ValueError(f"max_step must be non-negative, got {max_step}")
     if node == 0:

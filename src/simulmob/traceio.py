@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn, Sequence
@@ -45,7 +46,8 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TraceLine:
-    """One parsed movement line: a single node's half of a move."""
+    """One parsed movement line: a single node's half of a move. On a line
+    with a number of magnitude 2**53 or more, the numbers are exact ints."""
 
     node_id: int
     time_s: float
@@ -62,9 +64,10 @@ def format_trace_line(rec: MoveRecord, node_id: int) -> str:
         x1, x2 = rec.mn1_init, rec.mn1_new
     else:
         raise ValueError(f"node_id must be 0 or 1, got {node_id}")
+    # Integers print exactly, not through a float, which rounds above 2**53.
     return (
         f"M {rec.time_s:.5f} {node_id} "
-        f"({x1:.2f}, 00.00), ({x2:.2f}, 00.00), {rec.step:.2f}"
+        f"({x1}.00, 00.00), ({x2}.00, 00.00), {rec.step}.00"
     )
 
 
@@ -117,6 +120,25 @@ def _reject(line: str) -> NoReturn:
     raise TraceParseError("trailing characters after step length", pos + 1)
 
 
+# A float holds every integer below 2**53 in magnitude, and skips some above.
+_EXACT = float(2**53)
+
+
+def _exact(m: re.Match, group: int) -> float | int:
+    """Number ``group`` of a line with one of magnitude 2**53 or more, as an
+    exact int. A fraction is an error there; an overflow stays inf."""
+    value = float(m[group])
+    if math.isinf(value):
+        return value
+    whole, _, fraction = m[group].partition(".")
+    if fraction.strip("0"):
+        raise TraceParseError("a number on a line with one of magnitude 2**53 "
+                              "or more must be integral", m.start(group) + 1)
+    # int() refuses over 4300 digits, which leading zeros can reach.
+    n = int(whole.lstrip("-").lstrip("0") or "0")
+    return -n if value < 0 else n
+
+
 def _fields(line: str) -> tuple[int, float, float, float, float]:
     """(node id, move time, initial x, new x, step) of one movement line."""
     m = _MOVE(line)
@@ -124,6 +146,9 @@ def _fields(line: str) -> tuple[int, float, float, float, float]:
         _reject(line)
     time_s, node, init_x, new_x, step = m.groups()
     init_x, new_x, step = float(init_x), float(new_x), float(step)
+    if not (-_EXACT < init_x < _EXACT and -_EXACT < new_x < _EXACT
+            and -_EXACT < step < _EXACT):
+        init_x, new_x, step = _exact(m, 3), _exact(m, 4), _exact(m, 5)
     if abs(new_x - init_x) != step:
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", m.start(5) + 1
@@ -193,8 +218,8 @@ def parse_trace(text: str) -> list[MoveRecord]:
         n0, n1 = (a, b) if a[1] == 0 else (b, a)
         _, _, time_s, init0, new0, step = n0
         _, _, _, init1, new1, _ = n1
-        if not (step.is_integer() and init0.is_integer() and new0.is_integer()
-                and init1.is_integer() and new1.is_integer()):
+        # x % 1 is 0 for an integral float or an int, and nan for inf.
+        if step % 1 or init0 % 1 or new0 % 1 or init1 % 1 or new1 % 1:
             raise TraceParseError(
                 "positions and step must be integers to assemble a move", 1, lineno
             )

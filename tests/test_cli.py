@@ -171,6 +171,25 @@ class TestSimulateErrors:
         code, _, _ = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("scenario", [2, 3])
+    def test_config_file_must_be_valid_on_its_own(self, capsys, tmp_path,
+                                                  scenario):
+        # A flag overrides a valid value; it does not mend an invalid one.
+        doc = config_to_dict(preset(scenario))
+        doc["sampler"]["seed"] = -1
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(path), "--seed", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a 64-bit unsigned integer, got -1\n"
+
+    def test_first_fault_is_the_seed(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "2",
+                               "--seed", "-1", "--runs", "0")
+        assert code == 2
+        assert err == "error: seed must be a 64-bit unsigned integer, got -1\n"
+
     def test_samples_flag_on_sequential(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", "3", "--samples", "4")

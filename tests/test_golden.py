@@ -208,6 +208,16 @@ ERRORS = {
          "--step-headers"), 2),
     "error-replay-ascii-without-plot": (
         ("replay", "--dataset", "table-6", "--trace", "{out}", "--ascii"), 2),
+    # An empty output path is given, and cannot be opened.
+    "error-simulate-empty-trace": (
+        ("simulate", "--scenario", "2", "--runs", "1", "--samples", "1",
+         "--trace", ""), 1),
+    "error-simulate-empty-trace-step-headers": (
+        ("simulate", "--scenario", "2", "--runs", "1", "--samples", "1",
+         "--trace", "", "--step-headers"), 1),
+    "error-replay-empty-plot": (
+        ("replay", "--dataset", "table-6", "--plot", "", "--ascii"), 1),
+    "error-plot-empty-output": (("plot", "--dataset", "table-5", "-o", ""), 1),
 }
 for _name, (_argv, _) in ERRORS.items():
     CASES[_name] = (_argv, ())

@@ -6,7 +6,6 @@ from simulmob.model import (
     MoveRecord,
     Outcome,
     ZoneLayout,
-    check_layout,
     classify,
     mn0_crossed,
     mn1_crossed,
@@ -155,8 +154,7 @@ class TestClassify:
             2 * b - layout.zone0_hi,
             2 * b - layout.zone0_lo,
             b,
-        )
-        check_layout(mirrored_layout)
+        )  # builds, so the mirror is ordered too
         rec = MoveRecord.from_inits(mn0, mn1, step)
         mirrored = MoveRecord.from_inits(2 * b - mn1, 2 * b - mn0, step)
         swap = {
@@ -177,21 +175,20 @@ class TestLayout:
         assert layout.zone1_span == 49
 
     def test_valid_layout_passes(self):
-        check_layout(ZoneLayout(0, 374, 376, 750, 375))
+        assert ZoneLayout(0, 374, 376, 750, 375).brink == 375
 
     @pytest.mark.parametrize("bad", [
-        ZoneLayout(10, 9, 20, 30, 15),    # zone0 inverted
-        ZoneLayout(0, 15, 20, 30, 15),    # brink touches zone0
-        ZoneLayout(0, 10, 15, 30, 15),    # brink touches zone1
-        ZoneLayout(0, 10, 30, 20, 15),    # zone1 inverted
-        ZoneLayout(0, 20, 25, 30, 15),    # brink below zone0_hi
+        (10, 9, 20, 30, 15),    # zone0 inverted
+        (0, 15, 20, 30, 15),    # brink touches zone0
+        (0, 10, 15, 30, 15),    # brink touches zone1
+        (0, 10, 30, 20, 15),    # zone1 inverted
+        (0, 20, 25, 30, 15),    # brink below zone0_hi
     ])
     def test_invalid_layouts_rejected(self, bad):
-        with pytest.raises(LayoutError):
-            check_layout(bad)
+        with pytest.raises(LayoutError, match=r"got zone0 \d+:\d+ \| brink"):
+            ZoneLayout(*bad)
 
     @given(layouts())
     def test_generated_layouts_are_valid(self, layout):
-        check_layout(layout)
         assert layout.zone0_width == layout.zone0_span + 1
         assert layout.zone1_width == layout.zone1_span + 1

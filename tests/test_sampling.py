@@ -158,27 +158,27 @@ class TestValidate:
 
     def test_bad_layout_raises(self):
         with pytest.raises(LayoutError):
-            validate(SamplerConfig(0, 50, ZoneLayout(0, 100, 90, 200, 95)))
+            SamplerConfig(0, 50, ZoneLayout(0, 100, 90, 200, 95))
 
     def test_negative_max_step_raises(self):
         with pytest.raises(ValueError):
-            validate(SamplerConfig(0, -1, LAYOUT_1))
+            SamplerConfig(0, -1, LAYOUT_1)
 
     def test_bad_seed_raises(self):
         with pytest.raises(ValueError):
-            validate(SamplerConfig(-1, 50, LAYOUT_1))
+            SamplerConfig(-1, 50, LAYOUT_1)
+        with pytest.raises(ValueError):
+            SamplerConfig(2**64, 50, LAYOUT_1)
 
     def test_step_range_wider_than_a_draw_raises(self):
         assert validate(SamplerConfig(0, 2**32 - 1, LAYOUT_1))
         with pytest.raises(ValueError, match="max_step must be below 2"):
-            validate(SamplerConfig(0, 2**32, LAYOUT_1))
+            SamplerConfig(0, 2**32, LAYOUT_1)
 
     def test_zone_wider_than_a_draw_raises(self):
         top = 2**32
-        validate(SamplerConfig(0, 5, ZoneLayout(0, top - 1, top + 1, 2 * top,
-                                                top)))
+        SamplerConfig(0, 5, ZoneLayout(0, top - 1, top + 1, 2 * top, top))
         with pytest.raises(ValueError, match="zone 0 holds"):
-            validate(SamplerConfig(0, 5, ZoneLayout(-1, top - 1, top + 1,
-                                                    top + 9, top)))
+            SamplerConfig(0, 5, ZoneLayout(-1, top - 1, top + 1, top + 9, top))
         with pytest.raises(ValueError, match="zone 1 holds"):
-            validate(SamplerConfig(0, 5, ZoneLayout(0, 9, 11, top + 11, 10)))
+            SamplerConfig(0, 5, ZoneLayout(0, 9, 11, top + 11, 10))

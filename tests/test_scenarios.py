@@ -113,10 +113,9 @@ class TestIndependentTrials:
         assert all(len(r.records) == 5 for r in results)
 
     def test_bad_layout_propagates(self):
-        layout = ZoneLayout(0, 100, 90, 200, 95)
-        config = IndependentTrialConfig(SamplerConfig(0, 50, layout), 5, 2)
         with pytest.raises(LayoutError):
-            run_independent_scenario(config)
+            IndependentTrialConfig(
+                SamplerConfig(0, 50, ZoneLayout(0, 100, 90, 200, 95)), 5, 2)
 
     def test_invalid_counts_rejected(self):
         sampler = SamplerConfig(0, 50, self.LAYOUT_2)
@@ -561,6 +560,13 @@ class TestConfigDicts:
         with pytest.raises(ValueError, match="config is missing key 'sampler'"):
             config_from_dict(doc)
 
+    def test_broken_layout_rejected_when_built(self):
+        doc = {"sampler": {"seed": 0, "max_step": 5, "layout": {
+            "zone0_lo": 300, "zone0_hi": 5, "zone1_lo": 101, "zone1_hi": 150,
+            "brink": 100}}, "runs_per_sample": 1}
+        with pytest.raises(LayoutError, match="got zone0 300:5 "):
+            config_from_dict(doc)
+
     def test_non_object_layout_named(self):
         doc = config_to_dict(preset(2))
         doc["sampler"]["layout"] = 5
@@ -612,6 +618,41 @@ def valid_configs(draw):
         sampler, draw(st.integers(layout.zone0_lo, layout.zone0_hi)),
         draw(st.integers(layout.zone1_lo, layout.zone1_hi)),
         draw(counts), draw(counts))
+
+
+class TestBuiltConfigsRun:
+    """A layout or sampler config that builds can be run; no runner re-checks."""
+
+    # Five ints of one magnitude, so that small ones often order themselves
+    # and large ones reach the 2**32 limit on a zone's width; half of them
+    # are put in zone order (lo0 <= hi0 <= brink <= lo1 <= hi1, ties kept).
+    five_ints = st.sampled_from([8, 100, 2**33, 2**70]).flatmap(
+        lambda r: st.lists(st.integers(-r, r), min_size=5, max_size=5))
+    zone_ordered = five_ints.map(sorted).map(
+        lambda v: [v[0], v[1], v[3], v[4], v[2]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(five_ints | zone_ordered, st.integers(0, 2**64 - 1),
+           st.integers(-1, 2**32))
+    def test_layout_or_layout_error(self, ints, seed, max_step):
+        lo0, hi0, lo1, hi1, brink = ints
+        try:
+            layout = ZoneLayout(*ints)
+        except LayoutError:
+            assert not lo0 <= hi0 < brink < lo1 <= hi1
+            return
+        try:
+            sampler = SamplerConfig(seed, max_step, layout)
+        except ValueError:
+            return
+        [result] = run_independent_scenario(
+            IndependentTrialConfig(sampler, 3, 1))
+        assert result.tally.trials == 3
+        assert all(lo0 <= p <= hi0 for p in result.draws[0::3])
+        assert all(lo1 <= p <= hi1 for p in result.draws[1::3])
+        total, runs = run_sequential_scenario(SequentialConfig(
+            sampler, layout.zone0_hi, layout.zone1_lo, runs=2, max_steps_cap=4))
+        assert total.trials == len(runs) == 2
 
 
 class TestConfigFuzz:

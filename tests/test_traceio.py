@@ -22,6 +22,11 @@ from simulmob.traceio import (
 records = st.builds(
     MoveRecord.from_inits,
     st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 500))
+# Positions and steps up to 2**70, well past the 2**53 a float holds exactly.
+wide_records = st.builds(
+    MoveRecord.from_inits,
+    st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70),
+    st.integers(0, 2**70))
 
 
 class _Cursor:
@@ -445,6 +450,37 @@ class TestWholeTrace:
         with pytest.raises(TraceParseError) as err:
             parse_trace(text)
         assert "integers" in err.value.reason
+
+    @given(st.lists(wide_records, max_size=8), st.booleans())
+    def test_round_trip_past_float_precision(self, recs, headers):
+        assert parse_trace(format_trace(recs, step_headers=headers)) == recs
+
+    @given(st.integers(-(2**53) + 1, 2**53 - 1))
+    def test_positions_print_as_through_a_float_below_2_53(self, x):
+        rec = MoveRecord.from_inits(x, x, 0)
+        assert format_trace_line(rec, 0) == (
+            f"M 0.00100 0 ({x:.2f}, 00.00), ({x:.2f}, 00.00), 0.00")
+
+    def test_positions_above_2_53_exact(self):
+        rec = MoveRecord.from_inits(9007199254741001, 9007199254741068, 22)
+        text = format_trace([rec])
+        assert "(9007199254741001.00, 00.00), (9007199254741023.00, 00.00)" in text
+        assert parse_trace(text) == [rec]
+
+    def test_leading_zeros_past_the_int_digit_limit(self):
+        zeros = "0" * 5000
+        line = (f"M 0.00100 0 (-{zeros}9007199254741001, 00.00), "
+                f"(-9007199254740979.00, 00.00), {zeros}22")
+        assert parse_trace_line(line) == TraceLine(
+            0, 0.001, -9007199254741001, -9007199254740979, 22)
+
+    def test_fraction_next_to_a_wide_number_rejected(self):
+        line = ("M 0.00100 0 (9007199254741001.00, 00.00), "
+                "(9007199254741023.50, 00.00), 22.50")
+        with pytest.raises(TraceParseError) as err:
+            parse_trace_line(line)
+        assert err.value.column == line.index("9007199254741023.50") + 1
+        assert "must be integral" in err.value.reason
 
     @given(traces())
     def test_matches_cursor_parser(self, text):
