@@ -390,10 +390,12 @@ def _report(
     table: Callable[[], str], doc: Callable[[], dict],
     outcomes: Sequence[Outcome] | None = None,
 ) -> None:
-    """Write the stdout that --format picks, then the --trace and --plot files.
+    """Write the --trace and --plot files, then the stdout that --format picks.
 
     Only the chosen renderer runs, so table output builds no move record.
-    The plot is drawn first, so a source it cannot draw writes nothing.
+    Every text is rendered before anything is written, and stdout comes
+    last, so a source that cannot be drawn or a file that cannot be written
+    leaves stdout empty.
     """
     plot = None if args.plot is None else _plot_text(source, layout.brink, args.ascii)
     if args.format == "table":
@@ -404,11 +406,11 @@ def _report(
                          [classify(rec, layout) for rec in records])
     else:
         text = write_json(doc())
-    sys.stdout.write(text)
     if args.trace is not None:
         _write_text(args.trace, format_trace(source.moves(), args.step_headers))
     if plot is not None:
         _write_text(args.plot, plot)
+    sys.stdout.write(text)
 
 
 def _walk_summary(runs: Sequence[SequentialRun]) -> tuple[float, int]:

@@ -106,7 +106,8 @@ class MoveRecord:
         mn0_new == mn0_init + step
         mn1_new == mn1_init - step
 
-    so the inter-node gap shrinks by exactly ``2 * step`` per move.
+    so the inter-node gap shrinks by exactly ``2 * step`` per move. The step
+    and positions are plain ints; a float or bool would not parse back.
     """
 
     step: StepLength
@@ -117,6 +118,9 @@ class MoveRecord:
     time_s: float = MOVE_INTERVAL_S
 
     def __post_init__(self) -> None:
+        if not (type(self.step) is type(self.mn0_init) is type(self.mn0_new)
+                is type(self.mn1_init) is type(self.mn1_new) is int):
+            raise ValueError(f"step and positions must be ints, got {self}")
         if self.step < 0:
             raise ValueError(f"step must be non-negative, got {self.step}")
         if self.mn0_new != self.mn0_init + self.step:

@@ -12,17 +12,20 @@ Two shapes exist:
 Each sample (or run) owns a private substream, so samples may run in any
 order, or in parallel, without changing results.
 
-The scenario runners inline PCG32's XSH-RR step and ``pcg32_boundedrand_r``
-rejection (O'Neill 2014), state and bounds in locals; a range of one value
-consumes no draw. They draw exactly what a :class:`Sampler` on the same
-stream draws, and :func:`run_independent_trial` and :func:`run_sequential`
-keep that reference path. The rotation is one shift of the doubled word.
+Each scenario runner inlines PCG32's XSH-RR step and ``pcg32_boundedrand_r``
+rejection (O'Neill 2014) once, in its one draw loop; the independent runner
+loops over a trial's three ranges, then counts the outcomes in one pass. A
+range of one value consumes no draw. They draw exactly what a
+:class:`Sampler` on the same stream draws, and :func:`run_independent_trial`
+and :func:`run_sequential` keep that reference path. The rotation is one
+shift of the doubled word.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
+from itertools import cycle, islice
 from typing import Sequence, get_type_hints
 
 from .model import (
@@ -178,50 +181,37 @@ def run_independent_trial(
 def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResult]:
     """Run all samples; sample k draws from substream k.
 
-    Each trial draws as :func:`run_independent_trial` does, but only its
-    three ints are kept and its outcome counted; no record is built.
+    Each trial draws as :func:`run_independent_trial` does, but builds no
+    record: one loop draws the sample's column from a trial's three ranges
+    in turn (mn0_init, mn1_init, step), then one pass counts the outcomes.
     """
     sampler = config.sampler
     layout = sampler.layout
-    brink, lo0, lo1 = layout.brink, layout.zone0_lo, layout.zone1_lo
-    bound0, bound1 = layout.zone0_width, layout.zone1_width
-    bound_s = sampler.max_step + 1
-    t0, t1, t_s = (_DRAW_RANGE % b for b in (bound0, bound1, bound_s))
+    brink = layout.brink
+    # (lowest value, width, rejection threshold) of each draw, in draw order
+    ranges = [(lo, width, _DRAW_RANGE % width) for lo, width in (
+        (layout.zone0_lo, layout.zone0_width),
+        (layout.zone1_lo, layout.zone1_width),
+        (0, sampler.max_step + 1))]
     mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
     results = []
     for k in range(config.samples):
         state, inc = pcg32_seed(sampler.seed, k)
         draws: list[int] = []
+        append = draws.append
+        for value, bound, threshold in islice(cycle(ranges), 3 * config.runs_per_sample):
+            if bound > 1:
+                while True:
+                    old, state = state, (state * mult + inc) & mask64
+                    x = (((old >> 18) ^ old) >> 27) & mask32
+                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
+                    if r >= threshold:
+                        break
+                value += r % bound
+            append(value)
         mn0_only = mn1_only = simultaneous = 0
-        for _ in range(config.runs_per_sample):
-            mn0 = lo0
-            if bound0 > 1:
-                while True:
-                    old, state = state, (state * mult + inc) & mask64
-                    x = (((old >> 18) ^ old) >> 27) & mask32
-                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
-                    if r >= t0:
-                        break
-                mn0 += r % bound0
-            mn1 = lo1
-            if bound1 > 1:
-                while True:
-                    old, state = state, (state * mult + inc) & mask64
-                    x = (((old >> 18) ^ old) >> 27) & mask32
-                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
-                    if r >= t1:
-                        break
-                mn1 += r % bound1
-            step = 0
-            if bound_s > 1:
-                while True:
-                    old, state = state, (state * mult + inc) & mask64
-                    x = (((old >> 18) ^ old) >> 27) & mask32
-                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
-                    if r >= t_s:
-                        break
-                step = r % bound_s
-            draws += (mn0, mn1, step)
+        column = iter(draws)
+        for mn0, mn1, step in zip(column, column, column):
             if mn0 + step >= brink:
                 if mn1 - step <= brink:
                     simultaneous += 1
@@ -272,7 +262,7 @@ def run_sequential_scenario(
     bound = sampler.max_step + 1
     threshold = _DRAW_RANGE % bound
     mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
-    mn0_only = mn1_only = simultaneous = 0
+    no_overlap = Outcome.NO_OVERLAP
     runs = []
     for j in range(config.runs):
         state, inc = pcg32_seed(sampler.seed, j)
@@ -293,14 +283,10 @@ def run_sequential_scenario(
             mn1 -= step
             if mn0 >= brink or mn1 <= brink:
                 break
-        at0, at1 = mn0 >= brink, mn1 <= brink  # which nodes reached the brink
-        mn0_only += at0 and not at1
-        mn1_only += at1 and not at0
-        simultaneous += at0 and at1
-        runs.append(SequentialRun(start, tuple(steps), crossing(mn0, mn1, brink),
-                                  not (at0 or at1)))
-    no_overlap = config.runs - mn0_only - mn1_only - simultaneous
-    return Tally(mn0_only, mn1_only, simultaneous, no_overlap), runs
+        terminal = crossing(mn0, mn1, brink)
+        runs.append(SequentialRun(start, tuple(steps), terminal,
+                                  terminal is no_overlap))
+    return tally(run.terminal for run in runs), runs
 
 
 def replay_independent(

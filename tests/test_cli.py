@@ -90,7 +90,7 @@ class TestSimulate:
             capsys, "simulate", "--scenario", "3", "--seed", "7",
             "--trace", str(trace))
         assert code == 0
-        text = trace.read_text()
+        text = trace.read_text(encoding="utf-8")
         records = parse_trace(text)
         assert records
         # Node 1's line precedes node 0's within each move.
@@ -105,7 +105,7 @@ class TestSimulate:
 
     def test_custom_config_file(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config_to_dict(preset(2, seed=7))))
+        path.write_text(json.dumps(config_to_dict(preset(2, seed=7))), encoding="utf-8")
         _, out_file, _ = run_cli(capsys, "simulate", "--config", str(path))
         _, out_preset, _ = run_cli(
             capsys, "simulate", "--scenario", "2", "--seed", "7")
@@ -113,7 +113,7 @@ class TestSimulate:
 
     def test_seed_flag_overrides_config_file(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config_to_dict(preset(2, seed=7))))
+        path.write_text(json.dumps(config_to_dict(preset(2, seed=7))), encoding="utf-8")
         _, out_override, _ = run_cli(
             capsys, "simulate", "--config", str(path), "--seed", "8")
         _, out_preset, _ = run_cli(
@@ -137,7 +137,7 @@ class TestSimulateErrors:
 
     def test_scenario_and_config_together(self, capsys, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text("{}")
+        path.write_text("{}", encoding="utf-8")
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", "1", "--config", str(path))
         assert code == 2
@@ -152,7 +152,7 @@ class TestSimulateErrors:
 
     def test_malformed_config_json(self, capsys, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         code, _, _ = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
 
@@ -167,7 +167,7 @@ class TestSimulateErrors:
         doc = config_to_dict(preset(3))
         doc["samples"] = 3
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, _, _ = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
 
@@ -178,7 +178,7 @@ class TestSimulateErrors:
         doc = config_to_dict(preset(scenario))
         doc["sampler"]["seed"] = -1
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(
             capsys, "simulate", "--config", str(path), "--seed", "3")
         assert (code, out) == (2, "")
@@ -198,10 +198,26 @@ class TestSimulateErrors:
 
     def test_unwritable_trace_path(self, capsys, tmp_path):
         path = tmp_path / "missing_dir" / "x.tr"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "3", "--seed", "1",
             "--trace", str(path))
         assert code == 1
+        assert out == ""
+
+    def test_unwritable_plot_path(self, capsys, tmp_path):
+        path = tmp_path / "missing_dir" / "p.svg"
+        code, out, _ = run_cli(
+            capsys, "replay", "--dataset", "table-5", "--plot", str(path))
+        assert code == 1
+        assert out == ""
+
+    def test_trace_and_plot_to_one_path_keep_the_plot(self, capsys, tmp_path):
+        both, plot = tmp_path / "both", tmp_path / "plot.svg"
+        code, _, _ = run_cli(capsys, "replay", "--dataset", "table-5",
+                             "--trace", str(both), "--plot", str(both))
+        assert code == 0
+        run_cli(capsys, "replay", "--dataset", "table-5", "--plot", str(plot))
+        assert both.read_bytes() == plot.read_bytes()
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
@@ -309,7 +325,7 @@ class TestReplay:
         _, out, _ = run_cli(
             capsys, "replay", "--dataset", "table-5", "--format", "csv")
         path = tmp_path / "rows.csv"
-        path.write_text(out)
+        path.write_text(out, encoding="utf-8")
         code, replayed, _ = run_cli(
             capsys, "replay", "--input", str(path),
             "--zone0", "50:99", "--zone1", "101:150", "--brink", "100")
@@ -318,7 +334,7 @@ class TestReplay:
 
     def test_malformed_csv_input(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("step,mn0_init\n1,2\n")
+        path.write_text("step,mn0_init\n1,2\n", encoding="utf-8")
         code, _, _ = run_cli(
             capsys, "replay", "--input", str(path),
             "--zone0", "0:10", "--zone1", "20:30", "--brink", "15")
@@ -345,7 +361,7 @@ class TestReplay:
             capsys, "replay", "--dataset", "table-6", "--trace", str(path))
         assert code == 0
         assert ("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00"
-                in path.read_text())
+                in path.read_text(encoding="utf-8"))
 
 
 class TestEstimate:
@@ -456,7 +472,7 @@ class TestPlot:
             capsys, "plot", "--dataset", "table-5", "-o", str(path))
         assert code == 0
         assert out == ""
-        assert path.read_text().startswith("<svg ")
+        assert path.read_text(encoding="utf-8").startswith("<svg ")
 
     def test_scenario_source(self, capsys):
         code, out, _ = run_cli(
@@ -466,7 +482,8 @@ class TestPlot:
 
     def test_empty_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new,outcome\n")
+        path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new,outcome\n",
+                        encoding="utf-8")
         code, _, err = run_cli(
             capsys, "plot", "--input", str(path), "--brink", "100")
         assert code == 2
@@ -474,7 +491,8 @@ class TestPlot:
 
     def test_empty_input_rejected_before_replay_output(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new,outcome\n")
+        path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new,outcome\n",
+                        encoding="utf-8")
         plot = tmp_path / "e.svg"
         code, out, err = run_cli(
             capsys, "replay", "--input", str(path), "--zone0", "0:9",
@@ -486,7 +504,7 @@ class TestPlot:
     def test_input_requires_brink(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text(
-            "step,mn0_init,mn0_new,mn1_init,mn1_new\n5,14,19,55,50\n")
+            "step,mn0_init,mn0_new,mn1_init,mn1_new\n5,14,19,55,50\n", encoding="utf-8")
         code, _, _ = run_cli(capsys, "plot", "--input", str(path))
         assert code == 2
 
@@ -691,7 +709,7 @@ class TestArgvFuzz:
 
     def test_deeply_nested_config(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000)
+        path.write_text("[" * 100_000, encoding="utf-8")
         for command in ("simulate", "estimate", "plot"):
             code, out, err = run_cli(capsys, command, "--config", str(path))
             assert code == 2
@@ -701,7 +719,7 @@ class TestArgvFuzz:
     def test_csv_field_over_the_csv_module_limit(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
         path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new\n"
-                        + "9" * 200_000 + ",1,2,3,4\n")
+                        + "9" * 200_000 + ",1,2,3,4\n", encoding="utf-8")
         code, out, err = run_cli(
             capsys, "replay", "--input", str(path), "--zone0", "0:9",
             "--zone1", "11:20", "--brink", "10")

@@ -95,6 +95,15 @@ class TestMoveRecord:
         with pytest.raises(ValueError):
             MoveRecord(-1, 14, 13, 55, 56)
 
+    @pytest.mark.parametrize("field", range(5))
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_rejects_non_int_fields(self, field, bad):
+        # A float or bool would write a trace line the grammar rejects.
+        args = [1, 0, 1, 5, 4]
+        args[field] = bad
+        with pytest.raises(ValueError, match="^step and positions must be ints"):
+            MoveRecord(*args)
+
 
 class TestClassify:
     LAYOUT = ZoneLayout(50, 99, 101, 150, 100)

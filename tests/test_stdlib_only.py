@@ -29,7 +29,7 @@ def test_import_loads_only_stdlib_modules():
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.split()
