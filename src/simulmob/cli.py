@@ -44,7 +44,7 @@ from .stats import (
     expected_steps_to_cross,
     tally,
 )
-from .traceio import format_trace, read_csv, record_dict, write_csv, write_json
+from .traceio import JsonRecords, format_trace, read_csv, write_csv, write_json
 
 ENV_SEED = "SIMULMOB_SEED"
 _DATASET_HELP = f"bundled dataset id ({', '.join(DATASET_IDS)})"
@@ -499,8 +499,7 @@ def _independent_doc(source: Source) -> dict:
             {
                 "sample": r.sample,
                 "tally": r.tally.as_dict(),
-                "records": [record_dict(rec, out)
-                            for rec, out in zip(r.records, r.outcomes)],
+                "records": JsonRecords(r.records, r.outcomes),
             }
             for r in results
         ],
@@ -521,7 +520,7 @@ def _sequential_doc(source: Source) -> dict:
                 "steps_taken": run.steps_taken,
                 "timed_out": run.timed_out,
                 "final_positions": list(run.final_positions),
-                "records": [record_dict(rec) for rec in run.records],
+                "records": JsonRecords(run.records),
             }
             for j, run in enumerate(source.parts)
         ],
@@ -537,9 +536,8 @@ def _cmd_replay(args: argparse.Namespace) -> None:
     layout = _layout_from_flags(args, source.layout)
     total, outcomes, run = _replay(source, layout)
     dataset, records = source.dataset, source.records
-    # "records" is filled in for JSON output only; the key keeps its place.
     doc = {"dataset": dataset.id if dataset else None, "input": args.input,
-           "tally": total.as_dict(), "records": None}
+           "tally": total.as_dict(), "records": JsonRecords(records, outcomes)}
     if dataset is not None:
         doc["published_counts"] = (
             dict(zip(METRIC_LABELS, dataset.published_counts))
@@ -550,13 +548,8 @@ def _cmd_replay(args: argparse.Namespace) -> None:
                    timed_out=run.timed_out,
                    final_positions=list(run.final_positions))
 
-    def json_doc() -> dict:
-        doc["records"] = [record_dict(rec, out)
-                          for rec, out in zip(records, outcomes)]
-        return doc
-
     _report(args, source, layout,
-            lambda: _replay_table(source, total, run, doc), json_doc, outcomes)
+            lambda: _replay_table(source, total, run, doc), lambda: doc, outcomes)
 
 
 def _replay_table(

@@ -11,7 +11,11 @@ initial (x, y), new (x, y), step length. The model is 1-D, so y prints as
 the constant ``00.00``. Optional ``STEP-k`` header lines group the pairs.
 
 All emitters are deterministic: equal inputs give byte-identical output
-(UTF-8, LF line endings).
+(UTF-8, LF line endings). ``format_trace`` renders each move from one
+template of both lines. ``write_json`` writes the bytes of the stdlib's
+``json.dumps`` at an indent of 2: a small walker indents the document, the
+stdlib's encoder writes its scalars, and a :class:`JsonRecords` list of
+moves renders from one template per move.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ class TraceLine:
     step: float
 
 
+# One movement line, with the node id to fill in first and then the move time,
+# initial x, new x and step. ``%d`` prints an int exactly, not through a
+# float, which rounds above 2**53.
+_LINE = "M %%.5f %d (%%d.00, 00.00), (%%d.00, 00.00), %%d.00"
+
+
 def format_trace_line(rec: MoveRecord, node_id: int) -> str:
     """Render one node's half of a move in the fixed trace grammar."""
     if node_id == 0:
@@ -64,11 +74,7 @@ def format_trace_line(rec: MoveRecord, node_id: int) -> str:
         x1, x2 = rec.mn1_init, rec.mn1_new
     else:
         raise ValueError(f"node_id must be 0 or 1, got {node_id}")
-    # Integers print exactly, not through a float, which rounds above 2**53.
-    return (
-        f"M {rec.time_s:.5f} {node_id} "
-        f"({x1}.00, 00.00), ({x2}.00, 00.00), {rec.step}.00"
-    )
+    return (_LINE % node_id) % (rec.time_s, x1, x2, rec.step)
 
 
 _UNSIGNED = r"[0-9]+(?:\.[0-9]+)?"
@@ -172,16 +178,14 @@ def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> s
     With ``step_headers`` each pair is preceded by a ``STEP-k`` line and the
     blocks are blank-line separated.
     """
-    blocks = []
-    for k, rec in enumerate(records, 1):
-        lines = [format_trace_line(rec, 1), format_trace_line(rec, 0)]
-        if step_headers:
-            lines.insert(0, f"STEP-{k}")
-        blocks.append("\n".join(lines))
-    if not blocks:
-        return ""
-    sep = "\n\n" if step_headers else "\n"
-    return sep.join(blocks) + "\n"
+    # One template per move; without headers, ``%.0s`` takes k and prints nothing.
+    head = "STEP-%d\n" if step_headers else "%.0s"
+    move = f"{head}{_LINE % 1}\n{_LINE % 0}\n"
+    return ("\n" if step_headers else "").join([
+        move % (k, rec.time_s, rec.mn1_init, rec.mn1_new, rec.step,
+                rec.time_s, rec.mn0_init, rec.mn0_new, rec.step)
+        for k, rec in enumerate(records, 1)
+    ])
 
 
 def parse_trace(text: str) -> list[MoveRecord]:
@@ -295,24 +299,85 @@ def read_csv(text: str) -> list[MoveRecord]:
     return records
 
 
-def record_dict(rec: MoveRecord, outcome: Outcome | None = None) -> dict:
-    """JSON-ready view of one move (stable key order)."""
-    out = {
-        "step": rec.step,
-        "mn0_init": rec.mn0_init,
-        "mn0_new": rec.mn0_new,
-        "mn1_init": rec.mn1_init,
-        "mn1_new": rec.mn1_new,
-    }
-    if outcome is not None:
-        out["outcome"] = outcome.value
-    return out
+# Scalars go through the stdlib's encoder: its escaping, float repr and
+# NaN error, with no indent, so the C encoder does the work.
+_scalar = json.JSONEncoder(allow_nan=False).encode
+_RECORD_KEYS = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new")
+_QUOTED_OUTCOMES = {outcome: _scalar(outcome.value) for outcome in Outcome}
+
+
+class JsonRecords:
+    """A list of moves in a result document, one object per move.
+
+    Each object holds the record's step and positions, plus its outcome when
+    ``outcomes`` is given; :func:`write_json` renders the list from one
+    template per record. The two sequences must be the same length.
+    """
+
+    # A plain class: a dataclass would add about 0.6 ms to every start-up.
+    __slots__ = ("records", "outcomes")
+
+    def __init__(self, records: Sequence[MoveRecord],
+                 outcomes: Sequence[Outcome] | None = None):
+        self.records = records
+        self.outcomes = outcomes
+
+    def render(self, pad: str) -> str:
+        """The list as :func:`_render` writes one at the indent of ``pad``."""
+        item, key = pad + "  ", pad + "    "
+        fields = ",".join(f'{key}"{name}": %d' for name in _RECORD_KEYS)
+        if self.outcomes is None:
+            move = f"{item}{{{fields}{item}}}"
+            rows = [move % (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
+                            rec.mn1_new) for rec in self.records]
+        else:
+            move = f'{item}{{{fields},{key}"outcome": %s{item}}}'
+            rows = [move % (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
+                            rec.mn1_new, _QUOTED_OUTCOMES[outcome])
+                    for rec, outcome in zip(self.records, self.outcomes, strict=True)]
+        return _bracket("[", rows, pad, "]")
+
+
+def _bracket(opener: str, items: list[str], pad: str, closer: str) -> str:
+    """``items`` comma-joined inside brackets; the brackets join the end
+    items, so the items are copied only once."""
+    if not items:
+        return opener + closer
+    items[0] = opener + items[0]
+    items[-1] += pad + closer
+    return ",".join(items)
+
+
+def _key(key: object) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _scalar(key)
+
+
+def _render(value: object, pad: str) -> str:
+    """``value`` as the stdlib's ``json.dumps`` writes it at an indent of 2,
+    nested at the indent of ``pad`` (a newline and the spaces of the line
+    that holds it)."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return _bracket("{", [f"{inner}{_key(key)}: {_render(item, inner)}"
+                              for key, item in value.items()], pad, "}")
+    if isinstance(value, (list, tuple)):
+        return _bracket("[", [inner + _render(item, inner) for item in value],
+                        pad, "]")
+    if isinstance(value, JsonRecords):
+        return value.render(pad)
+    return _scalar(value)
 
 
 def write_json(doc: dict) -> str:
-    """Serialize a result document.
+    """Serialize a result document: the bytes of the stdlib's ``json.dumps``
+    at an indent of 2 with ``allow_nan`` off, plus a final newline.
 
-    Key order is the insertion order of the dicts, so equal documents give
-    byte-identical output.
+    Dicts, lists, tuples and JSON scalars nest freely; a :class:`JsonRecords`
+    stands for a list of move objects. Dict keys must be ``str``, and
+    non-ASCII text is written as ``\\u`` escapes. Key order is the insertion
+    order of the dicts, so equal documents give byte-identical output. NaN
+    and infinity raise ``ValueError``.
     """
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _render(doc, "\n") + "\n"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -258,15 +259,40 @@ def test_golden(name, tmp_path):
 
 
 def regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.iterdir():
-        if stale.name not in FIXTURES:
-            stale.unlink()
+    """Run every case into memory, then replace the golden files, so a case
+    that raises leaves them all as they were."""
+    outputs: dict[str, bytes] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            for filename, data in run_case(name, Path(tmp)).items():
-                (GOLDEN / filename).write_bytes(data)
-    print(f"wrote {len(list(GOLDEN.iterdir()))} files to {GOLDEN}", file=sys.stderr)
+            outputs.update(run_case(name, Path(tmp)))
+    for stale in GOLDEN.iterdir():
+        if stale.name not in FIXTURES and stale.name not in outputs:
+            stale.unlink()
+    for filename, data in outputs.items():
+        (GOLDEN / filename).write_bytes(data)
+    print(f"wrote {len(outputs)} files to {GOLDEN}", file=sys.stderr)
+
+
+def test_regenerate_keeps_every_file_when_a_case_raises(tmp_path, monkeypatch):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    before = {path.name: path.read_bytes() for path in golden.iterdir()}
+    module, real_run_case = sys.modules[__name__], run_case
+
+    def run_or_raise(name: str, tmp: Path) -> dict[str, bytes]:
+        if name == "simulate-s2-json":
+            raise RuntimeError("case failed")
+        return real_run_case(name, tmp)
+
+    # The failing case sorts after one that runs, and before one that does not.
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(module, "CASES", {
+        name: CASES[name] for name in
+        ("simulate-s1-json", "simulate-s2-json", "simulate-s3-json")})
+    monkeypatch.setattr(module, "run_case", run_or_raise)
+    with pytest.raises(RuntimeError, match="case failed"):
+        regenerate()
+    assert {path.name: path.read_bytes() for path in golden.iterdir()} == before
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 import json
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from simulmob.datasets import DATASET_IDS, load_dataset
 from simulmob.model import MoveRecord, Outcome
 from simulmob.traceio import (
     CSV_HEADER,
     CsvFormatError,
+    JsonRecords,
     TraceLine,
     TraceParseError,
     format_trace,
@@ -27,6 +29,24 @@ wide_records = st.builds(
     MoveRecord.from_inits,
     st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70),
     st.integers(0, 2**70))
+
+
+# Any move time, as the trace prints it with 5 decimals.
+timed_records = st.builds(
+    lambda rec, time_s: replace(rec, time_s=time_s), wide_records, st.floats())
+
+
+def reference_trace(recs: list[MoveRecord], step_headers: bool) -> str:
+    """A trace built line by line from :func:`format_trace_line`."""
+    blocks = []
+    for k, rec in enumerate(recs, 1):
+        lines = [format_trace_line(rec, 1), format_trace_line(rec, 0)]
+        if step_headers:
+            lines.insert(0, f"STEP-{k}")
+        blocks.append("\n".join(lines))
+    if not blocks:
+        return ""
+    return ("\n\n" if step_headers else "\n").join(blocks) + "\n"
 
 
 class _Cursor:
@@ -362,6 +382,12 @@ class TestWholeTrace:
         assert format_trace([]) == ""
         assert parse_trace("") == []
 
+    @given(st.lists(timed_records, max_size=8), st.booleans())
+    @example([], False)
+    @example([], True)
+    def test_matches_per_line_reference(self, recs, headers):
+        assert format_trace(recs, headers) == reference_trace(recs, headers)
+
     @given(st.lists(records, max_size=20), st.booleans())
     def test_round_trip(self, recs, headers):
         assert parse_trace(format_trace(recs, step_headers=headers)) == recs
@@ -608,6 +634,44 @@ class TestCsv:
             pass
 
 
+def record_dict(rec: MoveRecord, outcome: Outcome | None = None) -> dict:
+    """JSON-ready view of one move, the reference for :class:`JsonRecords`."""
+    out = {
+        "step": rec.step,
+        "mn0_init": rec.mn0_init,
+        "mn0_new": rec.mn0_new,
+        "mn1_init": rec.mn1_init,
+        "mn1_new": rec.mn1_new,
+    }
+    if outcome is not None:
+        out["outcome"] = outcome.value
+    return out
+
+
+def reference_json(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False, allow_infinity=False), st.text())
+json_trees = st.recursive(json_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=6), children, max_size=4),
+), max_leaves=24)
+moves = st.lists(st.tuples(wide_records, st.sampled_from(Outcome)), max_size=6)
+# Where a result document puts a record list: as a value at depth 1, in a
+# list at depth 2, in a list's object at depth 3.
+NESTINGS = {
+    "depth-1": lambda block: {"tally": {"trials": 1}, "records": block},
+    "depth-2": lambda block: {"runs": [block, [], block]},
+    "depth-3": lambda block: {"samples": [{"sample": 0, "records": block},
+                                          {"sample": 1, "records": block}],
+                              "total": None},
+}
+
+
 class TestJson:
     def test_round_trip(self):
         doc = {"a": [1, 2, 3], "b": {"c": "x"}, "n": None}
@@ -619,6 +683,53 @@ class TestJson:
         # Insertion order is preserved, not sorted.
         assert write_json(doc).index('"z"') < write_json(doc).index('"a"')
 
+    @given(json_trees)
+    @example({})
+    @example([])
+    @example(())
+    @example({"": {}, "a": [[], {}, ()], "b": [{}]})
+    @example({"\u00e9\u2028\U0001f600": "\x00\x1f\"\\\u00ff\ud800\U0001f600"})
+    @example([-0.0, 0.0, 1e300, -1e-300, 5e-324, 2.5])
+    @example([2**64 + 1, -(2**64) - 1, 10**40, True, False, None, 0])
+    def test_matches_stdlib_indent(self, doc):
+        assert write_json(doc) == reference_json(doc)
+
+    @pytest.mark.parametrize("nesting", sorted(NESTINGS))
+    @given(moves, st.booleans())
+    @example([], True)
+    @example([], False)
+    def test_record_block_matches_record_dicts(self, nesting, pairs, with_outcomes):
+        recs = [rec for rec, _ in pairs]
+        if with_outcomes:
+            outcomes = [outcome for _, outcome in pairs]
+            block = JsonRecords(recs, outcomes)
+            dicts = [record_dict(rec, out) for rec, out in zip(recs, outcomes)]
+        else:
+            block = JsonRecords(recs)
+            dicts = [record_dict(rec) for rec in recs]
+        wrap = NESTINGS[nesting]
+        assert write_json(wrap(block)) == reference_json(wrap(dicts))
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             write_json({"x": float("nan")})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nested_nan_and_inf_rejected(self, value):
+        for doc in ({"x": [1, {"y": value}]}, [value], {"x": (value,)}):
+            with pytest.raises(ValueError):
+                write_json(doc)
+
+    def test_outcome_count_must_match_records(self):
+        recs = [MoveRecord.from_inits(1, 9, 2), MoveRecord.from_inits(3, 7, 1)]
+        for outcomes in ([Outcome.NO_OVERLAP], [Outcome.NO_OVERLAP] * 3):
+            with pytest.raises(ValueError):
+                write_json({"records": JsonRecords(recs, outcomes)})
+
+    def test_non_str_key_rejected(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            write_json({"a": {1: "x"}})
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json({"a": [object()]})
