@@ -34,7 +34,6 @@ from .scenarios import (
     replay_sequential,
     run_independent_scenario,
     run_independent_trial,
-    run_sequential,
     run_sequential_scenario,
 )
 from .stats import (
@@ -106,7 +105,6 @@ __all__ = [
     "replay_sequential",
     "run_independent_scenario",
     "run_independent_trial",
-    "run_sequential",
     "run_sequential_scenario",
     "tally",
     "validate",

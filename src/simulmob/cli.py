@@ -202,13 +202,13 @@ def _scenario_config(
     if args.scenario is not None:
         config = preset(args.scenario)
     else:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 doc = json.load(fh)
             except RecursionError:
                 raise UsageError(
                     f"config {args.config} nests too deeply") from None
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # not JSON, not UTF-8, or an int too long
                 raise UsageError(
                     f"config {args.config} is not a JSON document: {exc}"
                 ) from None
@@ -324,7 +324,7 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
         source = Source(dataset.kind, dataset.layout, dataset.id, dataset,
                         list(dataset.rows))
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             source = Source("independent", None, args.input,
                             records=read_csv(fh.read()))
     reads = _RECORDS_READ[args.command][source.kind == "sequential"]

@@ -168,9 +168,9 @@ def crossing(mn0: Position, mn1: Position, brink: Position) -> Outcome:
     """Outcome of a move that leaves MN_0 at ``mn0`` and MN_1 at ``mn1``.
 
     The rule of :func:`mn0_crossed` and :func:`mn1_crossed` for both nodes
-    at once, on a bare brink: :func:`classify` and the scenario loops call
-    it per move, so it reads the outcomes from module constants rather than
-    through the (slower) enum class attributes.
+    at once, on a bare brink: :func:`classify` and ``SampleResult.outcomes``
+    call it per move, so it reads the outcomes from module constants rather
+    than through the (slower) enum class attributes.
     """
     if mn0 >= brink:
         return _SIMULTANEOUS_OVERLAP if mn1 <= brink else _MN0_OVERLAP

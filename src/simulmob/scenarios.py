@@ -16,9 +16,8 @@ Each scenario runner inlines PCG32's XSH-RR step and ``pcg32_boundedrand_r``
 rejection (O'Neill 2014) once, in its one draw loop; the independent runner
 loops over a trial's three ranges, then counts the outcomes in one pass. A
 range of one value consumes no draw. They draw exactly what a
-:class:`Sampler` on the same stream draws, and :func:`run_independent_trial`
-and :func:`run_sequential` keep that reference path. The rotation is one
-shift of the doubled word.
+:class:`Sampler` on the same stream draws; the tests hold the Sampler-driven
+reference loops. The rotation is one shift of the doubled word.
 """
 
 from __future__ import annotations
@@ -99,19 +98,6 @@ class SequentialRun:
     terminal: Outcome
     timed_out: bool
 
-    @classmethod
-    def from_records(
-        cls, records: Sequence[MoveRecord], terminal: Outcome
-    ) -> "SequentialRun":
-        """A replayed run over already-chained records, kept as given
-        (``time_s`` too). A replay has no step cap, so it never times out.
-        """
-        first = records[0]
-        run = cls((first.mn0_init, first.mn1_init),
-                  tuple(rec.step for rec in records), terminal, False)
-        vars(run)["records"] = tuple(records)  # pre-fills the cached view
-        return run
-
     @property
     def steps_taken(self) -> int:
         return len(self.steps)
@@ -171,7 +157,11 @@ class SampleResult:
 def run_independent_trial(
     sampler: Sampler, layout: ZoneLayout
 ) -> tuple[MoveRecord, Outcome]:
-    """One trial: fresh inits, one shared step, one simultaneous move."""
+    """One trial: fresh inits, one shared step, one simultaneous move.
+
+    No runner calls it; it stays only for ``perfbench``'s ``trial_ns``
+    probe, until that probe times the runner's inlined trial instead.
+    """
     mn0_init, mn1_init = sampler.draw_init_positions()
     step = sampler.draw_step()
     rec = MoveRecord.from_inits(mn0_init, mn1_init, step)
@@ -225,36 +215,15 @@ def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResul
     return results
 
 
-def run_sequential(sampler: Sampler, config: SequentialConfig) -> SequentialRun:
-    """Walk from the fixed starts until the first crossing or the cap.
-
-    Timing out is a result (timed_out=True, terminal NoOverlap), not an
-    error.
-    """
-    brink = config.sampler.layout.brink
-    no_overlap = Outcome.NO_OVERLAP
-    start = (config.mn0_start, config.mn1_start)
-    mn0, mn1 = start
-    draw_step = sampler.draw_step
-    steps: list[int] = []
-    for _ in range(config.max_steps_cap):
-        step = draw_step()
-        steps.append(step)
-        mn0 += step
-        mn1 -= step
-        outcome = crossing(mn0, mn1, brink)
-        if outcome is not no_overlap:
-            return SequentialRun(start, tuple(steps), outcome, False)
-    return SequentialRun(start, tuple(steps), no_overlap, True)
-
-
 def run_sequential_scenario(
     config: SequentialConfig,
 ) -> tuple[Tally, list[SequentialRun]]:
     """Run all walks; run j draws from substream j. Tally terminal outcomes.
 
-    Each walk draws and ends as :func:`run_sequential` does. Timed-out runs
-    count as no_overlap in the tally.
+    Each walk draws its shared steps from fixed starts until the first
+    crossing or ``max_steps_cap`` moves. Timing out is a result
+    (timed_out=True, terminal no_overlap), not an error, and counts as
+    no_overlap in the tally.
     """
     sampler = config.sampler
     brink, cap = sampler.layout.brink, config.max_steps_cap
@@ -303,13 +272,16 @@ def replay_sequential(
     """Re-run a recorded chained walk, validating the chain as it goes.
 
     A walk whose rows never cross ends with terminal no_overlap, not timed
-    out. Raises ValueError when
-    consecutive rows do not chain or when rows continue past the first
-    crossing.
+    out. The run's ``records`` are rebuilt from its start and steps, like
+    a simulated walk's. Raises ValueError when consecutive rows do not
+    chain or when rows continue past the first crossing.
     """
     if not records:
         raise ValueError("sequential replay needs at least one record")
+    outcome = Outcome.NO_OVERLAP
     for i, rec in enumerate(records):
+        if outcome is not Outcome.NO_OVERLAP:
+            raise ValueError(f"rows continue past the first crossing at row {i}")
         if i:
             prev = records[i - 1]
             if (rec.mn0_init, rec.mn1_init) != (prev.mn0_new, prev.mn1_new):
@@ -318,13 +290,9 @@ def replay_sequential(
                     f"chain from row {i} finals ({prev.mn0_new}, {prev.mn1_new})"
                 )
         outcome = classify(rec, layout)
-        if outcome is not Outcome.NO_OVERLAP:
-            if i + 1 != len(records):
-                raise ValueError(
-                    f"rows continue past the first crossing at row {i + 1}"
-                )
-            return SequentialRun.from_records(records, outcome)
-    return SequentialRun.from_records(records, Outcome.NO_OVERLAP)
+    first = records[0]
+    return SequentialRun((first.mn0_init, first.mn1_init),
+                         tuple(rec.step for rec in records), outcome, False)
 
 
 def preset(scenario_id: int, seed: int = 0) -> IndependentTrialConfig | SequentialConfig:

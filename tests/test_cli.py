@@ -163,6 +163,23 @@ class TestSimulateErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: config {path} is not a JSON document: ")
 
+    def test_config_with_an_over_long_integer(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"runs_per_sample": ' + "1" * 4301 + "}",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config {path} is not a JSON document: ")
+
+    def test_config_with_a_bom(self, capsys, tmp_path):
+        text = json.dumps(config_to_dict(preset(2, seed=7)))
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        expected = run_cli(capsys, "simulate", "--config", str(plain))
+        assert run_cli(capsys, "simulate", "--config", str(bom)) == expected
+        assert expected[0] == 0
+
     def test_mixed_shape_config(self, capsys, tmp_path):
         doc = config_to_dict(preset(3))
         doc["samples"] = 3
@@ -331,6 +348,17 @@ class TestReplay:
             "--zone0", "50:99", "--zone1", "101:150", "--brink", "100")
         assert code == 0
         assert "15" in replayed
+
+    def test_csv_input_with_a_bom(self, capsys, tmp_path, monkeypatch):
+        golden = Path(__file__).resolve().parent / "golden"
+        (tmp_path / "rows.csv").write_bytes(
+            b"\xef\xbb\xbf" + (golden / "rows.csv").read_bytes())
+        monkeypatch.chdir(tmp_path)  # the report names the path as given
+        code, out, err = run_cli(
+            capsys, "replay", "--input", "rows.csv",
+            "--zone0", "50:99", "--zone1", "101:150", "--brink", "100")
+        assert (code, err) == (0, "")
+        assert out.encode() == (golden / "replay-input-table.stdout").read_bytes()
 
     def test_malformed_csv_input(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

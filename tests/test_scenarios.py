@@ -1,4 +1,3 @@
-import itertools
 import json
 import tracemalloc
 from dataclasses import fields, replace
@@ -15,6 +14,7 @@ from simulmob.traceio import JsonRecords, write_json
 from simulmob.scenarios import (
     IndependentTrialConfig,
     SequentialConfig,
+    SequentialRun,
     config_from_dict,
     config_to_dict,
     preset,
@@ -22,7 +22,6 @@ from simulmob.scenarios import (
     replay_sequential,
     run_independent_scenario,
     run_independent_trial,
-    run_sequential,
     run_sequential_scenario,
 )
 
@@ -137,27 +136,34 @@ class TestSequentialRuns:
                                 **defaults)
 
     def test_scripted_walk_matches_reference_rows(self):
-        steps = [28, 43, 37, 9, 20, 2, 28, 0, 48, 22, 42]
-        run = run_sequential(ScriptedSampler(steps=steps), self._config())
-        assert run.steps_taken == 11
-        assert run.terminal is Outcome.SIMULTANEOUS_OVERLAP
+        ds = load_dataset("table-6")
+        steps = (28, 43, 37, 9, 20, 2, 28, 0, 48, 22, 42)
+        run = replay_sequential(ds.rows, ds.layout)
+        # built the way run_sequential_scenario builds a walk
+        assert run == SequentialRun((10, 500), steps,
+                                    Outcome.SIMULTANEOUS_OVERLAP, False)
         assert not run.timed_out
         assert run.final_positions == (289, 221)
-        assert run.records == load_dataset("table-6").rows
+        assert run.records == ds.rows
 
     def test_zero_steps_time_out(self):
-        sampler = ScriptedSampler(steps=itertools.repeat(0))
-        run = run_sequential(sampler, self._config(max_steps_cap=100))
+        config = replace(self._config(max_steps_cap=100),
+                         sampler=SamplerConfig(0, 0, self.LAYOUT_3))
+        _, (run,) = run_sequential_scenario(config)
         assert run.timed_out
-        assert run.steps_taken == 100
+        assert run.steps == (0,) * 100
         assert run.terminal is Outcome.NO_OVERLAP
         assert run.final_positions == (10, 500)
 
     def test_adjacent_starts_cross_in_one_step(self):
-        config = self._config(mn0_start=249, mn1_start=251)
-        run = run_sequential(ScriptedSampler(steps=[1]), config)
-        assert run.steps_taken == 1
-        assert run.terminal is Outcome.SIMULTANEOUS_OVERLAP
+        config = replace(self._config(mn0_start=249, mn1_start=251, runs=20),
+                         sampler=SamplerConfig(0, 1, self.LAYOUT_3))
+        _, runs = run_sequential_scenario(config)
+        for run in runs:
+            assert run.steps[-1] == 1
+            assert set(run.steps[:-1]) <= {0}
+            assert run.terminal is Outcome.SIMULTANEOUS_OVERLAP
+            assert not run.timed_out
 
     def test_chaining_and_approach(self):
         _, runs = run_sequential_scenario(replace(preset(3, seed=4), runs=10))
@@ -237,11 +243,6 @@ class TestReplay:
         assert run.steps_taken == 5
         assert run.records == ds.rows[:5]
         assert run.final_positions == (ds.rows[4].mn0_new, ds.rows[4].mn1_new)
-
-    def test_replayed_records_kept_as_given(self):
-        rows = [MoveRecord(10, 240, 250, 260, 250, time_s=0.25)]
-        run = replay_sequential(rows, ZoneLayout(0, 249, 251, 500, 250))
-        assert run.records[0] is rows[0]
 
     def test_broken_chain_rejected(self):
         rows = [MoveRecord.from_inits(10, 500, 5),
