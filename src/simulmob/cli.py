@@ -259,8 +259,10 @@ class Source:
     """One resolved input: a bundled dataset, a CSV file or a scenario run.
 
     ``kind`` is the mobility shape, "independent" or "sequential". A dataset
-    or CSV file carries its ``records``, and its ``layout`` when it has one.
-    A scenario carries its ``config`` (overrides applied), the samples or
+    or CSV file carries its ``records`` and its own ``layout``, if any; a
+    replayed one carries the merged ``layout``, the ``total`` tally, each
+    row's ``outcomes`` and, for a walk, the replayed run as ``parts``. A
+    scenario carries its ``config`` (overrides applied), the samples or
     walks it ran (``parts``) and their ``total`` tally; it builds no move
     record until :meth:`moves` asks for them.
     """
@@ -273,6 +275,7 @@ class Source:
     config: IndependentTrialConfig | SequentialConfig | None = None
     parts: Sequence[SampleResult | SequentialRun] = ()
     total: Tally | None = None
+    outcomes: Sequence[Outcome] | None = None
 
     def moves(self) -> Sequence[MoveRecord]:
         """Every move record, in order."""
@@ -297,7 +300,8 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
     ``flags`` are the subcommand's source options (``dataset``, ``input``,
     ``scenario``, ``config``); exactly one must be given. A scenario's
     warnings are printed before it runs. A dataset or CSV file rejects the
-    scenario flags it does not read.
+    scenario flags it does not read; ``replay`` and ``estimate`` get it
+    replayed under the merged layout, ``plot`` gets its rows as given.
     """
     given = [flag for flag in flags if getattr(args, flag) is not None]
     if len(given) != 1:
@@ -325,45 +329,45 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
                         list(dataset.rows))
     else:
         with open(args.input, encoding="utf-8-sig") as fh:
-            source = Source("independent", None, args.input,
-                            records=read_csv(fh.read()))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise UsageError(
+                    f"input {args.input} is not UTF-8 text: {exc}") from None
+        source = Source("independent", None, args.input,
+                        records=read_csv(text))
     reads = _RECORDS_READ[args.command][source.kind == "sequential"]
     unread = [f"--{flag.replace('_', '-')}" for flag in _SCENARIO_FLAGS
               if flag not in reads and getattr(args, flag, None) is not None]
     if unread:
         raise UsageError(f"{args.command} --{given[0]} {source.title} "
                          f"does not read {', '.join(unread)}")
-    return source
-
-
-def _replay(
-    source: Source, layout: ZoneLayout
-) -> tuple[Tally, list[Outcome], SequentialRun | None]:
-    """Re-classify a dataset's or CSV file's moves under ``layout``.
-
-    Returns the tally, each move's outcome and, for a sequential walk, the
-    replayed run.
-    """
+    if "zone0" not in reads:
+        return source
+    layout, records = _layout_from_flags(args, source.layout), source.records
     if source.kind == "sequential":
-        run = replay_sequential(source.records, layout)
-        outcomes = [classify(rec, layout) for rec in source.records]
-        return tally([run.terminal]), outcomes, run
-    total, outcomes = replay_independent(source.records, layout)
-    return total, outcomes, None
+        run = replay_sequential(records, layout)
+        # The replay rejects rows past the first crossing, so every row
+        # before the last one is a no-overlap move.
+        outcomes = [Outcome.NO_OVERLAP] * (len(records) - 1) + [run.terminal]
+        return replace(source, layout=layout, parts=(run,),
+                       total=tally([run.terminal]), outcomes=outcomes)
+    total, outcomes = replay_independent(records, layout)
+    return replace(source, layout=layout, total=total, outcomes=outcomes)
 
 
 def _plot_text(source: Source, brink: int | None, ascii_mode: bool) -> str:
     """Plot both nodes' positions after each move against ``brink``.
 
-    A sequential walk is drawn as a chain from its start (a scenario's
-    first walk only); independent moves are one point per trial or row.
+    A sequential walk is drawn as a chain from its start (its first part,
+    else its rows); independent moves are one point per trial or row.
     """
     if not (source.records or source.parts):
         raise UsageError("no records to plot")
     if brink is None:
         raise UsageError("this input carries no zone layout; supply --brink")
     chained = source.kind == "sequential"
-    records = (source.parts[0].records if chained and source.config
+    records = (source.parts[0].records if chained and source.parts
                else source.moves())
     mn0 = [rec.mn0_new for rec in records]
     mn1 = [rec.mn1_new for rec in records]
@@ -386,17 +390,18 @@ def _check_output_switches(args: argparse.Namespace) -> None:
 
 
 def _report(
-    args: argparse.Namespace, source: Source, layout: ZoneLayout,
+    args: argparse.Namespace, source: Source,
     table: Callable[[], str], doc: Callable[[], dict],
-    outcomes: Sequence[Outcome] | None = None,
 ) -> None:
     """Write the --trace and --plot files, then the stdout that --format picks.
 
-    Only the chosen renderer runs, so table output builds no move record.
-    Every text is rendered before anything is written, and stdout comes
-    last, so a source that cannot be drawn or a file that cannot be written
-    leaves stdout empty.
+    Only the chosen renderer runs, so table output builds no move record,
+    and CSV output classifies the moves only for a scenario, which carries
+    no ``outcomes``. Every text is rendered before anything is written, and
+    stdout comes last, so a source that cannot be drawn or a file that
+    cannot be written leaves stdout empty.
     """
+    layout, outcomes = source.layout, source.outcomes
     plot = None if args.plot is None else _plot_text(source, layout.brink, args.ascii)
     if args.format == "table":
         text = table()
@@ -456,8 +461,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         table, doc = _sequential_table, _sequential_doc
     else:
         table, doc = _independent_table, _independent_doc
-    _report(args, source, source.layout,
-            lambda: table(source), lambda: doc(source))
+    _report(args, source, lambda: table(source), lambda: doc(source))
 
 
 def _independent_table(source: Source) -> str:
@@ -533,11 +537,10 @@ def _sequential_doc(source: Source) -> dict:
 def _cmd_replay(args: argparse.Namespace) -> None:
     _check_output_switches(args)
     source = _resolve_source(args, ("dataset", "input"))
-    layout = _layout_from_flags(args, source.layout)
-    total, outcomes, run = _replay(source, layout)
-    dataset, records = source.dataset, source.records
+    dataset, run = source.dataset, (source.parts[0] if source.parts else None)
     doc = {"dataset": dataset.id if dataset else None, "input": args.input,
-           "tally": total.as_dict(), "records": JsonRecords(records, outcomes)}
+           "tally": source.total.as_dict(),
+           "records": JsonRecords(source.records, source.outcomes)}
     if dataset is not None:
         doc["published_counts"] = (
             dict(zip(METRIC_LABELS, dataset.published_counts))
@@ -548,13 +551,10 @@ def _cmd_replay(args: argparse.Namespace) -> None:
                    timed_out=run.timed_out,
                    final_positions=list(run.final_positions))
 
-    _report(args, source, layout,
-            lambda: _replay_table(source, total, run, doc), lambda: doc, outcomes)
+    _report(args, source, lambda: _replay_table(source, run, doc), lambda: doc)
 
 
-def _replay_table(
-    source: Source, total: Tally, run: SequentialRun | None, doc: dict
-) -> str:
+def _replay_table(source: Source, run: SequentialRun | None, doc: dict) -> str:
     """Replayed counts, beside the published counts and notes in ``doc``."""
     rows_read = len(source.records)
     if run is None:
@@ -570,7 +570,7 @@ def _replay_table(
     published = doc.get("published_counts")
     header = ["metric", "replayed", *(("published", "") if published else ())]
     rows = []
-    for label, ours in zip(METRIC_LABELS, total.columns()):
+    for label, ours in zip(METRIC_LABELS, source.total.columns()):
         row = [label, str(ours)]
         if published:
             theirs = published[label]
@@ -587,8 +587,7 @@ def _replay_table(
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "scenario", "config"))
-    layout = _layout_from_flags(args, source.layout)
-    dataset, config = source.dataset, source.config
+    layout, dataset, config = source.layout, source.dataset, source.config
     independent = source.kind == "independent"
     if dataset is not None:
         steps = dataset.steps
@@ -615,10 +614,9 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
         f"{doc['expected_steps_to_cross']:.2f}",
     ]
     if independent:
-        total = source.total if dataset is None else _replay(source, layout)[0]
-        lines += _crossing_lines(doc, total)
+        lines += _crossing_lines(doc, source.total)
     elif dataset is not None:
-        run = _replay(source, layout)[2]
+        run = source.parts[0]
         lines += [
             f"observed steps to first crossing: {run.steps_taken}",
             f"terminal outcome: {run.terminal.value}",

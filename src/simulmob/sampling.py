@@ -7,9 +7,9 @@ execute in. A sampler instance itself is single-owner: share configs, never
 streams.
 
 The generator is a fixed PCG32, implemented here so that sequences survive
-interpreter and library upgrades. Golden correctness tests replay recorded
-datasets rather than pinning generator output, keeping the data contract
-independent of this choice.
+interpreter and library upgrades. The golden tests pin its seeded output
+(``tests/golden/simulate-*``, ``perfbench/golden.json``), so any change to a
+draw or to the draw order shows as changed bytes.
 """
 
 from __future__ import annotations

@@ -581,6 +581,65 @@ class TestSourceFlags:
                            f"does not read {flag}\n")
 
 
+class TestReplayOnce:
+    """A dataset or CSV file is replayed once, by the source resolver, and
+    only where the subcommand reads the zone flags."""
+
+    @pytest.mark.parametrize("command", ["replay", "plot"])
+    def test_non_utf8_input_is_named(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"step,mn0_init,mn0_new,mn1_init,mn1_new\n"
+                         b"5,14,19,55,\xff0\n")
+        zones = ("--zone0", "0:9", "--zone1", "11:20")
+        code, out, err = run_cli(
+            capsys, command, "--input", str(path),
+            *(zones if command == "replay" else ()), "--brink", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: input {path} is not UTF-8 text: "
+                              "'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("source,zones", [
+        (("--dataset", "table-6"), ()),
+        (("--input", ROWS_CSV), ("--zone0", "50:99", "--zone1", "101:150")),
+    ], ids=["table-6", "rows.csv"])
+    def test_plot_draws_rows_as_given(self, capsys, source, zones):
+        code, out, err = run_cli(
+            capsys, "plot", *source, "--brink", "600", "--ascii")
+        assert (code, err) == (0, "")
+        assert "600.0" in out
+        code, out, err = run_cli(
+            capsys, "replay", *source, *zones, "--brink", "600")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: layout must satisfy ")
+
+    @pytest.mark.parametrize("argv,calls", [
+        (("replay", "--dataset", "table-5", "--format", "csv"),
+         ["replay_independent"]),
+        (("replay", "--dataset", "table-6", "--format", "json",
+          "--plot", "{tmp}/walk.svg"), ["replay_sequential"]),
+        (("estimate", "--dataset", "table-5"), ["replay_independent"]),
+        (("estimate", "--dataset", "table-6"), ["replay_sequential"]),
+        (("plot", "--dataset", "table-5"), []),
+    ])
+    def test_one_replay_per_run(self, capsys, monkeypatch, tmp_path, argv,
+                                calls):
+        import simulmob.cli as cli
+
+        called = []
+        # The names perfbench's scenarios.replay span wraps, and the CLI's
+        # own classify: a replayed source is classified once, in the replay.
+        for name in ("replay_independent", "replay_sequential", "classify"):
+            def counted(*args, _name=name, _real=getattr(cli, name)):
+                called.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        assert called == calls
+
+
 PRESET_2_WARNING = (
     b"warning: step range >= zone width: max_step 50 can cross a whole zone "
     b"in one move (narrowest zone holds 50 positions)\n")
