@@ -19,7 +19,7 @@ from statistics import fmean
 from typing import Callable, Sequence
 
 from .datasets import DATASET_IDS, ReplayDataset, load_dataset
-from .model import MoveRecord, Outcome, ZoneLayout, classify
+from .model import MoveRecord, Outcome, ZoneLayout
 from .plotting import render_ascii, render_svg
 from .sampling import SamplerConfig, validate
 from .scenarios import (
@@ -260,11 +260,12 @@ class Source:
 
     ``kind`` is the mobility shape, "independent" or "sequential". A dataset
     or CSV file carries its ``records`` and its own ``layout``, if any; a
-    replayed one carries the merged ``layout``, the ``total`` tally, each
-    row's ``outcomes`` and, for a walk, the replayed run as ``parts``. A
-    scenario carries its ``config`` (overrides applied), the samples or
-    walks it ran (``parts``) and their ``total`` tally; it builds no move
-    record until :meth:`moves` asks for them.
+    replayed one carries the merged ``layout``, the ``total`` tally and each
+    row's ``outcomes``, which a walk takes from its replayed run, carried as
+    ``parts``. A scenario carries its ``config`` (overrides applied), the
+    samples or walks it ran (``parts``, which hold each move's outcome) and
+    their ``total`` tally; it builds no move record until :meth:`moves` asks
+    for them.
     """
 
     kind: str
@@ -347,11 +348,8 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
     layout, records = _layout_from_flags(args, source.layout), source.records
     if source.kind == "sequential":
         run = replay_sequential(records, layout)
-        # The replay rejects rows past the first crossing, so every row
-        # before the last one is a no-overlap move.
-        outcomes = [Outcome.NO_OVERLAP] * (len(records) - 1) + [run.terminal]
         return replace(source, layout=layout, parts=(run,),
-                       total=tally([run.terminal]), outcomes=outcomes)
+                       total=tally([run.terminal]), outcomes=run.outcomes)
     total, outcomes = replay_independent(records, layout)
     return replace(source, layout=layout, total=total, outcomes=outcomes)
 
@@ -395,20 +393,21 @@ def _report(
 ) -> None:
     """Write the --trace and --plot files, then the stdout that --format picks.
 
-    Only the chosen renderer runs, so table output builds no move record,
-    and CSV output classifies the moves only for a scenario, which carries
-    no ``outcomes``. Every text is rendered before anything is written, and
-    stdout comes last, so a source that cannot be drawn or a file that
-    cannot be written leaves stdout empty.
+    Only the chosen renderer runs, so table output builds no move record.
+    CSV output classifies no move: a scenario, which carries no
+    ``outcomes``, takes them from its samples or walks. Every text is
+    rendered before anything is written, and stdout comes last, so a source
+    that cannot be drawn or a file that cannot be written leaves stdout
+    empty.
     """
-    layout, outcomes = source.layout, source.outcomes
-    plot = None if args.plot is None else _plot_text(source, layout.brink, args.ascii)
+    plot = (None if args.plot is None
+            else _plot_text(source, source.layout.brink, args.ascii))
     if args.format == "table":
         text = table()
     elif args.format == "csv":
-        records = source.moves()
-        text = write_csv(records, outcomes if outcomes is not None else
-                         [classify(rec, layout) for rec in records])
+        outcomes = (source.outcomes if source.outcomes is not None else
+                    [o for part in source.parts for o in part.outcomes])
+        text = write_csv(source.moves(), outcomes)
     else:
         text = write_json(doc())
     if args.trace is not None:
@@ -421,34 +420,6 @@ def _report(
 def _walk_summary(runs: Sequence[SequentialRun]) -> tuple[float, int]:
     """Mean steps to first crossing of a batch of walks, and how many timed out."""
     return fmean(r.steps_taken for r in runs), sum(r.timed_out for r in runs)
-
-
-def _estimators(
-    steps: Sequence[int], layout: ZoneLayout, max_step: int | None,
-    independent: bool = True,
-) -> dict:
-    """The span / average-step estimators of a batch; UsageError if undefined.
-
-    Independent trials add the expected crossings and, with a known
-    ``max_step``, both nodes' exact crossing probabilities.
-    """
-    avg = average_step_length(steps)
-    if avg <= 0:
-        raise UsageError("average step length is zero; estimators undefined")
-    span = layout.zone0_span
-    doc = {"avg_step": avg, "zone0_span": span,
-           "expected_steps_to_cross": expected_steps_to_cross(span, avg)}
-    if independent:
-        if span <= 0:
-            raise UsageError("zone 0 holds one position; estimators undefined")
-        doc["expected_crossings"] = expected_crossings(len(steps), span, avg)
-        if max_step is not None:
-            exact = [exact_crossing_probability(layout, max_step, node)
-                     for node in (0, 1)]
-            doc["exact_probability"] = {
-                f"node{node}": {"fraction": str(p), "value": float(p)}
-                for node, p in enumerate(exact)}
-    return doc
 
 
 # -- simulate ---------------------------------------------------------------
@@ -489,14 +460,14 @@ def _sequential_table(source: Source) -> str:
 def _independent_doc(source: Source) -> dict:
     config, results = source.config, source.parts
     try:
-        estimate = _estimators([step for r in results for step in r.steps],
-                          source.layout, config.sampler.max_step)
+        full = _estimate_doc(source, config.sampler.max_step)
     except UsageError:
         estimate = None  # undefined estimators are reported as null
     else:
-        del estimate["zone0_span"]
-        estimate["observed_crossings"] = source.total.mn0_handover
-        estimate["exact_probability"] = estimate.pop("exact_probability")
+        estimate = {key: full[key] for key in (
+            "avg_step", "expected_steps_to_cross", "expected_crossings")}
+        estimate.update(observed_crossings=full["observed"]["mn0_handover"],
+                        exact_probability=full["exact_probability"])
     return {
         "config": config_to_dict(config),
         "samples": [
@@ -587,107 +558,134 @@ def _replay_table(source: Source, run: SequentialRun | None, doc: dict) -> str:
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "scenario", "config"))
-    layout, dataset, config = source.layout, source.dataset, source.config
-    independent = source.kind == "independent"
+    dataset, config = source.dataset, source.config
     if dataset is not None:
-        steps = dataset.steps
         label = f"dataset {dataset.id} ({len(dataset.rows)} rows, {dataset.kind})"
-        doc = {"source": f"dataset {dataset.id}", "rows": len(dataset.rows)}
         max_step = (args.max_step if args.max_step is not None
                     else dataset.max_step)
     else:
-        steps = [step for part in source.parts for step in part.steps]
+        label = (f"scenario ({config.samples} samples x "
+                 f"{config.runs_per_sample} trials)"
+                 if source.kind == "independent"
+                 else f"scenario ({config.runs} runs, sequential)")
         max_step = config.sampler.max_step
-        if independent:
-            label = (f"scenario ({config.samples} samples x "
-                     f"{config.runs_per_sample} trials)")
-            doc = {"source": "scenario", "trials": len(steps)}
-        else:
-            label = f"scenario ({config.runs} runs, sequential)"
-            doc = {"source": "scenario", "runs": config.runs}
-    doc.update(_estimators(steps, layout, max_step, independent))
+    doc = _estimate_doc(source, max_step)
+    sys.stdout.write(write_json(doc) if args.format == "json"
+                     else _estimate_text(doc, label))
+
+
+def _estimate_doc(source: Source, max_step: int | None) -> dict:
+    """The span / average-step estimators beside what ``source`` observed.
+
+    Independent trials add the expected crossings, both nodes' exact
+    crossing probabilities when ``max_step`` is known, the observed tally
+    and the comparison; a walk adds its steps to the first crossing. Raises
+    UsageError when the estimators are undefined.
+    """
+    dataset, total, layout = source.dataset, source.total, source.layout
+    independent = source.kind == "independent"
+    if dataset is not None:
+        steps = dataset.steps
+        doc = {"source": f"dataset {dataset.id}", "rows": len(dataset.rows)}
+    else:
+        steps = [step for part in source.parts for step in part.steps]
+        doc = ({"source": "scenario", "trials": len(steps)} if independent
+               else {"source": "scenario", "runs": source.config.runs})
+    avg = average_step_length(steps)
+    if avg <= 0:
+        raise UsageError("average step length is zero; estimators undefined")
+    span = layout.zone0_span
+    doc.update(avg_step=avg, zone0_span=span,
+               expected_steps_to_cross=expected_steps_to_cross(span, avg))
+    if independent:
+        if span <= 0:
+            raise UsageError("zone 0 holds one position; estimators undefined")
+        expected = doc["expected_crossings"] = expected_crossings(
+            len(steps), span, avg)
+        if max_step is not None:
+            exact = doc["exact_probability"] = {
+                f"node{node}": {"fraction": str(p), "value": float(p)}
+                for node in (0, 1)
+                for p in [exact_crossing_probability(layout, max_step, node)]}
+            doc["analytic_expected_crossings"] = {
+                node: total.trials * p["value"] for node, p in exact.items()}
+        # expected > 0: the span and the average step both are.
+        observed = total.overlap_events
+        difference = abs(observed - expected)
+        doc["observed"] = total.as_dict()
+        doc["comparison"] = {
+            "expected": expected,
+            "observed": observed,
+            "absolute_difference": difference,
+            "relative_difference": difference / expected,
+        }
+    elif dataset is not None:
+        run = source.parts[0]
+        doc.update(observed_steps=run.steps_taken, terminal=run.terminal.value,
+                   final_positions=list(run.final_positions))
+    else:
+        mean_taken, timed_out = _walk_summary(source.parts)
+        doc.update(observed_mean_steps=mean_taken,
+                   simultaneous_fraction=total.simultaneous / total.trials,
+                   timed_out=timed_out, tally=total.as_dict())
+    if dataset is not None and dataset.notes:
+        doc["notes"] = list(dataset.notes)
+    return doc
+
+
+def _estimate_text(doc: dict, label: str) -> str:
+    """The ``estimate`` table: the values of ``doc``, under ``label``.
+
+    The exact probability is skipped when no step bound is known; its label
+    still reads "(enumeration)": the golden outputs pin it, and the closed
+    form gives the same fractions.
+    """
     lines = [
         f"source: {label}",
         f"average step length: {doc['avg_step']:.2f}",
-        f"zone0 span: {layout.zone0_span}",
+        f"zone0 span: {doc['zone0_span']}",
         "expected steps to cross (span / avg step): "
         f"{doc['expected_steps_to_cross']:.2f}",
     ]
-    if independent:
-        lines += _crossing_lines(doc, source.total)
-    elif dataset is not None:
-        run = source.parts[0]
+    if "comparison" in doc:
+        observed, comparison = doc["observed"], doc["comparison"]
+        expected, events = comparison["expected"], comparison["observed"]
+        lines.append(f"expected crossings over {observed['trials']} trials: "
+                     f"{expected:.2f}")
+        exact = doc.get("exact_probability")
+        if exact is None:
+            lines.append("exact crossing probability: unavailable (no --max-step)")
+        else:
+            analytic = doc["analytic_expected_crossings"]
+            lines += [
+                "exact crossing probability (enumeration):",
+                *(f"  node {n}: {p['fraction']} = {p['value']:.6f}"
+                  for n, p in enumerate(exact.values())),
+                "expected crossings (trials x probability): "
+                f"node 0 {analytic['node0']:.2f}, node 1 {analytic['node1']:.2f}",
+            ]
         lines += [
-            f"observed steps to first crossing: {run.steps_taken}",
-            f"terminal outcome: {run.terminal.value}",
-            f"final positions: {run.final_positions}",
+            f"observed: mn0 handover {observed['mn0_handover']}, mn1 handover "
+            f"{observed['mn1_handover']}, simultaneous "
+            f"{observed['simultaneous']}, overlap events {events}",
+            f"estimator vs observed overlap events: {expected:.2f} vs {events}, "
+            f"diff {comparison['absolute_difference']:.2f} "
+            f"({comparison['relative_difference']:.1%})",
         ]
-        doc.update(
-            observed_steps=run.steps_taken,
-            terminal=run.terminal.value,
-            final_positions=list(run.final_positions),
-        )
+    elif "observed_steps" in doc:
+        lines += [
+            f"observed steps to first crossing: {doc['observed_steps']}",
+            f"terminal outcome: {doc['terminal']}",
+            f"final positions: {tuple(doc['final_positions'])}",
+        ]
     else:
-        total = source.total
-        mean_taken, timed_out = _walk_summary(source.parts)
-        fraction = total.simultaneous / total.trials
         lines += [
-            f"observed mean steps to first crossing: {mean_taken:.2f}",
-            f"simultaneous handover fraction: {fraction:.3f}",
-            f"timed out: {timed_out} of {config.runs}",
+            "observed mean steps to first crossing: "
+            f"{doc['observed_mean_steps']:.2f}",
+            f"simultaneous handover fraction: {doc['simultaneous_fraction']:.3f}",
+            f"timed out: {doc['timed_out']} of {doc['runs']}",
         ]
-        doc.update(
-            observed_mean_steps=mean_taken,
-            simultaneous_fraction=fraction,
-            timed_out=timed_out,
-            tally=total.as_dict(),
-        )
-    if dataset is not None and dataset.notes:
-        doc["notes"] = list(dataset.notes)
-    sys.stdout.write(write_json(doc) if args.format == "json"
-                     else "\n".join(lines) + "\n" + _notes_text(doc))
-
-
-def _crossing_lines(doc: dict, total: Tally) -> list[str]:
-    """Expected against observed crossings of independent trials.
-
-    Adds the analytic crossings, the observed tally and the comparison to
-    ``doc``. The exact probability is skipped when no step bound is known;
-    its label still reads "(enumeration)": the golden outputs pin it, and
-    the closed form gives the same fractions.
-    """
-    trials, expected = total.trials, doc["expected_crossings"]
-    lines = [f"expected crossings over {trials} trials: {expected:.2f}"]
-    exact = doc.get("exact_probability")
-    if exact is None:
-        lines.append("exact crossing probability: unavailable (no --max-step)")
-    else:
-        analytic = doc["analytic_expected_crossings"] = {
-            node: trials * p["value"] for node, p in exact.items()}
-        lines += [
-            "exact crossing probability (enumeration):",
-            *(f"  node {n}: {p['fraction']} = {p['value']:.6f}"
-              for n, p in enumerate(exact.values())),
-            "expected crossings (trials x probability): "
-            f"node 0 {analytic['node0']:.2f}, node 1 {analytic['node1']:.2f}",
-        ]
-    # _estimators made sure that expected > 0.
-    observed = total.overlap_events
-    difference = abs(observed - expected)
-    doc["observed"] = total.as_dict()
-    doc["comparison"] = {
-        "expected": expected,
-        "observed": observed,
-        "absolute_difference": difference,
-        "relative_difference": difference / expected,
-    }
-    return lines + [
-        f"observed: mn0 handover {total.mn0_handover}, mn1 handover "
-        f"{total.mn1_handover}, simultaneous {total.simultaneous}, "
-        f"overlap events {observed}",
-        f"estimator vs observed overlap events: {expected:.2f} vs {observed}, "
-        f"diff {difference:.2f} ({difference / expected:.1%})",
-    ]
+    return "\n".join(lines) + "\n" + _notes_text(doc)
 
 
 # -- plot -------------------------------------------------------------------

@@ -27,6 +27,23 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _line(x1: object, y1: object, x2: object, y2: object,
+          stroke: str = "black", dash: str = "") -> str:
+    """A line; ``dash``, when given, is its stroke-dasharray."""
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}"{dash}/>')
+
+
+def _text(x: object, y: object, size: int, body: object, anchor: str = "",
+          fill: str = "") -> str:
+    """A monospace label; ``anchor`` and ``fill`` are written only if given."""
+    extra = f' text-anchor="{anchor}"' if anchor else ""
+    extra += f' fill="{fill}"' if fill else ""
+    return (f'<text x="{x}" y="{y}" font-family="monospace" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
 def _value_range(mn0: Sequence[float], mn1: Sequence[float],
                  brink: float) -> tuple[float, float]:
     """Lowest and highest of both series and the brink, never equal."""
@@ -81,56 +98,28 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH // 2}" y="24" font-family="monospace" '
-        f'font-size="14" text-anchor="middle">{title}</text>',
+        _text(_WIDTH // 2, 24, 14, title, "middle"),
+        # Axes.
+        _line(scale.x0, scale.y1, scale.x1, scale.y1),
+        _line(scale.x0, scale.y0, scale.x0, scale.y1),
+        _text((scale.x0 + scale.x1) // 2, _HEIGHT - 8, 12, xlabel, "middle"),
     ]
-    # Axes.
-    parts.append(
-        f'<line x1="{scale.x0}" y1="{scale.y1}" x2="{scale.x1}" '
-        f'y2="{scale.y1}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{scale.x0}" y1="{scale.y0}" x2="{scale.x0}" '
-        f'y2="{scale.y1}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{(scale.x0 + scale.x1) // 2}" y="{_HEIGHT - 8}" '
-        f'font-family="monospace" font-size="12" text-anchor="middle">'
-        f"{xlabel}</text>"
-    )
     # Value ticks on the y axis, five evenly spaced.
     for i in range(5):
         value = scale.lo + (scale.hi - scale.lo) * i / 4
         y = scale.y(value)
-        parts.append(
-            f'<line x1="{scale.x0 - 4}" y1="{_fmt(y)}" x2="{scale.x0}" '
-            f'y2="{_fmt(y)}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{scale.x0 - 8}" y="{_fmt(y + 4)}" font-family="monospace" '
-            f'font-size="11" text-anchor="end">{_fmt(value)}</text>'
-        )
+        parts.append(_line(scale.x0 - 4, _fmt(y), scale.x0, _fmt(y)))
+        parts.append(_text(scale.x0 - 8, _fmt(y + 4), 11, _fmt(value), "end"))
     # Index ticks on the x axis.
     for index in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1}):
-        x = scale.x(index)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{scale.y1}" x2="{_fmt(x)}" '
-            f'y2="{scale.y1 + 4}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{scale.y1 + 18}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{index}</text>'
-        )
+        x = _fmt(scale.x(index))
+        parts.append(_line(x, scale.y1, x, scale.y1 + 4))
+        parts.append(_text(x, scale.y1 + 18, 11, index, "middle"))
     # Brink plane.
     by = scale.y(brink)
-    parts.append(
-        f'<line x1="{scale.x0}" y1="{_fmt(by)}" x2="{scale.x1}" '
-        f'y2="{_fmt(by)}" stroke="gray" stroke-dasharray="6,4"/>'
-    )
-    parts.append(
-        f'<text x="{scale.x1 - 4}" y="{_fmt(by - 6)}" font-family="monospace" '
-        f'font-size="11" text-anchor="end" fill="gray">brink {_fmt(brink)}</text>'
-    )
+    parts.append(_line(scale.x0, _fmt(by), scale.x1, _fmt(by), "gray", "6,4"))
+    parts.append(_text(scale.x1 - 4, _fmt(by - 6), 11, f"brink {_fmt(brink)}",
+                       "end", "gray"))
     # Series.
     for series, color in ((mn0, _MN0_COLOR), (mn1, _MN1_COLOR)):
         if chained:
@@ -155,10 +144,7 @@ def render_svg(
             f'<rect x="{scale.x1 - 84}" y="{y - 8}" width="10" height="10" '
             f'fill="{color}"/>'
         )
-        parts.append(
-            f'<text x="{scale.x1 - 70}" y="{y}" font-family="monospace" '
-            f'font-size="11">{label}</text>'
-        )
+        parts.append(_text(scale.x1 - 70, y, 11, label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

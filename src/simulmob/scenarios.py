@@ -90,7 +90,10 @@ class SequentialRun:
     ended by crossing or cap.
 
     ``records`` is rebuilt from the start positions and the steps on first
-    access; table and estimate output never need it.
+    access; table and estimate output never need it. ``outcomes`` needs no
+    record: a walk stops at its first crossing, so every move but the last
+    is a no-overlap move. That holds for a replayed walk too, because the
+    replay rejects rows past the first crossing.
     """
 
     start: tuple[Position, Position]
@@ -101,6 +104,10 @@ class SequentialRun:
     @property
     def steps_taken(self) -> int:
         return len(self.steps)
+
+    @property
+    def outcomes(self) -> tuple[Outcome, ...]:
+        return (Outcome.NO_OVERLAP,) * (len(self.steps) - 1) + (self.terminal,)
 
     @property
     def final_positions(self) -> tuple[Position, Position]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from simulmob.cli import main
-from simulmob.datasets import load_dataset
+from simulmob.datasets import DATASET_IDS, load_dataset
 from simulmob.model import MoveRecord
 from simulmob.sampling import Pcg32
 from simulmob.scenarios import config_to_dict, preset
@@ -479,6 +480,128 @@ class TestEstimate:
                        "--scenario", "1")[0] == 2
 
 
+# A value in estimate's table: an outcome, an int, a decimal, a fraction or a
+# percentage, but not the digit of a name such as "zone0", "mn0" or "node 0".
+_VALUE = re.compile(
+    r"(?<![\w./])(?<!node )(\w+_overlap|\d+(?:\.\d+)?(?:/\d+)?%?)(?![\w/])")
+# Each line of estimate's table with its values blanked to "#", and the
+# document keys of those values, in order.
+_PRINTS = {
+    "average step length: #": ["avg_step"],
+    "zone0 span: #": ["zone0_span"],
+    "expected steps to cross (span / avg step): #": ["expected_steps_to_cross"],
+    "expected crossings over # trials: #": [
+        "observed.trials", "expected_crossings"],
+    "exact crossing probability: unavailable (no --max-step)": [],
+    "exact crossing probability (enumeration):": [],
+    **{f"  node {n}: # = #": [f"exact_probability.node{n}.fraction",
+                              f"exact_probability.node{n}.value"]
+       for n in (0, 1)},
+    "expected crossings (trials x probability): node 0 #, node 1 #": [
+        "analytic_expected_crossings.node0", "analytic_expected_crossings.node1"],
+    "observed: mn0 handover #, mn1 handover #, simultaneous #, "
+    "overlap events #": ["observed.mn0_handover", "observed.mn1_handover",
+                         "observed.simultaneous", "comparison.observed"],
+    "estimator vs observed overlap events: # vs #, diff # (#)": [
+        "comparison.expected", "comparison.observed",
+        "comparison.absolute_difference", "comparison.relative_difference"],
+    "observed steps to first crossing: #": ["observed_steps"],
+    "terminal outcome: #": ["terminal"],
+    "final positions: (#, #)": ["final_positions.0", "final_positions.1"],
+    "observed mean steps to first crossing: #": ["observed_mean_steps"],
+    "simultaneous handover fraction: #": ["simultaneous_fraction"],
+    "timed out: # of #": ["timed_out", "runs"],
+}
+
+
+def _at(doc, path):
+    for key in path.split("."):
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    return doc
+
+
+def _printed_as(token, value):
+    """Whether ``value`` prints as ``token`` at the token's precision."""
+    if isinstance(value, str):
+        return value == token
+    if token.endswith("%"):
+        return f"{value:.{len(token.partition('.')[2]) - 1}%}" == token
+    if "." in token:
+        return f"{value:.{len(token.partition('.')[2])}f}" == token
+    return isinstance(value, int) and str(value) == token
+
+
+@st.composite
+def scenario_argvs(draw, scenarios=("1", "2", "3")):
+    """A preset scenario with small counts, any seed and maybe a step bound."""
+    scenario = draw(st.sampled_from(scenarios))
+    argv = ["--scenario", scenario,
+            "--seed", str(draw(st.integers(0, 2**64 - 1))),
+            "--runs", str(draw(st.integers(1, 5)))]
+    if scenario != "3":
+        argv += ["--samples", str(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        max_step = draw(st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 120))
+        argv += ["--max-step", str(max_step)]
+    return argv
+
+
+class TestReportMatchesDocument:
+    """estimate's table and simulate's estimate block print the values of
+    ``estimate --format json``; the goldens pin only fixed seeds."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario_argvs())
+    def test_scenario_table_prints_the_document(self, capsys, argv):
+        self.check_table(capsys, argv)
+
+    @pytest.mark.parametrize("dataset", DATASET_IDS)
+    def test_dataset_table_prints_the_document(self, capsys, dataset):
+        self.check_table(capsys, ["--dataset", dataset])
+
+    @staticmethod
+    def check_table(capsys, argv):
+        code, table, _ = run_cli(capsys, "estimate", *argv)
+        json_code, out, _ = run_cli(capsys, "estimate", *argv, "--format", "json")
+        assert code == json_code
+        if code:
+            assert table == out == ""
+            return
+        doc = json.loads(out)
+        table, _, notes = table.partition("notes:\n")
+        assert notes == "".join(f"  - {note}\n" for note in doc.get("notes", ()))
+        label, *lines = table.splitlines()
+        assert label.startswith("source: ")
+        for line in lines:
+            paths = _PRINTS[_VALUE.sub("#", line)]
+            tokens = _VALUE.findall(line)
+            assert len(tokens) == len(paths)
+            for token, path in zip(tokens, paths):
+                assert _printed_as(token, _at(doc, path)), (line, path)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario_argvs(scenarios=("1", "2")))
+    def test_simulate_block_is_a_projection(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "estimate", *argv, "--format", "json")
+        sim_code, sim_out, _ = run_cli(capsys, "simulate", *argv,
+                                       "--format", "json")
+        assert sim_code == 0
+        block = json.loads(sim_out)["estimate"]
+        if code:
+            assert (code, block) == (2, None)
+            return
+        doc = json.loads(out)
+        assert list(block.items()) == [
+            ("avg_step", doc["avg_step"]),
+            ("expected_steps_to_cross", doc["expected_steps_to_cross"]),
+            ("expected_crossings", doc["expected_crossings"]),
+            ("observed_crossings", doc["observed"]["mn0_handover"]),
+            ("exact_probability", doc["exact_probability"]),
+        ]
+
+
 class TestPlot:
     def test_svg_deterministic(self, capsys):
         first = run_cli(capsys, "plot", "--dataset", "table-6")
@@ -620,15 +743,21 @@ class TestReplayOnce:
         (("estimate", "--dataset", "table-5"), ["replay_independent"]),
         (("estimate", "--dataset", "table-6"), ["replay_sequential"]),
         (("plot", "--dataset", "table-5"), []),
+        (("simulate", "--scenario", "2", "--runs", "3", "--samples", "2",
+          "--format", "csv"), []),
+        (("simulate", "--scenario", "3", "--runs", "3", "--format", "csv"),
+         []),
     ])
     def test_one_replay_per_run(self, capsys, monkeypatch, tmp_path, argv,
                                 calls):
         import simulmob.cli as cli
 
+        # The CLI decides no outcome: a replayed source is classified once,
+        # in the replay, and a scenario's moves by the run that made them.
+        assert not hasattr(cli, "classify")
         called = []
-        # The names perfbench's scenarios.replay span wraps, and the CLI's
-        # own classify: a replayed source is classified once, in the replay.
-        for name in ("replay_independent", "replay_sequential", "classify"):
+        # The names perfbench's scenarios.replay span wraps.
+        for name in ("replay_independent", "replay_sequential"):
             def counted(*args, _name=name, _real=getattr(cli, name)):
                 called.append(_name)
                 return _real(*args)

@@ -3,7 +3,7 @@ import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simulmob.datasets import load_dataset
@@ -259,6 +259,53 @@ class TestReplay:
     def test_empty_sequential_replay_rejected(self):
         with pytest.raises(ValueError):
             replay_sequential([], ZoneLayout(0, 249, 251, 500, 250))
+
+
+@st.composite
+def small_walk_configs(draw):
+    """Sequential configs on zones of 1 to 30 positions, steps up to 40 (0
+    makes every walk time out) and caps from 1 (one-move walks) to 30."""
+    w0, w1 = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    lo0 = draw(st.integers(0, 50))
+    brink = lo0 + w0 - 1 + draw(st.integers(1, 3))
+    lo1 = brink + draw(st.integers(1, 3))
+    layout = ZoneLayout(lo0, lo0 + w0 - 1, lo1, lo1 + w1 - 1, brink)
+    return SequentialConfig(
+        SamplerConfig(draw(st.integers(0, 2**64 - 1)),
+                      draw(st.sampled_from([0, 1]) | st.integers(0, 40)), layout),
+        draw(st.integers(layout.zone0_lo, layout.zone0_hi)),
+        draw(st.integers(layout.zone1_lo, layout.zone1_hi)),
+        runs=draw(st.integers(1, 4)), max_steps_cap=draw(st.integers(1, 30)))
+
+
+def classified(run, layout):
+    return tuple(classify(rec, layout) for rec in run.records)
+
+
+class TestWalkOutcomes:
+    """A walk's outcomes, built without records, are its records' classes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_walk_configs())
+    @example(replace(preset(3, seed=4), runs=3))  # walks that cross
+    @example(SequentialConfig(  # walks that time out
+        SamplerConfig(7, 0, ZoneLayout(0, 9, 11, 20, 10)), 5, 15, 2, 8))
+    @example(SequentialConfig(  # one-move walks
+        SamplerConfig(7, 5, ZoneLayout(0, 9, 11, 20, 10)), 0, 20, 3, 1))
+    def test_simulated_and_replayed_walks(self, config):
+        layout = config.sampler.layout
+        _, runs = run_sequential_scenario(config)
+        for run in runs:
+            assert run.outcomes == classified(run, layout)
+            assert len(run.outcomes) == run.steps_taken
+            assert run.outcomes[-1] is run.terminal
+            assert replay_sequential(run.records, layout).outcomes == run.outcomes
+
+    @pytest.mark.parametrize("rows", [11, 5, 1])
+    def test_table6_walk(self, rows):
+        ds = load_dataset("table-6")
+        run = replay_sequential(ds.rows[:rows], ds.layout)
+        assert run.outcomes == classified(run, ds.layout)
 
 
 def reference_independent(config):
