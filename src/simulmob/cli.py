@@ -354,14 +354,18 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
     return replace(source, layout=layout, total=total, outcomes=outcomes)
 
 
-def _plot_text(source: Source, brink: int | None, ascii_mode: bool) -> str:
-    """Plot both nodes' positions after each move against ``brink``.
+def _plot_text(args: argparse.Namespace, source: Source) -> str:
+    """Plot both nodes' positions after each move, as SVG or with --ascii.
 
-    A sequential walk is drawn as a chain from its start (its first part,
-    else its rows); independent moves are one point per trial or row.
+    The brink is --brink, else the source layout's (a merged layout already
+    holds --brink). A sequential walk is drawn as a chain from its start
+    (its first part, else its rows); independent moves are one point per
+    trial or row.
     """
     if not (source.records or source.parts):
         raise UsageError("no records to plot")
+    brink = (args.brink if args.brink is not None
+             else getattr(source.layout, "brink", None))
     if brink is None:
         raise UsageError("this input carries no zone layout; supply --brink")
     chained = source.kind == "sequential"
@@ -372,7 +376,7 @@ def _plot_text(source: Source, brink: int | None, ascii_mode: bool) -> str:
     if chained:
         mn0.insert(0, records[0].mn0_init)
         mn1.insert(0, records[0].mn1_init)
-    if ascii_mode:
+    if args.ascii:
         return render_ascii(mn0, mn1, brink)
     xlabel = "step" if chained else "trial" if source.config else "run"
     return render_svg(mn0, mn1, brink, chained, source.title, xlabel)
@@ -400,8 +404,7 @@ def _report(
     that cannot be drawn or a file that cannot be written leaves stdout
     empty.
     """
-    plot = (None if args.plot is None
-            else _plot_text(source, source.layout.brink, args.ascii))
+    plot = None if args.plot is None else _plot_text(args, source)
     if args.format == "table":
         text = table()
     elif args.format == "csv":
@@ -693,9 +696,7 @@ def _estimate_text(doc: dict, label: str) -> str:
 
 def _cmd_plot(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "input", "scenario", "config"))
-    brink = args.brink if args.brink is not None else getattr(
-        source.layout, "brink", None)
-    text = _plot_text(source, brink, args.ascii)
+    text = _plot_text(args, source)
     if args.output is not None:
         _write_text(args.output, text)
     else:

@@ -3,7 +3,8 @@
 Both renderers are deterministic: equal inputs give byte-identical output,
 so plots can participate in golden comparisons. SVG is written by hand for
 that reason; a plotting library would not guarantee stable bytes across
-versions.
+versions. SVG text is escaped, so any title (an input path) gives a
+well-formed file, and ASCII axis labels widen to fit their values.
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ def _line(x1: object, y1: object, x2: object, y2: object,
 
 def _text(x: object, y: object, size: int, body: object, anchor: str = "",
           fill: str = "") -> str:
-    """A monospace label; ``anchor`` and ``fill`` are written only if given."""
+    """A monospace label; ``anchor`` and ``fill`` are written only if given.
+
+    ``body`` is escaped, so any title (a file path, say) stays well-formed.
+    """
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(
+        ">", "&gt;")
     extra = f' text-anchor="{anchor}"' if anchor else ""
     extra += f' fill="{fill}"' if fill else ""
     return (f'<text x="{x}" y="{y}" font-family="monospace" '
@@ -46,34 +52,16 @@ def _text(x: object, y: object, size: int, body: object, anchor: str = "",
 
 def _value_range(mn0: Sequence[float], mn1: Sequence[float],
                  brink: float) -> tuple[float, float]:
-    """Lowest and highest of both series and the brink, never equal."""
+    """Lowest and highest of both series and the brink, as distinct floats.
+
+    Equal ends move ``hi`` one unit up, or one float step where that is
+    wider, so ``hi - lo`` is positive at any magnitude.
+    """
     if not mn0 or len(mn0) != len(mn1):
         raise ValueError("need two equal-length non-empty series")
-    lo = min(min(mn0), min(mn1), brink)
-    hi = max(max(mn0), max(mn1), brink)
-    return lo, hi if hi > lo else lo + 1.0
-
-
-class _Scale:
-    """Affine map from data coordinates to the SVG plot rectangle."""
-
-    def __init__(self, n: int, lo: float, hi: float):
-        self.n = n
-        self.lo = lo
-        self.hi = hi
-        self.x0 = _MARGIN_LEFT
-        self.x1 = _WIDTH - _MARGIN_RIGHT
-        self.y0 = _MARGIN_TOP
-        self.y1 = _HEIGHT - _MARGIN_BOTTOM
-
-    def x(self, index: int) -> float:
-        if self.n <= 1:
-            return (self.x0 + self.x1) / 2
-        return self.x0 + (self.x1 - self.x0) * index / (self.n - 1)
-
-    def y(self, value: float) -> float:
-        frac = (value - self.lo) / (self.hi - self.lo)
-        return self.y1 - (self.y1 - self.y0) * frac
+    lo = float(min(min(mn0), min(mn1), brink))
+    hi = float(max(max(mn0), max(mn1), brink))
+    return lo, hi if hi > lo else lo + max(1.0, math.ulp(lo))
 
 
 def render_svg(
@@ -90,9 +78,20 @@ def render_svg(
     (independent trials).
     """
     lo, hi = _value_range(mn0, mn1, brink)
-    n = len(mn0)
     pad = (hi - lo) * 0.05
-    scale = _Scale(n, lo - pad, hi + pad)
+    lo, hi = lo - pad, hi + pad
+    n = len(mn0)
+    # Affine map from data coordinates to the plot rectangle.
+    x0, x1 = _MARGIN_LEFT, _WIDTH - _MARGIN_RIGHT
+    y0, y1 = _MARGIN_TOP, _HEIGHT - _MARGIN_BOTTOM
+
+    def x_of(index: int) -> float:
+        if n <= 1:
+            return (x0 + x1) / 2
+        return x0 + (x1 - x0) * index / (n - 1)
+
+    def y_of(value: float) -> float:
+        return y1 - (y1 - y0) * ((value - lo) / (hi - lo))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -100,31 +99,31 @@ def render_svg(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         _text(_WIDTH // 2, 24, 14, title, "middle"),
         # Axes.
-        _line(scale.x0, scale.y1, scale.x1, scale.y1),
-        _line(scale.x0, scale.y0, scale.x0, scale.y1),
-        _text((scale.x0 + scale.x1) // 2, _HEIGHT - 8, 12, xlabel, "middle"),
+        _line(x0, y1, x1, y1),
+        _line(x0, y0, x0, y1),
+        _text((x0 + x1) // 2, _HEIGHT - 8, 12, xlabel, "middle"),
     ]
     # Value ticks on the y axis, five evenly spaced.
     for i in range(5):
-        value = scale.lo + (scale.hi - scale.lo) * i / 4
-        y = scale.y(value)
-        parts.append(_line(scale.x0 - 4, _fmt(y), scale.x0, _fmt(y)))
-        parts.append(_text(scale.x0 - 8, _fmt(y + 4), 11, _fmt(value), "end"))
+        value = lo + (hi - lo) * i / 4
+        y = y_of(value)
+        parts.append(_line(x0 - 4, _fmt(y), x0, _fmt(y)))
+        parts.append(_text(x0 - 8, _fmt(y + 4), 11, _fmt(value), "end"))
     # Index ticks on the x axis.
     for index in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1}):
-        x = _fmt(scale.x(index))
-        parts.append(_line(x, scale.y1, x, scale.y1 + 4))
-        parts.append(_text(x, scale.y1 + 18, 11, index, "middle"))
+        x = _fmt(x_of(index))
+        parts.append(_line(x, y1, x, y1 + 4))
+        parts.append(_text(x, y1 + 18, 11, index, "middle"))
     # Brink plane.
-    by = scale.y(brink)
-    parts.append(_line(scale.x0, _fmt(by), scale.x1, _fmt(by), "gray", "6,4"))
-    parts.append(_text(scale.x1 - 4, _fmt(by - 6), 11, f"brink {_fmt(brink)}",
+    by = y_of(brink)
+    parts.append(_line(x0, _fmt(by), x1, _fmt(by), "gray", "6,4"))
+    parts.append(_text(x1 - 4, _fmt(by - 6), 11, f"brink {_fmt(brink)}",
                        "end", "gray"))
     # Series.
     for series, color in ((mn0, _MN0_COLOR), (mn1, _MN1_COLOR)):
         if chained:
             points = " ".join(
-                f"{_fmt(scale.x(i))},{_fmt(scale.y(v))}"
+                f"{_fmt(x_of(i))},{_fmt(y_of(v))}"
                 for i, v in enumerate(series)
             )
             parts.append(
@@ -134,17 +133,17 @@ def render_svg(
         else:
             for i, v in enumerate(series):
                 parts.append(
-                    f'<circle cx="{_fmt(scale.x(i))}" cy="{_fmt(scale.y(v))}" '
+                    f'<circle cx="{_fmt(x_of(i))}" cy="{_fmt(y_of(v))}" '
                     f'r="3" fill="{color}"/>'
                 )
     # Legend, top-right corner of the plot rectangle.
     for slot, (label, color) in enumerate((("MN_0", _MN0_COLOR), ("MN_1", _MN1_COLOR))):
-        y = scale.y0 + 14 + slot * 16
+        y = y0 + 14 + slot * 16
         parts.append(
-            f'<rect x="{scale.x1 - 84}" y="{y - 8}" width="10" height="10" '
+            f'<rect x="{x1 - 84}" y="{y - 8}" width="10" height="10" '
             f'fill="{color}"/>'
         )
-        parts.append(_text(scale.x1 - 70, y, 11, label))
+        parts.append(_text(x1 - 70, y, 11, label))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -166,8 +165,7 @@ def render_ascii(
 
     def row_of(value: float) -> int:
         frac = (value - lo) / (hi - lo)
-        row = round((1 - frac) * (_ASCII_HEIGHT - 1))
-        return min(max(row, 0), _ASCII_HEIGHT - 1)
+        return round((1 - frac) * (_ASCII_HEIGHT - 1))
 
     grid = [[" "] * cols for _ in range(_ASCII_HEIGHT)]
     brink_row = row_of(brink)
@@ -180,18 +178,14 @@ def render_ascii(
         if grid[brink_row][col] == " ":
             grid[brink_row][col] = "-"
 
-    lines = []
-    for row in range(_ASCII_HEIGHT):
-        if row == 0:
-            label = f"{hi:8.1f}"
-        elif row == _ASCII_HEIGHT - 1:
-            label = f"{lo:8.1f}"
-        elif row == brink_row:
-            label = f"{brink:8.1f}"
-        else:
-            label = " " * 8
-        lines.append(f"{label} |{''.join(grid[row])}")
-    lines.append(f"{' ' * 8} +{'-' * cols}")
+    # The top and bottom rows are labelled hi and lo, over the brink's label
+    # if it shares their row; labels right-align to at least 8 columns.
+    labels = {brink_row: f"{brink:.1f}", 0: f"{hi:.1f}",
+              _ASCII_HEIGHT - 1: f"{lo:.1f}"}
+    width = max(8, *map(len, labels.values()))
+    lines = [f"{labels.get(row, ''):>{width}} |{''.join(grid[row])}"
+             for row in range(_ASCII_HEIGHT)]
+    lines.append(f"{' ' * width} +{'-' * cols}")
     tail = f" (stride {stride})" if stride > 1 else ""
-    lines.append(f"{' ' * 8}  index 0..{n - 1}{tail}")
+    lines.append(f"{' ' * width}  index 0..{n - 1}{tail}")
     return "\n".join(lines) + "\n"

@@ -19,6 +19,8 @@ def test_pyproject_lists_no_runtime_dependencies():
 def test_import_loads_only_stdlib_modules():
     # -I -S: no site-packages and no PYTHONPATH, so a third-party import
     # fails here, and every module loaded outside the package is listed.
+    # -I also ignores PYTHONDONTWRITEBYTECODE; -B keeps the child from
+    # writing src/simulmob/__pycache__ into the checkout.
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
@@ -28,7 +30,7 @@ def test_import_loads_only_stdlib_modules():
         "    print(name)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code],
+        [sys.executable, "-I", "-S", "-B", "-c", code],
         capture_output=True, encoding="utf-8", timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
