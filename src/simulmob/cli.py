@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from .datasets import DATASET_IDS, ReplayDataset, load_dataset
 from .model import MoveRecord, Outcome, ZoneLayout
-from .plotting import render_ascii, render_svg
+from .plotting import MAGNITUDE_LIMIT, render_ascii, render_svg
 from .sampling import SamplerConfig, validate
 from .scenarios import (
     IndependentTrialConfig,
@@ -46,7 +46,6 @@ from .stats import (
 )
 from .traceio import JsonRecords, format_trace, read_csv, write_csv, write_json
 
-ENV_SEED = "SIMULMOB_SEED"
 _DATASET_HELP = f"bundled dataset id ({', '.join(DATASET_IDS)})"
 _LAYOUT_FLAGS = ("zone0", "zone1", "brink")
 _SCENARIO_FLAGS = ("seed", "runs", "samples", "max_step", *_LAYOUT_FLAGS)
@@ -83,7 +82,7 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH",
                      help="JSON scenario config file")
     sub.add_argument("--seed", type=int, metavar="N",
-                     help=f"RNG seed (default: ${ENV_SEED}, then 0)")
+                     help="RNG seed (default: the scenario's own)")
     sub.add_argument("--runs", type=int, metavar="N",
                      help="override runs per sample (or sequential run count)")
     sub.add_argument("--samples", type=int, metavar="N",
@@ -188,17 +187,7 @@ def _layout_from_flags(
 def _scenario_config(
     args: argparse.Namespace,
 ) -> IndependentTrialConfig | SequentialConfig:
-    """The preset or config file's scenario, with the flags applied over it.
-
-    The seed is --seed, else $SIMULMOB_SEED, else the scenario's own.
-    """
-    seed, raw = args.seed, os.environ.get(ENV_SEED)
-    if seed is None and raw is not None:
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise UsageError(
-                f"{ENV_SEED} must be an integer, got {raw!r}") from None
+    """The preset or config file's scenario, with the flags applied over it."""
     if args.scenario is not None:
         config = preset(args.scenario)
     else:
@@ -215,7 +204,7 @@ def _scenario_config(
         config = config_from_dict(doc)
     base = config.sampler
     sampler = SamplerConfig(
-        base.seed if seed is None else seed,
+        args.seed if args.seed is not None else base.seed,
         args.max_step if args.max_step is not None else base.max_step,
         _layout_from_flags(args, base.layout))
     if isinstance(config, SequentialConfig):
@@ -598,6 +587,9 @@ def _estimate_doc(source: Source, max_step: int | None) -> dict:
     if avg <= 0:
         raise UsageError("average step length is zero; estimators undefined")
     span = layout.zone0_span
+    if span >= MAGNITUDE_LIMIT:
+        raise UsageError(f"zone 0 spans {MAGNITUDE_LIMIT:.0e} positions or "
+                         "more; estimators undefined")
     doc.update(avg_step=avg, zone0_span=span,
                expected_steps_to_cross=expected_steps_to_cross(span, avg))
     if independent:

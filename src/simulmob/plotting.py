@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+# Plots and the span estimators take values below this magnitude as floats;
+# the headroom keeps a span, its padding and span / average step finite.
+MAGNITUDE_LIMIT = 1e300
 _WIDTH = 720
 _HEIGHT = 480
 _ASCII_HEIGHT = 21
@@ -55,12 +58,16 @@ def _value_range(mn0: Sequence[float], mn1: Sequence[float],
     """Lowest and highest of both series and the brink, as distinct floats.
 
     Equal ends move ``hi`` one unit up, or one float step where that is
-    wider, so ``hi - lo`` is positive at any magnitude.
+    wider. A value of magnitude ``MAGNITUDE_LIMIT`` or more raises ValueError.
     """
     if not mn0 or len(mn0) != len(mn1):
         raise ValueError("need two equal-length non-empty series")
-    lo = float(min(min(mn0), min(mn1), brink))
-    hi = float(max(max(mn0), max(mn1), brink))
+    lo = min(min(mn0), min(mn1), brink)
+    hi = max(max(mn0), max(mn1), brink)
+    if max(-lo, hi) >= MAGNITUDE_LIMIT:
+        raise ValueError("cannot plot a position or brink of magnitude "
+                         f"{MAGNITUDE_LIMIT:.0e} or more")
+    lo, hi = float(lo), float(hi)
     return lo, hi if hi > lo else lo + max(1.0, math.ulp(lo))
 
 

@@ -239,16 +239,15 @@ def parse_trace(text: str) -> list[MoveRecord]:
 def write_csv(
     records: Sequence[MoveRecord], outcomes: Sequence[Outcome]
 ) -> str:
-    """Render records and their classifications as CSV (header always present)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for rec, outcome in zip(records, outcomes, strict=True):
-        writer.writerow(
-            [rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new,
-             outcome.value]
-        )
-    return buf.getvalue()
+    """Render records and their classifications as CSV (header always present).
+
+    Every field is an int or an outcome name, so none needs quoting, and
+    each row comes from one template.
+    """
+    return ",".join(CSV_HEADER) + "\n" + "".join(
+        "%d,%d,%d,%d,%d,%s\n" % (rec.step, rec.mn0_init, rec.mn0_new,
+                                 rec.mn1_init, rec.mn1_new, outcome.value)
+        for rec, outcome in zip(records, outcomes, strict=True))
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:

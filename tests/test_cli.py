@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -20,12 +21,7 @@ from simulmob.model import MoveRecord
 from simulmob.sampling import Pcg32
 from simulmob.scenarios import config_to_dict, preset
 from simulmob.stats import METRIC_LABELS
-from simulmob.traceio import parse_trace
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("SIMULMOB_SEED", raising=False)
+from simulmob.traceio import CSV_HEADER, parse_trace
 
 
 def run_cli(capsys, *argv):
@@ -264,29 +260,24 @@ class TestSimulateErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-class TestSeedEnv:
-    def test_env_seed_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMULMOB_SEED", "5")
-        _, out_env, _ = run_cli(capsys, "simulate", "--scenario", "1")
-        monkeypatch.delenv("SIMULMOB_SEED")
-        _, out_flag, _ = run_cli(
-            capsys, "simulate", "--scenario", "1", "--seed", "5")
-        assert out_env == out_flag
+class TestSeedEnvIgnored:
+    """A seeded run's output depends only on its argv and the files it names."""
 
-    def test_flag_wins_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMULMOB_SEED", "5")
-        _, out, _ = run_cli(
-            capsys, "simulate", "--scenario", "1", "--seed", "6")
-        monkeypatch.delenv("SIMULMOB_SEED")
-        _, out_six, _ = run_cli(
-            capsys, "simulate", "--scenario", "1", "--seed", "6")
-        assert out == out_six
-
-    def test_invalid_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIMULMOB_SEED", "not-a-number")
-        code, _, err = run_cli(capsys, "simulate", "--scenario", "1")
-        assert code == 2
-        assert "SIMULMOB_SEED" in err
+    @pytest.mark.parametrize("value", ["5", "not-a-number"])
+    def test_environment_seed_changes_nothing(self, capsys, monkeypatch, value):
+        config = str(Path(__file__).resolve().parent / "golden"
+                     / "independent.json")
+        for argv in (
+            ("simulate", "--scenario", "1", "--runs", "3", "--samples", "2"),
+            ("simulate", "--config", config),
+            ("estimate", "--scenario", "2"),
+            ("plot", "--scenario", "3", "--ascii"),
+        ):
+            monkeypatch.delenv("SIMULMOB_SEED", raising=False)
+            unset = run_cli(capsys, *argv)
+            assert unset[0] == 0, argv
+            monkeypatch.setenv("SIMULMOB_SEED", value)
+            assert run_cli(capsys, *argv) == unset, argv
 
 
 class TestReplay:
@@ -786,7 +777,6 @@ class TestClosedStdout:
     def test_closed_pipe(self, argv):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": src}
-        env.pop("SIMULMOB_SEED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -827,7 +817,8 @@ class TestNoRecordsForTables:
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-_ints = st.integers(-3, 300) | st.sampled_from([2**32 - 1, 2**32, 2**40, -2**40])
+_ints = st.integers(-3, 300) | st.sampled_from(
+    [2**32 - 1, 2**32, 2**40, -2**40, 10**400, -10**400])
 # Each subcommand's source options and other options; value strategies, or
 # None for a switch. "{tmp}" is a scratch directory. ``--runs`` is left out:
 # it is appended, at most 5, wherever a scenario may run, so together with
@@ -905,6 +896,60 @@ def argvs(draw):
     return argv
 
 
+_NINES = "9" * 400
+_ROWS = {  # one row each: (mn0_init, mn1_init), both held still
+    "huge.csv": (10**400, 10**400),
+    "span.csv": (-int(1.5e308), int(1.5e308)),
+    "pad.csv": (0, int(1.75e308)),
+}
+
+
+class TestMagnitudeLimit:
+    """Plots and span estimators refuse a value of 1e300 or more with one
+    ``error:`` line and exit 2, before any output is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ("plot", "--dataset", "table-5", "--brink", _NINES, "--ascii"),
+        ("plot", "--input", "{tmp}/huge.csv", "--brink", "3"),
+        ("plot", "--input", "{tmp}/huge.csv", "--brink", "3", "--ascii"),
+        ("replay", "--input", "{tmp}/huge.csv", "--zone0", "0:1", "--zone1",
+         "3:4", "--brink", "2", "--plot", "{tmp}/p.svg"),
+        ("plot", "--input", "{tmp}/span.csv", "--brink", "0", "--ascii"),
+        ("plot", "--input", "{tmp}/span.csv", "--brink", "0"),
+        ("plot", "--input", "{tmp}/pad.csv", "--brink", "0"),
+        ("estimate", "--dataset", "table-5", f"--zone0=-{_NINES}:99"),
+        ("estimate", "--dataset", "table-6", f"--zone0=-{_NINES}:99"),
+        ("estimate", "--dataset", "table-1", f"--zone0=-{_NINES}:99",
+         "--brink", "100", "--zone1", "101:200"),
+        ("estimate", "--dataset", "table-5", f"--zone0=-{_NINES}:99",
+         "--format", "json"),
+    ])
+    def test_refused(self, capsys, tmp_path, argv):
+        for name, (p0, p1) in _ROWS.items():
+            (tmp_path / name).write_text(
+                f"{','.join(CSV_HEADER[:5])}\n0,{p0},{p0},{p1},{p1}\n",
+                encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1e+300" in err
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_just_below_the_limit(self, capsys):
+        below = str(10**299)
+        code, out, _ = run_cli(
+            capsys, "plot", "--dataset", "table-5", "--brink", below)
+        assert code == 0
+        assert "nan" not in out and "inf" not in out
+        code, _, _ = run_cli(capsys, "plot", "--dataset", "table-5",
+                             "--brink", f"-{below}", "--ascii")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "estimate", "--dataset", "table-5",
+                             f"--zone0=-{below}:99")
+        assert code == 0
+
+
 class TestArgvFuzz:
     """``main`` answers any argv with exit 0, 1 or 2 and no traceback."""
 
@@ -942,3 +987,159 @@ class TestArgvFuzz:
         assert code == 2
         assert out == ""
         assert err == "error: line 2: field larger than field limit (131072)\n"
+
+def check_run(argv: list[str]) -> None:
+    """Run ``main``; only its exit code and stderr lines say how it ended.
+
+    The exit code is 0, 1 or 2. A failure leaves stdout empty and ends
+    stderr with its one ``error:`` line; a success writes only warnings.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), argv
+    if code:
+        assert out.getvalue() == "", argv
+        assert [n for n, line in enumerate(lines) if line.startswith("error: ")] \
+            == [len(lines) - 1], (argv, lines)
+    else:
+        assert all(line.startswith("warning: ") for line in lines), (argv, lines)
+
+
+_CELLS = st.sampled_from([str(10**400), str(-10**400), "-7", '"5"', "+5",
+                          "1_0", "\u0662\u0660", "", "5.0", " 5", "x"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A record CSV, valid or edited: huge, negative, quoted, signed or
+    non-ASCII cells, wrong field counts, blank rows, a BOM, CRLF endings."""
+    outcome = draw(st.booleans())
+    offset = draw(st.sampled_from([0, 0, -500, 10**400, -10**400]))
+    rows = [list(CSV_HEADER if outcome else CSV_HEADER[:5])]
+    for rec in draw(st.lists(st.builds(
+            MoveRecord.from_inits, st.integers(-50, 250),
+            st.integers(-50, 250), st.integers(0, 60)), max_size=5)):
+        rows.append([str(rec.step)] + [
+            str(v + offset) for v in (rec.mn0_init, rec.mn0_new, rec.mn1_init,
+                                      rec.mn1_new)]
+            + (["no_overlap"] if outcome else []))
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["cell", "cell", "drop", "extra", "blank"]))
+        if edit == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_CELLS)
+        elif edit == "drop" and row:
+            row.pop()
+        elif edit == "extra":
+            row.append(draw(_CELLS))
+        elif edit == "blank":
+            rows.insert(draw(st.integers(1, len(rows))), [])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(",".join(row) + newline for row in rows)
+
+
+_LAYOUT = {"zone0_lo": 0, "zone0_hi": 99, "zone1_lo": 101, "zone1_hi": 200,
+           "brink": 100}
+CONFIGS = (
+    {"sampler": {"seed": 3, "max_step": 20, "layout": _LAYOUT},
+     "runs_per_sample": 4, "samples": 2},
+    {"sampler": {"seed": 5, "max_step": 30, "layout": _LAYOUT},
+     "mn0_start": 10, "mn1_start": 160, "runs": 3, "max_steps_cap": 50},
+)
+# The run counts and the step cap only ever take small or invalid values,
+# so no fuzzed config runs long.
+_COUNTS = {"runs_per_sample", "samples", "runs", "max_steps_cap"}
+_WRONG_TYPES = st.sampled_from(["5", 5.5, True, None, [], {}, [5]])
+_VALUES = (st.integers(-300, 300) | _WRONG_TYPES | st.sampled_from(
+    [10**400, -10**400, 2**32 - 1, 2**32, 2**64]))
+
+
+def _paths(doc: dict, prefix: tuple = ()):
+    """The key path of every value in ``doc``, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+def _parent(doc: dict, path: tuple) -> dict:
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def config_docs(draw):
+    """A scenario config, valid or edited: wrong JSON types, huge and
+    negative numbers, dropped, unknown and mixed-shape keys, and layouts
+    moved by 10**400."""
+    doc = copy.deepcopy(draw(st.sampled_from(CONFIGS)))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        edit = draw(st.sampled_from(
+            ["set", "set", "drop", "unknown", "mixed", "offset"]))
+        if edit in ("set", "drop") and paths:
+            path = draw(st.sampled_from(paths))
+            counted = path[-1] in _COUNTS
+            if edit == "set":
+                _parent(doc, path)[path[-1]] = draw(
+                    st.integers(-2, 5) | _WRONG_TYPES if counted else _VALUES)
+            elif not counted:
+                del _parent(doc, path)[path[-1]]
+        elif edit == "unknown":
+            target = draw(st.sampled_from(
+                [doc] + [v for v in doc.values() if isinstance(v, dict)]))
+            target["colour"] = 1
+        elif edit == "mixed":
+            doc.update({"samples": 2} if "runs" in doc else {"mn0_start": 10})
+        elif edit == "offset":
+            shift = draw(st.sampled_from([10**400, -10**400]))
+            sampler = doc.get("sampler")
+            layout = sampler.get("layout") if isinstance(sampler, dict) else None
+            for target, keys in ((layout, _LAYOUT), (doc, ("mn0_start", "mn1_start"))):
+                for key in keys:
+                    if isinstance(target, dict) and type(target.get(key)) is int:
+                        target[key] += shift
+    return doc
+
+
+class TestFileFuzz:
+    """``main`` answers any CSV or config file content the same way it
+    answers any argv: exit 0, 1 or 2, a typed error, and clean streams."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(csv_texts())
+    def test_csv_input(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, plot = f"{tmp}/in.csv", f"{tmp}/plot.svg"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            layout = ["--zone0", "0:99", "--zone1", "101:200", "--brink", "100"]
+            for argv in (
+                ["replay", "--input", path, *layout],
+                ["replay", "--input", path, *layout, "--format", "json",
+                 "--plot", plot],
+                ["plot", "--input", path, "--brink", "100"],
+                ["plot", "--input", path, "--brink", "100", "--ascii"],
+            ):
+                check_run(argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(config_docs())
+    def test_config_file(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/config.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in (
+                ["simulate", "--config", path],
+                ["simulate", "--config", path, "--format", "json"],
+                ["estimate", "--config", path],
+                ["estimate", "--config", path, "--format", "json"],
+                ["plot", "--config", path, "--ascii"],
+            ):
+                check_run(argv)
+

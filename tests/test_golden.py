@@ -230,7 +230,6 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
     out_path = tmp / f"{name}.out"
     argv = [a.replace("{out}", str(out_path)) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    env_seed = os.environ.pop("SIMULMOB_SEED", None)
     cwd = os.getcwd()
     try:
         os.chdir(GOLDEN)
@@ -239,8 +238,6 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
             code = main(argv)
     finally:
         os.chdir(cwd)
-        if env_seed is not None:
-            os.environ["SIMULMOB_SEED"] = env_seed
     assert code == ERRORS.get(name, ((), 0))[1], f"{name}: exit {code}"
     outputs = {f"{name}.stdout": stdout.getvalue().encode()}
     if stderr.getvalue():

@@ -5,15 +5,17 @@ import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simulmob.cli import main
-from simulmob.plotting import render_ascii, render_svg
+from simulmob.plotting import MAGNITUDE_LIMIT, render_ascii, render_svg
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SVG = "{http://www.w3.org/2000/svg}"
 BIG = 2**62
+LIMIT = int(MAGNITUDE_LIMIT)
 
 # XML 1.0 characters, markup ones included. A CR is left out: a parser
 # reads every line end back as LF.
@@ -114,3 +116,23 @@ class TestAscii:
         assert {line.index("|") for line in lines[:21]} == {12}
         assert lines[0].startswith("123456795.0 |")
         assert lines[21].index("+") == 12
+
+
+class TestMagnitudeLimit:
+    @settings(max_examples=100, deadline=None)
+    @given(series(LIMIT - 1), st.booleans())
+    @example(([-(LIMIT - 1)], [LIMIT - 1], 0), True)
+    @example(([0], [LIMIT - 1], 0), False)
+    def test_finite_below_the_limit(self, data, chained):
+        svg = render_svg(*data, chained, "", "step")
+        assert "nan" not in svg and "inf" not in svg
+        assert len(ascii_lines(render_ascii(*data))) == 23
+
+    @pytest.mark.parametrize("value", [LIMIT, -LIMIT, 10**400])
+    @pytest.mark.parametrize("where", ["mn0", "mn1", "brink"])
+    def test_refused_at_the_limit(self, value, where):
+        data = {"mn0": [0], "mn1": [1], "brink": 2}
+        data[where] = value if where == "brink" else [value]
+        for render in (render_ascii, lambda *args: render_svg(*args, True, "", "step")):
+            with pytest.raises(ValueError, match=r"1e\+300"):
+                render(data["mn0"], data["mn1"], data["brink"])

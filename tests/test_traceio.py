@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -573,6 +575,23 @@ class TestCsv:
 
     def test_empty_batch_is_header_only(self):
         assert write_csv([], []) == ",".join(CSV_HEADER) + "\n"
+
+    @given(st.lists(st.tuples(wide_records, st.sampled_from(Outcome)),
+                    max_size=8))
+    def test_matches_csv_writer(self, pairs):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for rec, outcome in pairs:
+            writer.writerow([rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
+                             rec.mn1_new, outcome.value])
+        recs = [rec for rec, _ in pairs]
+        assert write_csv(recs, [o for _, o in pairs]) == buf.getvalue()
+
+    def test_outcome_count_must_match_records(self):
+        ds = load_dataset("table-1")
+        with pytest.raises(ValueError):
+            write_csv(ds.rows, [Outcome.NO_OVERLAP] * 2)
 
     def test_round_trip(self):
         ds = load_dataset("table-5")
