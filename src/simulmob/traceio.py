@@ -10,6 +10,12 @@ Fields: marker ``M``, move duration in seconds (5 decimals), node id,
 initial (x, y), new (x, y), step length. The model is 1-D, so y prints as
 the constant ``00.00``. Optional ``STEP-k`` header lines group the pairs.
 
+``parse_trace`` reads ``format_trace``'s own text (without step headers) in
+one scan, a pattern that matches it move by move. Any other text (headers,
+another node order, other spellings of numbers, CRLF endings, an error) is
+read line by line, which alone decides what is accepted beyond that text and
+reports every error.
+
 All emitters are deterministic: equal inputs give byte-identical output
 (UTF-8, LF line endings). ``format_trace`` renders each move from one
 template of both lines. ``write_json`` writes the bytes of the stdlib's
@@ -21,6 +27,7 @@ moves renders from one template per move.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -128,6 +135,10 @@ def _reject(line: str) -> NoReturn:
 
 # A float holds every integer below 2**53 in magnitude, and skips some above.
 _EXACT = float(2**53)
+# A number's text with a non-zero fraction, which a float may round.
+_FRACTION = re.compile(r"\.[0-9]*[1-9]").search
+# Adds and subtracts decimal texts of any length without rounding.
+_DECIMAL = decimal.Context(prec=decimal.MAX_PREC)
 
 
 def _exact(m: re.Match, group: int) -> float | int:
@@ -150,12 +161,18 @@ def _fields(line: str) -> tuple[int, float, float, float, float]:
     m = _MOVE(line)
     if m is None:
         _reject(line)
-    time_s, node, init_x, new_x, step = m.groups()
-    init_x, new_x, step = float(init_x), float(new_x), float(step)
+    time_s, node, init_text, new_text, step_text = m.groups()
+    init_x, new_x, step = float(init_text), float(new_text), float(step_text)
     if not (-_EXACT < init_x < _EXACT and -_EXACT < new_x < _EXACT
             and -_EXACT < step < _EXACT):
         init_x, new_x, step = _exact(m, 3), _exact(m, 4), _exact(m, 5)
-    if abs(new_x - init_x) != step:
+    if _FRACTION(init_text) or _FRACTION(new_text) or _FRACTION(step_text):
+        # Compare the decimal texts, which the floats may round.
+        diff = _DECIMAL.subtract(decimal.Decimal(new_text), decimal.Decimal(init_text))
+        consistent = diff.copy_abs() == decimal.Decimal(step_text)
+    else:
+        consistent = abs(new_x - init_x) == step
+    if not consistent:
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", m.start(5) + 1
         )
@@ -167,7 +184,7 @@ def parse_trace_line(line: str) -> TraceLine:
 
     Raises :class:`TraceParseError` with the 1-based column of the first
     offending character. The |new - init| == step consistency of the line is
-    checked as well as the grammar.
+    checked as well as the grammar, exactly in decimal.
     """
     return TraceLine(*_fields(line))
 
@@ -188,13 +205,51 @@ def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> s
     ])
 
 
+# One move as ``format_trace`` writes it without step headers: node 1's
+# line, then node 0's, whose time and step repeat node 1's text (the
+# backreferences). A number of at most 15 digits is below 2**53, so it
+# reads the same as an int here as through a float on the per-line path.
+# ``re`` compiles it on first use, so a run that reads no trace never does.
+_INT = r"(-?[0-9]{1,15})\.00"
+_PAIR = (
+    rf"M ([0-9]+\.[0-9]{{5}}) 1 \({_INT}, 00\.00\), \({_INT}, 00\.00\), "
+    r"([0-9]{1,15})\.00\n"
+    rf"M \1 0 \({_INT}, 00\.00\), \({_INT}, 00\.00\), \4\.00\n"
+)
+
+
+def _scan(text: str) -> list[MoveRecord] | None:
+    """The moves of ``text`` if ``_PAIR`` matches tile it from start to end
+    and every move is consistent, else None."""
+    records = []
+    pos = 0
+    for m in re.finditer(_PAIR, text):
+        if m.start() != pos:
+            return None
+        time_s, init1, new1, step, init0, new0 = m.groups()
+        try:
+            records.append(MoveRecord(int(step), int(init0), int(new0),
+                                      int(init1), int(new1), float(time_s)))
+        except ValueError:  # a node moved the wrong way
+            return None
+        pos = m.end()
+    return records if pos == len(text) else None
+
+
 def parse_trace(text: str) -> list[MoveRecord]:
     """Rebuild move records from trace text.
 
     Skips blank lines and STEP-k headers; accepts either node order within a
     pair. Raises :class:`TraceParseError` on grammar violations, unpaired
     lines, or pairs that do not assemble into a consistent move.
+
+    Text as :func:`format_trace` writes it without step headers is read in
+    one scan; any other text, and every error, comes from reading it line
+    by line.
     """
+    records = _scan(text)
+    if records is not None:
+        return records
     fragments = []  # (line number, node id, move time, initial x, new x, step)
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.startswith("STEP-"):

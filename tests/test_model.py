@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,6 +107,60 @@ class TestMoveRecord:
         args[field] = bad
         with pytest.raises(ValueError, match="^step and positions must be ints"):
             MoveRecord(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, 0, 1, 5, 4), "step and positions must be ints, got MoveRecord("
+                            "step=1.5, mn0_init=0, mn0_new=1, mn1_init=5, mn1_new=4, "
+                            "time_s=0.001)"),
+        ((-1, 14, 13, 55, 56), "step must be non-negative, got -1"),
+        ((5, 14, 20, 55, 50), "MN_0 update broken: 14 + 5 != 20"),
+        ((5, 14, 19, 55, 49), "MN_1 update broken: 55 - 5 != 49"),
+    ])
+    def test_error_messages(self, args, message):
+        with pytest.raises(ValueError) as err:
+            MoveRecord(*args)
+        assert str(err.value) == message
+
+    def test_replace_validates(self):
+        rec = MoveRecord.from_inits(10, 500, 28)
+        assert dataclasses.replace(rec, time_s=0.5).time_s == 0.5
+        with pytest.raises(ValueError, match="^MN_0 update broken: 10 [+] 29 != 38$"):
+            dataclasses.replace(rec, step=29)
+
+    def test_frozen(self):
+        rec = MoveRecord.from_inits(10, 500, 28)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.step = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del rec.mn0_new
+        # The fields live in slots, not in a dict per record.
+        assert not hasattr(rec, "__dict__")
+
+    def test_fields_and_repr(self):
+        rec = MoveRecord(step=28, mn0_init=10, mn0_new=38, mn1_init=500, mn1_new=472)
+        assert [(f.name, f.default) for f in dataclasses.fields(MoveRecord)] == [
+            ("step", dataclasses.MISSING), ("mn0_init", dataclasses.MISSING),
+            ("mn0_new", dataclasses.MISSING), ("mn1_init", dataclasses.MISSING),
+            ("mn1_new", dataclasses.MISSING), ("time_s", 0.001)]
+        assert repr(rec) == ("MoveRecord(step=28, mn0_init=10, mn0_new=38, "
+                             "mn1_init=500, mn1_new=472, time_s=0.001)")
+        assert dataclasses.astuple(rec) == (28, 10, 38, 500, 472, 0.001)
+
+    def test_eq_and_hash_by_fields(self):
+        rec = MoveRecord.from_inits(10, 500, 28)
+        same = MoveRecord(28, 10, 38, 500, 472, 0.001)
+        assert rec == same and hash(rec) == hash(same)
+        assert hash(rec) == hash(dataclasses.astuple(rec))
+        assert rec != dataclasses.replace(rec, time_s=0.002)
+        assert rec != dataclasses.astuple(rec)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))])
+    def test_copies_equal(self, clone):
+        rec = MoveRecord(3, -2, 1, 2**70, 2**70 - 3, 0.5)
+        twin = clone(rec)
+        assert type(twin) is MoveRecord
+        assert twin == rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
 
 
 class TestClassify:

@@ -2,10 +2,13 @@ import csv
 import io
 import json
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from simulmob import traceio
 from simulmob.datasets import DATASET_IDS, load_dataset
 from simulmob.model import MoveRecord, Outcome
 from simulmob.traceio import (
@@ -68,7 +71,7 @@ class _Cursor:
             raise TraceParseError(f"expected {what} {expected!r}", self.column)
         self.pos = end
 
-    def number(self, what: str) -> float:
+    def number(self, what: str) -> str:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
@@ -79,7 +82,7 @@ class _Cursor:
             self.pos += 1
             if not self._digits():
                 raise TraceParseError(f"expected decimals in {what}", self.column)
-        return float(self.text[start:self.pos])
+        return self.text[start:self.pos]
 
     def _digits(self) -> bool:
         start = self.pos
@@ -97,14 +100,14 @@ def cursor_parse_trace_line(line: str) -> TraceLine:
 
     It reads digits with ``str.isdigit``, so unlike ``parse_trace_line`` it
     takes non-ASCII digits, and ``1²`` makes ``float`` raise a bare
-    ``ValueError``.
+    ``ValueError``. It checks the step as exact fractions of the texts.
     """
     cur = _Cursor(line)
     cur.literal("M", "marker")
     cur.literal(" ", "separator")
     if line[cur.pos:cur.pos + 1] == "-":
         raise TraceParseError("move time must not be negative", cur.column)
-    time_s = cur.number("move time")
+    time_s = float(cur.number("move time"))
     cur.literal(" ", "separator")
     node_col = cur.column
     node = line[cur.pos:cur.pos + 1]
@@ -115,15 +118,16 @@ def cursor_parse_trace_line(line: str) -> TraceLine:
     cur.pos += 1
     cur.literal(" ", "separator")
     cur.literal("(", "open paren")
-    init_x = cur.number("initial x")
+    init_text = cur.number("initial x")
     cur.literal(", 00.00), ", "initial y")
     cur.literal("(", "open paren")
-    new_x = cur.number("new x")
+    new_text = cur.number("new x")
     cur.literal(", 00.00), ", "new y")
     step_col = cur.column
-    step = cur.number("step length")
+    step_text = cur.number("step length")
     cur.end()
-    if abs(new_x - init_x) != step:
+    init_x, new_x, step = float(init_text), float(new_text), float(step_text)
+    if abs(Fraction(new_text) - Fraction(init_text)) != Fraction(step_text):
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", step_col
         )
@@ -221,9 +225,54 @@ def edited_lines(draw):
 any_lines = st.one_of(valid_lines, edited_lines())
 
 
+def bounded_records(bound: int):
+    """Records whose positions and step are all below ``bound`` in magnitude,
+    often at 15 or 16 digits."""
+    ints = st.one_of(
+        st.integers(-2000, 2000), st.integers(-bound + 1, bound - 1),
+        st.sampled_from([0, 10**15 - 1, 10**15, -(10**15 - 1), -(10**15)]))
+    steps = st.one_of(st.integers(0, 500), st.sampled_from([10**15 - 1, 10**15]))
+    return st.builds(MoveRecord.from_inits, ints, ints, steps).filter(
+        lambda rec: all(abs(x) < bound for x in (
+            rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new)))
+
+
+# Text edits that keep a line in the grammar: a time whose text differs but
+# whose float is equal, a position without decimals, -0.00, the other node.
+LINE_EDITS = [("0.00100", "0.001"), ("0.00100", "0.0010"), (".00,", ","),
+              ("(0.00,", "(-0.00,"), (", 0.00", ", -0.00"), (" 1 (", " 0 ("),
+              (" 0 (", " 1 ("), ("M ", "M 1")]
+
+
+@st.composite
+def edited_format_traces(draw, bound=2**53):
+    """A whole ``format_trace`` output with one line edited at a random index,
+    so a scan of it breaks late, if at all."""
+    recs = draw(st.lists(bounded_records(bound), min_size=1, max_size=6))
+    lines = format_trace(recs, draw(st.booleans())).split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["replace", "character", "text", "delete", "repeat"]))
+    if edit == "replace":
+        lines[i] = draw(st.one_of(any_lines, st.sampled_from(["", "STEP-1"])))
+    elif edit == "character":
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:j] + draw(near_chars) + lines[i][j + 1:]
+    elif edit == "text":
+        old, new = draw(st.sampled_from(LINE_EDITS))
+        lines[i] = lines[i].replace(old, new, 1)
+    elif edit == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
 @st.composite
 def traces(draw):
-    """Movement lines, STEP-k headers and blank lines, in any line endings."""
+    """Movement lines, STEP-k headers and blank lines, in any line endings;
+    or a whole ``format_trace`` output with one line edited."""
+    if draw(st.booleans()):
+        return draw(edited_format_traces())
     pair = st.builds(lambda rec, first: [format_trace_line(rec, first),
                                          format_trace_line(rec, 1 - first)],
                      records, st.sampled_from([0, 1]))
@@ -308,6 +357,27 @@ class TestParseTraceLine:
         with pytest.raises(TraceParseError) as err:
             parse_trace_line("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 29.00")
         assert "29" in str(err.value)
+
+    def test_step_compared_exactly_in_decimal(self):
+        # As floats, 0.3 - 0.1 is 0.19999999999999998, which is not 0.2.
+        frag = parse_trace_line("M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.2")
+        assert (frag.init_x, frag.new_x, frag.step) == (0.1, 0.3, 0.2)
+
+    def test_step_equal_only_as_floats_rejected(self):
+        line = "M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.19999999999999998"
+        with pytest.raises(TraceParseError) as err:
+            parse_trace_line(line)
+        assert err.value.reason == \
+            "step 0.19999999999999998 does not match |0.3 - 0.1|"
+        assert err.value.column == line.index("0.1999") + 1
+
+    def test_long_fraction_compared_exactly(self):
+        # Past 4300 digits, int() and so Fraction() refuse a text.
+        tail = "0" * 5000 + "1"
+        line = f"M 0.00100 0 (1.{tail}, 00.00), (3, 00.00), 1.{'9' * 5001}"
+        assert parse_trace_line(line).step == 2.0
+        with pytest.raises(TraceParseError, match="does not match"):
+            parse_trace_line(line[:-1] + "8")
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(TraceParseError):
@@ -509,6 +579,43 @@ class TestWholeTrace:
             parse_trace_line(line)
         assert err.value.column == line.index("9007199254741023.50") + 1
         assert "must be integral" in err.value.reason
+
+    @given(st.lists(bounded_records(10**15), max_size=8),
+           st.sampled_from([0.001, 0.0, 0.5, 12.25]))
+    def test_format_trace_output_is_scanned(self, recs, time_s):
+        # A pattern that never matches would still parse, only slowly.
+        recs = [replace(rec, time_s=time_s) for rec in recs]
+        text = format_trace(recs)
+        with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
+            assert parse_trace(text) == recs
+
+    def test_sixteen_digits_read_line_by_line(self):
+        rec = MoveRecord.from_inits(10**15, -(10**15 - 1), 7)
+        with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
+            with pytest.raises(AssertionError):
+                parse_trace(format_trace([rec]))
+        assert parse_trace(format_trace([rec])) == [rec]
+
+    PAIR = ("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00\n"
+            "M 0.00100 0 (10.00, 00.00), (38.00, 00.00), 28.00\n")
+
+    @given(st.one_of(traces(), edited_format_traces(bound=2**70)))
+    # In the scan's grammar, but each node moves the wrong way.
+    @example("M 0.00100 1 (5.00, 00.00), (3.00, 00.00), 2.00\n"
+             "M 0.00100 0 (1.00, 00.00), (-1.00, 00.00), 2.00\n")
+    # The lines of a pair disagree on the step or the time, as text and value.
+    @example(PAIR.replace("38.00, 00.00), 28.00", "38.00, 00.00), 29.00"))
+    @example(PAIR.replace("M 0.00100 0", "M 0.00200 0"))
+    # The same, as text only.
+    @example(PAIR.replace("38.00, 00.00), 28.00", "38.00, 00.00), 28.0"))
+    @example(PAIR.replace("M 0.00100 0", "M 0.001 0"))
+    # A line between pairs, or after the last.
+    @example(PAIR + "X\n" + PAIR)
+    @example(PAIR + " ")
+    def test_scan_matches_per_line_path(self, text):
+        with mock.patch.object(traceio, "_scan", return_value=None):
+            per_line = _outcome(parse_trace, text)
+        assert _outcome(parse_trace, text) == per_line
 
     @given(traces())
     def test_matches_cursor_parser(self, text):
