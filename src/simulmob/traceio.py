@@ -135,9 +135,7 @@ def _reject(line: str) -> NoReturn:
 
 # A float holds every integer below 2**53 in magnitude, and skips some above.
 _EXACT = float(2**53)
-# A number's text with a non-zero fraction, which a float may round.
-_FRACTION = re.compile(r"\.[0-9]*[1-9]").search
-# Adds and subtracts decimal texts of any length without rounding.
+# Subtracts decimal texts of any length without rounding.
 _DECIMAL = decimal.Context(prec=decimal.MAX_PREC)
 
 
@@ -166,13 +164,9 @@ def _fields(line: str) -> tuple[int, float, float, float, float]:
     if not (-_EXACT < init_x < _EXACT and -_EXACT < new_x < _EXACT
             and -_EXACT < step < _EXACT):
         init_x, new_x, step = _exact(m, 3), _exact(m, 4), _exact(m, 5)
-    if _FRACTION(init_text) or _FRACTION(new_text) or _FRACTION(step_text):
-        # Compare the decimal texts, which the floats may round.
-        diff = _DECIMAL.subtract(decimal.Decimal(new_text), decimal.Decimal(init_text))
-        consistent = diff.copy_abs() == decimal.Decimal(step_text)
-    else:
-        consistent = abs(new_x - init_x) == step
-    if not consistent:
+    # Compare the decimal texts, which the floats may round or overflow.
+    diff = _DECIMAL.subtract(decimal.Decimal(new_text), decimal.Decimal(init_text))
+    if diff.copy_abs() != decimal.Decimal(step_text):
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", m.start(5) + 1
         )
@@ -220,11 +214,14 @@ _PAIR = (
 
 def _scan(text: str) -> list[MoveRecord] | None:
     """The moves of ``text`` if ``_PAIR`` matches tile it from start to end
-    and every move is consistent, else None."""
+    and every move is consistent, else None. Each match is anchored where
+    the last one ended, so a miss ends the scan."""
+    match = re.compile(_PAIR).match
     records = []
     pos = 0
-    for m in re.finditer(_PAIR, text):
-        if m.start() != pos:
+    while pos < len(text):
+        m = match(text, pos)
+        if m is None:
             return None
         time_s, init1, new1, step, init0, new0 = m.groups()
         try:
@@ -233,7 +230,7 @@ def _scan(text: str) -> list[MoveRecord] | None:
         except ValueError:  # a node moved the wrong way
             return None
         pos = m.end()
-    return records if pos == len(text) else None
+    return records
 
 
 def parse_trace(text: str) -> list[MoveRecord]:

@@ -379,6 +379,25 @@ class TestParseTraceLine:
         with pytest.raises(TraceParseError, match="does not match"):
             parse_trace_line(line[:-1] + "8")
 
+    @pytest.mark.parametrize("init, new, step, accepted", [
+        ("0.00", "1" + "0" * 400 + ".00", "2" + "0" * 400 + ".00", False),
+        ("1" + "0" * 400 + ".00", "1" + "0" * 400 + ".00", "0.00", True),
+        ("1" + "0" * 400 + ".00", "1" + "0" * 399 + "1.00", "0.00", False),
+    ], ids=["twice-as-far", "no-move", "one-apart"])
+    def test_integers_past_float_range_compared_exactly(
+            self, init, new, step, accepted):
+        # float() reads each 401-digit number as inf, and inf - 0 is inf.
+        line = f"M 0.00100 0 ({init}, 00.00), ({new}, 00.00), {step}"
+        verdict = _outcome(parse_trace_line, line)
+        assert isinstance(verdict, TraceLine) is accepted
+        if not accepted:
+            assert "does not match" in verdict[0]
+            assert verdict[1] == line.rindex(step) + 1
+        # The reference prints its numbers as floats, so compare verdicts.
+        reference = _outcome(cursor_parse_trace_line, line)
+        assert isinstance(reference, TraceLine) is accepted
+        assert accepted or reference[1] == verdict[1]
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(TraceParseError):
             parse_trace_line("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00 ")
