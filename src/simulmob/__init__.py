@@ -27,6 +27,7 @@ from .scenarios import (
     SampleResult,
     SequentialConfig,
     SequentialRun,
+    Walks,
     config_from_dict,
     config_to_dict,
     preset,
@@ -83,6 +84,7 @@ __all__ = [
     "Tally",
     "TraceLine",
     "TraceParseError",
+    "Walks",
     "ZoneLayout",
     "average_step_length",
     "classify",

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from statistics import fmean
 from typing import Callable, Sequence
 
@@ -27,6 +28,7 @@ from .scenarios import (
     SampleResult,
     SequentialConfig,
     SequentialRun,
+    Walks,
     config_from_dict,
     config_to_dict,
     preset,
@@ -252,9 +254,9 @@ class Source:
     replayed one carries the merged ``layout``, the ``total`` tally and each
     row's ``outcomes``, which a walk takes from its replayed run, carried as
     ``parts``. A scenario carries its ``config`` (overrides applied), the
-    samples or walks it ran (``parts``, which hold each move's outcome) and
-    their ``total`` tally; it builds no move record until :meth:`moves` asks
-    for them.
+    samples or :class:`Walks` it ran (``parts``, which keep counts and sums
+    and redraw their moves on access) and their ``total`` tally; it draws no
+    move again until :attr:`drawn` or :meth:`moves` asks for them.
     """
 
     kind: str
@@ -267,11 +269,16 @@ class Source:
     total: Tally | None = None
     outcomes: Sequence[Outcome] | None = None
 
+    @cached_property
+    def drawn(self) -> Sequence[SampleResult | SequentialRun]:
+        """``parts``, each sample or walk redrawn once for every output."""
+        return list(self.parts)
+
     def moves(self) -> Sequence[MoveRecord]:
         """Every move record, in order."""
         if self.records is not None:
             return self.records
-        return [rec for part in self.parts for rec in part.records]
+        return [rec for part in self.drawn for rec in part.records]
 
 
 # The scenario flags a dataset or CSV file reads, by subcommand, for
@@ -398,7 +405,7 @@ def _report(
         text = table()
     elif args.format == "csv":
         outcomes = (source.outcomes if source.outcomes is not None else
-                    [o for part in source.parts for o in part.outcomes])
+                    [o for part in source.drawn for o in part.outcomes])
         text = write_csv(source.moves(), outcomes)
     else:
         text = write_json(doc())
@@ -409,9 +416,13 @@ def _report(
     sys.stdout.write(text)
 
 
-def _walk_summary(runs: Sequence[SequentialRun]) -> tuple[float, int]:
-    """Mean steps to first crossing of a batch of walks, and how many timed out."""
-    return fmean(r.steps_taken for r in runs), sum(r.timed_out for r in runs)
+def _walk_summary(walks: Walks) -> tuple[float, int]:
+    """Mean steps to first crossing of a batch of walks, and how many timed out.
+
+    ``float(total) / n`` is what ``fmean`` gives: ``fsum(data) / n``, and
+    ``fsum`` of ints exact as floats rounds their sum once, as ``float`` does.
+    """
+    return float(walks.moves) / len(walks), walks.timed_out
 
 
 # -- simulate ---------------------------------------------------------------
@@ -489,7 +500,7 @@ def _sequential_doc(source: Source) -> dict:
                 "final_positions": list(run.final_positions),
                 "records": JsonRecords(run.records),
             }
-            for j, run in enumerate(source.parts)
+            for j, run in enumerate(source.drawn)
         ],
     }
 
@@ -577,13 +588,14 @@ def _estimate_doc(source: Source, max_step: int | None) -> dict:
     dataset, total, layout = source.dataset, source.total, source.layout
     independent = source.kind == "independent"
     if dataset is not None:
-        steps = dataset.steps
+        avg = average_step_length(dataset.steps)
         doc = {"source": f"dataset {dataset.id}", "rows": len(dataset.rows)}
+    elif independent:
+        avg = float(sum(part.step_sum for part in source.parts)) / total.trials
+        doc = {"source": "scenario", "trials": total.trials}
     else:
-        steps = [step for part in source.parts for step in part.steps]
-        doc = ({"source": "scenario", "trials": len(steps)} if independent
-               else {"source": "scenario", "runs": source.config.runs})
-    avg = average_step_length(steps)
+        avg = float(source.parts.step_sum) / source.parts.moves
+        doc = {"source": "scenario", "runs": source.config.runs}
     if avg <= 0:
         raise UsageError("average step length is zero; estimators undefined")
     span = layout.zone0_span
@@ -596,7 +608,7 @@ def _estimate_doc(source: Source, max_step: int | None) -> dict:
         if span <= 0:
             raise UsageError("zone 0 holds one position; estimators undefined")
         expected = doc["expected_crossings"] = expected_crossings(
-            len(steps), span, avg)
+            total.trials, span, avg)
         if max_step is not None:
             exact = doc["exact_probability"] = {
                 f"node{node}": {"fraction": str(p), "value": float(p)}

@@ -10,22 +10,30 @@ Two shapes exist:
   (or a step cap).
 
 Each sample (or run) owns a private substream, so samples may run in any
-order, or in parallel, without changing results.
+order, or in parallel, without changing results, and any one of them can
+be redrawn alone from its seed and stream.
 
-Each scenario runner inlines PCG32's XSH-RR step and ``pcg32_boundedrand_r``
-rejection (O'Neill 2014) once, in its one draw loop; the independent runner
-loops over a trial's three ranges, then counts the outcomes in one pass. A
-range of one value consumes no draw. They draw exactly what a
+Each shape has one draw generator, which inlines PCG32's XSH-RR step and
+``pcg32_boundedrand_r`` rejection (O'Neill 2014) in its one draw loop:
+``_sample_draws`` yields a sample's draw column in chunks, looping over a
+trial's three ranges, and ``_walks`` yields each walk's steps and terminal
+outcome. A range of one value consumes no draw. They draw exactly what a
 :class:`Sampler` on the same stream draws; the tests hold the Sampler-driven
 reference loops. The rotation is one shift of the doubled word.
+
+The runners keep counts only: a tally and a step sum per sample, and for
+the walks a tally, the moves taken, the step sum and the timed-out count.
+A :class:`SampleResult`'s draws, records and outcomes, and each walk of a
+:class:`Walks`, are redrawn from their stream through the same generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cached_property
-from itertools import cycle, islice
-from typing import Sequence, get_type_hints
+from itertools import chain, cycle, islice
+from typing import get_type_hints
 
 from .model import (
     MoveRecord,
@@ -127,38 +135,77 @@ class SequentialRun:
 
 @dataclass(frozen=True)
 class SampleResult:
-    """One sample of an independent-trial scenario.
+    """One sample of an independent-trial scenario: its tally and step sum.
 
-    ``draws`` holds the three ints every trial drew, in draw order
-    (mn0_init, mn1_init, step), trial after trial: the list the runner
-    filled, not a copy, so it takes no part in the hash. ``records`` and
-    ``outcomes`` are rebuilt from it on first access; table and estimate
-    output never need them.
+    A sample keeps no draw. ``draws`` (the three ints every trial drew, in
+    draw order mn0_init, mn1_init, step, trial after trial) and ``steps``
+    redraw stream ``sample`` of ``sampler`` for ``tally.trials`` trials on
+    each access. ``records`` is built from one redraw and cached, and
+    ``outcomes`` comes from those records. Table and estimate output need
+    none of them.
     """
 
     sample: int
     tally: Tally
-    draws: Sequence[int] = field(hash=False)
-    brink: Position
+    step_sum: int
+    sampler: SamplerConfig
+
+    def _columns(self) -> Iterator[list[int]]:
+        return _sample_draws(self.sampler, self.sample, self.tally.trials)
+
+    @property
+    def draws(self) -> list[int]:
+        return list(chain.from_iterable(self._columns()))
 
     @property
     def steps(self) -> tuple[StepLength, ...]:
-        return tuple(self.draws[2::3])
+        return tuple(chain.from_iterable(
+            draws[2::3] for draws in self._columns()))
 
     @cached_property
     def records(self) -> tuple[MoveRecord, ...]:
         draws = self.draws
         return tuple(
-            map(MoveRecord.from_inits, draws[0::3], draws[1::3], draws[2::3])
-        )
+            map(MoveRecord.from_inits, draws[0::3], draws[1::3], draws[2::3]))
 
     @cached_property
     def outcomes(self) -> tuple[Outcome, ...]:
-        draws, brink = self.draws, self.brink
-        return tuple(
-            crossing(mn0 + step, mn1 - step, brink)
-            for mn0, mn1, step in zip(draws[0::3], draws[1::3], draws[2::3])
-        )
+        brink = self.sampler.layout.brink
+        return tuple(crossing(rec.mn0_new, rec.mn1_new, brink)
+                     for rec in self.records)
+
+
+@dataclass(frozen=True)
+class Walks(Sequence[SequentialRun]):
+    """The walks of a sequential scenario, kept as counts.
+
+    ``len(walks)`` is the run count, and ``walks[j]`` is the
+    :class:`SequentialRun` redrawn from stream j on each access; iterating
+    redraws them in order. ``moves`` is the number of moves the walks took,
+    ``step_sum`` the sum of their steps and ``timed_out`` the number that
+    reached the step cap.
+    """
+
+    config: SequentialConfig
+    moves: int
+    step_sum: int
+    timed_out: int
+
+    def __len__(self) -> int:
+        return self.config.runs
+
+    def __getitem__(self, j: int) -> SequentialRun:
+        j = range(self.config.runs)[j]  # a list's negative indices and IndexError
+        return next(self._runs(j, j + 1))
+
+    def __iter__(self) -> Iterator[SequentialRun]:
+        return self._runs(0, self.config.runs)
+
+    def _runs(self, first: int, stop: int) -> Iterator[SequentialRun]:
+        start = (self.config.mn0_start, self.config.mn1_start)
+        for steps, terminal in _walks(self.config, first, stop):
+            yield SequentialRun(start, tuple(steps), terminal,
+                                terminal is Outcome.NO_OVERLAP)
 
 
 def run_independent_trial(
@@ -175,28 +222,35 @@ def run_independent_trial(
     return rec, classify(rec, layout)
 
 
-def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResult]:
-    """Run all samples; sample k draws from substream k.
+# Trials in one chunk of a sample's draw column, or walks in one chunk of
+# terminal outcomes: a runner holds one chunk at a time, so its memory does
+# not grow with the run.
+_CHUNK = 1024
+
+
+def _sample_draws(
+    sampler: SamplerConfig, k: int, runs: int
+) -> Iterator[list[int]]:
+    """Sample k's draw column, ``runs`` trials from stream k, in chunks of
+    at most ``_CHUNK`` trials.
 
     Each trial draws as :func:`run_independent_trial` does, but builds no
-    record: one loop draws the sample's column from a trial's three ranges
-    in turn (mn0_init, mn1_init, step), then one pass counts the outcomes.
+    record: the loop draws from a trial's three ranges in turn (mn0_init,
+    mn1_init, step), three ints a trial.
     """
-    sampler = config.sampler
     layout = sampler.layout
-    brink = layout.brink
     # (lowest value, width, rejection threshold) of each draw, in draw order
     ranges = [(lo, width, _DRAW_RANGE % width) for lo, width in (
         (layout.zone0_lo, layout.zone0_width),
         (layout.zone1_lo, layout.zone1_width),
         (0, sampler.max_step + 1))]
     mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
-    results = []
-    for k in range(config.samples):
-        state, inc = pcg32_seed(sampler.seed, k)
+    state, inc = pcg32_seed(sampler.seed, k)
+    for done in range(0, runs, _CHUNK):
         draws: list[int] = []
         append = draws.append
-        for value, bound, threshold in islice(cycle(ranges), 3 * config.runs_per_sample):
+        for value, bound, threshold in islice(
+                cycle(ranges), 3 * min(_CHUNK, runs - done)):
             if bound > 1:
                 while True:
                     old, state = state, (state * mult + inc) & mask64
@@ -206,43 +260,54 @@ def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResul
                         break
                 value += r % bound
             append(value)
-        mn0_only = mn1_only = simultaneous = 0
-        column = iter(draws)
-        for mn0, mn1, step in zip(column, column, column):
-            if mn0 + step >= brink:
-                if mn1 - step <= brink:
-                    simultaneous += 1
-                else:
-                    mn0_only += 1
-            elif mn1 - step <= brink:
-                mn1_only += 1
+        yield draws
+
+
+def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResult]:
+    """Run all samples; sample k draws from substream k.
+
+    One pass counts the outcomes of each chunk of the sample's draw column
+    and adds up its steps; the chunk is then dropped.
+    """
+    sampler = config.sampler
+    brink = sampler.layout.brink
+    results = []
+    for k in range(config.samples):
+        mn0_only = mn1_only = simultaneous = step_sum = 0
+        for draws in _sample_draws(sampler, k, config.runs_per_sample):
+            column = iter(draws)
+            for mn0, mn1, step in zip(column, column, column):
+                if mn0 + step >= brink:
+                    if mn1 - step <= brink:
+                        simultaneous += 1
+                    else:
+                        mn0_only += 1
+                elif mn1 - step <= brink:
+                    mn1_only += 1
+            step_sum += sum(draws[2::3])
         no_overlap = config.runs_per_sample - mn0_only - mn1_only - simultaneous
         total = Tally(mn0_only, mn1_only, simultaneous, no_overlap)
-        results.append(SampleResult(k, total, draws, brink))
+        results.append(SampleResult(k, total, step_sum, sampler))
     return results
 
 
-def run_sequential_scenario(
-    config: SequentialConfig,
-) -> tuple[Tally, list[SequentialRun]]:
-    """Run all walks; run j draws from substream j. Tally terminal outcomes.
+def _walks(
+    config: SequentialConfig, first: int, stop: int
+) -> Iterator[tuple[list[int], Outcome]]:
+    """Walks ``first`` to ``stop - 1``: the steps each one took and its
+    terminal outcome; walk j draws from substream j.
 
     Each walk draws its shared steps from fixed starts until the first
-    crossing or ``max_steps_cap`` moves. Timing out is a result
-    (timed_out=True, terminal no_overlap), not an error, and counts as
-    no_overlap in the tally.
+    crossing or ``max_steps_cap`` moves.
     """
     sampler = config.sampler
     brink, cap = sampler.layout.brink, config.max_steps_cap
-    start = (config.mn0_start, config.mn1_start)
     bound = sampler.max_step + 1
     threshold = _DRAW_RANGE % bound
     mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
-    no_overlap = Outcome.NO_OVERLAP
-    runs = []
-    for j in range(config.runs):
+    for j in range(first, stop):
         state, inc = pcg32_seed(sampler.seed, j)
-        mn0, mn1 = start
+        mn0, mn1 = config.mn0_start, config.mn1_start
         steps: list[int] = []
         for _ in range(cap):
             step = 0
@@ -259,10 +324,29 @@ def run_sequential_scenario(
             mn1 -= step
             if mn0 >= brink or mn1 <= brink:
                 break
-        terminal = crossing(mn0, mn1, brink)
-        runs.append(SequentialRun(start, tuple(steps), terminal,
-                                  terminal is no_overlap))
-    return tally(run.terminal for run in runs), runs
+        yield steps, crossing(mn0, mn1, brink)
+
+
+def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
+    """Run all walks; tally their terminal outcomes and count their moves.
+
+    Timing out is a result (timed_out=True, terminal no_overlap), not an
+    error, and counts as no_overlap in the tally. No walk is kept: the
+    returned :class:`Walks` redraws one on access.
+    """
+    total = Tally()
+    moves = step_sum = 0
+    terminals: list[Outcome] = []
+    for steps, terminal in _walks(config, 0, config.runs):
+        moves += len(steps)
+        step_sum += sum(steps)
+        terminals.append(terminal)
+        if len(terminals) == _CHUNK:
+            total += tally(terminals)
+            terminals.clear()
+    total += tally(terminals)
+    # A walk ends without crossing only at the step cap.
+    return total, Walks(config, moves, step_sum, total.no_overlap)
 
 
 def replay_independent(

@@ -13,8 +13,9 @@ the constant ``00.00``. Optional ``STEP-k`` header lines group the pairs.
 ``parse_trace`` reads ``format_trace``'s own text (without step headers) in
 one scan, a pattern that matches it move by move. Any other text (headers,
 another node order, other spellings of numbers, CRLF endings, an error) is
-read line by line, which alone decides what is accepted beyond that text and
-reports every error.
+read line by line from the first move the scan did not take; that pass
+alone decides what is accepted beyond the scan's text and reports every
+error.
 
 All emitters are deterministic: equal inputs give byte-identical output
 (UTF-8, LF line endings). ``format_trace`` renders each move from one
@@ -154,8 +155,11 @@ def _exact(m: re.Match, group: int) -> float | int:
     return -n if value < 0 else n
 
 
-def _fields(line: str) -> tuple[int, float, float, float, float]:
-    """(node id, move time, initial x, new x, step) of one movement line."""
+def _fields(line: str) -> tuple[int, float, float, float, float, bool]:
+    """(node id, move time, initial x, new x, step, whole) of one movement
+    line. ``whole`` is true when each of the three numbers is a whole number
+    in its text, with no fraction or a fraction of zeros, and in range of a
+    float; a rounded float would take ``5.00000000000000000001`` for one."""
     m = _MOVE(line)
     if m is None:
         _reject(line)
@@ -170,7 +174,11 @@ def _fields(line: str) -> tuple[int, float, float, float, float]:
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", m.start(5) + 1
         )
-    return int(node), float(time_s), init_x, new_x, step
+    # A number past a float's range stays inf, which no int() takes.
+    whole = (not any(text.partition(".")[2].strip("0")
+                     for text in (init_text, new_text, step_text))
+             and math.inf not in (abs(init_x), abs(new_x), abs(step)))
+    return int(node), float(time_s), init_x, new_x, step, whole
 
 
 def parse_trace_line(line: str) -> TraceLine:
@@ -180,7 +188,7 @@ def parse_trace_line(line: str) -> TraceLine:
     offending character. The |new - init| == step consistency of the line is
     checked as well as the grammar, exactly in decimal.
     """
-    return TraceLine(*_fields(line))
+    return TraceLine(*_fields(line)[:5])
 
 
 def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> str:
@@ -212,25 +220,23 @@ _PAIR = (
 )
 
 
-def _scan(text: str) -> list[MoveRecord] | None:
-    """The moves of ``text`` if ``_PAIR`` matches tile it from start to end
-    and every move is consistent, else None. Each match is anchored where
-    the last one ended, so a miss ends the scan."""
+def _scan(text: str) -> tuple[list[MoveRecord], int]:
+    """The moves of the ``_PAIR`` matches that tile ``text`` from its start,
+    and the offset where they stop: the end of the text, a miss, or a move
+    whose nodes go the wrong way. Each match is anchored where the last one
+    ended, so a miss ends the scan."""
     match = re.compile(_PAIR).match
     records = []
     pos = 0
-    while pos < len(text):
-        m = match(text, pos)
-        if m is None:
-            return None
+    while m := match(text, pos):
         time_s, init1, new1, step, init0, new0 = m.groups()
         try:
             records.append(MoveRecord(int(step), int(init0), int(new0),
                                       int(init1), int(new1), float(time_s)))
         except ValueError:  # a node moved the wrong way
-            return None
+            break
         pos = m.end()
-    return records
+    return records, pos
 
 
 def parse_trace(text: str) -> list[MoveRecord]:
@@ -241,14 +247,17 @@ def parse_trace(text: str) -> list[MoveRecord]:
     lines, or pairs that do not assemble into a consistent move.
 
     Text as :func:`format_trace` writes it without step headers is read in
-    one scan; any other text, and every error, comes from reading it line
-    by line.
+    one scan, as far as it goes; the rest of the text, and every error, comes
+    from reading it line by line.
     """
-    records = _scan(text)
-    if records is not None:
+    records, pos = _scan(text)
+    if pos == len(text):
         return records
-    fragments = []  # (line number, node id, move time, initial x, new x, step)
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # (line number, node id, move time, initial x, new x, step, whole)
+    fragments = []
+    # The scanned text is two lines a move, each ended by "\n" alone.
+    first = 2 * len(records) + 1
+    for lineno, raw in enumerate(text[pos:].splitlines(), first):
         if not raw.strip() or raw.startswith("STEP-"):
             continue
         try:
@@ -257,7 +266,6 @@ def parse_trace(text: str) -> list[MoveRecord]:
             raise TraceParseError(exc.reason, exc.column, lineno) from None
     if len(fragments) % 2:
         raise TraceParseError("movement line has no partner", 1, fragments[-1][0])
-    records = []
     pairs = iter(fragments)
     for a, b in zip(pairs, pairs):
         lineno = b[0]
@@ -272,10 +280,9 @@ def parse_trace(text: str) -> list[MoveRecord]:
                 f"paired lines disagree on move time ({a[2]} vs {b[2]})", 1, lineno
             )
         n0, n1 = (a, b) if a[1] == 0 else (b, a)
-        _, _, time_s, init0, new0, step = n0
-        _, _, _, init1, new1, _ = n1
-        # x % 1 is 0 for an integral float or an int, and nan for inf.
-        if step % 1 or init0 % 1 or new0 % 1 or init1 % 1 or new1 % 1:
+        _, _, time_s, init0, new0, step, whole0 = n0
+        _, _, _, init1, new1, _, whole1 = n1
+        if not (whole0 and whole1):
             raise TraceParseError(
                 "positions and step must be integers to assemble a move", 1, lineno
             )

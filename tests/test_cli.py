@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import io
@@ -814,6 +815,53 @@ class TestNoRecordsForTables:
     def test_patch_is_live(self, capsys):
         with pytest.raises(AssertionError):
             run_cli(capsys, "simulate", "--scenario", "2", "--format", "csv")
+
+
+class TestRedrawOnce:
+    """A scenario draws each sample or walk once for its counts. A record
+    output redraws each one once more, for all the outputs of the run; a
+    plot of a walk redraws only walk 0."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        import simulmob.scenarios as scenarios
+
+        counted = collections.Counter()
+        sample_draws, walks = scenarios._sample_draws, scenarios._walks
+
+        def count_sample(sampler, k, runs):
+            counted[k] += 1
+            return sample_draws(sampler, k, runs)
+
+        def count_walks(config, first, stop):
+            for j, walk in zip(range(first, stop), walks(config, first, stop)):
+                counted[j] += 1
+                yield walk
+
+        monkeypatch.setattr(scenarios, "_sample_draws", count_sample)
+        monkeypatch.setattr(scenarios, "_walks", count_walks)
+        return counted
+
+    @pytest.mark.parametrize("argv,passes_per_part", [
+        (("simulate", "--scenario", "2", "--samples", "3"), [1, 1, 1]),
+        (("estimate", "--scenario", "2", "--samples", "3"), [1, 1, 1]),
+        (("simulate", "--scenario", "3"), [1, 1, 1, 1]),
+        (("estimate", "--scenario", "3"), [1, 1, 1, 1]),
+        (("simulate", "--scenario", "2", "--samples", "3", "--format", "csv",
+          "--trace", "{tmp}/t.tr", "--plot", "{tmp}/p.svg"), [2, 2, 2]),
+        (("simulate", "--scenario", "2", "--samples", "3", "--format", "json",
+          "--trace", "{tmp}/t.tr"), [2, 2, 2]),
+        (("simulate", "--scenario", "3", "--format", "csv",
+          "--trace", "{tmp}/t.tr"), [2, 2, 2, 2]),
+        (("simulate", "--scenario", "3", "--format", "json"), [2, 2, 2, 2]),
+        (("simulate", "--scenario", "3", "--plot", "{tmp}/p.svg"),
+         [2, 1, 1, 1]),
+    ])
+    def test_passes(self, capsys, tmp_path, passes, argv, passes_per_part):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, out, _ = run_cli(capsys, *argv, "--runs", "4")
+        assert code == 0 and out
+        assert [passes[j] for j in range(len(passes))] == passes_per_part
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

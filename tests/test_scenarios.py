@@ -1,11 +1,13 @@
 import json
 import tracemalloc
 from dataclasses import fields, replace
+from statistics import fmean
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from simulmob import scenarios
 from simulmob.datasets import load_dataset
 from simulmob.model import LayoutError, MoveRecord, Outcome, ZoneLayout, classify
 from simulmob.sampling import Pcg32, Sampler, SamplerConfig
@@ -533,25 +535,115 @@ class TestKernelAgainstSampler:
 
 
 class TestSampleMemory:
-    """One sample of 1M preset-2 trials fits in 50 MB of RSS.
+    """One sample of 1M trials fits in 50 MB of RSS, on any layout.
 
-    Computed from the heap peak of a 10,000-trial sample, never run at full
-    size: the draw column is one list of cached small ints, about 25 bytes a
-    trial with its growth slack. A copy of it (a tuple of the list) would
-    briefly hold both, about 58. A one-trial ``simulate`` peaks at about
-    17.5 MB of RSS (CPython 3.11), which bounds the interpreter and imports.
+    Never run at full size: the runner holds one chunk of the draw column
+    at a time, so a sample's heap peak does not grow with its trials. It
+    stays under 256 KiB at 10,000 and at 30,000 trials, on preset 2's
+    cached small ints and on preset 1's positions above 256. A one-trial
+    ``simulate`` peaks at about 17.5 MB of RSS (CPython 3.11), which bounds
+    the interpreter and imports.
     """
 
     def test_million_trials_fit(self):
+        for scenario in (1, 2):
+            for runs in (10_000, 30_000):
+                config = replace(preset(scenario, seed=1),
+                                 runs_per_sample=runs, samples=1)
+                tracemalloc.start()
+                try:
+                    run_independent_scenario(config)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 256 * 2**10, (scenario, runs, peak)
+
+
+class TestWalkMemory:
+    """1M preset-3 walks fit in 50 MB of RSS.
+
+    Computed from the heap peak of 10,000 walks, never run at full size. The
+    runner keeps counts, not walks; it held a ``SequentialRun`` and a steps
+    tuple per walk, about 235 bytes each, before.
+    """
+
+    def test_million_walks_fit(self):
         runs = 10_000
-        config = replace(preset(2, seed=1), runs_per_sample=runs, samples=1)
+        config = replace(preset(3, seed=1), runs=runs)
         tracemalloc.start()
         try:
-            run_independent_scenario(config)
+            run_sequential_scenario(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert 18 * 2**20 + peak / runs * 1_000_000 < 50 * 2**20
+
+
+class TestRedrawnViews:
+    """A sample's or a walk's moves are redrawn from its stream on access."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_seeds, kernel_max_steps, kernel_layouts(),
+           st.integers(1, 12), st.integers(1, 3))
+    def test_sample_sums(self, seed, max_step, layout, runs, samples):
+        config = IndependentTrialConfig(SamplerConfig(seed, max_step, layout),
+                                        runs, samples)
+        for result in run_independent_scenario(config):
+            steps = result.steps
+            assert result.step_sum == sum(steps)
+            assert float(result.step_sum) / result.tally.trials == fmean(steps)
+            assert result.draws[2::3] == list(steps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_walk_configs())
+    def test_walk_sums(self, config):
+        total, walks = run_sequential_scenario(config)
+        runs = list(walks)
+        steps = [step for run in runs for step in run.steps]
+        assert walks.moves == len(steps)
+        assert walks.step_sum == sum(steps)
+        assert float(walks.step_sum) / walks.moves == fmean(steps)
+        assert float(walks.moves) / len(walks) == fmean(
+            run.steps_taken for run in runs)
+        assert walks.timed_out == sum(run.timed_out for run in runs)
+        assert total == tally(run.terminal for run in runs)
+
+    # ``cli`` takes a mean as float(total) / n for fmean: each value is exact
+    # as a float, and fsum and float() both round the exact sum once.
+    @given(st.lists(st.integers(0, 2**53), min_size=1, max_size=40))
+    @example([2**53 - 1, 1])
+    @example([2**53, 1])
+    @example([2**53, 2**53, 3])
+    @example([2**52 + 1] * 3)
+    def test_mean_of_a_sum_is_fmean(self, values):
+        assert float(sum(values)) / len(values) == fmean(values)
+
+    @pytest.mark.parametrize("first", ["records", "outcomes"])
+    def test_records_and_outcomes_redraw_once(self, monkeypatch, first):
+        [result] = run_independent_scenario(
+            replace(preset(1, seed=4), runs_per_sample=2500, samples=1))
+        redraws = []
+        draw = scenarios._sample_draws
+        monkeypatch.setattr(scenarios, "_sample_draws",
+                            lambda *args: redraws.append(args) or draw(*args))
+        getattr(result, first)
+        assert len(result.records) == len(result.outcomes) == 2500
+        assert len(redraws) == 1
+        assert result.outcomes == tuple(
+            classify(rec, result.sampler.layout) for rec in result.records)
+
+    def test_walks_index_like_a_list(self):
+        config = replace(preset(3, seed=2), runs=6)
+        total, walks = run_sequential_scenario(config)
+        runs = list(walks)
+        assert len(walks) == 6
+        assert [walks[j] for j in range(6)] == runs
+        assert walks[-1] == runs[-1] and walks[-6] == runs[0]
+        for j in (6, -7):
+            with pytest.raises(IndexError):
+                walks[j]
+        assert run_sequential_scenario(config) == (total, walks)
+        assert hash(walks) == hash(run_sequential_scenario(config)[1])
 
 
 class TestJsonMemory:

@@ -631,10 +631,37 @@ class TestWholeTrace:
     # A line between pairs, or after the last.
     @example(PAIR + "X\n" + PAIR)
     @example(PAIR + " ")
+    # A defect or a wrong-way move after scanned pairs.
+    @example(PAIR * 3 + PAIR.replace("28.00\n", "28.0\n", 1) + PAIR)
+    @example(PAIR * 2 + PAIR.replace("28.00", "27.00") + PAIR)
+    @example(PAIR * 2 + "M 0.00100 1 (5.00, 00.00), (3.00, 00.00), 2.00\n"
+             "M 0.00100 0 (1.00, 00.00), (-1.00, 00.00), 2.00\n" + PAIR)
+    @example(PAIR * 2 + "\r\n" + PAIR)
     def test_scan_matches_per_line_path(self, text):
-        with mock.patch.object(traceio, "_scan", return_value=None):
+        # A scan that takes nothing leaves the whole text to the per-line pass.
+        with mock.patch.object(traceio, "_scan", return_value=([], 0)):
             per_line = _outcome(parse_trace, text)
         assert _outcome(parse_trace, text) == per_line
+
+    def test_per_line_pass_starts_where_the_scan_stopped(self):
+        text = self.PAIR * 50 + self.PAIR.replace("28.00\n", "28.0\n", 1)
+        with mock.patch.object(traceio, "_fields", wraps=traceio._fields) as fields:
+            assert len(parse_trace(text)) == 51
+        assert fields.call_count == 2
+
+    # Fractions below a float's precision, which rounded floats took for
+    # whole numbers.
+    def test_fraction_below_float_precision_rejected(self):
+        text = ("M 0.00100 1 (5.00000000000000000001, 00.00), "
+                "(4.00000000000000000001, 00.00), 1.00000000000000000000\n"
+                "M 0.00100 0 (1.00000000000000000001, 00.00), "
+                "(2.00000000000000000001, 00.00), 1.00000000000000000000\n")
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(text)
+        assert (err.value.reason, err.value.line) == (
+            "positions and step must be integers to assemble a move", 2)
+        zeros = text.replace("00000000000000000001,", "00000000000000000000,")
+        assert parse_trace(zeros) == [MoveRecord(1, 1, 2, 5, 4)]
 
     @given(traces())
     def test_matches_cursor_parser(self, text):
