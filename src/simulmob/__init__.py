@@ -18,8 +18,6 @@ from .model import (
     ZoneLayout,
     classify,
     crossing,
-    mn0_crossed,
-    mn1_crossed,
 )
 from .sampling import Pcg32, Sampler, SamplerConfig, validate
 from .scenarios import (
@@ -49,12 +47,9 @@ from .stats import (
 from .traceio import (
     CSV_HEADER,
     CsvFormatError,
-    TraceLine,
     TraceParseError,
     format_trace,
-    format_trace_line,
     parse_trace,
-    parse_trace_line,
     read_csv,
     write_csv,
     write_json,
@@ -82,7 +77,6 @@ __all__ = [
     "SequentialRun",
     "StepLength",
     "Tally",
-    "TraceLine",
     "TraceParseError",
     "Walks",
     "ZoneLayout",
@@ -95,12 +89,8 @@ __all__ = [
     "expected_crossings",
     "expected_steps_to_cross",
     "format_trace",
-    "format_trace_line",
     "load_dataset",
-    "mn0_crossed",
-    "mn1_crossed",
     "parse_trace",
-    "parse_trace_line",
     "preset",
     "read_csv",
     "replay_independent",

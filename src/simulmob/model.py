@@ -71,11 +71,6 @@ class ZoneLayout:
         """
         return self.zone0_hi - self.zone0_lo
 
-    @property
-    def zone1_span(self) -> int:
-        """Distance between zone-1 endpoints (hi - lo)."""
-        return self.zone1_hi - self.zone1_lo
-
     def describe(self) -> str:
         return (
             f"zone0 {self.zone0_lo}:{self.zone0_hi} | brink {self.brink}"
@@ -108,6 +103,7 @@ class MoveRecord:
 
     so the inter-node gap shrinks by exactly ``2 * step`` per move. The step
     and positions are plain ints; a float or bool would not parse back.
+    Every move spans :data:`MOVE_INTERVAL_S`, so a record holds no time.
     """
 
     step: StepLength
@@ -115,7 +111,6 @@ class MoveRecord:
     mn0_new: Position
     mn1_init: Position
     mn1_new: Position
-    time_s: float = MOVE_INTERVAL_S
 
     # Written by hand: the generated frozen ``__init__`` sets each field
     # through ``object.__setattr__`` and then calls ``__post_init__``, which
@@ -124,14 +119,12 @@ class MoveRecord:
     # ``__dict__`` instead is as fast, but gives every record a dict of its
     # own: 64 more bytes each on CPython 3.11, where slots save 48.
     def __init__(self, step: StepLength, mn0_init: Position, mn0_new: Position,
-                 mn1_init: Position, mn1_new: Position,
-                 time_s: float = MOVE_INTERVAL_S) -> None:
+                 mn1_init: Position, mn1_new: Position) -> None:
         _set_step(self, step)
         _set_mn0_init(self, mn0_init)
         _set_mn0_new(self, mn0_new)
         _set_mn1_init(self, mn1_init)
         _set_mn1_new(self, mn1_new)
-        _set_time_s(self, time_s)
         if not (type(step) is type(mn0_init) is type(mn0_new)
                 is type(mn1_init) is type(mn1_new) is int):
             raise ValueError(f"step and positions must be ints, got {self}")
@@ -159,21 +152,8 @@ class MoveRecord:
         return cls(step, mn0_init, mn0_init + step, mn1_init, mn1_init - step)
 
 
-(_set_step, _set_mn0_init, _set_mn0_new, _set_mn1_init, _set_mn1_new,
- _set_time_s) = (getattr(MoveRecord, name).__set__ for name in MoveRecord.__slots__)
-
-
-def mn0_crossed(p: Position, layout: ZoneLayout) -> bool:
-    """True when MN_0 at position ``p`` touches or passes the brink (p >= brink)."""
-    return p >= layout.brink
-
-
-def mn1_crossed(p: Position, layout: ZoneLayout) -> bool:
-    """True when MN_1 at position ``p`` touches or passes the brink (p <= brink).
-
-    Mirror of :func:`mn0_crossed`: MN_1 travels in the negative direction.
-    """
-    return p <= layout.brink
+_set_step, _set_mn0_init, _set_mn0_new, _set_mn1_init, _set_mn1_new = (
+    getattr(MoveRecord, name).__set__ for name in MoveRecord.__slots__)
 
 
 _NO_OVERLAP = Outcome.NO_OVERLAP
@@ -185,8 +165,9 @@ _SIMULTANEOUS_OVERLAP = Outcome.SIMULTANEOUS_OVERLAP
 def crossing(mn0: Position, mn1: Position, brink: Position) -> Outcome:
     """Outcome of a move that leaves MN_0 at ``mn0`` and MN_1 at ``mn1``.
 
-    The rule of :func:`mn0_crossed` and :func:`mn1_crossed` for both nodes
-    at once, on a bare brink: :func:`classify` and ``SampleResult.outcomes``
+    The brink rule: MN_0 has crossed when it touches or passes the brink
+    (``mn0 >= brink``), and MN_1, which travels in the negative direction,
+    when ``mn1 <= brink``. :func:`classify` and ``SampleResult.outcomes``
     call it per move, so it reads the outcomes from module constants rather
     than through the (slower) enum class attributes.
     """

@@ -135,7 +135,6 @@ class Sampler:
 
     def __init__(self, config: SamplerConfig, stream: int = 0):
         self.config = config
-        self.stream = stream
         self._rng = Pcg32(config.seed, stream)
 
     def draw_step(self) -> StepLength:

@@ -23,7 +23,7 @@ reference loops. The rotation is one shift of the doubled word.
 
 The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken, the step sum and the timed-out count.
-A :class:`SampleResult`'s draws, records and outcomes, and each walk of a
+A :class:`SampleResult`'s records and outcomes, and each walk of a
 :class:`Walks`, are redrawn from their stream through the same generator.
 """
 
@@ -137,12 +137,10 @@ class SequentialRun:
 class SampleResult:
     """One sample of an independent-trial scenario: its tally and step sum.
 
-    A sample keeps no draw. ``draws`` (the three ints every trial drew, in
-    draw order mn0_init, mn1_init, step, trial after trial) and ``steps``
-    redraw stream ``sample`` of ``sampler`` for ``tally.trials`` trials on
-    each access. ``records`` is built from one redraw and cached, and
+    A sample keeps no draw. ``records`` redraws stream ``sample`` of
+    ``sampler`` for ``tally.trials`` trials once and is cached, and
     ``outcomes`` comes from those records. Table and estimate output need
-    none of them.
+    neither.
     """
 
     sample: int
@@ -150,21 +148,10 @@ class SampleResult:
     step_sum: int
     sampler: SamplerConfig
 
-    def _columns(self) -> Iterator[list[int]]:
-        return _sample_draws(self.sampler, self.sample, self.tally.trials)
-
-    @property
-    def draws(self) -> list[int]:
-        return list(chain.from_iterable(self._columns()))
-
-    @property
-    def steps(self) -> tuple[StepLength, ...]:
-        return tuple(chain.from_iterable(
-            draws[2::3] for draws in self._columns()))
-
     @cached_property
     def records(self) -> tuple[MoveRecord, ...]:
-        draws = self.draws
+        draws = list(chain.from_iterable(
+            _sample_draws(self.sampler, self.sample, self.tally.trials)))
         return tuple(
             map(MoveRecord.from_inits, draws[0::3], draws[1::3], draws[2::3]))
 
@@ -180,10 +167,10 @@ class Walks(Sequence[SequentialRun]):
     """The walks of a sequential scenario, kept as counts.
 
     ``len(walks)`` is the run count, and ``walks[j]`` is the
-    :class:`SequentialRun` redrawn from stream j on each access; iterating
-    redraws them in order. ``moves`` is the number of moves the walks took,
-    ``step_sum`` the sum of their steps and ``timed_out`` the number that
-    reached the step cap.
+    :class:`SequentialRun` redrawn from stream j on each access; a slice is
+    the list of the walks it selects, and iterating redraws them in order.
+    ``moves`` is the number of moves the walks took, ``step_sum`` the sum
+    of their steps and ``timed_out`` the number that reached the step cap.
     """
 
     config: SequentialConfig
@@ -194,7 +181,9 @@ class Walks(Sequence[SequentialRun]):
     def __len__(self) -> int:
         return self.config.runs
 
-    def __getitem__(self, j: int) -> SequentialRun:
+    def __getitem__(self, j: int | slice) -> SequentialRun | list[SequentialRun]:
+        if isinstance(j, slice):
+            return [self[i] for i in range(self.config.runs)[j]]
         j = range(self.config.runs)[j]  # a list's negative indices and IndexError
         return next(self._runs(j, j + 1))
 

@@ -9,6 +9,8 @@ move, node 1 first:
 Fields: marker ``M``, move duration in seconds (5 decimals), node id,
 initial (x, y), new (x, y), step length. The model is 1-D, so y prints as
 the constant ``00.00``. Optional ``STEP-k`` header lines group the pairs.
+Every move spans ``MOVE_INTERVAL_S``, so ``format_trace`` writes that time
+and ``parse_trace`` checks the time of each pair but keeps none.
 
 ``parse_trace`` reads ``format_trace``'s own text (without step headers) in
 one scan, a pattern that matches it move by move. Any other text (headers,
@@ -33,10 +35,9 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn, Sequence
 
-from .model import MoveRecord, Outcome
+from .model import MOVE_INTERVAL_S, MoveRecord, Outcome
 
 CSV_HEADER = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new", "outcome")
 
@@ -56,33 +57,10 @@ class CsvFormatError(ValueError):
     """CSV text that does not match the run-record schema."""
 
 
-@dataclass(frozen=True)
-class TraceLine:
-    """One parsed movement line: a single node's half of a move. On a line
-    with a number of magnitude 2**53 or more, the numbers are exact ints."""
-
-    node_id: int
-    time_s: float
-    init_x: float
-    new_x: float
-    step: float
-
-
-# One movement line, with the node id to fill in first and then the move time,
-# initial x, new x and step. ``%d`` prints an int exactly, not through a
-# float, which rounds above 2**53.
-_LINE = "M %%.5f %d (%%d.00, 00.00), (%%d.00, 00.00), %%d.00"
-
-
-def format_trace_line(rec: MoveRecord, node_id: int) -> str:
-    """Render one node's half of a move in the fixed trace grammar."""
-    if node_id == 0:
-        x1, x2 = rec.mn0_init, rec.mn0_new
-    elif node_id == 1:
-        x1, x2 = rec.mn1_init, rec.mn1_new
-    else:
-        raise ValueError(f"node_id must be 0 or 1, got {node_id}")
-    return (_LINE % node_id) % (rec.time_s, x1, x2, rec.step)
+# One movement line, with the node id to fill in first and then the initial
+# x, new x and step. ``%d`` prints an int exactly, not through a float,
+# which rounds above 2**53.
+_LINE = f"M {MOVE_INTERVAL_S:.5f} %d (%%d.00, 00.00), (%%d.00, 00.00), %%d.00"
 
 
 _UNSIGNED = r"[0-9]+(?:\.[0-9]+)?"
@@ -181,16 +159,6 @@ def _fields(line: str) -> tuple[int, float, float, float, float, bool]:
     return int(node), float(time_s), init_x, new_x, step, whole
 
 
-def parse_trace_line(line: str) -> TraceLine:
-    """Parse one movement line; inverse of :func:`format_trace_line`.
-
-    Raises :class:`TraceParseError` with the 1-based column of the first
-    offending character. The |new - init| == step consistency of the line is
-    checked as well as the grammar, exactly in decimal.
-    """
-    return TraceLine(*_fields(line)[:5])
-
-
 def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> str:
     """Render a whole trace, node 1 before node 0 within each move.
 
@@ -201,8 +169,8 @@ def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> s
     head = "STEP-%d\n" if step_headers else "%.0s"
     move = f"{head}{_LINE % 1}\n{_LINE % 0}\n"
     return ("\n" if step_headers else "").join([
-        move % (k, rec.time_s, rec.mn1_init, rec.mn1_new, rec.step,
-                rec.time_s, rec.mn0_init, rec.mn0_new, rec.step)
+        move % (k, rec.mn1_init, rec.mn1_new, rec.step,
+                rec.mn0_init, rec.mn0_new, rec.step)
         for k, rec in enumerate(records, 1)
     ])
 
@@ -229,10 +197,10 @@ def _scan(text: str) -> tuple[list[MoveRecord], int]:
     records = []
     pos = 0
     while m := match(text, pos):
-        time_s, init1, new1, step, init0, new0 = m.groups()
+        _, init1, new1, step, init0, new0 = m.groups()
         try:
             records.append(MoveRecord(int(step), int(init0), int(new0),
-                                      int(init1), int(new1), float(time_s)))
+                                      int(init1), int(new1)))
         except ValueError:  # a node moved the wrong way
             break
         pos = m.end()
@@ -244,7 +212,8 @@ def parse_trace(text: str) -> list[MoveRecord]:
 
     Skips blank lines and STEP-k headers; accepts either node order within a
     pair. Raises :class:`TraceParseError` on grammar violations, unpaired
-    lines, or pairs that do not assemble into a consistent move.
+    lines, or pairs that do not assemble into a consistent move. The lines
+    of a pair must agree on the move time, which no record keeps.
 
     Text as :func:`format_trace` writes it without step headers is read in
     one scan, as far as it goes; the rest of the text, and every error, comes
@@ -280,7 +249,7 @@ def parse_trace(text: str) -> list[MoveRecord]:
                 f"paired lines disagree on move time ({a[2]} vs {b[2]})", 1, lineno
             )
         n0, n1 = (a, b) if a[1] == 0 else (b, a)
-        _, _, time_s, init0, new0, step, whole0 = n0
+        _, _, _, init0, new0, step, whole0 = n0
         _, _, _, init1, new1, _, whole1 = n1
         if not (whole0 and whole1):
             raise TraceParseError(
@@ -288,7 +257,7 @@ def parse_trace(text: str) -> list[MoveRecord]:
             )
         try:
             records.append(MoveRecord(
-                int(step), int(init0), int(new0), int(init1), int(new1), time_s
+                int(step), int(init0), int(new0), int(init1), int(new1)
             ))
         except ValueError as exc:
             raise TraceParseError(str(exc), 1, lineno) from None

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from simulmob.cli import main
 from simulmob.datasets import load_dataset
-from simulmob.model import MoveRecord, Outcome, ZoneLayout, classify, mn0_crossed, mn1_crossed
+from simulmob.model import MoveRecord, Outcome, ZoneLayout, classify
 from simulmob.sampling import Sampler
 from simulmob.scenarios import preset, replay_sequential, run_sequential_scenario
 from simulmob.stats import (
@@ -25,7 +25,7 @@ from simulmob.stats import (
     expected_crossings,
     expected_steps_to_cross,
 )
-from simulmob.traceio import format_trace, format_trace_line, parse_trace_line
+from simulmob.traceio import format_trace, parse_trace
 from test_stats import grid_walk_probability
 
 
@@ -110,14 +110,13 @@ def test_criterion_5(capsys):
 
 def monte_carlo_frequency(config, node, trials):
     crossed = 0
+    brink = config.layout.brink
     sampler = Sampler(config, stream=0)
     for _ in range(trials):
         mn0_init, mn1_init = sampler.draw_init_positions()
         step = sampler.draw_step()
         rec = MoveRecord.from_inits(mn0_init, mn1_init, step)
-        new = rec.mn0_new if node == 0 else rec.mn1_new
-        predicate = mn0_crossed if node == 0 else mn1_crossed
-        if predicate(new, config.layout):
+        if (rec.mn0_new >= brink) if node == 0 else (rec.mn1_new <= brink):
             crossed += 1
     return crossed / trials
 
@@ -205,8 +204,8 @@ def holds_everywhere(layout, rec):
         return False
 
     # The outcome is exactly the conjunction of the two crossing predicates.
-    m0 = mn0_crossed(rec.mn0_new, layout)
-    m1 = mn1_crossed(rec.mn1_new, layout)
+    m0 = rec.mn0_new >= layout.brink
+    m1 = rec.mn1_new <= layout.brink
     expected = (
         Outcome.SIMULTANEOUS_OVERLAP if m0 and m1
         else Outcome.MN0_OVERLAP if m0
@@ -218,9 +217,9 @@ def holds_everywhere(layout, rec):
 
     # Crossings are monotone in step: a longer step never un-crosses.
     longer = MoveRecord.from_inits(rec.mn0_init, rec.mn1_init, rec.step + 1)
-    if m0 and not mn0_crossed(longer.mn0_new, layout):
+    if m0 and not (longer.mn0_new >= layout.brink):
         return False
-    if m1 and not mn1_crossed(longer.mn1_new, layout):
+    if m1 and not (longer.mn1_new <= layout.brink):
         return False
 
     # Reflecting the whole scene about the brink swaps the node roles.
@@ -233,14 +232,8 @@ def holds_everywhere(layout, rec):
     if classify(mirror_rec, mirror_layout) is not SWAPPED[outcome]:
         return False
 
-    # Formatting a node line and parsing it back is the identity.
-    for node_id, init, new in ((0, rec.mn0_init, rec.mn0_new),
-                               (1, rec.mn1_init, rec.mn1_new)):
-        line = parse_trace_line(format_trace_line(rec, node_id))
-        if (line.node_id, line.init_x, line.new_x, line.step) != (
-                node_id, float(init), float(new), float(rec.step)):
-            return False
-    return True
+    # Formatting a move's trace and parsing it back is the identity.
+    return parse_trace(format_trace([rec])) == [rec]
 
 
 def test_criterion_9(capsys):

@@ -11,8 +11,7 @@ from simulmob.model import (
     Outcome,
     ZoneLayout,
     classify,
-    mn0_crossed,
-    mn1_crossed,
+    crossing,
 )
 
 
@@ -62,30 +61,28 @@ class TestAdvance:
 
 
 class TestCrossingPredicates:
+    """``crossing``'s brink rule for one node at a time; the other node
+    stays far from the brink."""
+
     def test_mn0_touch_counts(self):
-        layout = ZoneLayout(50, 99, 101, 150, 100)
-        assert mn0_crossed(100, layout)
-        assert not mn0_crossed(99, layout)
+        assert crossing(100, 150, 100) is Outcome.MN0_OVERLAP
+        assert crossing(99, 150, 100) is Outcome.NO_OVERLAP
 
     def test_mn0_exceed_counts(self):
-        layout = ZoneLayout(0, 374, 376, 750, 375)
-        assert mn0_crossed(384, layout)
+        assert crossing(384, 750, 375) is Outcome.MN0_OVERLAP
 
     def test_mn1_touch_counts(self):
-        layout = ZoneLayout(50, 99, 101, 150, 100)
-        assert mn1_crossed(100, layout)
-        assert not mn1_crossed(101, layout)
+        assert crossing(50, 100, 100) is Outcome.MN1_OVERLAP
+        assert crossing(50, 101, 100) is Outcome.NO_OVERLAP
 
     def test_mn1_descend_counts(self):
-        layout = ZoneLayout(0, 374, 376, 750, 375)
-        assert mn1_crossed(344, layout)
+        assert crossing(0, 344, 375) is Outcome.MN1_OVERLAP
 
 
 class TestMoveRecord:
     def test_from_inits(self):
         rec = MoveRecord.from_inits(10, 500, 28)
         assert (rec.mn0_new, rec.mn1_new) == (38, 472)
-        assert rec.time_s == 0.001
 
     def test_rejects_broken_mn0_equation(self):
         with pytest.raises(ValueError):
@@ -110,8 +107,7 @@ class TestMoveRecord:
 
     @pytest.mark.parametrize("args, message", [
         ((1.5, 0, 1, 5, 4), "step and positions must be ints, got MoveRecord("
-                            "step=1.5, mn0_init=0, mn0_new=1, mn1_init=5, mn1_new=4, "
-                            "time_s=0.001)"),
+                            "step=1.5, mn0_init=0, mn0_new=1, mn1_init=5, mn1_new=4)"),
         ((-1, 14, 13, 55, 56), "step must be non-negative, got -1"),
         ((5, 14, 20, 55, 50), "MN_0 update broken: 14 + 5 != 20"),
         ((5, 14, 19, 55, 49), "MN_1 update broken: 55 - 5 != 49"),
@@ -123,7 +119,8 @@ class TestMoveRecord:
 
     def test_replace_validates(self):
         rec = MoveRecord.from_inits(10, 500, 28)
-        assert dataclasses.replace(rec, time_s=0.5).time_s == 0.5
+        assert dataclasses.replace(rec, mn1_init=501, mn1_new=473) == \
+            MoveRecord.from_inits(10, 501, 28)
         with pytest.raises(ValueError, match="^MN_0 update broken: 10 [+] 29 != 38$"):
             dataclasses.replace(rec, step=29)
 
@@ -141,23 +138,23 @@ class TestMoveRecord:
         assert [(f.name, f.default) for f in dataclasses.fields(MoveRecord)] == [
             ("step", dataclasses.MISSING), ("mn0_init", dataclasses.MISSING),
             ("mn0_new", dataclasses.MISSING), ("mn1_init", dataclasses.MISSING),
-            ("mn1_new", dataclasses.MISSING), ("time_s", 0.001)]
+            ("mn1_new", dataclasses.MISSING)]
         assert repr(rec) == ("MoveRecord(step=28, mn0_init=10, mn0_new=38, "
-                             "mn1_init=500, mn1_new=472, time_s=0.001)")
-        assert dataclasses.astuple(rec) == (28, 10, 38, 500, 472, 0.001)
+                             "mn1_init=500, mn1_new=472)")
+        assert dataclasses.astuple(rec) == (28, 10, 38, 500, 472)
 
     def test_eq_and_hash_by_fields(self):
         rec = MoveRecord.from_inits(10, 500, 28)
-        same = MoveRecord(28, 10, 38, 500, 472, 0.001)
+        same = MoveRecord(28, 10, 38, 500, 472)
         assert rec == same and hash(rec) == hash(same)
         assert hash(rec) == hash(dataclasses.astuple(rec))
-        assert rec != dataclasses.replace(rec, time_s=0.002)
+        assert rec != MoveRecord.from_inits(10, 501, 28)
         assert rec != dataclasses.astuple(rec)
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))])
     def test_copies_equal(self, clone):
-        rec = MoveRecord(3, -2, 1, 2**70, 2**70 - 3, 0.5)
+        rec = MoveRecord(3, -2, 1, 2**70, 2**70 - 3)
         twin = clone(rec)
         assert type(twin) is MoveRecord
         assert twin == rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
@@ -185,11 +182,11 @@ class TestClassify:
     @given(layouts(), st.integers(0, 2000), st.integers(0, 2000),
            st.integers(0, 500))
     def test_partition(self, layout, mn0, mn1, step):
-        """Exactly one outcome, consistent with the two predicates."""
+        """Exactly one outcome, consistent with each node's brink test."""
         rec = MoveRecord.from_inits(mn0, mn1, step)
         outcome = classify(rec, layout)
-        c0 = mn0_crossed(rec.mn0_new, layout)
-        c1 = mn1_crossed(rec.mn1_new, layout)
+        c0 = rec.mn0_new >= layout.brink
+        c1 = rec.mn1_new <= layout.brink
         expected = {
             (True, True): Outcome.SIMULTANEOUS_OVERLAP,
             (True, False): Outcome.MN0_OVERLAP,
@@ -203,10 +200,10 @@ class TestClassify:
     def test_crossing_monotone_in_step(self, layout, mn0, mn1, step, extra):
         small = MoveRecord.from_inits(mn0, mn1, step)
         large = MoveRecord.from_inits(mn0, mn1, step + extra)
-        if mn0_crossed(small.mn0_new, layout):
-            assert mn0_crossed(large.mn0_new, layout)
-        if mn1_crossed(small.mn1_new, layout):
-            assert mn1_crossed(large.mn1_new, layout)
+        if small.mn0_new >= layout.brink:
+            assert large.mn0_new >= layout.brink
+        if small.mn1_new <= layout.brink:
+            assert large.mn1_new <= layout.brink
         if classify(small, layout) is Outcome.SIMULTANEOUS_OVERLAP:
             assert classify(large, layout) is Outcome.SIMULTANEOUS_OVERLAP
 
@@ -239,7 +236,6 @@ class TestLayout:
         assert layout.zone0_width == 50
         assert layout.zone1_width == 50
         assert layout.zone0_span == 49
-        assert layout.zone1_span == 49
 
     def test_valid_layout_passes(self):
         assert ZoneLayout(0, 374, 376, 750, 375).brink == 375
@@ -258,4 +254,4 @@ class TestLayout:
     @given(layouts())
     def test_generated_layouts_are_valid(self, layout):
         assert layout.zone0_width == layout.zone0_span + 1
-        assert layout.zone1_width == layout.zone1_span + 1
+        assert layout.zone1_width == layout.zone1_hi - layout.zone1_lo + 1

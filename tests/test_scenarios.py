@@ -389,7 +389,6 @@ class TestAgainstReferenceLoop:
             assert result.tally == total
             assert result.records == records
             assert result.outcomes == outcomes
-            assert result.steps == tuple(rec.step for rec in records)
 
     @pytest.mark.parametrize("config", SEQUENTIAL_CASES)
     def test_sequential(self, config):
@@ -472,9 +471,7 @@ class TestKernelAgainstSampler:
         results = run_independent_scenario(config)
         expected = reference_independent(config)
         for result, (total, records, _) in zip(results, expected, strict=True):
-            assert list(result.draws) == [
-                value for rec in records
-                for value in (rec.mn0_init, rec.mn1_init, rec.step)]
+            assert result.records == records
             assert result.tally == total
 
     @settings(max_examples=150, deadline=None)
@@ -511,7 +508,9 @@ class TestKernelAgainstSampler:
                                         2, 1)
         [result] = run_independent_scenario(config)
         lo = (layout.zone0_lo, layout.zone1_lo, 0)[column]
-        assert result.draws[column] == lo + 2**31 - 1
+        first = result.records[0]
+        assert (first.mn0_init, first.mn1_init, first.step)[column] == \
+            lo + 2**31 - 1
         assert result.records == reference_independent(config)[0][1]
         walk = SequentialConfig(SamplerConfig(seed, 2**31, WIDE), 1000, 1800,
                                 runs=1)
@@ -589,10 +588,9 @@ class TestRedrawnViews:
         config = IndependentTrialConfig(SamplerConfig(seed, max_step, layout),
                                         runs, samples)
         for result in run_independent_scenario(config):
-            steps = result.steps
+            steps = [rec.step for rec in result.records]
             assert result.step_sum == sum(steps)
             assert float(result.step_sum) / result.tally.trials == fmean(steps)
-            assert result.draws[2::3] == list(steps)
 
     @settings(max_examples=100, deadline=None)
     @given(small_walk_configs())
@@ -644,6 +642,15 @@ class TestRedrawnViews:
                 walks[j]
         assert run_sequential_scenario(config) == (total, walks)
         assert hash(walks) == hash(run_sequential_scenario(config)[1])
+
+    def test_walks_slice_like_a_list(self):
+        config = replace(preset(3, seed=2), runs=6)
+        walks = run_sequential_scenario(config)[1]
+        runs = list(walks)
+        for sl in (slice(0, 2), slice(None, None, -1), slice(-2, None),
+                   slice(1, 6, 2), slice(4, 2), slice(-9, 99)):
+            assert walks[sl] == runs[sl]
+        assert walks[::-1][0] == walks[-1]
 
 
 class TestJsonMemory:
@@ -812,8 +819,8 @@ class TestBuiltConfigsRun:
         [result] = run_independent_scenario(
             IndependentTrialConfig(sampler, 3, 1))
         assert result.tally.trials == 3
-        assert all(lo0 <= p <= hi0 for p in result.draws[0::3])
-        assert all(lo1 <= p <= hi1 for p in result.draws[1::3])
+        assert all(lo0 <= rec.mn0_init <= hi0 for rec in result.records)
+        assert all(lo1 <= rec.mn1_init <= hi1 for rec in result.records)
         total, runs = run_sequential_scenario(SequentialConfig(
             sampler, layout.zone0_hi, layout.zone1_lo, runs=2, max_steps_cap=4))
         assert total.trials == len(runs) == 2

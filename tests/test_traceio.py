@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -15,12 +14,9 @@ from simulmob.traceio import (
     CSV_HEADER,
     CsvFormatError,
     JsonRecords,
-    TraceLine,
     TraceParseError,
     format_trace,
-    format_trace_line,
     parse_trace,
-    parse_trace_line,
     read_csv,
     write_csv,
     write_json,
@@ -36,16 +32,19 @@ wide_records = st.builds(
     st.integers(0, 2**70))
 
 
-# Any move time, as the trace prints it with 5 decimals.
-timed_records = st.builds(
-    lambda rec, time_s: replace(rec, time_s=time_s), wide_records, st.floats())
+def reference_line(rec: MoveRecord, node_id: int) -> str:
+    """Node ``node_id``'s half of ``rec`` as one movement line."""
+    init, new = ((rec.mn0_init, rec.mn0_new) if node_id == 0
+                 else (rec.mn1_init, rec.mn1_new))
+    return (f"M 0.00100 {node_id} ({init}.00, 00.00), ({new}.00, 00.00), "
+            f"{rec.step}.00")
 
 
 def reference_trace(recs: list[MoveRecord], step_headers: bool) -> str:
-    """A trace built line by line from :func:`format_trace_line`."""
+    """A trace built line by line from :func:`reference_line`."""
     blocks = []
     for k, rec in enumerate(recs, 1):
-        lines = [format_trace_line(rec, 1), format_trace_line(rec, 0)]
+        lines = [reference_line(rec, 1), reference_line(rec, 0)]
         if step_headers:
             lines.insert(0, f"STEP-{k}")
         blocks.append("\n".join(lines))
@@ -95,11 +94,14 @@ class _Cursor:
             raise TraceParseError("trailing characters after step length", self.column)
 
 
-def cursor_parse_trace_line(line: str) -> TraceLine:
-    """Reference for ``parse_trace_line``: the character-cursor parser it replaced.
+def cursor_parse_trace_line(
+        line: str) -> tuple[int, float, float, float, float]:
+    """Reference for ``parse_trace``'s reading of one line: the
+    character-cursor parser it replaced. Returns the node id, move time,
+    initial x, new x and step.
 
-    It reads digits with ``str.isdigit``, so unlike ``parse_trace_line`` it
-    takes non-ASCII digits, and ``1²`` makes ``float`` raise a bare
+    It reads digits with ``str.isdigit``, so unlike ``parse_trace`` it takes
+    non-ASCII digits, and ``1²`` makes ``float`` raise a bare
     ``ValueError``. It checks the step as exact fractions of the texts.
     """
     cur = _Cursor(line)
@@ -131,7 +133,7 @@ def cursor_parse_trace_line(line: str) -> TraceLine:
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", step_col
         )
-    return TraceLine(node_id, time_s, init_x, new_x, step)
+    return node_id, time_s, init_x, new_x, step
 
 
 def cursor_parse_trace(text: str) -> list[MoveRecord]:
@@ -148,22 +150,25 @@ def cursor_parse_trace(text: str) -> list[MoveRecord]:
         raise TraceParseError("movement line has no partner", 1, fragments[-1][0])
     out = []
     for (_, a), (line_b, b) in zip(fragments[::2], fragments[1::2]):
-        if {a.node_id, b.node_id} != {0, 1}:
+        node_a, time_a, _, _, step_a = a
+        node_b, time_b, _, _, step_b = b
+        if {node_a, node_b} != {0, 1}:
             raise TraceParseError("move pair must cover node 0 and node 1", 1, line_b)
-        if a.step != b.step:
+        if step_a != step_b:
             raise TraceParseError(
-                f"paired lines disagree on step ({a.step} vs {b.step})", 1, line_b)
-        if a.time_s != b.time_s:  # both lines of a move carry its one time
+                f"paired lines disagree on step ({step_a} vs {step_b})", 1, line_b)
+        if time_a != time_b:  # both lines of a move carry its one time
             raise TraceParseError(
-                f"paired lines disagree on move time ({a.time_s} vs {b.time_s})",
+                f"paired lines disagree on move time ({time_a} vs {time_b})",
                 1, line_b)
-        n0, n1 = (a, b) if a.node_id == 0 else (b, a)
-        values = (n0.step, n0.init_x, n0.new_x, n1.init_x, n1.new_x)
+        n0, n1 = (a, b) if node_a == 0 else (b, a)
+        (_, _, init0, new0, step), (_, _, init1, new1, _) = n0, n1
+        values = (step, init0, new0, init1, new1)
         if any(v != int(v) for v in values):
             raise TraceParseError(
                 "positions and step must be integers to assemble a move", 1, line_b)
         try:
-            out.append(MoveRecord(*(int(v) for v in values), time_s=n0.time_s))
+            out.append(MoveRecord(*(int(v) for v in values)))
         except ValueError as exc:
             raise TraceParseError(str(exc), 1, line_b) from None
     return out
@@ -202,7 +207,7 @@ def grammar_lines(draw):
 
 
 valid_lines = st.one_of(
-    st.builds(format_trace_line, records, st.sampled_from([0, 1])),
+    st.builds(reference_line, records, st.sampled_from([0, 1])),
     grammar_lines())
 
 # Characters the grammar uses or nearly uses, and non-ASCII digits.
@@ -273,8 +278,8 @@ def traces(draw):
     or a whole ``format_trace`` output with one line edited."""
     if draw(st.booleans()):
         return draw(edited_format_traces())
-    pair = st.builds(lambda rec, first: [format_trace_line(rec, first),
-                                         format_trace_line(rec, 1 - first)],
+    pair = st.builds(lambda rec, first: [reference_line(rec, first),
+                                         reference_line(rec, 1 - first)],
                      records, st.sampled_from([0, 1]))
     other = st.one_of(any_lines, st.sampled_from(["", "  ", "STEP-1", "STEP-x"]))
     chunks = draw(st.lists(st.one_of(pair, other.map(lambda line: [line])), max_size=6))
@@ -283,64 +288,74 @@ def traces(draw):
 
 
 class TestFormatTraceLine:
+    """The two lines ``format_trace`` writes for one move."""
+
     WALK_START = MoveRecord.from_inits(10, 500, 28)
 
     def test_node1_line(self):
-        assert format_trace_line(self.WALK_START, 1) == \
+        assert format_trace([self.WALK_START]).splitlines()[0] == \
             "M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00"
 
     def test_node0_line(self):
-        assert format_trace_line(self.WALK_START, 0) == \
+        assert format_trace([self.WALK_START]).splitlines()[1] == \
             "M 0.00100 0 (10.00, 00.00), (38.00, 00.00), 28.00"
 
     def test_zero_step_line(self):
         rec = MoveRecord.from_inits(96, 146, 0)
-        assert format_trace_line(rec, 0) == \
+        assert format_trace([rec]).splitlines()[1] == \
             "M 0.00100 0 (96.00, 00.00), (96.00, 00.00), 0.00"
 
-    def test_bad_node_id(self):
-        with pytest.raises(ValueError):
-            format_trace_line(self.WALK_START, 2)
+
+def _rejected(line: str) -> TraceParseError:
+    """The error ``parse_trace`` raises on ``line``, which it finds on line 1."""
+    with pytest.raises(TraceParseError) as err:
+        parse_trace(line)
+    assert err.value.line == 1
+    return err.value
+
+
+def _with_partner(line: str) -> str:
+    """Node 0's ``line`` and the same line as node 1's, one move's pair."""
+    return f"{line}\n{line.replace(' 0 (', ' 1 (', 1)}\n"
+
+
+# The error of a pair whose lines pass the line checks but hold a fraction.
+NOT_INTEGRAL = ("positions and step must be integers to assemble a move", 1, 2)
 
 
 class TestParseTraceLine:
+    """``parse_trace`` on one movement line, or on one move's pair of them."""
+
     def test_second_move_node0(self):
         line = "M 0.00100 0 (38.00, 00.00), (81.00, 00.00), 43.00"
-        frag = parse_trace_line(line)
-        assert (frag.node_id, frag.init_x, frag.new_x, frag.step) == \
-            (0, 38.0, 81.0, 43.0)
-        assert frag.time_s == 0.001
+        partner = "M 0.00100 1 (472.00, 00.00), (429.00, 00.00), 43.00"
+        assert parse_trace(f"{line}\n{partner}\n") == \
+            [MoveRecord(43, 38, 81, 472, 429)]
 
     @given(records, st.sampled_from([0, 1]))
     def test_round_trip(self, rec, node_id):
-        frag = parse_trace_line(format_trace_line(rec, node_id))
-        assert frag.node_id == node_id
-        init, new = ((rec.mn0_init, rec.mn0_new) if node_id == 0
-                     else (rec.mn1_init, rec.mn1_new))
-        assert (frag.init_x, frag.new_x, frag.step) == (init, new, rec.step)
+        text = f"{reference_line(rec, node_id)}\n{reference_line(rec, 1 - node_id)}"
+        assert parse_trace(text) == [rec]
 
     def test_bad_marker_reports_column_1(self):
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_line("X 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00")
-        assert err.value.column == 1
+        err = _rejected("X 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00")
+        assert (err.reason, err.column) == ("expected marker 'M'", 1)
 
     def test_bad_node_id(self):
-        with pytest.raises(TraceParseError):
-            parse_trace_line("M 0.00100 2 (500.00, 00.00), (472.00, 00.00), 28.00")
+        err = _rejected("M 0.00100 2 (500.00, 00.00), (472.00, 00.00), 28.00")
+        assert (err.reason, err.column) == ("node id must be 0 or 1, got '2'", 11)
 
     @pytest.mark.parametrize("node", ["0.9", "1.0", "01", "-0", "10"])
     def test_node_id_is_one_character(self, node):
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_line(
-                f"M 0.00100 {node} (500.00, 00.00), (472.00, 00.00), 28.00")
-        assert err.value.column == 11
-        assert repr(node) in err.value.reason
+        err = _rejected(
+            f"M 0.00100 {node} (500.00, 00.00), (472.00, 00.00), 28.00")
+        assert err.column == 11
+        assert repr(node) in err.reason
 
     def test_negative_move_time_rejected(self):
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_line("M -0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00")
-        assert err.value.column == 3
-        assert "negative" in err.value.reason
+        err = _rejected("M -0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00")
+        assert err.column == 3
+        assert "negative" in err.reason
 
     def test_column_survives_in_whole_trace(self):
         text = ("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00\n"
@@ -350,34 +365,34 @@ class TestParseTraceLine:
         assert (err.value.line, err.value.column) == (2, 11)
 
     def test_nonzero_y_rejected(self):
-        with pytest.raises(TraceParseError):
-            parse_trace_line("M 0.00100 1 (500.00, 01.00), (472.00, 00.00), 28.00")
+        err = _rejected("M 0.00100 1 (500.00, 01.00), (472.00, 00.00), 28.00")
+        assert (err.reason, err.column) == ("expected initial y ', 00.00), '", 20)
 
     def test_inconsistent_step_rejected(self):
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_line("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 29.00")
-        assert "29" in str(err.value)
+        err = _rejected("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 29.00")
+        assert (err.reason, err.column) == (
+            "step 29.0 does not match |472.0 - 500.0|", 47)
 
     def test_step_compared_exactly_in_decimal(self):
-        # As floats, 0.3 - 0.1 is 0.19999999999999998, which is not 0.2.
-        frag = parse_trace_line("M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.2")
-        assert (frag.init_x, frag.new_x, frag.step) == (0.1, 0.3, 0.2)
+        # As floats, 0.3 - 0.1 is 0.19999999999999998, which is not 0.2. The
+        # line passes the step check; its pair fails only for the fractions.
+        line = "M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.2"
+        assert _outcome(parse_trace, _with_partner(line)) == NOT_INTEGRAL
 
     def test_step_equal_only_as_floats_rejected(self):
         line = "M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.19999999999999998"
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_line(line)
-        assert err.value.reason == \
+        err = _rejected(line)
+        assert err.reason == \
             "step 0.19999999999999998 does not match |0.3 - 0.1|"
-        assert err.value.column == line.index("0.1999") + 1
+        assert err.column == line.index("0.1999") + 1
 
     def test_long_fraction_compared_exactly(self):
         # Past 4300 digits, int() and so Fraction() refuse a text.
         tail = "0" * 5000 + "1"
         line = f"M 0.00100 0 (1.{tail}, 00.00), (3, 00.00), 1.{'9' * 5001}"
-        assert parse_trace_line(line).step == 2.0
-        with pytest.raises(TraceParseError, match="does not match"):
-            parse_trace_line(line[:-1] + "8")
+        assert _outcome(parse_trace, _with_partner(line)) == NOT_INTEGRAL
+        err = _rejected(line[:-1] + "8")
+        assert "does not match" in err.reason
 
     @pytest.mark.parametrize("init, new, step, accepted", [
         ("0.00", "1" + "0" * 400 + ".00", "2" + "0" * 400 + ".00", False),
@@ -388,23 +403,22 @@ class TestParseTraceLine:
             self, init, new, step, accepted):
         # float() reads each 401-digit number as inf, and inf - 0 is inf.
         line = f"M 0.00100 0 ({init}, 00.00), ({new}, 00.00), {step}"
-        verdict = _outcome(parse_trace_line, line)
-        assert isinstance(verdict, TraceLine) is accepted
-        if not accepted:
+        verdict = _outcome(parse_trace, line)
+        # The reference prints its numbers as floats, so compare places.
+        reference = _outcome(cursor_parse_trace, line)
+        if accepted:  # the line passes, and then lacks its partner
+            assert verdict == reference == ("movement line has no partner", 1, 1)
+        else:
             assert "does not match" in verdict[0]
-            assert verdict[1] == line.rindex(step) + 1
-        # The reference prints its numbers as floats, so compare verdicts.
-        reference = _outcome(cursor_parse_trace_line, line)
-        assert isinstance(reference, TraceLine) is accepted
-        assert accepted or reference[1] == verdict[1]
+            assert verdict[1:] == reference[1:] == (line.rindex(step) + 1, 1)
 
     def test_trailing_garbage_rejected(self):
-        with pytest.raises(TraceParseError):
-            parse_trace_line("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00 ")
+        err = _rejected("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00 ")
+        assert (err.reason, err.column) == ("trailing characters after step length", 52)
 
     def test_truncated_line_rejected(self):
-        with pytest.raises(TraceParseError):
-            parse_trace_line("M 0.00100 1 (500.00, 00.00), (472.00")
+        err = _rejected("M 0.00100 1 (500.00, 00.00), (472.00")
+        assert (err.reason, err.column) == ("expected new y ', 00.00), '", 37)
 
     @pytest.mark.parametrize("x, column, reason", [
         ("١٠.00", 14, "expected initial x"),
@@ -413,9 +427,8 @@ class TestParseTraceLine:
     def test_non_ascii_digits_rejected(self, x, column, reason):
         # The cursor parser read "١٠" as 10 and let "1²" raise a bare ValueError.
         line = f"M 0.00100 0 ({x}, 00.00), (38.00, 00.00), 28.00"
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_line(line)
-        assert (err.value.reason, err.value.column) == (reason, column)
+        err = _rejected(line)
+        assert (err.reason, err.column) == (reason, column)
         with pytest.raises(TraceParseError) as err:
             parse_trace(f"STEP-1\n{line}\n")
         assert (err.value.line, err.value.column) == (2, column)
@@ -434,17 +447,15 @@ class TestParseTraceLine:
         "M 0.1 0 (1, 00.00), (2, 00.00), 1\n",
     ])
     def test_matches_cursor_parser_on_examples(self, line):
-        assert _outcome(parse_trace_line, line) == \
-            _outcome(cursor_parse_trace_line, line)
+        assert _outcome(parse_trace, line) == _outcome(cursor_parse_trace, line)
 
     @given(any_lines)
     def test_matches_cursor_parser(self, line):
         if _has_non_ascii_digit(line):
             with pytest.raises(TraceParseError):
-                parse_trace_line(line)
+                parse_trace(line)
             return
-        assert _outcome(parse_trace_line, line) == \
-            _outcome(cursor_parse_trace_line, line)
+        assert _outcome(parse_trace, line) == _outcome(cursor_parse_trace, line)
 
 
 class TestWholeTrace:
@@ -473,7 +484,7 @@ class TestWholeTrace:
         assert format_trace([]) == ""
         assert parse_trace("") == []
 
-    @given(st.lists(timed_records, max_size=8), st.booleans())
+    @given(st.lists(wide_records, max_size=8), st.booleans())
     @example([], False)
     @example([], True)
     def test_matches_per_line_reference(self, recs, headers):
@@ -485,32 +496,38 @@ class TestWholeTrace:
 
     def test_either_node_order_accepted(self):
         flipped = "\n".join([
-            format_trace_line(self.WALK[0], 0),
-            format_trace_line(self.WALK[0], 1),
+            reference_line(self.WALK[0], 0),
+            reference_line(self.WALK[0], 1),
         ])
         assert parse_trace(flipped) == [self.WALK[0]]
 
     def test_unpaired_line_rejected(self):
-        text = format_trace_line(self.WALK[0], 1)
+        text = reference_line(self.WALK[0], 1)
         with pytest.raises(TraceParseError):
             parse_trace(text)
 
     def test_same_node_twice_rejected(self):
-        text = "\n".join([format_trace_line(self.WALK[0], 1)] * 2)
+        text = "\n".join([reference_line(self.WALK[0], 1)] * 2)
         with pytest.raises(TraceParseError):
             parse_trace(text)
 
     def test_step_disagreement_rejected(self):
         text = "\n".join([
-            format_trace_line(self.WALK[0], 1),
-            format_trace_line(self.WALK[1], 0),
+            reference_line(self.WALK[0], 1),
+            reference_line(self.WALK[1], 0),
         ])
         with pytest.raises(TraceParseError):
             parse_trace(text)
 
+    def test_move_time_is_checked_not_kept(self):
+        timed = self.PAIR.replace("0.00100", "0.50000")
+        for text in (timed, "STEP-1\n" + timed):  # scanned, then line by line
+            assert parse_trace(text) == [self.WALK[0]]
+        assert format_trace(parse_trace(timed)) == self.PAIR
+
     def test_time_disagreement_rejected(self):
         # Node 1's line used to be dropped after pairing, time and all, so
-        # this pair came back as one record with time_s 0.001.
+        # this pair came back as one record with a time of 0.001.
         text = ("M 9.50000 1 (500.00, 00.00), (472.00, 00.00), 28.00\n"
                 "M 0.00100 0 (10.00, 00.00), (38.00, 00.00), 28.00\n")
         with pytest.raises(TraceParseError) as err:
@@ -536,8 +553,8 @@ class TestWholeTrace:
 
     def test_node_order_may_differ_between_pairs(self):
         text = "\n".join([
-            format_trace_line(self.WALK[0], 0), format_trace_line(self.WALK[0], 1),
-            format_trace_line(self.WALK[1], 1), format_trace_line(self.WALK[1], 0),
+            reference_line(self.WALK[0], 0), reference_line(self.WALK[0], 1),
+            reference_line(self.WALK[1], 1), reference_line(self.WALK[1], 0),
         ])
         assert parse_trace(text) == self.WALK
 
@@ -575,7 +592,7 @@ class TestWholeTrace:
     @given(st.integers(-(2**53) + 1, 2**53 - 1))
     def test_positions_print_as_through_a_float_below_2_53(self, x):
         rec = MoveRecord.from_inits(x, x, 0)
-        assert format_trace_line(rec, 0) == (
+        assert format_trace([rec]).splitlines()[1] == (
             f"M 0.00100 0 ({x:.2f}, 00.00), ({x:.2f}, 00.00), 0.00")
 
     def test_positions_above_2_53_exact(self):
@@ -588,23 +605,22 @@ class TestWholeTrace:
         zeros = "0" * 5000
         line = (f"M 0.00100 0 (-{zeros}9007199254741001, 00.00), "
                 f"(-9007199254740979.00, 00.00), {zeros}22")
-        assert parse_trace_line(line) == TraceLine(
-            0, 0.001, -9007199254741001, -9007199254740979, 22)
+        partner = "M 0.00100 1 (100.00, 00.00), (78.00, 00.00), 22.00"
+        assert parse_trace(f"{line}\n{partner}\n") == [
+            MoveRecord(22, -9007199254741001, -9007199254740979, 100, 78)]
 
     def test_fraction_next_to_a_wide_number_rejected(self):
         line = ("M 0.00100 0 (9007199254741001.00, 00.00), "
                 "(9007199254741023.50, 00.00), 22.50")
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_line(line)
-        assert err.value.column == line.index("9007199254741023.50") + 1
-        assert "must be integral" in err.value.reason
+        err = _rejected(line)
+        assert err.column == line.index("9007199254741023.50") + 1
+        assert "must be integral" in err.reason
 
     @given(st.lists(bounded_records(10**15), max_size=8),
-           st.sampled_from([0.001, 0.0, 0.5, 12.25]))
-    def test_format_trace_output_is_scanned(self, recs, time_s):
+           st.sampled_from(["0.00100", "0.00000", "0.50000", "12.25000"]))
+    def test_format_trace_output_is_scanned(self, recs, time):
         # A pattern that never matches would still parse, only slowly.
-        recs = [replace(rec, time_s=time_s) for rec in recs]
-        text = format_trace(recs)
+        text = format_trace(recs).replace("M 0.00100 ", f"M {time} ")
         with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
             assert parse_trace(text) == recs
 
