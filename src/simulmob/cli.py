@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .datasets import DATASET_IDS, ReplayDataset, load_dataset
 from .model import MoveRecord, Outcome, ZoneLayout
@@ -46,7 +46,9 @@ from .stats import (
     expected_steps_to_cross,
     tally,
 )
-from .traceio import JsonRecords, format_trace, read_csv, write_csv, write_json
+# ``format_trace`` is not called here, but ``perfbench --trace 1`` binds it.
+from .traceio import (JsonRecords, csv_pieces, format_trace, json_pieces,
+                      read_csv, trace_pieces, write_json)
 
 _DATASET_HELP = f"bundled dataset id ({', '.join(DATASET_IDS)})"
 _LAYOUT_FLAGS = ("zone0", "zone1", "brink")
@@ -221,9 +223,9 @@ def _scenario_config(
         config, sampler=sampler, runs_per_sample=runs, samples=samples)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def _format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -395,25 +397,26 @@ def _report(
 
     Only the chosen renderer runs, so table output builds no move record.
     CSV output classifies no move: a scenario, which carries no
-    ``outcomes``, takes them from its samples or walks. Every text is
-    rendered before anything is written, and stdout comes last, so a source
-    that cannot be drawn or a file that cannot be written leaves stdout
-    empty.
+    ``outcomes``, takes them from its samples or walks. The plot, then the
+    table or the JSON document, is built and both files are written before
+    stdout, so a source that cannot be drawn, a document that cannot be
+    built or a file that cannot be opened or written leaves stdout empty.
+    Trace, CSV and JSON text goes out in pieces of at most 1,024 moves.
     """
     plot = None if args.plot is None else _plot_text(args, source)
     if args.format == "table":
-        text = table()
+        pieces = [table()]
     elif args.format == "csv":
         outcomes = (source.outcomes if source.outcomes is not None else
                     [o for part in source.drawn for o in part.outcomes])
-        text = write_csv(source.moves(), outcomes)
+        pieces = csv_pieces(source.moves(), outcomes)
     else:
-        text = write_json(doc())
+        pieces = json_pieces(doc())
     if args.trace is not None:
-        _write_text(args.trace, format_trace(source.moves(), args.step_headers))
+        _write_text(args.trace, trace_pieces(source.moves(), args.step_headers))
     if plot is not None:
-        _write_text(args.plot, plot)
-    sys.stdout.write(text)
+        _write_text(args.plot, [plot])
+    sys.stdout.writelines(pieces)
 
 
 def _walk_summary(walks: Walks) -> tuple[float, int]:
@@ -702,6 +705,6 @@ def _cmd_plot(args: argparse.Namespace) -> None:
     source = _resolve_source(args, ("dataset", "input", "scenario", "config"))
     text = _plot_text(args, source)
     if args.output is not None:
-        _write_text(args.output, text)
+        _write_text(args.output, [text])
     else:
         sys.stdout.write(text)

@@ -24,7 +24,10 @@ All emitters are deterministic: equal inputs give byte-identical output
 template of both lines. ``write_json`` writes the bytes of the stdlib's
 ``json.dumps`` at an indent of 2: a small walker indents the document, the
 stdlib's encoder writes its scalars, and a :class:`JsonRecords` list of
-moves renders from one template per move.
+moves renders from one template per move. Each writer joins the pieces of
+one generator, none of more than ``_CHUNK`` moves. ``read_csv`` and the
+scan of ``parse_trace`` convert each number text to an int once per call,
+so equal numbers share one int.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ import io
 import json
 import math
 import re
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .model import MOVE_INTERVAL_S, MoveRecord, Outcome
 
 CSV_HEADER = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new", "outcome")
+_CHUNK = 1024  # moves in one piece of a writer's text
 
 
 class TraceParseError(ValueError):
@@ -55,6 +60,23 @@ class TraceParseError(ValueError):
 
 class CsvFormatError(ValueError):
     """CSV text that does not match the run-record schema."""
+
+
+def _pieces(template: str, rows: Iterable[tuple], sep: str) -> Iterator[str]:
+    """``template % row`` for each row, joined by ``sep``, in pieces of
+    ``_CHUNK`` rows; each piece after the first opens with ``sep``."""
+    rows, lead = iter(rows), ""
+    while chunk := list(islice(rows, _CHUNK)):
+        yield lead + sep.join([template % row for row in chunk])
+        lead = sep
+
+
+class _Ints(dict):
+    """Each number text's int, converted once, so equal texts share one."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = value = int(text)
+        return value
 
 
 # One movement line, with the node id to fill in first and then the initial
@@ -159,20 +181,23 @@ def _fields(line: str) -> tuple[int, float, float, float, float, bool]:
     return int(node), float(time_s), init_x, new_x, step, whole
 
 
+def trace_pieces(records: Iterable[MoveRecord],
+                 step_headers: bool = False) -> Iterator[str]:
+    """The text of :func:`format_trace`, in pieces."""
+    # One template per move; without headers, ``%.0s`` takes k and prints nothing.
+    head = "STEP-%d\n" if step_headers else "%.0s"
+    return _pieces(f"{head}{_LINE % 1}\n{_LINE % 0}\n", (
+        (k, rec.mn1_init, rec.mn1_new, rec.step, rec.mn0_init, rec.mn0_new, rec.step)
+        for k, rec in enumerate(records, 1)), "\n" if step_headers else "")
+
+
 def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> str:
     """Render a whole trace, node 1 before node 0 within each move.
 
     With ``step_headers`` each pair is preceded by a ``STEP-k`` line and the
     blocks are blank-line separated.
     """
-    # One template per move; without headers, ``%.0s`` takes k and prints nothing.
-    head = "STEP-%d\n" if step_headers else "%.0s"
-    move = f"{head}{_LINE % 1}\n{_LINE % 0}\n"
-    return ("\n" if step_headers else "").join([
-        move % (k, rec.mn1_init, rec.mn1_new, rec.step,
-                rec.mn0_init, rec.mn0_new, rec.step)
-        for k, rec in enumerate(records, 1)
-    ])
+    return "".join(trace_pieces(records, step_headers))
 
 
 # One move as ``format_trace`` writes it without step headers: node 1's
@@ -194,13 +219,14 @@ def _scan(text: str) -> tuple[list[MoveRecord], int]:
     whose nodes go the wrong way. Each match is anchored where the last one
     ended, so a miss ends the scan."""
     match = re.compile(_PAIR).match
+    ints = _Ints()
     records = []
     pos = 0
     while m := match(text, pos):
         _, init1, new1, step, init0, new0 = m.groups()
         try:
-            records.append(MoveRecord(int(step), int(init0), int(new0),
-                                      int(init1), int(new1)))
+            records.append(MoveRecord(ints[step], ints[init0], ints[new0],
+                                      ints[init1], ints[new1]))
         except ValueError:  # a node moved the wrong way
             break
         pos = m.end()
@@ -264,6 +290,14 @@ def parse_trace(text: str) -> list[MoveRecord]:
     return records
 
 
+def csv_pieces(records: Iterable[MoveRecord],
+               outcomes: Iterable[Outcome]) -> Iterator[str]:
+    """The text of :func:`write_csv`, in pieces."""
+    return chain([",".join(CSV_HEADER) + "\n"], _pieces("%d,%d,%d,%d,%d,%s\n", (
+        (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new, outcome.value)
+        for rec, outcome in zip(records, outcomes, strict=True)), ""))
+
+
 def write_csv(
     records: Sequence[MoveRecord], outcomes: Sequence[Outcome]
 ) -> str:
@@ -272,10 +306,7 @@ def write_csv(
     Every field is an int or an outcome name, so none needs quoting, and
     each row comes from one template.
     """
-    return ",".join(CSV_HEADER) + "\n" + "".join(
-        "%d,%d,%d,%d,%d,%s\n" % (rec.step, rec.mn0_init, rec.mn0_new,
-                                 rec.mn1_init, rec.mn1_new, outcome.value)
-        for rec, outcome in zip(records, outcomes, strict=True))
+    return "".join(csv_pieces(records, outcomes))
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:
@@ -303,6 +334,7 @@ def read_csv(text: str) -> list[MoveRecord]:
         raise CsvFormatError(
             f"unexpected header {header!r}; want {','.join(CSV_HEADER)}"
         )
+    ints = _Ints()
     records = []
     for rownum, row in enumerate(reader, 2):
         if not row:
@@ -316,7 +348,7 @@ def read_csv(text: str) -> list[MoveRecord]:
         try:
             if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(cells)
-            values = list(map(int, cells))
+            values = list(map(ints.__getitem__, cells))
         except ValueError:
             raise CsvFormatError(f"row {rownum}: non-integer field in {cells}") from None
         try:
@@ -349,31 +381,6 @@ class JsonRecords:
         self.records = records
         self.outcomes = outcomes
 
-    def render(self, pad: str) -> str:
-        """The list as :func:`_render` writes one at the indent of ``pad``."""
-        item, key = pad + "  ", pad + "    "
-        fields = ",".join(f'{key}"{name}": %d' for name in _RECORD_KEYS)
-        if self.outcomes is None:
-            move = f"{item}{{{fields}{item}}}"
-            rows = [move % (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
-                            rec.mn1_new) for rec in self.records]
-        else:
-            move = f'{item}{{{fields},{key}"outcome": %s{item}}}'
-            rows = [move % (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
-                            rec.mn1_new, _QUOTED_OUTCOMES[outcome])
-                    for rec, outcome in zip(self.records, self.outcomes, strict=True)]
-        return _bracket("[", rows, pad, "]")
-
-
-def _bracket(opener: str, items: list[str], pad: str, closer: str) -> str:
-    """``items`` comma-joined inside brackets; the brackets join the end
-    items, so the items are copied only once."""
-    if not items:
-        return opener + closer
-    items[0] = opener + items[0]
-    items[-1] += pad + closer
-    return ",".join(items)
-
 
 def _key(key: object) -> str:
     if not isinstance(key, str):
@@ -381,20 +388,53 @@ def _key(key: object) -> str:
     return _scalar(key)
 
 
-def _render(value: object, pad: str) -> str:
-    """``value`` as the stdlib's ``json.dumps`` writes it at an indent of 2,
-    nested at the indent of ``pad`` (a newline and the spaces of the line
-    that holds it)."""
+_NESTED = (dict, list, tuple, JsonRecords)
+
+
+def _render(value: object, pad: str, lead: str = "") -> Iterator[str]:
+    """``lead``, then ``value`` as the stdlib's ``json.dumps`` writes it at
+    an indent of 2, nested at the indent of ``pad`` (a newline and the
+    spaces of the line that holds it). A record list goes out in pieces of
+    ``_CHUNK`` moves, and the text between two record lists as one piece."""
     inner = pad + "  "
-    if isinstance(value, dict):
-        return _bracket("{", [f"{inner}{_key(key)}: {_render(item, inner)}"
-                              for key, item in value.items()], pad, "}")
-    if isinstance(value, (list, tuple)):
-        return _bracket("[", [inner + _render(item, inner) for item in value],
-                        pad, "]")
     if isinstance(value, JsonRecords):
-        return value.render(pad)
-    return _scalar(value)
+        key = inner + "  "
+        fields = ",".join(f'{key}"{name}": %d' for name in _RECORD_KEYS)
+        given = value.outcomes is not None
+        # The text after a move's fields: its outcome, if the list has them.
+        tails = {outcome: f',{key}"outcome": {quoted}' for outcome, quoted
+                 in _QUOTED_OUTCOMES.items()} if given else {None: ""}
+        outcomes = value.outcomes if given else repeat(None)
+        rows = ((rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new,
+                 tails[o]) for rec, o in zip(value.records, outcomes, strict=given))
+        text = lead + "["
+        for piece in _pieces(f"{inner}{{{fields}%s{inner}}}", rows, ","):
+            yield text + piece
+            text = ""
+        yield text + "]" if text else pad + "]"
+    elif isinstance(value, _NESTED):
+        if isinstance(value, dict):
+            opener, closer = "{", "}"
+            items = zip([f"{inner}{_key(key)}: " for key in value], value.values())
+        else:
+            opener, closer = "[", "]"
+            items = zip(repeat(inner), value)
+        text, sep = lead + opener, ""
+        for head, item in items:
+            if isinstance(item, _NESTED):
+                yield from _render(item, inner, text + sep + head)
+                text = ""
+            else:
+                text += sep + head + _scalar(item)
+            sep = ","
+        yield text + pad + closer if sep else text + closer
+    else:
+        yield lead + _scalar(value)
+
+
+def json_pieces(doc: dict) -> Iterator[str]:
+    """The text of :func:`write_json`, in pieces."""
+    return chain(_render(doc, "\n"), ("\n",))
 
 
 def write_json(doc: dict) -> str:
@@ -407,4 +447,4 @@ def write_json(doc: dict) -> str:
     order of the dicts, so equal documents give byte-identical output. NaN
     and infinity raise ``ValueError``.
     """
-    return _render(doc, "\n") + "\n"
+    return "".join(json_pieces(doc))

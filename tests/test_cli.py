@@ -211,20 +211,26 @@ class TestSimulateErrors:
         assert code == 2
         assert "--samples" in err
 
+    # Every output format, on both subcommands that write files: stdout is
+    # streamed only after both files are written.
+    REPORTS = [(*source, "--format", fmt)
+               for source in (("simulate", "--scenario", "3", "--seed", "1"),
+                              ("simulate", "--scenario", "2", "--runs", "3",
+                               "--samples", "2"),
+                              ("replay", "--dataset", "table-5"))
+               for fmt in ("table", "csv", "json")]
+
     def test_unwritable_trace_path(self, capsys, tmp_path):
         path = tmp_path / "missing_dir" / "x.tr"
-        code, out, _ = run_cli(
-            capsys, "simulate", "--scenario", "3", "--seed", "1",
-            "--trace", str(path))
-        assert code == 1
-        assert out == ""
+        for argv in self.REPORTS:
+            code, out, _ = run_cli(capsys, *argv, "--trace", str(path))
+            assert (code, out) == (1, ""), argv
 
     def test_unwritable_plot_path(self, capsys, tmp_path):
         path = tmp_path / "missing_dir" / "p.svg"
-        code, out, _ = run_cli(
-            capsys, "replay", "--dataset", "table-5", "--plot", str(path))
-        assert code == 1
-        assert out == ""
+        for argv in self.REPORTS:
+            code, out, _ = run_cli(capsys, *argv, "--plot", str(path))
+            assert (code, out) == (1, ""), argv
 
     def test_trace_and_plot_to_one_path_keep_the_plot(self, capsys, tmp_path):
         both, plot = tmp_path / "both", tmp_path / "plot.svg"
@@ -790,6 +796,21 @@ class TestClosedStdout:
         # No error and no "Exception ignored" at shutdown: preset 2's
         # step-bound warning is the only stderr allowed.
         assert proc.stderr in (b"", PRESET_2_WARNING)
+
+    def test_reader_closes_mid_document(self):
+        # The document is about 3.7 MB, written in pieces, so the pipe breaks
+        # part-way through it.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(
+                [sys.executable, "-m", "simulmob", "simulate", "--scenario", "2",
+                 "--runs", "20000", "--samples", "1", "--format", "json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(1) == b"{"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert stderr in (b"", PRESET_2_WARNING)
 
 
 class TestNoRecordsForTables:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from simulmob import traceio
 from simulmob.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -253,6 +254,21 @@ def test_golden(name, tmp_path):
     assert (GOLDEN / f"{name}.stderr").exists() == (f"{name}.stderr" in outputs)
     for filename, data in outputs.items():
         assert data == (GOLDEN / filename).read_bytes(), filename
+
+
+# The cases that write moves as CSV, JSON or a trace.
+RECORD_CASES = sorted(
+    name for name, (argv, files) in CASES.items()
+    if name not in ERRORS and argv[0] != "estimate"
+    and ("trace" in files or "csv" in argv or "json" in argv))
+
+
+@pytest.mark.parametrize("name", RECORD_CASES)
+def test_golden_in_pieces_of_two_moves(name, tmp_path, monkeypatch):
+    # A writer's pieces end inside every record list, and still give the
+    # golden bytes.
+    monkeypatch.setattr(traceio, "_CHUNK", 2)
+    test_golden(name, tmp_path)
 
 
 def regenerate() -> None:

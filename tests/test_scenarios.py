@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from dataclasses import fields, replace
+from itertools import chain
 from statistics import fmean
 
 import pytest
@@ -12,7 +13,8 @@ from simulmob.datasets import load_dataset
 from simulmob.model import LayoutError, MoveRecord, Outcome, ZoneLayout, classify
 from simulmob.sampling import Pcg32, Sampler, SamplerConfig
 from simulmob.stats import tally
-from simulmob.traceio import JsonRecords, write_json
+from simulmob.traceio import (JsonRecords, format_trace, json_pieces,
+                              trace_pieces, write_json)
 from simulmob.scenarios import (
     IndependentTrialConfig,
     SequentialConfig,
@@ -653,20 +655,26 @@ class TestRedrawnViews:
         assert walks[::-1][0] == walks[-1]
 
 
+def replay_document() -> tuple[list[MoveRecord], dict]:
+    """A 20,000-move replay's records and its JSON document."""
+    layout = ZoneLayout(5000, 5049, 5051, 5100, 5050)
+    records = [MoveRecord.from_inits(5000 + i * 7 % 50, 5051 + i * 13 % 50,
+                                     i * 31 % 51) for i in range(20_000)]
+    doc = {"dataset": None, "input": "rows.csv",
+           "tally": tally(classify(rec, layout) for rec in records).as_dict(),
+           "records": JsonRecords(records,
+                                  [classify(rec, layout) for rec in records])}
+    return records, doc
+
+
 class TestJsonMemory:
     """Rendering a 20,000-move replay document takes at most 4 bytes of heap
-    per byte of output. The rows, their joined list and the document are the
-    only large strings, about 2.4 bytes a byte; the stdlib's indenting
-    encoder took about 7.8 on the same document."""
+    per byte of output. The pieces and the document are the only large
+    strings, about 2 bytes a byte; the stdlib's indenting encoder took about
+    7.8 on the same document. Streamed, its pieces take well under 1 MiB."""
 
     def test_write_json_peak_is_bounded_by_output(self):
-        layout = ZoneLayout(5000, 5049, 5051, 5100, 5050)
-        records = [MoveRecord.from_inits(5000 + i * 7 % 50, 5051 + i * 13 % 50,
-                                         i * 31 % 51) for i in range(20_000)]
-        doc = {"dataset": None, "input": "rows.csv",
-               "tally": tally(classify(rec, layout) for rec in records).as_dict(),
-               "records": JsonRecords(records,
-                                      [classify(rec, layout) for rec in records])}
+        _, doc = replay_document()
         tracemalloc.start()
         try:
             text = write_json(doc)
@@ -674,6 +682,20 @@ class TestJsonMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * len(text)
+
+    def test_streamed_json_and_trace_peak_is_bounded(self):
+        records, doc = replay_document()
+        size = 0
+        tracemalloc.start()
+        try:
+            for piece in chain(json_pieces(doc), trace_pieces(records)):
+                size += len(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The whole strings are about 7 MB.
+        assert size == len(write_json(doc)) + len(format_trace(records))
+        assert peak < 2**20
 
 
 class TestConfigDicts:

@@ -15,9 +15,12 @@ from simulmob.traceio import (
     CsvFormatError,
     JsonRecords,
     TraceParseError,
+    csv_pieces,
     format_trace,
+    json_pieces,
     parse_trace,
     read_csv,
+    trace_pieces,
     write_csv,
     write_json,
 )
@@ -732,6 +735,17 @@ class TestDatasets:
             load_dataset("table-9")
 
 
+def reference_csv(recs: list[MoveRecord], outcomes: list[Outcome]) -> str:
+    """The rows as the stdlib's csv writer writes them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for rec, outcome in zip(recs, outcomes):
+        writer.writerow([rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
+                         rec.mn1_new, outcome.value])
+    return buf.getvalue()
+
+
 class TestCsv:
     def test_header_and_first_row(self):
         ds = load_dataset("table-1")
@@ -748,14 +762,9 @@ class TestCsv:
     @given(st.lists(st.tuples(wide_records, st.sampled_from(Outcome)),
                     max_size=8))
     def test_matches_csv_writer(self, pairs):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec, outcome in pairs:
-            writer.writerow([rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
-                             rec.mn1_new, outcome.value])
         recs = [rec for rec, _ in pairs]
-        assert write_csv(recs, [o for _, o in pairs]) == buf.getvalue()
+        outcomes = [o for _, o in pairs]
+        assert write_csv(recs, outcomes) == reference_csv(recs, outcomes)
 
     def test_outcome_count_must_match_records(self):
         ds = load_dataset("table-1")
@@ -921,3 +930,80 @@ class TestJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             write_json({"a": [object()]})
+
+
+# Move counts at and around the edges of the writers' 1,024-move pieces.
+CHUNK_EDGES = [0, 1, 1023, 1024, 1025, 2049]
+
+
+def chunk_records(n: int) -> tuple[list[MoveRecord], list[Outcome]]:
+    recs = [MoveRecord.from_inits(i % 500, 1000 + i % 700, i % 51)
+            for i in range(n)]
+    return recs, [list(Outcome)[i % 4] for i in range(n)]
+
+
+class TestPieces:
+    """Each writer's pieces join to the text of its whole-string writer, and
+    no piece holds more than 1,024 moves."""
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("headers", [False, True])
+    def test_trace(self, n, headers):
+        recs, _ = chunk_records(n)
+        pieces = list(trace_pieces(recs, headers))
+        assert "".join(pieces) == reference_trace(recs, headers)
+        assert format_trace(recs, headers) == "".join(pieces)
+        assert max((p.count("M 0.00100 0 ") for p in pieces), default=0) \
+            == min(n, 1024)
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    def test_csv(self, n):
+        recs, outcomes = chunk_records(n)
+        pieces = list(csv_pieces(recs, outcomes))
+        assert "".join(pieces) == reference_csv(recs, outcomes)
+        assert write_csv(recs, outcomes) == "".join(pieces)
+        assert pieces[0] == ",".join(CSV_HEADER) + "\n"
+        assert max((p.count("\n") for p in pieces[1:]), default=0) \
+            == min(n, 1024)
+
+    @pytest.mark.parametrize("n", CHUNK_EDGES)
+    @pytest.mark.parametrize("nesting", sorted(NESTINGS))
+    @pytest.mark.parametrize("with_outcomes", [False, True])
+    def test_json(self, n, nesting, with_outcomes):
+        recs, outcomes = chunk_records(n)
+        if not with_outcomes:
+            outcomes = None
+        dicts = [record_dict(rec, outcomes and outcomes[i])
+                 for i, rec in enumerate(recs)]
+        doc = NESTINGS[nesting](JsonRecords(recs, outcomes))
+        pieces = list(json_pieces(doc))
+        assert "".join(pieces) == reference_json(NESTINGS[nesting](dicts))
+        assert write_json(doc) == "".join(pieces)
+        assert max(p.count('"step"') for p in pieces) == min(n, 1024)
+
+
+class TestSharedInts:
+    """A reader converts each number text once, so equal numbers in its
+    records are one int object."""
+
+    def test_one_int_per_value(self):
+        # Every value is above 256, past CPython's cached small ints.
+        recs = [MoveRecord.from_inits(1000 + i % 7, 5000 + i % 5, 300 + i % 3)
+                for i in range(300)]
+        outcomes = [Outcome.NO_OVERLAP] * len(recs)
+        for parsed in (parse_trace(format_trace(recs)),
+                       read_csv(write_csv(recs, outcomes))):
+            assert parsed == recs
+            values = [value for rec in parsed for value in (
+                rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new)]
+            assert min(values) > 256
+            assert len({id(value) for value in values}) == len(set(values))
+
+    def test_spellings_of_one_number_parse_equal(self):
+        move = MoveRecord(3, 0, 3, 10, 7)
+        trace = ("M 0.00100 1 (0010.00, 00.00), (007.00, 00.00), 3.00\n"
+                 "M 0.00100 0 (-0.00, 00.00), (03.00, 00.00), 3.00\n"
+                 "M 0.00100 1 (10.00, 00.00), (7.00, 00.00), 3.00\n"
+                 "M 0.00100 0 (0.00, 00.00), (3.00, 00.00), 3.00\n")
+        table = ",".join(CSV_HEADER[:5]) + "\n3,-0,03,0010,007\n3,0,3,10,7\n"
+        assert parse_trace(trace) == read_csv(table) == [move, move]
