@@ -12,6 +12,10 @@ the constant ``00.00``. Optional ``STEP-k`` header lines group the pairs.
 Every move spans ``MOVE_INTERVAL_S``, so ``format_trace`` writes that time
 and ``parse_trace`` checks the time of each pair but keeps none.
 
+Positions and steps are integers, in a trace as in a CSV: ``-?[0-9]+``,
+which a trace may follow with a fraction of zeros (``format_trace`` writes
+``.00``). Both readers convert them to exact ints.
+
 ``parse_trace`` reads ``format_trace``'s own text (without step headers) in
 one scan, a pattern that matches it move by move. Any other text (headers,
 another node order, other spellings of numbers, CRLF endings, an error) is
@@ -25,19 +29,18 @@ template of both lines. ``write_json`` writes the bytes of the stdlib's
 ``json.dumps`` at an indent of 2: a small walker indents the document, the
 stdlib's encoder writes its scalars, and a :class:`JsonRecords` list of
 moves renders from one template per move. Each writer joins the pieces of
-one generator, none of more than ``_CHUNK`` moves. ``read_csv`` and the
-scan of ``parse_trace`` convert each number text to an int once per call,
-so equal numbers share one int.
+one generator, none of more than ``_CHUNK`` moves. ``read_csv`` and
+``parse_trace`` convert each number text to an int once per call, so equal
+numbers share one int.
 """
 
 from __future__ import annotations
 
 import csv
-import decimal
 import io
 import json
-import math
 import re
+import sys
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
 
@@ -71,22 +74,39 @@ def _pieces(template: str, rows: Iterable[tuple], sep: str) -> Iterator[str]:
         lead = sep
 
 
+# An integer text: its sign, then its digits after any leading zeros.
+_INTEGER = re.compile("(-?)0*([0-9]+)").fullmatch
+
+
 class _Ints(dict):
-    """Each number text's int, converted once, so equal texts share one."""
+    """The int of each integer text, ``-?[0-9]+``, converted once, so equal
+    texts share one. Any other text raises KeyError (``int()`` alone would
+    take "+", "_", spaces and non-ASCII digits), and one with more
+    significant digits than ``int()`` converts raises ValueError."""
 
     def __missing__(self, text: str) -> int:
-        self[text] = value = int(text)
+        m = _INTEGER(text)
+        if m is None:
+            raise KeyError(text)
+        try:
+            value = int(m[2])
+        except ValueError:
+            raise ValueError(
+                "more significant digits than sys.get_int_max_str_digits() "
+                f"allows ({sys.get_int_max_str_digits()})") from None
+        self[text] = value = -value if m[1] else value
         return value
 
 
 # One movement line, with the node id to fill in first and then the initial
-# x, new x and step. ``%d`` prints an int exactly, not through a float,
-# which rounds above 2**53.
+# x, new x and step, each an int that ``%d`` prints exactly.
 _LINE = f"M {MOVE_INTERVAL_S:.5f} %d (%%d.00, 00.00), (%%d.00, 00.00), %%d.00"
 
 
 _UNSIGNED = r"[0-9]+(?:\.[0-9]+)?"
-_NUMBER = re.compile("-?" + _UNSIGNED)
+_NUMBER = re.compile(r"-?[0-9]+(?:\.0+)?")
+# A signed number with any fraction, group 1: where a non-zero one starts.
+_FRACTIONAL = re.compile(r"-?[0-9]+(\.[0-9]+)?").match
 
 # The movement-line grammar, piece by piece: a str is literal text, a pattern
 # one captured field. ``_MOVE`` is their concatenation; ``_reject`` walks the
@@ -129,56 +149,30 @@ def _reject(line: str) -> NoReturn:
                 raise TraceParseError("move time must not be negative", pos + 1)
             raise TraceParseError(f"expected {what}", pos + 1)
         pos = m.end()
+        if piece is _NUMBER and (f := _FRACTIONAL(line, m.start())).end() > pos:
+            raise TraceParseError(f"non-zero fraction in {what}", f.start(1) + 1)
         if line.startswith(".", pos) and "." not in m[0]:
             raise TraceParseError(f"expected decimals in {what}", pos + 2)
     raise TraceParseError("trailing characters after step length", pos + 1)
 
 
-# A float holds every integer below 2**53 in magnitude, and skips some above.
-_EXACT = float(2**53)
-# Subtracts decimal texts of any length without rounding.
-_DECIMAL = decimal.Context(prec=decimal.MAX_PREC)
-
-
-def _exact(m: re.Match, group: int) -> float | int:
-    """Number ``group`` of a line with one of magnitude 2**53 or more, as an
-    exact int. A fraction is an error there; an overflow stays inf."""
-    value = float(m[group])
-    if math.isinf(value):
-        return value
-    whole, _, fraction = m[group].partition(".")
-    if fraction.strip("0"):
-        raise TraceParseError("a number on a line with one of magnitude 2**53 "
-                              "or more must be integral", m.start(group) + 1)
-    # int() refuses over 4300 digits, which leading zeros can reach.
-    n = int(whole.lstrip("-").lstrip("0") or "0")
-    return -n if value < 0 else n
-
-
-def _fields(line: str) -> tuple[int, float, float, float, float, bool]:
-    """(node id, move time, initial x, new x, step, whole) of one movement
-    line. ``whole`` is true when each of the three numbers is a whole number
-    in its text, with no fraction or a fraction of zeros, and in range of a
-    float; a rounded float would take ``5.00000000000000000001`` for one."""
+def _fields(line: str, ints: _Ints) -> tuple[int, float, int, int, int]:
+    """(node id, move time, initial x, new x, step) of one movement line."""
     m = _MOVE(line)
     if m is None:
         _reject(line)
-    time_s, node, init_text, new_text, step_text = m.groups()
-    init_x, new_x, step = float(init_text), float(new_text), float(step_text)
-    if not (-_EXACT < init_x < _EXACT and -_EXACT < new_x < _EXACT
-            and -_EXACT < step < _EXACT):
-        init_x, new_x, step = _exact(m, 3), _exact(m, 4), _exact(m, 5)
-    # Compare the decimal texts, which the floats may round or overflow.
-    diff = _DECIMAL.subtract(decimal.Decimal(new_text), decimal.Decimal(init_text))
-    if diff.copy_abs() != decimal.Decimal(step_text):
+    numbers = []
+    for group in (3, 4, 5):  # initial x, new x, step, without their fractions
+        try:
+            numbers.append(ints[m[group].partition(".")[0]])
+        except ValueError as exc:
+            raise TraceParseError(str(exc), m.start(group) + 1) from None
+    init_x, new_x, step = numbers
+    if abs(new_x - init_x) != step:
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", m.start(5) + 1
         )
-    # A number past a float's range stays inf, which no int() takes.
-    whole = (not any(text.partition(".")[2].strip("0")
-                     for text in (init_text, new_text, step_text))
-             and math.inf not in (abs(init_x), abs(new_x), abs(step)))
-    return int(node), float(time_s), init_x, new_x, step, whole
+    return int(m[2]), float(m[1]), init_x, new_x, step
 
 
 def trace_pieces(records: Iterable[MoveRecord],
@@ -202,24 +196,23 @@ def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> s
 
 # One move as ``format_trace`` writes it without step headers: node 1's
 # line, then node 0's, whose time and step repeat node 1's text (the
-# backreferences). A number of at most 15 digits is below 2**53, so it
-# reads the same as an int here as through a float on the per-line path.
-# ``re`` compiles it on first use, so a run that reads no trace never does.
-_INT = r"(-?[0-9]{1,15})\.00"
+# backreferences). ``re`` compiles it on first use, so a run that reads no
+# trace never does.
+_INT = r"(-?[0-9]+)\.00"
 _PAIR = (
     rf"M ([0-9]+\.[0-9]{{5}}) 1 \({_INT}, 00\.00\), \({_INT}, 00\.00\), "
-    r"([0-9]{1,15})\.00\n"
+    r"([0-9]+)\.00\n"
     rf"M \1 0 \({_INT}, 00\.00\), \({_INT}, 00\.00\), \4\.00\n"
 )
 
 
-def _scan(text: str) -> tuple[list[MoveRecord], int]:
+def _scan(text: str, ints: _Ints) -> tuple[list[MoveRecord], int]:
     """The moves of the ``_PAIR`` matches that tile ``text`` from its start,
     and the offset where they stop: the end of the text, a miss, or a move
-    whose nodes go the wrong way. Each match is anchored where the last one
-    ended, so a miss ends the scan."""
+    whose nodes go the wrong way or whose number ``ints`` cannot convert.
+    Each match is anchored where the last one ended, so a miss ends the
+    scan."""
     match = re.compile(_PAIR).match
-    ints = _Ints()
     records = []
     pos = 0
     while m := match(text, pos):
@@ -227,7 +220,7 @@ def _scan(text: str) -> tuple[list[MoveRecord], int]:
         try:
             records.append(MoveRecord(ints[step], ints[init0], ints[new0],
                                       ints[init1], ints[new1]))
-        except ValueError:  # a node moved the wrong way
+        except ValueError:  # a node moved the wrong way, or too many digits
             break
         pos = m.end()
     return records, pos
@@ -245,10 +238,11 @@ def parse_trace(text: str) -> list[MoveRecord]:
     one scan, as far as it goes; the rest of the text, and every error, comes
     from reading it line by line.
     """
-    records, pos = _scan(text)
+    ints = _Ints()
+    records, pos = _scan(text, ints)
     if pos == len(text):
         return records
-    # (line number, node id, move time, initial x, new x, step, whole)
+    # (line number, node id, move time, initial x, new x, step)
     fragments = []
     # The scanned text is two lines a move, each ended by "\n" alone.
     first = 2 * len(records) + 1
@@ -256,7 +250,7 @@ def parse_trace(text: str) -> list[MoveRecord]:
         if not raw.strip() or raw.startswith("STEP-"):
             continue
         try:
-            fragments.append((lineno, *_fields(raw)))
+            fragments.append((lineno, *_fields(raw, ints)))
         except TraceParseError as exc:
             raise TraceParseError(exc.reason, exc.column, lineno) from None
     if len(fragments) % 2:
@@ -275,16 +269,8 @@ def parse_trace(text: str) -> list[MoveRecord]:
                 f"paired lines disagree on move time ({a[2]} vs {b[2]})", 1, lineno
             )
         n0, n1 = (a, b) if a[1] == 0 else (b, a)
-        _, _, _, init0, new0, step, whole0 = n0
-        _, _, _, init1, new1, _, whole1 = n1
-        if not (whole0 and whole1):
-            raise TraceParseError(
-                "positions and step must be integers to assemble a move", 1, lineno
-            )
         try:
-            records.append(MoveRecord(
-                int(step), int(init0), int(new0), int(init1), int(new1)
-            ))
+            records.append(MoveRecord(n0[5], n0[3], n0[4], n1[3], n1[4]))
         except ValueError as exc:
             raise TraceParseError(str(exc), 1, lineno) from None
     return records
@@ -342,18 +328,11 @@ def read_csv(text: str) -> list[MoveRecord]:
         if len(row) not in (5, 6):
             raise CsvFormatError(f"row {rownum}: expected 5 or 6 fields, got {len(row)}")
         cells = row[:5]
-        # int() also takes "+", "_", spaces and non-ASCII digits; a field of
-        # the schema is -?[0-9]+, so without its sign it is ASCII digits.
-        digits = "".join(cells).replace("-", "")
         try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(cells)
-            values = list(map(ints.__getitem__, cells))
-        except ValueError:
+            records.append(MoveRecord(*map(ints.__getitem__, cells)))
+        except KeyError:
             raise CsvFormatError(f"row {rownum}: non-integer field in {cells}") from None
-        try:
-            records.append(MoveRecord(*values))
-        except ValueError as exc:
+        except ValueError as exc:  # too many digits, or not a valid move
             raise CsvFormatError(f"row {rownum}: {exc}") from None
     return records
 

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from fractions import Fraction
+import sys
 from unittest import mock
 
 import pytest
@@ -92,20 +92,28 @@ class _Cursor:
             self.pos += 1
         return self.pos > start
 
+    def integer(self, what: str) -> int:
+        """A number whose fraction, if it has one, is zeros, as an int."""
+        start = self.pos
+        whole, _, fraction = self.number(what).partition(".")
+        if fraction.strip("0"):
+            raise TraceParseError(f"non-zero fraction in {what}",
+                                  start + len(whole) + 1)
+        value = int(whole.lstrip("-").lstrip("0") or "0")
+        return -value if whole.startswith("-") else value
+
     def end(self) -> None:
         if self.pos != len(self.text):
             raise TraceParseError("trailing characters after step length", self.column)
 
 
-def cursor_parse_trace_line(
-        line: str) -> tuple[int, float, float, float, float]:
+def cursor_parse_trace_line(line: str) -> tuple[int, float, int, int, int]:
     """Reference for ``parse_trace``'s reading of one line: the
     character-cursor parser it replaced. Returns the node id, move time,
     initial x, new x and step.
 
     It reads digits with ``str.isdigit``, so unlike ``parse_trace`` it takes
-    non-ASCII digits, and ``1²`` makes ``float`` raise a bare
-    ``ValueError``. It checks the step as exact fractions of the texts.
+    non-ASCII digits, and ``1²`` makes ``int`` raise a bare ``ValueError``.
     """
     cur = _Cursor(line)
     cur.literal("M", "marker")
@@ -123,16 +131,15 @@ def cursor_parse_trace_line(
     cur.pos += 1
     cur.literal(" ", "separator")
     cur.literal("(", "open paren")
-    init_text = cur.number("initial x")
+    init_x = cur.integer("initial x")
     cur.literal(", 00.00), ", "initial y")
     cur.literal("(", "open paren")
-    new_text = cur.number("new x")
+    new_x = cur.integer("new x")
     cur.literal(", 00.00), ", "new y")
     step_col = cur.column
-    step_text = cur.number("step length")
+    step = cur.integer("step length")
     cur.end()
-    init_x, new_x, step = float(init_text), float(new_text), float(step_text)
-    if abs(Fraction(new_text) - Fraction(init_text)) != Fraction(step_text):
+    if abs(new_x - init_x) != step:
         raise TraceParseError(
             f"step {step} does not match |{new_x} - {init_x}|", step_col
         )
@@ -166,12 +173,8 @@ def cursor_parse_trace(text: str) -> list[MoveRecord]:
                 1, line_b)
         n0, n1 = (a, b) if node_a == 0 else (b, a)
         (_, _, init0, new0, step), (_, _, init1, new1, _) = n0, n1
-        values = (step, init0, new0, init1, new1)
-        if any(v != int(v) for v in values):
-            raise TraceParseError(
-                "positions and step must be integers to assemble a move", 1, line_b)
         try:
-            out.append(MoveRecord(*(int(v) for v in values)))
+            out.append(MoveRecord(step, init0, new0, init1, new1))
         except ValueError as exc:
             raise TraceParseError(str(exc), 1, line_b) from None
     return out
@@ -190,21 +193,24 @@ def _has_non_ascii_digit(text: str) -> bool:
 
 
 digit_runs = st.text("0123456789", min_size=1, max_size=4)
+zero_fractions = st.text("0", min_size=1, max_size=3).map(".".__add__)
+# No fraction, one of zeros, or one of any digits.
+fraction_texts = st.one_of(st.just(""), zero_fractions, digit_runs.map(".".__add__))
 
 
 @st.composite
 def numbers(draw, signed=True):
     sign = draw(st.sampled_from(["", "-"])) if signed else ""
-    fraction = draw(st.one_of(st.just(""), digit_runs.map(".".__add__)))
-    return sign + draw(digit_runs) + fraction
+    return sign + draw(digit_runs) + draw(fraction_texts)
 
 
 @st.composite
 def grammar_lines(draw):
-    """Lines of the trace grammar; the step often matches |new - init|."""
+    """Lines of the trace grammar, or near it for a non-zero fraction; the
+    step often matches |new - init|."""
     init, new = draw(numbers()), draw(numbers())
-    step = draw(st.one_of(
-        st.just(f"{abs(float(new) - float(init)):.2f}"), numbers()))
+    distance = abs(int(new.partition(".")[0]) - int(init.partition(".")[0]))
+    step = draw(st.one_of(st.just(f"{distance}{draw(fraction_texts)}"), numbers()))
     return (f"M {draw(numbers(signed=False))} {draw(st.sampled_from('01'))} "
             f"({init}, 00.00), ({new}, 00.00), {step}")
 
@@ -233,30 +239,21 @@ def edited_lines(draw):
 any_lines = st.one_of(valid_lines, edited_lines())
 
 
-def bounded_records(bound: int):
-    """Records whose positions and step are all below ``bound`` in magnitude,
-    often at 15 or 16 digits."""
-    ints = st.one_of(
-        st.integers(-2000, 2000), st.integers(-bound + 1, bound - 1),
-        st.sampled_from([0, 10**15 - 1, 10**15, -(10**15 - 1), -(10**15)]))
-    steps = st.one_of(st.integers(0, 500), st.sampled_from([10**15 - 1, 10**15]))
-    return st.builds(MoveRecord.from_inits, ints, ints, steps).filter(
-        lambda rec: all(abs(x) < bound for x in (
-            rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new)))
+small_and_wide_records = st.one_of(records, wide_records)
 
-
-# Text edits that keep a line in the grammar: a time whose text differs but
-# whose float is equal, a position without decimals, -0.00, the other node.
+# Text edits that keep a line in the grammar (a time whose text differs but
+# whose float is equal, a position without decimals or with more zeros,
+# -0.00, the other node), and one that leaves it: a non-zero fraction.
 LINE_EDITS = [("0.00100", "0.001"), ("0.00100", "0.0010"), (".00,", ","),
-              ("(0.00,", "(-0.00,"), (", 0.00", ", -0.00"), (" 1 (", " 0 ("),
-              (" 0 (", " 1 ("), ("M ", "M 1")]
+              (".00,", ".000,"), ("(0.00,", "(-0.00,"), (", 0.00", ", -0.00"),
+              (" 1 (", " 0 ("), (" 0 (", " 1 ("), ("M ", "M 1"), (".00,", ".50,")]
 
 
 @st.composite
-def edited_format_traces(draw, bound=2**53):
+def edited_format_traces(draw):
     """A whole ``format_trace`` output with one line edited at a random index,
     so a scan of it breaks late, if at all."""
-    recs = draw(st.lists(bounded_records(bound), min_size=1, max_size=6))
+    recs = draw(st.lists(small_and_wide_records, min_size=1, max_size=6))
     lines = format_trace(recs, draw(st.booleans())).split("\n")
     i = draw(st.integers(0, len(lines) - 1))
     edit = draw(st.sampled_from(["replace", "character", "text", "delete", "repeat"]))
@@ -317,17 +314,11 @@ def _rejected(line: str) -> TraceParseError:
     return err.value
 
 
-def _with_partner(line: str) -> str:
-    """Node 0's ``line`` and the same line as node 1's, one move's pair."""
-    return f"{line}\n{line.replace(' 0 (', ' 1 (', 1)}\n"
-
-
-# The error of a pair whose lines pass the line checks but hold a fraction.
-NOT_INTEGRAL = ("positions and step must be integers to assemble a move", 1, 2)
-
-
 class TestParseTraceLine:
     """``parse_trace`` on one movement line, or on one move's pair of them."""
+
+    # Node 1's half of a move of step 2 from 1 and 10.
+    PARTNER = "M 0.00100 1 (10.00, 00.00), (8.00, 00.00), 2.00\n"
 
     def test_second_move_node0(self):
         line = "M 0.00100 0 (38.00, 00.00), (81.00, 00.00), 43.00"
@@ -374,28 +365,34 @@ class TestParseTraceLine:
     def test_inconsistent_step_rejected(self):
         err = _rejected("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 29.00")
         assert (err.reason, err.column) == (
-            "step 29.0 does not match |472.0 - 500.0|", 47)
+            "step 29 does not match |472 - 500|", 47)
 
     def test_step_compared_exactly_in_decimal(self):
-        # As floats, 0.3 - 0.1 is 0.19999999999999998, which is not 0.2. The
-        # line passes the step check; its pair fails only for the fractions.
+        # Positions and step are integers: a line of decimals, whose step
+        # matches in decimal, is rejected at its first non-zero fraction.
         line = "M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.2"
-        assert _outcome(parse_trace, _with_partner(line)) == NOT_INTEGRAL
+        assert _outcome(parse_trace, line) == ("non-zero fraction in initial x", 15, 1)
+        line = "M 0.00100 0 (1.0, 00.00), (3.000, 00.00), 2"
+        assert parse_trace(f"{line}\n{self.PARTNER}") == [MoveRecord(2, 1, 3, 10, 8)]
 
     def test_step_equal_only_as_floats_rejected(self):
-        line = "M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.19999999999999998"
+        # As floats, 2**53 + 1 is 2**53, so the step 0 would match.
+        line = ("M 0.00100 0 (9007199254740992.00, 00.00), "
+                "(9007199254740993.00, 00.00), 0.00")
         err = _rejected(line)
         assert err.reason == \
-            "step 0.19999999999999998 does not match |0.3 - 0.1|"
-        assert err.column == line.index("0.1999") + 1
+            "step 0 does not match |9007199254740993 - 9007199254740992|"
+        assert err.column == line.rindex("0.00") + 1
 
     def test_long_fraction_compared_exactly(self):
-        # Past 4300 digits, int() and so Fraction() refuse a text.
-        tail = "0" * 5000 + "1"
-        line = f"M 0.00100 0 (1.{tail}, 00.00), (3, 00.00), 1.{'9' * 5001}"
-        assert _outcome(parse_trace, _with_partner(line)) == NOT_INTEGRAL
-        err = _rejected(line[:-1] + "8")
-        assert "does not match" in err.reason
+        # Past 4300 digits, int() refuses a text; a fraction is only checked
+        # for zeros, however long.
+        zeros = "0" * 5000
+        line = f"M 0.00100 0 (1.{zeros}, 00.00), (3, 00.00), 2.{zeros}"
+        assert parse_trace(f"{line}\n{self.PARTNER}") == [MoveRecord(2, 1, 3, 10, 8)]
+        odd = line.replace(f"2.{zeros}", f"2.{zeros}1")
+        assert _outcome(parse_trace, f"{odd}\n{self.PARTNER}") == (
+            "non-zero fraction in step length", odd.index("2.") + 2, 1)
 
     @pytest.mark.parametrize("init, new, step, accepted", [
         ("0.00", "1" + "0" * 400 + ".00", "2" + "0" * 400 + ".00", False),
@@ -404,16 +401,16 @@ class TestParseTraceLine:
     ], ids=["twice-as-far", "no-move", "one-apart"])
     def test_integers_past_float_range_compared_exactly(
             self, init, new, step, accepted):
-        # float() reads each 401-digit number as inf, and inf - 0 is inf.
+        # float() reads each 401-digit number as inf, and inf - 0 is inf;
+        # their ints differ.
         line = f"M 0.00100 0 ({init}, 00.00), ({new}, 00.00), {step}"
         verdict = _outcome(parse_trace, line)
-        # The reference prints its numbers as floats, so compare places.
-        reference = _outcome(cursor_parse_trace, line)
+        assert verdict == _outcome(cursor_parse_trace, line)
         if accepted:  # the line passes, and then lacks its partner
-            assert verdict == reference == ("movement line has no partner", 1, 1)
+            assert verdict == ("movement line has no partner", 1, 1)
         else:
             assert "does not match" in verdict[0]
-            assert verdict[1:] == reference[1:] == (line.rindex(step) + 1, 1)
+            assert verdict[1:] == (line.rindex(step) + 1, 1)
 
     def test_trailing_garbage_rejected(self):
         err = _rejected("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00 ")
@@ -436,6 +433,18 @@ class TestParseTraceLine:
             parse_trace(f"STEP-1\n{line}\n")
         assert (err.value.line, err.value.column) == (2, column)
 
+    @pytest.mark.parametrize("x, x_new, step, column, what", [
+        ("3.5", "0", "3", 15, "initial x"),
+        ("3", "0.05", "3", 27, "new x"),
+        ("3", "0", "3.000000000000000000001", 38, "step length"),
+        ("3.0005", "0.5", "3.5", 15, "initial x"),
+    ])
+    def test_non_zero_fraction_rejected_at_its_column(self, x, x_new, step, column, what):
+        line = f"M 0.00100 0 ({x}, 00.00), ({x_new}, 00.00), {step}"
+        err = _rejected(line)
+        assert (err.reason, err.column) == (f"non-zero fraction in {what}", column)
+        assert line[column - 1] == "."
+
     @pytest.mark.parametrize("line", [
         "",
         "M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00",
@@ -448,6 +457,9 @@ class TestParseTraceLine:
         "M 0.1 1x (1, 00.00), (2, 00.00), 1",
         "M 0.1 0 (1, 00.00), (2, 00.00), 1.",
         "M 0.1 0 (1, 00.00), (2, 00.00), 1\n",
+        "M 0.1 0 (1.00.0, 00.00), (2, 00.00), 1",
+        "M 0.1 0 (1.05, 00.00), (2, 00.00), 1",
+        "M 0.1 0 (1, 00.00), (2, 00.00), 1.000",
     ])
     def test_matches_cursor_parser_on_examples(self, line):
         assert _outcome(parse_trace, line) == _outcome(cursor_parse_trace, line)
@@ -579,14 +591,18 @@ class TestWholeTrace:
         assert (err.value.line, err.value.column) == (line, column)
 
     def test_overflowing_numbers_rejected(self):
-        # float() turns 400 digits into inf; int(inf) used to escape as
-        # OverflowError.
+        # 400 digits, past a float's range, parse exactly; past int()'s digit
+        # limit, a number is rejected at its column.
         big = "9" * 400
         text = (f"M 0.00100 1 (0, 00.00), (-{big}, 00.00), {big}\n"
                 f"M 0.00100 0 (0, 00.00), ({big}, 00.00), {big}\n")
+        assert parse_trace(text) == [MoveRecord(int(big), 0, int(big), 0, -int(big))]
+        huge = "9" * (sys.get_int_max_str_digits() + 1)
+        text = text.replace(f"({big}, 00.00), {big}", f"({huge}, 00.00), {huge}")
         with pytest.raises(TraceParseError) as err:
             parse_trace(text)
-        assert "integers" in err.value.reason
+        assert (err.value.line, err.value.column) == (2, 26)
+        assert "sys.get_int_max_str_digits()" in err.value.reason
 
     @given(st.lists(wide_records, max_size=8), st.booleans())
     def test_round_trip_past_float_precision(self, recs, headers):
@@ -616,10 +632,10 @@ class TestWholeTrace:
         line = ("M 0.00100 0 (9007199254741001.00, 00.00), "
                 "(9007199254741023.50, 00.00), 22.50")
         err = _rejected(line)
-        assert err.column == line.index("9007199254741023.50") + 1
-        assert "must be integral" in err.reason
+        assert (err.reason, err.column) == (
+            "non-zero fraction in new x", line.index(".50") + 1)
 
-    @given(st.lists(bounded_records(10**15), max_size=8),
+    @given(st.lists(small_and_wide_records, max_size=8),
            st.sampled_from(["0.00100", "0.00000", "0.50000", "12.25000"]))
     def test_format_trace_output_is_scanned(self, recs, time):
         # A pattern that never matches would still parse, only slowly.
@@ -627,17 +643,17 @@ class TestWholeTrace:
         with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
             assert parse_trace(text) == recs
 
-    def test_sixteen_digits_read_line_by_line(self):
-        rec = MoveRecord.from_inits(10**15, -(10**15 - 1), 7)
+    def test_wide_numbers_scanned(self):
+        # The scan takes numbers of any width, past 2**53 and a float's range.
+        recs = [MoveRecord.from_inits(10**15, -(10**15 - 1), 7),
+                MoveRecord.from_inits(-(10**400), 10**400, 10**399)]
         with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
-            with pytest.raises(AssertionError):
-                parse_trace(format_trace([rec]))
-        assert parse_trace(format_trace([rec])) == [rec]
+            assert parse_trace(format_trace(recs)) == recs
 
     PAIR = ("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00\n"
             "M 0.00100 0 (10.00, 00.00), (38.00, 00.00), 28.00\n")
 
-    @given(st.one_of(traces(), edited_format_traces(bound=2**70)))
+    @given(st.one_of(traces(), edited_format_traces()))
     # In the scan's grammar, but each node moves the wrong way.
     @example("M 0.00100 1 (5.00, 00.00), (3.00, 00.00), 2.00\n"
              "M 0.00100 0 (1.00, 00.00), (-1.00, 00.00), 2.00\n")
@@ -677,8 +693,8 @@ class TestWholeTrace:
                 "(2.00000000000000000001, 00.00), 1.00000000000000000000\n")
         with pytest.raises(TraceParseError) as err:
             parse_trace(text)
-        assert (err.value.reason, err.value.line) == (
-            "positions and step must be integers to assemble a move", 2)
+        assert (err.value.reason, err.value.line, err.value.column) == (
+            "non-zero fraction in initial x", 1, 15)
         zeros = text.replace("00000000000000000001,", "00000000000000000000,")
         assert parse_trace(zeros) == [MoveRecord(1, 1, 2, 5, 4)]
 
@@ -982,6 +998,30 @@ class TestPieces:
         assert max(p.count('"step"') for p in pieces) == min(n, 1024)
 
 
+@st.composite
+def spelled_moves(draw):
+    """Moves up to 2**70, and a trace and a CSV of them, each number spelled
+    with leading zeros (past the 4,300 digits int() takes, too), a 0 as -0,
+    and in the trace only with a fraction of zeros."""
+    def spell(value: int, fraction: bool) -> str:
+        zeros = "0" * draw(st.one_of(st.integers(0, 3), st.integers(4300, 4310)))
+        sign = "-" if value < 0 or (value == 0 and draw(st.booleans())) else ""
+        tail = draw(st.just("") | zero_fractions) if fraction else ""
+        return f"{sign}{zeros}{abs(value)}{tail}"
+
+    recs = draw(st.lists(small_and_wide_records, max_size=4))
+    trace, table = [], [",".join(CSV_HEADER[:5])]
+    for rec in recs:
+        lines = [f"M 0.00100 {node} ({spell(init, True)}, 00.00), "
+                 f"({spell(new, True)}, 00.00), {spell(rec.step, True)}"
+                 for node, init, new in ((1, rec.mn1_init, rec.mn1_new),
+                                         (0, rec.mn0_init, rec.mn0_new))]
+        trace += draw(st.permutations(lines))
+        table.append(",".join(spell(value, False) for value in (
+            rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new)))
+    return recs, "\n".join(trace), "\n".join(table)
+
+
 class TestSharedInts:
     """A reader converts each number text once, so equal numbers in its
     records are one int object."""
@@ -999,11 +1039,36 @@ class TestSharedInts:
             assert min(values) > 256
             assert len({id(value) for value in values}) == len(set(values))
 
-    def test_spellings_of_one_number_parse_equal(self):
-        move = MoveRecord(3, 0, 3, 10, 7)
-        trace = ("M 0.00100 1 (0010.00, 00.00), (007.00, 00.00), 3.00\n"
-                 "M 0.00100 0 (-0.00, 00.00), (03.00, 00.00), 3.00\n"
-                 "M 0.00100 1 (10.00, 00.00), (7.00, 00.00), 3.00\n"
-                 "M 0.00100 0 (0.00, 00.00), (3.00, 00.00), 3.00\n")
-        table = ",".join(CSV_HEADER[:5]) + "\n3,-0,03,0010,007\n3,0,3,10,7\n"
-        assert parse_trace(trace) == read_csv(table) == [move, move]
+    @given(spelled_moves())
+    @example(([MoveRecord(3, 0, 3, 10, 7)] * 2,
+              "M 0.00100 1 (0010.00, 00.00), (007.00, 00.00), 3.00\n"
+              "M 0.00100 0 (-0.00, 00.00), (03.00, 00.00), 3.00\n"
+              "M 0.00100 1 (10.00, 00.00), (7.00, 00.00), 3.00\n"
+              "M 0.00100 0 (0.00, 00.00), (3.00, 00.00), 3.00\n",
+              ",".join(CSV_HEADER[:5]) + "\n3,-0,03,0010,007\n3,0,3,10,7\n"))
+    def test_spellings_of_one_number_parse_equal(self, case):
+        recs, trace, table = case
+        assert parse_trace(trace) == read_csv(table) == recs
+
+    @pytest.mark.parametrize("reader", ["trace", "csv"])
+    def test_long_numbers_read_alike(self, reader):
+        """Leading zeros do not count against int()'s digit limit; a number
+        with more significant digits than it gets one reason in both readers."""
+        def read(x: str) -> list[MoveRecord]:
+            if reader == "csv":
+                return read_csv(f"{','.join(CSV_HEADER[:5])}\n0,{x},{x},3,3\n")
+            return parse_trace(f"M 0.00100 1 (3.00, 00.00), (3.00, 00.00), 0.00\n"
+                               f"M 0.00100 0 ({x}.00, 00.00), ({x}.00, 00.00), 0.00\n")
+
+        assert read("0" * 5000 + "5") == [MoveRecord(0, 5, 5, 3, 3)]
+        limit = sys.get_int_max_str_digits()
+        reason = ("more significant digits than sys.get_int_max_str_digits() "
+                  f"allows ({limit})")
+        error = CsvFormatError if reader == "csv" else TraceParseError
+        with pytest.raises(error) as err:
+            read("0" * 10 + "5" * (limit + 1))
+        if reader == "csv":
+            assert str(err.value) == f"row 2: {reason}"
+        else:
+            assert (err.value.reason, err.value.line, err.value.column) == (reason, 2, 14)
+        assert read("5" * limit) == [MoveRecord(0, int("5" * limit), int("5" * limit), 3, 3)]
