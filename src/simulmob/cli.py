@@ -16,12 +16,10 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from statistics import fmean
-from typing import Callable, Iterable, Sequence
+from math import fsum
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .datasets import DATASET_IDS, ReplayDataset, load_dataset
-from .model import MoveRecord, Outcome, ZoneLayout
-from .plotting import MAGNITUDE_LIMIT, render_ascii, render_svg
+from .model import MAGNITUDE_LIMIT, MoveRecord, Outcome, ZoneLayout
 from .sampling import SamplerConfig, validate
 from .scenarios import (
     IndependentTrialConfig,
@@ -50,7 +48,11 @@ from .stats import (
 from .traceio import (JsonRecords, csv_pieces, format_trace, json_pieces,
                       read_csv, trace_pieces, write_json)
 
-_DATASET_HELP = f"bundled dataset id ({', '.join(DATASET_IDS)})"
+if TYPE_CHECKING:
+    from .datasets import ReplayDataset
+
+# ``datasets`` and ``plotting`` load only on the paths that use them.
+_DATASET_HELP = "bundled dataset id (table-1, table-3, table-5, table-6)"
 _LAYOUT_FLAGS = ("zone0", "zone1", "brink")
 _SCENARIO_FLAGS = ("seed", "runs", "samples", "max_step", *_LAYOUT_FLAGS)
 
@@ -323,6 +325,8 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
                       config.sampler.layout, title, config=config,
                       parts=parts, total=total)
     if given == ["dataset"]:
+        from .datasets import load_dataset
+
         dataset = load_dataset(args.dataset)
         source = Source(dataset.kind, dataset.layout, dataset.id, dataset,
                         list(dataset.rows))
@@ -360,6 +364,8 @@ def _plot_text(args: argparse.Namespace, source: Source) -> str:
     (its first part, else its rows); independent moves are one point per
     trial or row.
     """
+    from .plotting import render_ascii, render_svg
+
     if not (source.records or source.parts):
         raise UsageError("no records to plot")
     brink = (args.brink if args.brink is not None
@@ -422,7 +428,7 @@ def _report(
 def _walk_summary(walks: Walks) -> tuple[float, int]:
     """Mean steps to first crossing of a batch of walks, and how many timed out.
 
-    ``float(total) / n`` is what ``fmean`` gives: ``fsum(data) / n``, and
+    ``float(total) / n`` is ``fsum / len`` of the walks' step counts:
     ``fsum`` of ints exact as floats rounds their sum once, as ``float`` does.
     """
     return float(walks.moves) / len(walks), walks.timed_out
@@ -446,7 +452,8 @@ def _independent_table(source: Source) -> str:
     header = ["sample", *METRIC_LABELS]
     rows = [[str(r.sample + 1), *(str(c) for c in r.tally.columns())]
             for r in results]
-    means = [fmean(col) for col in zip(*(r.tally.columns() for r in results))]
+    means = [fsum(col) / len(col)
+             for col in zip(*(r.tally.columns() for r in results))]
     rows.append(["mean", *(f"{m:.2f}" for m in means)])
     return _format_table(header, rows)
 

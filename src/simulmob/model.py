@@ -24,6 +24,22 @@ StepLength = int
 # Each move spans one 1 ms interval, reported in seconds.
 MOVE_INTERVAL_S = 0.001
 
+# Plots and the span estimators take values below this magnitude as floats;
+# the headroom keeps a span, its padding and span / average step finite.
+MAGNITUDE_LIMIT = 1e300
+
+
+def abbreviate(number: object) -> str:
+    """``number`` as text; past 32 characters, its ends and its length.
+
+    Keeps an error message about a huge number one short line:
+    ``777...777 (4300 characters)``.
+    """
+    text = str(number)
+    if len(text) <= 32:
+        return text
+    return f"{text[:3]}...{text[-3:]} ({len(text)} characters)"
+
 
 class LayoutError(ValueError):
     """Zone geometry that violates ``zone0 < brink < zone1`` ordering."""
@@ -129,15 +145,13 @@ class MoveRecord:
                 is type(mn1_init) is type(mn1_new) is int):
             raise ValueError(f"step and positions must be ints, got {self}")
         if step < 0:
-            raise ValueError(f"step must be non-negative, got {step}")
+            raise ValueError(f"step must be non-negative, got {abbreviate(step)}")
         if mn0_new != mn0_init + step:
-            raise ValueError(
-                f"MN_0 update broken: {mn0_init} + {step} != {mn0_new}"
-            )
+            raise ValueError(f"MN_0 update broken: {abbreviate(mn0_init)} + "
+                             f"{abbreviate(step)} != {abbreviate(mn0_new)}")
         if mn1_new != mn1_init - step:
-            raise ValueError(
-                f"MN_1 update broken: {mn1_init} - {step} != {mn1_new}"
-            )
+            raise ValueError(f"MN_1 update broken: {abbreviate(mn1_init)} - "
+                             f"{abbreviate(step)} != {abbreviate(mn1_new)}")
 
     @classmethod
     def from_inits(

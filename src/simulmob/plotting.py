@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-# Plots and the span estimators take values below this magnitude as floats;
-# the headroom keeps a span, its padding and span / average step finite.
-MAGNITUDE_LIMIT = 1e300
+from .model import MAGNITUDE_LIMIT
+
 _WIDTH = 720
 _HEIGHT = 480
 _ASCII_HEIGHT = 21

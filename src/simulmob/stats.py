@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from statistics import fmean
-from typing import Iterable, Sequence
+from math import fsum
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import Outcome, ZoneLayout
+
+if TYPE_CHECKING:  # ``fractions`` loads when ``exact_crossing_probability`` runs.
+    from fractions import Fraction
 
 # Canonical column set of the printed result tables, in printing order.
 METRIC_LABELS = (
@@ -110,10 +112,10 @@ def tally(outcomes: Iterable[Outcome]) -> Tally:
 
 
 def average_step_length(steps: Sequence[float]) -> float:
-    """Arithmetic mean of a batch of step lengths. Errors on an empty batch."""
+    """Mean (``fsum / len``) of a batch of step lengths. Errors on an empty batch."""
     if not steps:
         raise ValueError("average step length of an empty batch is undefined")
-    return fmean(steps)
+    return fsum(steps) / len(steps)
 
 
 def expected_steps_to_cross(zone_span: float, avg_step: float) -> float:
@@ -149,6 +151,8 @@ def exact_crossing_probability(
     zone's distances.
     O(1) in zone width and step bound.
     """
+    from fractions import Fraction
+
     if max_step < 0:
         raise ValueError(f"max_step must be non-negative, got {max_step}")
     if node == 0:

@@ -44,7 +44,7 @@ import sys
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NoReturn, Sequence
 
-from .model import MOVE_INTERVAL_S, MoveRecord, Outcome
+from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, abbreviate
 
 CSV_HEADER = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new", "outcome")
 _CHUNK = 1024  # moves in one piece of a writer's text
@@ -169,9 +169,9 @@ def _fields(line: str, ints: _Ints) -> tuple[int, float, int, int, int]:
             raise TraceParseError(str(exc), m.start(group) + 1) from None
     init_x, new_x, step = numbers
     if abs(new_x - init_x) != step:
-        raise TraceParseError(
-            f"step {step} does not match |{new_x} - {init_x}|", m.start(5) + 1
-        )
+        raise TraceParseError(f"step {abbreviate(step)} does not match "
+                              f"|{abbreviate(new_x)} - {abbreviate(init_x)}|",
+                              m.start(5) + 1)
     return int(m[2]), float(m[1]), init_x, new_x, step
 
 
@@ -331,7 +331,8 @@ def read_csv(text: str) -> list[MoveRecord]:
         try:
             records.append(MoveRecord(*map(ints.__getitem__, cells)))
         except KeyError:
-            raise CsvFormatError(f"row {rownum}: non-integer field in {cells}") from None
+            raise CsvFormatError(f"row {rownum}: non-integer field in "
+                                 f"{list(map(abbreviate, cells))}") from None
         except ValueError as exc:  # too many digits, or not a valid move
             raise CsvFormatError(f"row {rownum}: {exc}") from None
     return records

@@ -303,11 +303,12 @@ class TestReplay:
         assert "(289, 221)" in out
 
     def test_walk_without_crossing_summary(self, capsys, monkeypatch):
-        import simulmob.cli as cli
+        import simulmob.datasets as datasets
 
         dataset = load_dataset("table-6")
         cut = replace(dataset, rows=dataset.rows[:5])
-        monkeypatch.setattr(cli, "load_dataset", lambda _id: cut)
+        # ``cli`` imports ``load_dataset`` when a dataset is named.
+        monkeypatch.setattr(datasets, "load_dataset", lambda _id: cut)
         code, out, _ = run_cli(capsys, "replay", "--dataset", "table-6")
         assert code == 0
         assert "no_overlap at step 5 (ended without crossing)" in out
@@ -315,6 +316,12 @@ class TestReplay:
             capsys, "replay", "--dataset", "table-6", "--format", "json")
         doc = json.loads(out)
         assert (doc["terminal"], doc["timed_out"]) == ("no_overlap", False)
+
+    def test_dataset_help_names_every_dataset(self):
+        # A literal, so that ``cli`` need not import ``datasets`` to build it.
+        from simulmob.cli import _DATASET_HELP
+
+        assert _DATASET_HELP == f"bundled dataset id ({', '.join(DATASET_IDS)})"
 
     def test_table1_requires_layout(self, capsys):
         code, _, err = run_cli(capsys, "replay", "--dataset", "table-1")

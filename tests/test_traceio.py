@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from simulmob import traceio
 from simulmob.datasets import DATASET_IDS, load_dataset
-from simulmob.model import MoveRecord, Outcome
+from simulmob.model import MoveRecord, Outcome, abbreviate
 from simulmob.traceio import (
     CSV_HEADER,
     CsvFormatError,
@@ -140,9 +140,9 @@ def cursor_parse_trace_line(line: str) -> tuple[int, float, int, int, int]:
     step = cur.integer("step length")
     cur.end()
     if abs(new_x - init_x) != step:
-        raise TraceParseError(
-            f"step {step} does not match |{new_x} - {init_x}|", step_col
-        )
+        raise TraceParseError(f"step {abbreviate(step)} does not match "
+                              f"|{abbreviate(new_x)} - {abbreviate(init_x)}|",
+                              step_col)
     return node_id, time_s, init_x, new_x, step
 
 
@@ -1072,3 +1072,43 @@ class TestSharedInts:
         else:
             assert (err.value.reason, err.value.line, err.value.column) == (reason, 2, 14)
         assert read("5" * limit) == [MoveRecord(0, int("5" * limit), int("5" * limit), 3, 3)]
+
+
+
+SEVENS = "7" * 4300
+LONG = "777...777 (4300 characters)"
+
+
+def csv_row(row: str) -> list[MoveRecord]:
+    return read_csv(f"{','.join(CSV_HEADER[:5])}\n{row}\n")
+
+
+class TestLongNumbersInErrors:
+    """An error names a number of more than 32 characters by its ends and
+    its length, so a rejected 4,300-digit field gives a one-line message."""
+
+    @pytest.mark.parametrize("read, text, message", [
+        (csv_row, f"1,{SEVENS},{SEVENS},3,2",
+         f"row 2: MN_0 update broken: {LONG} + 1 != {LONG}"),
+        (csv_row, f"1,0,1,{SEVENS},{SEVENS}",
+         f"row 2: MN_1 update broken: {LONG} - 1 != {LONG}"),
+        (csv_row, f"1,{SEVENS}x,{SEVENS},3,2",
+         f"row 2: non-integer field in ['1', '777...77x (4301 characters)', "
+         f"'{LONG}', '3', '2']"),
+        (csv_row, f"-{SEVENS},0,1,3,2",
+         "row 2: step must be non-negative, got -77...777 (4301 characters)"),
+        (parse_trace, f"M 0.00100 1 ({SEVENS}.00, 00.00), ({SEVENS}.00, 00.00), 3.00",
+         f"line 1, column 8641: step 3 does not match |{LONG} - {LONG}|"),
+    ], ids=["mn0-update", "mn1-update", "non-integer", "negative-step",
+            "step-mismatch"])
+    def test_message_stays_short(self, read, text, message):
+        with pytest.raises(ValueError) as err:
+            read(text)
+        assert str(err.value) == message
+        assert len(message.encode()) < 200
+
+    def test_short_numbers_stay_verbatim(self):
+        n = "9" * 32
+        with pytest.raises(CsvFormatError) as err:
+            csv_row(f"1,{n},{n},3,2")
+        assert str(err.value) == f"row 2: MN_0 update broken: {n} + 1 != {n}"
