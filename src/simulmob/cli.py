@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from itertools import chain
 from math import fsum
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -255,12 +255,11 @@ class Source:
 
     ``kind`` is the mobility shape, "independent" or "sequential". A dataset
     or CSV file carries its ``records`` and its own ``layout``, if any; a
-    replayed one carries the merged ``layout``, the ``total`` tally and each
-    row's ``outcomes``, which a walk takes from its replayed run, carried as
-    ``parts``. A scenario carries its ``config`` (overrides applied), the
-    samples or :class:`Walks` it ran (``parts``, which keep counts and sums
-    and redraw their moves on access) and their ``total`` tally; it draws no
-    move again until :attr:`drawn` or :meth:`moves` asks for them.
+    replayed one carries the merged ``layout`` and the ``total`` tally, and
+    a walk its replayed run, as ``parts``. A scenario carries its ``config``
+    (overrides applied), the samples or :class:`Walks` it ran (``parts``,
+    which keep counts and sums and redraw their moves on access) and their
+    ``total`` tally; it draws no move again until :meth:`moves` asks.
     """
 
     kind: str
@@ -271,18 +270,12 @@ class Source:
     config: IndependentTrialConfig | SequentialConfig | None = None
     parts: Sequence[SampleResult | SequentialRun] = ()
     total: Tally | None = None
-    outcomes: Sequence[Outcome] | None = None
 
-    @cached_property
-    def drawn(self) -> Sequence[SampleResult | SequentialRun]:
-        """``parts``, each sample or walk redrawn once for every output."""
-        return list(self.parts)
-
-    def moves(self) -> Sequence[MoveRecord]:
-        """Every move record, in order."""
+    def moves(self) -> Iterable[MoveRecord]:
+        """Every move record, in order; a scenario's are redrawn per call."""
         if self.records is not None:
             return self.records
-        return [rec for part in self.drawn for rec in part.records]
+        return chain.from_iterable(part.moves() for part in self.parts)
 
 
 # The scenario flags a dataset or CSV file reads, by subcommand, for
@@ -351,9 +344,9 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
     if source.kind == "sequential":
         run = replay_sequential(records, layout)
         return replace(source, layout=layout, parts=(run,),
-                       total=tally([run.terminal]), outcomes=run.outcomes)
-    total, outcomes = replay_independent(records, layout)
-    return replace(source, layout=layout, total=total, outcomes=outcomes)
+                       total=tally([run.terminal]))
+    return replace(source, layout=layout,
+                   total=replay_independent(records, layout))
 
 
 def _plot_text(args: argparse.Namespace, source: Source) -> str:
@@ -373,13 +366,14 @@ def _plot_text(args: argparse.Namespace, source: Source) -> str:
     if brink is None:
         raise UsageError("this input carries no zone layout; supply --brink")
     chained = source.kind == "sequential"
-    records = (source.parts[0].records if chained and source.parts
-               else source.moves())
-    mn0 = [rec.mn0_new for rec in records]
-    mn1 = [rec.mn1_new for rec in records]
-    if chained:
-        mn0.insert(0, records[0].mn0_init)
-        mn1.insert(0, records[0].mn1_init)
+    mn0, mn1 = [], []
+    for rec in (source.parts[0].moves() if chained and source.parts
+                else source.moves()):
+        if chained and not mn0:
+            mn0.append(rec.mn0_init)
+            mn1.append(rec.mn1_init)
+        mn0.append(rec.mn0_new)
+        mn1.append(rec.mn1_new)
     if args.ascii:
         return render_ascii(mn0, mn1, brink)
     xlabel = "step" if chained else "trial" if source.config else "run"
@@ -402,20 +396,18 @@ def _report(
     """Write the --trace and --plot files, then the stdout that --format picks.
 
     Only the chosen renderer runs, so table output builds no move record.
-    CSV output classifies no move: a scenario, which carries no
-    ``outcomes``, takes them from its samples or walks. The plot, then the
-    table or the JSON document, is built and both files are written before
-    stdout, so a source that cannot be drawn, a document that cannot be
-    built or a file that cannot be opened or written leaves stdout empty.
-    Trace, CSV and JSON text goes out in pieces of at most 1,024 moves.
+    The plot, then the table or the JSON document, is built and both files
+    are written before stdout, so a source that cannot be drawn, a document
+    that cannot be built or a file that cannot be opened or written leaves
+    stdout empty. Trace, CSV and JSON text goes out in pieces of at most
+    1,024 moves, rendered from the moves as they are drawn: each output of
+    a scenario redraws its samples or walks, and no output keeps a move.
     """
     plot = None if args.plot is None else _plot_text(args, source)
     if args.format == "table":
         pieces = [table()]
     elif args.format == "csv":
-        outcomes = (source.outcomes if source.outcomes is not None else
-                    [o for part in source.drawn for o in part.outcomes])
-        pieces = csv_pieces(source.moves(), outcomes)
+        pieces = csv_pieces(source.moves(), source.layout.brink)
     else:
         pieces = json_pieces(doc())
     if args.trace is not None:
@@ -471,6 +463,7 @@ def _sequential_table(source: Source) -> str:
 
 
 def _independent_doc(source: Source) -> dict:
+    """Rendered once only: its record lists are single-use generators."""
     config, results = source.config, source.parts
     try:
         full = _estimate_doc(source, config.sampler.max_step)
@@ -487,7 +480,7 @@ def _independent_doc(source: Source) -> dict:
             {
                 "sample": r.sample,
                 "tally": r.tally.as_dict(),
-                "records": JsonRecords(r.records, r.outcomes),
+                "records": JsonRecords(r.moves(), config.sampler.layout.brink),
             }
             for r in results
         ],
@@ -497,21 +490,22 @@ def _independent_doc(source: Source) -> dict:
 
 
 def _sequential_doc(source: Source) -> dict:
+    """Rendered once only: its runs are a single-use generator."""
     return {
         "config": config_to_dict(source.config),
         "tally": source.total.as_dict(),
         "mean_steps_taken": _walk_summary(source.parts)[0],
-        "runs": [
+        "runs": (
             {
                 "run": j,
                 "terminal": run.terminal.value,
                 "steps_taken": run.steps_taken,
                 "timed_out": run.timed_out,
                 "final_positions": list(run.final_positions),
-                "records": JsonRecords(run.records),
+                "records": JsonRecords(run.moves()),
             }
-            for j, run in enumerate(source.drawn)
-        ],
+            for j, run in enumerate(source.parts)
+        ),
     }
 
 
@@ -524,7 +518,7 @@ def _cmd_replay(args: argparse.Namespace) -> None:
     dataset, run = source.dataset, (source.parts[0] if source.parts else None)
     doc = {"dataset": dataset.id if dataset else None, "input": args.input,
            "tally": source.total.as_dict(),
-           "records": JsonRecords(source.records, source.outcomes)}
+           "records": JsonRecords(source.records, source.layout.brink)}
     if dataset is not None:
         doc["published_counts"] = (
             dict(zip(METRIC_LABELS, dataset.published_counts))

@@ -181,9 +181,9 @@ def crossing(mn0: Position, mn1: Position, brink: Position) -> Outcome:
 
     The brink rule: MN_0 has crossed when it touches or passes the brink
     (``mn0 >= brink``), and MN_1, which travels in the negative direction,
-    when ``mn1 <= brink``. :func:`classify` and ``SampleResult.outcomes``
-    call it per move, so it reads the outcomes from module constants rather
-    than through the (slower) enum class attributes.
+    when ``mn1 <= brink``. :func:`classify` and the CSV and JSON record
+    writers call it per move, so it reads the outcomes from module constants
+    rather than through the (slower) enum class attributes.
     """
     if mn0 >= brink:
         return _SIMULTANEOUS_OVERLAP if mn1 <= brink else _MN0_OVERLAP

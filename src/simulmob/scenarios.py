@@ -23,16 +23,15 @@ reference loops. The rotation is one shift of the doubled word.
 
 The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken, the step sum and the timed-out count.
-A :class:`SampleResult`'s records and outcomes, and each walk of a
-:class:`Walks`, are redrawn from their stream through the same generator.
+A :class:`SampleResult`'s moves, and each walk of a :class:`Walks`, are
+redrawn from their stream through the same generator on each read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from functools import cached_property
-from itertools import chain, cycle, islice
+from itertools import cycle, islice
 from typing import get_type_hints
 
 from .model import (
@@ -97,11 +96,11 @@ class SequentialRun:
     """One chained walk: the shared step of every move taken from ``start``,
     ended by crossing or cap.
 
-    ``records`` is rebuilt from the start positions and the steps on first
-    access; table and estimate output never need it. ``outcomes`` needs no
-    record: a walk stops at its first crossing, so every move but the last
-    is a no-overlap move. That holds for a replayed walk too, because the
-    replay rejects rows past the first crossing.
+    :meth:`moves` rebuilds the records from the start positions and the
+    steps, and ``records`` is their tuple; table and estimate output never
+    need them. Every move but the last is a no-overlap move, since a walk
+    stops at its first crossing; a replayed walk too, because the replay
+    rejects rows past the first crossing.
     """
 
     start: tuple[Position, Position]
@@ -114,33 +113,30 @@ class SequentialRun:
         return len(self.steps)
 
     @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return (Outcome.NO_OVERLAP,) * (len(self.steps) - 1) + (self.terminal,)
-
-    @property
     def final_positions(self) -> tuple[Position, Position]:
         moved = sum(self.steps)
         return (self.start[0] + moved, self.start[1] - moved)
 
-    @cached_property
-    def records(self) -> tuple[MoveRecord, ...]:
-        records = []
+    def moves(self) -> Iterator[MoveRecord]:
         mn0, mn1 = self.start
         for step in self.steps:
             rec = MoveRecord.from_inits(mn0, mn1, step)
-            records.append(rec)
+            yield rec
             mn0, mn1 = rec.mn0_new, rec.mn1_new
-        return tuple(records)
+
+    @property
+    def records(self) -> tuple[MoveRecord, ...]:
+        return tuple(self.moves())
 
 
 @dataclass(frozen=True)
 class SampleResult:
     """One sample of an independent-trial scenario: its tally and step sum.
 
-    A sample keeps no draw. ``records`` redraws stream ``sample`` of
-    ``sampler`` for ``tally.trials`` trials once and is cached, and
-    ``outcomes`` comes from those records. Table and estimate output need
-    neither.
+    A sample keeps no draw. :meth:`moves` redraws stream ``sample`` of
+    ``sampler`` for ``tally.trials`` trials, one chunk of draws at a time,
+    and ``records`` is their tuple; each read redraws. Table and estimate
+    output need neither.
     """
 
     sample: int
@@ -148,18 +144,14 @@ class SampleResult:
     step_sum: int
     sampler: SamplerConfig
 
-    @cached_property
-    def records(self) -> tuple[MoveRecord, ...]:
-        draws = list(chain.from_iterable(
-            _sample_draws(self.sampler, self.sample, self.tally.trials)))
-        return tuple(
-            map(MoveRecord.from_inits, draws[0::3], draws[1::3], draws[2::3]))
+    def moves(self) -> Iterator[MoveRecord]:
+        for draws in _sample_draws(self.sampler, self.sample, self.tally.trials):
+            yield from map(MoveRecord.from_inits,
+                           draws[0::3], draws[1::3], draws[2::3])
 
-    @cached_property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        brink = self.sampler.layout.brink
-        return tuple(crossing(rec.mn0_new, rec.mn1_new, brink)
-                     for rec in self.records)
+    @property
+    def records(self) -> tuple[MoveRecord, ...]:
+        return tuple(self.moves())
 
 
 @dataclass(frozen=True)
@@ -167,10 +159,10 @@ class Walks(Sequence[SequentialRun]):
     """The walks of a sequential scenario, kept as counts.
 
     ``len(walks)`` is the run count, and ``walks[j]`` is the
-    :class:`SequentialRun` redrawn from stream j on each access; a slice is
-    the list of the walks it selects, and iterating redraws them in order.
-    ``moves`` is the number of moves the walks took, ``step_sum`` the sum
-    of their steps and ``timed_out`` the number that reached the step cap.
+    :class:`SequentialRun` redrawn from stream j on each access; iterating
+    redraws them in order. ``moves`` is the number of moves the walks took,
+    ``step_sum`` the sum of their steps and ``timed_out`` the number that
+    reached the step cap.
     """
 
     config: SequentialConfig
@@ -181,9 +173,7 @@ class Walks(Sequence[SequentialRun]):
     def __len__(self) -> int:
         return self.config.runs
 
-    def __getitem__(self, j: int | slice) -> SequentialRun | list[SequentialRun]:
-        if isinstance(j, slice):
-            return [self[i] for i in range(self.config.runs)[j]]
+    def __getitem__(self, j: int) -> SequentialRun:
         j = range(self.config.runs)[j]  # a list's negative indices and IndexError
         return next(self._runs(j, j + 1))
 
@@ -338,12 +328,9 @@ def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
     return total, Walks(config, moves, step_sum, total.no_overlap)
 
 
-def replay_independent(
-    records: Sequence[MoveRecord], layout: ZoneLayout
-) -> tuple[Tally, list[Outcome]]:
-    """Classify pre-recorded independent trials under a layout."""
-    outcomes = [classify(rec, layout) for rec in records]
-    return tally(outcomes), outcomes
+def replay_independent(records: Iterable[MoveRecord], layout: ZoneLayout) -> Tally:
+    """Tally pre-recorded independent trials, classified under a layout."""
+    return tally(classify(rec, layout) for rec in records)
 
 
 def replay_sequential(

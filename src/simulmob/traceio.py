@@ -29,9 +29,10 @@ template of both lines. ``write_json`` writes the bytes of the stdlib's
 ``json.dumps`` at an indent of 2: a small walker indents the document, the
 stdlib's encoder writes its scalars, and a :class:`JsonRecords` list of
 moves renders from one template per move. Each writer joins the pieces of
-one generator, none of more than ``_CHUNK`` moves. ``read_csv`` and
-``parse_trace`` convert each number text to an int once per call, so equal
-numbers share one int.
+one generator, none of more than ``_CHUNK`` moves; a CSV row, or a move
+of a :class:`JsonRecords` given a brink, gets its outcome from ``crossing``
+as it is written. ``read_csv`` and ``parse_trace`` convert each number text
+to an int once per call, so equal numbers share one int.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ import json
 import re
 import sys
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, NoReturn, Sequence
+from types import GeneratorType
+from typing import Iterable, Iterator, NoReturn
 
-from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, abbreviate
+from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, abbreviate, crossing
 
 CSV_HEADER = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new", "outcome")
 _CHUNK = 1024  # moves in one piece of a writer's text
@@ -276,23 +278,21 @@ def parse_trace(text: str) -> list[MoveRecord]:
     return records
 
 
-def csv_pieces(records: Iterable[MoveRecord],
-               outcomes: Iterable[Outcome]) -> Iterator[str]:
+def csv_pieces(records: Iterable[MoveRecord], brink: int) -> Iterator[str]:
     """The text of :func:`write_csv`, in pieces."""
     return chain([",".join(CSV_HEADER) + "\n"], _pieces("%d,%d,%d,%d,%d,%s\n", (
-        (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new, outcome.value)
-        for rec, outcome in zip(records, outcomes, strict=True)), ""))
+        (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new,
+         crossing(rec.mn0_new, rec.mn1_new, brink).value) for rec in records), ""))
 
 
-def write_csv(
-    records: Sequence[MoveRecord], outcomes: Sequence[Outcome]
-) -> str:
-    """Render records and their classifications as CSV (header always present).
+def write_csv(records: Iterable[MoveRecord], brink: int) -> str:
+    """Render records as CSV (header always present), each row with the
+    outcome of its move against ``brink``.
 
     Every field is an int or an outcome name, so none needs quoting, and
     each row comes from one template.
     """
-    return "".join(csv_pieces(records, outcomes))
+    return "".join(csv_pieces(records, brink))
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:
@@ -342,24 +342,23 @@ def read_csv(text: str) -> list[MoveRecord]:
 # NaN error, with no indent, so the C encoder does the work.
 _scalar = json.JSONEncoder(allow_nan=False).encode
 _RECORD_KEYS = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new")
-_QUOTED_OUTCOMES = {outcome: _scalar(outcome.value) for outcome in Outcome}
 
 
 class JsonRecords:
     """A list of moves in a result document, one object per move.
 
-    Each object holds the record's step and positions, plus its outcome when
-    ``outcomes`` is given; :func:`write_json` renders the list from one
-    template per record. The two sequences must be the same length.
+    Each object holds the record's step and positions, plus, when ``brink``
+    is given, the outcome of the move against it; :func:`write_json`
+    renders the list from one template per record. ``records`` may be an
+    iterator, which the document can then be rendered from only once.
     """
 
     # A plain class: a dataclass would add about 0.6 ms to every start-up.
-    __slots__ = ("records", "outcomes")
+    __slots__ = ("records", "brink")
 
-    def __init__(self, records: Sequence[MoveRecord],
-                 outcomes: Sequence[Outcome] | None = None):
+    def __init__(self, records: Iterable[MoveRecord], brink: int | None = None):
         self.records = records
-        self.outcomes = outcomes
+        self.brink = brink
 
 
 def _key(key: object) -> str:
@@ -368,7 +367,8 @@ def _key(key: object) -> str:
     return _scalar(key)
 
 
-_NESTED = (dict, list, tuple, JsonRecords)
+# A generator renders as a list, so a document can produce its items lazily.
+_NESTED = (dict, list, tuple, GeneratorType, JsonRecords)
 
 
 def _render(value: object, pad: str, lead: str = "") -> Iterator[str]:
@@ -380,13 +380,13 @@ def _render(value: object, pad: str, lead: str = "") -> Iterator[str]:
     if isinstance(value, JsonRecords):
         key = inner + "  "
         fields = ",".join(f'{key}"{name}": %d' for name in _RECORD_KEYS)
-        given = value.outcomes is not None
-        # The text after a move's fields: its outcome, if the list has them.
-        tails = {outcome: f',{key}"outcome": {quoted}' for outcome, quoted
-                 in _QUOTED_OUTCOMES.items()} if given else {None: ""}
-        outcomes = value.outcomes if given else repeat(None)
+        brink = value.brink
+        # The text after a move's fields: its outcome, if the list has a brink.
+        tails = {} if brink is None else {
+            o: f',{key}"outcome": {_scalar(o.value)}' for o in Outcome}
         rows = ((rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new,
-                 tails[o]) for rec, o in zip(value.records, outcomes, strict=given))
+                 tails[crossing(rec.mn0_new, rec.mn1_new, brink)] if tails else "")
+                for rec in value.records)
         text = lead + "["
         for piece in _pieces(f"{inner}{{{fields}%s{inner}}}", rows, ","):
             yield text + piece
@@ -421,9 +421,10 @@ def write_json(doc: dict) -> str:
     """Serialize a result document: the bytes of the stdlib's ``json.dumps``
     at an indent of 2 with ``allow_nan`` off, plus a final newline.
 
-    Dicts, lists, tuples and JSON scalars nest freely; a :class:`JsonRecords`
-    stands for a list of move objects. Dict keys must be ``str``, and
-    non-ASCII text is written as ``\\u`` escapes. Key order is the insertion
+    Dicts, lists, tuples, generators (written as lists) and JSON scalars
+    nest freely; a :class:`JsonRecords` stands for a list of move objects.
+    Dict keys must be ``str``, and non-ASCII text is written as ``\\u``
+    escapes. Key order is the insertion
     order of the dicts, so equal documents give byte-identical output. NaN
     and infinity raise ``ValueError``.
     """

@@ -751,46 +751,51 @@ class TestDatasets:
             load_dataset("table-9")
 
 
-def reference_csv(recs: list[MoveRecord], outcomes: list[Outcome]) -> str:
+def reference_outcome(rec: MoveRecord, brink: int) -> Outcome:
+    """The brink rule, written out: MN_0 crosses at or past the brink, MN_1
+    at or below it."""
+    crossed = (rec.mn0_new >= brink, rec.mn1_new <= brink)
+    return {(True, True): Outcome.SIMULTANEOUS_OVERLAP,
+            (True, False): Outcome.MN0_OVERLAP,
+            (False, True): Outcome.MN1_OVERLAP,
+            (False, False): Outcome.NO_OVERLAP}[crossed]
+
+
+def reference_csv(recs: list[MoveRecord], brink: int) -> str:
     """The rows as the stdlib's csv writer writes them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for rec, outcome in zip(recs, outcomes):
+    for rec in recs:
         writer.writerow([rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
-                         rec.mn1_new, outcome.value])
+                         rec.mn1_new, reference_outcome(rec, brink).value])
     return buf.getvalue()
+
+
+# Brinks drawn over the range of ``wide_records``' positions, so a list of
+# them meets every outcome.
+wide_brinks = st.integers(-(2**71), 2**71)
 
 
 class TestCsv:
     def test_header_and_first_row(self):
         ds = load_dataset("table-1")
-        outcomes = [Outcome.NO_OVERLAP] * 3
-        text = write_csv(ds.rows, outcomes)
+        text = write_csv(ds.rows, 30)
         lines = text.splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
-        assert lines[1].startswith("5,14,19,55,50,")
+        assert lines[1] == "5,14,19,55,50,no_overlap"
         assert len(lines) == 4
 
     def test_empty_batch_is_header_only(self):
-        assert write_csv([], []) == ",".join(CSV_HEADER) + "\n"
+        assert write_csv([], 0) == ",".join(CSV_HEADER) + "\n"
 
-    @given(st.lists(st.tuples(wide_records, st.sampled_from(Outcome)),
-                    max_size=8))
-    def test_matches_csv_writer(self, pairs):
-        recs = [rec for rec, _ in pairs]
-        outcomes = [o for _, o in pairs]
-        assert write_csv(recs, outcomes) == reference_csv(recs, outcomes)
-
-    def test_outcome_count_must_match_records(self):
-        ds = load_dataset("table-1")
-        with pytest.raises(ValueError):
-            write_csv(ds.rows, [Outcome.NO_OVERLAP] * 2)
+    @given(st.lists(wide_records, max_size=8), wide_brinks)
+    def test_matches_csv_writer(self, recs, brink):
+        assert write_csv(recs, brink) == reference_csv(recs, brink)
 
     def test_round_trip(self):
         ds = load_dataset("table-5")
-        outcomes = [Outcome.NO_OVERLAP] * 30
-        assert read_csv(write_csv(ds.rows, outcomes)) == list(ds.rows)
+        assert read_csv(write_csv(ds.rows, ds.layout.brink)) == list(ds.rows)
 
     def test_outcome_column_optional(self):
         text = "step,mn0_init,mn0_new,mn1_init,mn1_new\n5,14,19,55,50\n"
@@ -847,7 +852,7 @@ class TestCsv:
             pass
 
 
-def record_dict(rec: MoveRecord, outcome: Outcome | None = None) -> dict:
+def record_dict(rec: MoveRecord, brink: int | None = None) -> dict:
     """JSON-ready view of one move, the reference for :class:`JsonRecords`."""
     out = {
         "step": rec.step,
@@ -856,8 +861,8 @@ def record_dict(rec: MoveRecord, outcome: Outcome | None = None) -> dict:
         "mn1_init": rec.mn1_init,
         "mn1_new": rec.mn1_new,
     }
-    if outcome is not None:
-        out["outcome"] = outcome.value
+    if brink is not None:
+        out["outcome"] = reference_outcome(rec, brink).value
     return out
 
 
@@ -873,7 +878,7 @@ json_trees = st.recursive(json_scalars, lambda children: st.one_of(
     st.lists(children, max_size=3).map(tuple),
     st.dictionaries(st.text(max_size=6), children, max_size=4),
 ), max_leaves=24)
-moves = st.lists(st.tuples(wide_records, st.sampled_from(Outcome)), max_size=6)
+moves = st.lists(wide_records, max_size=6)
 # Where a result document puts a record list: as a value at depth 1, in a
 # list at depth 2, in a list's object at depth 3.
 NESTINGS = {
@@ -908,20 +913,23 @@ class TestJson:
         assert write_json(doc) == reference_json(doc)
 
     @pytest.mark.parametrize("nesting", sorted(NESTINGS))
-    @given(moves, st.booleans())
-    @example([], True)
-    @example([], False)
-    def test_record_block_matches_record_dicts(self, nesting, pairs, with_outcomes):
-        recs = [rec for rec, _ in pairs]
-        if with_outcomes:
-            outcomes = [outcome for _, outcome in pairs]
-            block = JsonRecords(recs, outcomes)
-            dicts = [record_dict(rec, out) for rec, out in zip(recs, outcomes)]
-        else:
-            block = JsonRecords(recs)
-            dicts = [record_dict(rec) for rec in recs]
+    @given(moves, st.none() | wide_brinks)
+    @example([], 0)
+    @example([], None)
+    def test_record_block_matches_record_dicts(self, nesting, recs, brink):
+        dicts = [record_dict(rec, brink) for rec in recs]
         wrap = NESTINGS[nesting]
-        assert write_json(wrap(block)) == reference_json(wrap(dicts))
+        assert write_json(wrap(JsonRecords(recs, brink))) == \
+            reference_json(wrap(dicts))
+
+    @given(moves, st.none() | wide_brinks)
+    def test_record_iterators_and_generators_render_as_lists(self, recs, brink):
+        doc = {"runs": ({"run": j, "records": JsonRecords(iter(recs), brink)}
+                        for j in range(2)), "empty": (x for x in ())}
+        assert write_json(doc) == reference_json(
+            {"runs": [{"run": j, "records": [record_dict(rec, brink)
+                                             for rec in recs]}
+                      for j in range(2)], "empty": []})
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -932,12 +940,6 @@ class TestJson:
         for doc in ({"x": [1, {"y": value}]}, [value], {"x": (value,)}):
             with pytest.raises(ValueError):
                 write_json(doc)
-
-    def test_outcome_count_must_match_records(self):
-        recs = [MoveRecord.from_inits(1, 9, 2), MoveRecord.from_inits(3, 7, 1)]
-        for outcomes in ([Outcome.NO_OVERLAP], [Outcome.NO_OVERLAP] * 3):
-            with pytest.raises(ValueError):
-                write_json({"records": JsonRecords(recs, outcomes)})
 
     def test_non_str_key_rejected(self):
         with pytest.raises(TypeError, match="keys must be str"):
@@ -952,10 +954,13 @@ class TestJson:
 CHUNK_EDGES = [0, 1, 1023, 1024, 1025, 2049]
 
 
-def chunk_records(n: int) -> tuple[list[MoveRecord], list[Outcome]]:
-    recs = [MoveRecord.from_inits(i % 500, 1000 + i % 700, i % 51)
+# Against this brink, ``chunk_records(2049)`` meets all four outcomes.
+CHUNK_BRINK = 450
+
+
+def chunk_records(n: int) -> list[MoveRecord]:
+    return [MoveRecord.from_inits(i % 500, 400 + i % 700, i % 51)
             for i in range(n)]
-    return recs, [list(Outcome)[i % 4] for i in range(n)]
 
 
 class TestPieces:
@@ -965,7 +970,7 @@ class TestPieces:
     @pytest.mark.parametrize("n", CHUNK_EDGES)
     @pytest.mark.parametrize("headers", [False, True])
     def test_trace(self, n, headers):
-        recs, _ = chunk_records(n)
+        recs = chunk_records(n)
         pieces = list(trace_pieces(recs, headers))
         assert "".join(pieces) == reference_trace(recs, headers)
         assert format_trace(recs, headers) == "".join(pieces)
@@ -974,10 +979,10 @@ class TestPieces:
 
     @pytest.mark.parametrize("n", CHUNK_EDGES)
     def test_csv(self, n):
-        recs, outcomes = chunk_records(n)
-        pieces = list(csv_pieces(recs, outcomes))
-        assert "".join(pieces) == reference_csv(recs, outcomes)
-        assert write_csv(recs, outcomes) == "".join(pieces)
+        recs = chunk_records(n)
+        pieces = list(csv_pieces(recs, CHUNK_BRINK))
+        assert "".join(pieces) == reference_csv(recs, CHUNK_BRINK)
+        assert write_csv(recs, CHUNK_BRINK) == "".join(pieces)
         assert pieces[0] == ",".join(CSV_HEADER) + "\n"
         assert max((p.count("\n") for p in pieces[1:]), default=0) \
             == min(n, 1024)
@@ -986,12 +991,10 @@ class TestPieces:
     @pytest.mark.parametrize("nesting", sorted(NESTINGS))
     @pytest.mark.parametrize("with_outcomes", [False, True])
     def test_json(self, n, nesting, with_outcomes):
-        recs, outcomes = chunk_records(n)
-        if not with_outcomes:
-            outcomes = None
-        dicts = [record_dict(rec, outcomes and outcomes[i])
-                 for i, rec in enumerate(recs)]
-        doc = NESTINGS[nesting](JsonRecords(recs, outcomes))
+        recs = chunk_records(n)
+        brink = CHUNK_BRINK if with_outcomes else None
+        dicts = [record_dict(rec, brink) for rec in recs]
+        doc = NESTINGS[nesting](JsonRecords(recs, brink))
         pieces = list(json_pieces(doc))
         assert "".join(pieces) == reference_json(NESTINGS[nesting](dicts))
         assert write_json(doc) == "".join(pieces)
@@ -1030,9 +1033,8 @@ class TestSharedInts:
         # Every value is above 256, past CPython's cached small ints.
         recs = [MoveRecord.from_inits(1000 + i % 7, 5000 + i % 5, 300 + i % 3)
                 for i in range(300)]
-        outcomes = [Outcome.NO_OVERLAP] * len(recs)
         for parsed in (parse_trace(format_trace(recs)),
-                       read_csv(write_csv(recs, outcomes))):
+                       read_csv(write_csv(recs, 0))):
             assert parsed == recs
             values = [value for rec in parsed for value in (
                 rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new)]
