@@ -105,10 +105,6 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="also write a movement trace file")
     sub.add_argument("--step-headers", action="store_true",
                      help="group trace lines under STEP-k headers")
-    sub.add_argument("--plot", metavar="PATH",
-                     help="also write a plot file (SVG, or text with --ascii)")
-    sub.add_argument("--ascii", action="store_true",
-                     help="render plots as text instead of SVG")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,9 +250,10 @@ class Source:
     """One resolved input: a bundled dataset, a CSV file or a scenario run.
 
     ``kind`` is the mobility shape, "independent" or "sequential". A dataset
-    or CSV file carries its ``records`` and its own ``layout``, if any; a
-    replayed one carries the merged ``layout`` and the ``total`` tally, and
-    a walk its replayed run, as ``parts``. A scenario carries its ``config``
+    or CSV file carries its ``records`` and its own ``layout``, if any, and
+    ``plot`` draws it so; for ``replay`` and ``estimate`` it is replayed, and
+    carries the merged ``layout``, the ``total`` tally and, for a walk, the
+    replayed run as ``parts``. A scenario carries its ``config``
     (overrides applied), the samples or :class:`Walks` it ran (``parts``,
     which keep counts and sums and redraw their moves on access) and their
     ``total`` tally; it draws no move again until :meth:`moves` asks.
@@ -349,61 +346,26 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
                    total=replay_independent(records, layout))
 
 
-def _plot_text(args: argparse.Namespace, source: Source) -> str:
-    """Plot both nodes' positions after each move, as SVG or with --ascii.
-
-    The brink is --brink, else the source layout's (a merged layout already
-    holds --brink). A sequential walk is drawn as a chain from its start
-    (its first part, else its rows); independent moves are one point per
-    trial or row.
-    """
-    from .plotting import render_ascii, render_svg
-
-    if not (source.records or source.parts):
-        raise UsageError("no records to plot")
-    brink = (args.brink if args.brink is not None
-             else getattr(source.layout, "brink", None))
-    if brink is None:
-        raise UsageError("this input carries no zone layout; supply --brink")
-    chained = source.kind == "sequential"
-    mn0, mn1 = [], []
-    for rec in (source.parts[0].moves() if chained and source.parts
-                else source.moves()):
-        if chained and not mn0:
-            mn0.append(rec.mn0_init)
-            mn1.append(rec.mn1_init)
-        mn0.append(rec.mn0_new)
-        mn1.append(rec.mn1_new)
-    if args.ascii:
-        return render_ascii(mn0, mn1, brink)
-    xlabel = "step" if chained else "trial" if source.config else "run"
-    return render_svg(mn0, mn1, brink, chained, source.title, xlabel)
-
-
 def _check_output_switches(args: argparse.Namespace) -> None:
-    """Reject --step-headers without --trace and --ascii without --plot."""
-    orphans = [f"{switch} needs {option}" for switch, option, given in (
-        ("--step-headers", "--trace", args.step_headers and args.trace is None),
-        ("--ascii", "--plot", args.ascii and args.plot is None)) if given]
-    if orphans:
-        raise UsageError("; ".join(orphans))
+    """Reject --step-headers without --trace."""
+    if args.step_headers and args.trace is None:
+        raise UsageError("--step-headers needs --trace")
 
 
 def _report(
     args: argparse.Namespace, source: Source,
     table: Callable[[], str], doc: Callable[[], dict],
 ) -> None:
-    """Write the --trace and --plot files, then the stdout that --format picks.
+    """Write the --trace file, then the stdout that --format picks.
 
     Only the chosen renderer runs, so table output builds no move record.
-    The plot, then the table or the JSON document, is built and both files
-    are written before stdout, so a source that cannot be drawn, a document
-    that cannot be built or a file that cannot be opened or written leaves
-    stdout empty. Trace, CSV and JSON text goes out in pieces of at most
-    1,024 moves, rendered from the moves as they are drawn: each output of
-    a scenario redraws its samples or walks, and no output keeps a move.
+    The table or the JSON document is built and the trace written before
+    stdout, so a document that cannot be built or a trace that cannot be
+    opened or written leaves stdout empty. Trace, CSV and JSON text goes
+    out in pieces of at most 1,024 moves, rendered from the moves as they
+    are drawn: each output of a scenario redraws its samples or walks, and
+    no output keeps a move.
     """
-    plot = None if args.plot is None else _plot_text(args, source)
     if args.format == "table":
         pieces = [table()]
     elif args.format == "csv":
@@ -412,8 +374,6 @@ def _report(
         pieces = json_pieces(doc())
     if args.trace is not None:
         _write_text(args.trace, trace_pieces(source.moves(), args.step_headers))
-    if plot is not None:
-        _write_text(args.plot, [plot])
     sys.stdout.writelines(pieces)
 
 
@@ -703,8 +663,37 @@ def _estimate_text(doc: dict, label: str) -> str:
 
 
 def _cmd_plot(args: argparse.Namespace) -> None:
+    """Plot both nodes' positions after each move, as SVG or with --ascii.
+
+    The brink is --brink, else the source layout's. A sequential walk is
+    drawn as a chain from its start (a scenario's first walk, else the
+    rows); independent moves are one point per trial or row. The text is
+    built before the output is opened, so a source that cannot be drawn
+    writes nothing.
+    """
+    from .plotting import render_ascii, render_svg
+
     source = _resolve_source(args, ("dataset", "input", "scenario", "config"))
-    text = _plot_text(args, source)
+    if not (source.records or source.parts):
+        raise UsageError("no records to plot")
+    brink = (args.brink if args.brink is not None
+             else getattr(source.layout, "brink", None))
+    if brink is None:
+        raise UsageError("this input carries no zone layout; supply --brink")
+    chained = source.kind == "sequential"
+    mn0, mn1 = [], []
+    for rec in (source.parts[0].moves() if chained and source.parts
+                else source.moves()):
+        if chained and not mn0:
+            mn0.append(rec.mn0_init)
+            mn1.append(rec.mn1_init)
+        mn0.append(rec.mn0_new)
+        mn1.append(rec.mn1_new)
+    if args.ascii:
+        text = render_ascii(mn0, mn1, brink)
+    else:
+        xlabel = "step" if chained else "trial" if source.config else "run"
+        text = render_svg(mn0, mn1, brink, chained, source.title, xlabel)
     if args.output is not None:
         _write_text(args.output, [text])
     else:

@@ -341,7 +341,7 @@ def read_csv(text: str) -> list[MoveRecord]:
 # Scalars go through the stdlib's encoder: its escaping, float repr and
 # NaN error, with no indent, so the C encoder does the work.
 _scalar = json.JSONEncoder(allow_nan=False).encode
-_RECORD_KEYS = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new")
+_RECORD_KEYS = CSV_HEADER[:5]  # a move's fields, without the outcome
 
 
 class JsonRecords:

@@ -212,8 +212,8 @@ class TestSimulateErrors:
         assert code == 2
         assert "--samples" in err
 
-    # Every output format, on both subcommands that write files: stdout is
-    # streamed only after both files are written.
+    # Every output format, on both subcommands that write a trace: stdout is
+    # streamed only after the trace is written.
     REPORTS = [(*source, "--format", fmt)
                for source in (("simulate", "--scenario", "3", "--seed", "1"),
                               ("simulate", "--scenario", "2", "--runs", "3",
@@ -227,19 +227,16 @@ class TestSimulateErrors:
             code, out, _ = run_cli(capsys, *argv, "--trace", str(path))
             assert (code, out) == (1, ""), argv
 
-    def test_unwritable_plot_path(self, capsys, tmp_path):
-        path = tmp_path / "missing_dir" / "p.svg"
-        for argv in self.REPORTS:
-            code, out, _ = run_cli(capsys, *argv, "--plot", str(path))
-            assert (code, out) == (1, ""), argv
-
-    def test_trace_and_plot_to_one_path_keep_the_plot(self, capsys, tmp_path):
-        both, plot = tmp_path / "both", tmp_path / "plot.svg"
-        code, _, _ = run_cli(capsys, "replay", "--dataset", "table-5",
-                             "--trace", str(both), "--plot", str(both))
-        assert code == 0
-        run_cli(capsys, "replay", "--dataset", "table-5", "--plot", str(plot))
-        assert both.read_bytes() == plot.read_bytes()
+    def test_plot_flags_are_plot_subcommand_only(self, capsys, tmp_path):
+        # argparse's usage text differs across Python versions; its
+        # "unrecognized arguments" does not.
+        for argv in (("simulate", "--scenario", "2", "--runs", "1",
+                      "--samples", "1", "--plot", str(tmp_path / "p.svg")),
+                     ("replay", "--dataset", "table-5", "--ascii")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "unrecognized arguments" in err, argv
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
@@ -646,18 +643,6 @@ class TestPlot:
         assert code == 2
         assert "no records" in err
 
-    def test_empty_input_rejected_before_replay_output(self, capsys, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new,outcome\n",
-                        encoding="utf-8")
-        plot = tmp_path / "e.svg"
-        code, out, err = run_cli(
-            capsys, "replay", "--input", str(path), "--zone0", "0:9",
-            "--zone1", "11:20", "--brink", "10", "--plot", str(plot))
-        assert (code, out) == (2, "")
-        assert "no records to plot" in err
-        assert not plot.exists()
-
     def test_input_requires_brink(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_text(
@@ -744,8 +729,8 @@ class TestReplayOnce:
     @pytest.mark.parametrize("argv,calls", [
         (("replay", "--dataset", "table-5", "--format", "csv"),
          ["replay_independent"]),
-        (("replay", "--dataset", "table-6", "--format", "json",
-          "--plot", "{tmp}/walk.svg"), ["replay_sequential"]),
+        (("replay", "--dataset", "table-6", "--format", "json"),
+         ["replay_sequential"]),
         (("estimate", "--dataset", "table-5"), ["replay_independent"]),
         (("estimate", "--dataset", "table-6"), ["replay_sequential"]),
         (("plot", "--dataset", "table-5"), []),
@@ -849,8 +834,8 @@ class TestNoRecordsForTables:
 
 class TestRedrawOnce:
     """A scenario draws each sample or walk once for its counts. Each record
-    output (CSV, JSON, trace, plot) redraws each one once more, and keeps
-    none of its moves; a plot of a walk redraws only walk 0."""
+    output (CSV, JSON, trace) and each plot redraws each one once more, and
+    keeps none of its moves; a plot of a walk redraws only walk 0."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -878,14 +863,13 @@ class TestRedrawOnce:
         (("simulate", "--scenario", "3"), [1, 1, 1, 1]),
         (("estimate", "--scenario", "3"), [1, 1, 1, 1]),
         (("simulate", "--scenario", "2", "--samples", "3", "--format", "csv",
-          "--trace", "{tmp}/t.tr", "--plot", "{tmp}/p.svg"), [4, 4, 4]),
+          "--trace", "{tmp}/t.tr"), [3, 3, 3]),
         (("simulate", "--scenario", "2", "--samples", "3", "--format", "json",
           "--trace", "{tmp}/t.tr"), [3, 3, 3]),
         (("simulate", "--scenario", "3", "--format", "csv",
           "--trace", "{tmp}/t.tr"), [3, 3, 3, 3]),
         (("simulate", "--scenario", "3", "--format", "json"), [2, 2, 2, 2]),
-        (("simulate", "--scenario", "3", "--plot", "{tmp}/p.svg"),
-         [2, 1, 1, 1]),
+        (("plot", "--scenario", "3"), [2, 1, 1, 1]),
     ])
     def test_passes(self, capsys, tmp_path, passes, argv, passes_per_part):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -969,13 +953,12 @@ OPTIONS = {
     "--max-step": _ints.map(str),
     "--format": st.sampled_from(["table", "csv", "json", "svg"]),
     "--trace": st.sampled_from(["{tmp}/out.tr", "{tmp}"]),
-    "--plot": st.sampled_from(["{tmp}/out.svg", "{tmp}"]),
     "--output": st.sampled_from(["{tmp}/fig.svg", "{tmp}"]),
     "--step-headers": None,
     "--ascii": None,
 }
 _SCENARIO = ("--seed", "--samples", "--max-step")
-_OUTPUT = ("--format", "--trace", "--step-headers", "--plot", "--ascii")
+_OUTPUT = ("--format", "--trace", "--step-headers")
 GRAMMAR = {
     "simulate": (("--scenario", "--config"), _SCENARIO + _OUTPUT),
     "replay": (("--dataset", "--input"), _OUTPUT),
@@ -1009,13 +992,12 @@ def argvs(draw):
     if draw(st.integers(0, 5)) == 0:  # none, or two sources
         flags = draw(st.lists(st.sampled_from(sources), max_size=2))
     flags += draw(st.lists(st.sampled_from(options), max_size=4))
-    # simulate and replay reject --step-headers without --trace and --ascii
-    # without --plot; mostly add the file option, so success stays reachable.
+    # simulate and replay reject --step-headers without --trace; mostly add
+    # the trace, so success stays reachable.
     if command in ("simulate", "replay"):
-        for switch, option in (("--step-headers", "--trace"),
-                               ("--ascii", "--plot")):
-            if switch in flags and option not in flags and draw(st.integers(0, 3)):
-                flags.append(option)
+        if ("--step-headers" in flags and "--trace" not in flags
+                and draw(st.integers(0, 3))):
+            flags.append("--trace")
     for flag in flags:
         strategy = SOURCES.get(flag, OPTIONS.get(flag))
         argv += [flag] if strategy is None else [flag, draw(strategy)]
@@ -1041,8 +1023,6 @@ class TestMagnitudeLimit:
         ("plot", "--dataset", "table-5", "--brink", _NINES, "--ascii"),
         ("plot", "--input", "{tmp}/huge.csv", "--brink", "3"),
         ("plot", "--input", "{tmp}/huge.csv", "--brink", "3", "--ascii"),
-        ("replay", "--input", "{tmp}/huge.csv", "--zone0", "0:1", "--zone1",
-         "3:4", "--brink", "2", "--plot", "{tmp}/p.svg"),
         ("plot", "--input", "{tmp}/span.csv", "--brink", "0", "--ascii"),
         ("plot", "--input", "{tmp}/span.csv", "--brink", "0"),
         ("plot", "--input", "{tmp}/pad.csv", "--brink", "0"),
@@ -1243,14 +1223,13 @@ class TestFileFuzz:
     @given(csv_texts())
     def test_csv_input(self, text):
         with tempfile.TemporaryDirectory() as tmp:
-            path, plot = f"{tmp}/in.csv", f"{tmp}/plot.svg"
+            path = f"{tmp}/in.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             layout = ["--zone0", "0:99", "--zone1", "101:200", "--brink", "100"]
             for argv in (
                 ["replay", "--input", path, *layout],
-                ["replay", "--input", path, *layout, "--format", "json",
-                 "--plot", plot],
+                ["replay", "--input", path, *layout, "--format", "json"],
                 ["plot", "--input", path, "--brink", "100"],
                 ["plot", "--input", path, "--brink", "100", "--ascii"],
             ):

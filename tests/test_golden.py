@@ -3,9 +3,9 @@
 Each case runs ``main(argv)`` in process, from inside ``tests/golden/`` so
 the input files in ``FIXTURES`` are named by relative paths (the replay
 header and the SVG title print them). It compares the exit code, stdout,
-stderr when it is not empty, and every file the run writes (trace, plot)
-with the bytes frozen in ``tests/golden/``. Regenerate them only for an
-intended output change, and name it in CHANGES.md:
+stderr when it is not empty, and every file the run writes (a trace, or a
+plot's ``-o`` file) with the bytes frozen in ``tests/golden/``. Regenerate
+them only for an intended output change, and name it in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -40,6 +40,9 @@ ASYM = ("--scenario", "2", "--zone0", "0:4999", "--zone1", "5020:9999",
 CASES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 for _s in (1, 2, 3):
     _size = SEQ_SMALL if _s == 3 else SMALL
+    CASES[f"plot-s{_s}-svg"] = (("plot", "--scenario", str(_s), *_size), ())
+    CASES[f"plot-s{_s}-ascii"] = (
+        ("plot", "--scenario", str(_s), *_size, "--ascii"), ())
     for _fmt in ("table", "csv", "json"):
         CASES[f"simulate-s{_s}-{_fmt}"] = (
             ("simulate", "--scenario", str(_s), *_size, "--format", _fmt), ())
@@ -56,14 +59,6 @@ for _s in (2, 3):
         ("simulate", "--scenario", str(_s), *_size, "--trace", "{out}",
          "--step-headers"),
         ("trace",))
-    CASES[f"simulate-s{_s}-plot-svg"] = (
-        ("simulate", "--scenario", str(_s), *_size, "--plot", "{out}"),
-        ("plot",))
-    CASES[f"simulate-s{_s}-plot-ascii"] = (
-        ("simulate", "--scenario", str(_s), *_size, "--plot", "{out}",
-         "--ascii"),
-        ("plot",))
-    CASES[f"plot-s{_s}-svg"] = (("plot", "--scenario", str(_s), *_size), ())
 CASES["simulate-s3-capped-table"] = (
     ("simulate", "--scenario", "3", "--runs", "2", "--max-step", "0"), ())
 for _fmt in ("table", "csv", "json"):
@@ -71,6 +66,7 @@ for _fmt in ("table", "csv", "json"):
         ("replay", "--dataset", "table-6", "--format", _fmt), ())
     CASES[f"replay-table-5-{_fmt}"] = (
         ("replay", "--dataset", "table-5", "--format", _fmt), ())
+CASES["replay-table-3-table"] = (("replay", "--dataset", "table-3"), ())
 CASES["replay-table-1-table"] = (
     ("replay", "--dataset", "table-1", *LAYOUT_1), ())
 CASES["replay-table-6-trace"] = (
@@ -100,20 +96,14 @@ CASES["replay-input-trace"] = (
 for _fmt in ("csv", "json"):
     CASES[f"replay-table-1-{_fmt}"] = (
         ("replay", "--dataset", "table-1", *LAYOUT_1, "--format", _fmt), ())
-for _src, _argv in (("input", ("--input", "rows.csv", *LAYOUT_2)),
-                    ("table-3", ("--dataset", "table-3")),
-                    ("table-5", ("--dataset", "table-5")),
-                    ("table-6", ("--dataset", "table-6"))):
-    CASES[f"replay-{_src}-plot-svg"] = (
-        ("replay", *_argv, "--plot", "{out}"), ("plot",))
-    CASES[f"replay-{_src}-plot-ascii"] = (
-        ("replay", *_argv, "--plot", "{out}", "--ascii"), ("plot",))
 for _ds in ("table-3", "table-5", "table-6"):
     CASES[f"plot-{_ds}-svg"] = (("plot", "--dataset", _ds), ())
     CASES[f"plot-{_ds}-ascii"] = (("plot", "--dataset", _ds, "--ascii"), ())
 CASES["plot-table-1-brink"] = (
     ("plot", "--dataset", "table-1", "--brink", "30"), ())
 CASES["plot-input-svg"] = (("plot", "--input", "rows.csv", "--brink", "100"), ())
+CASES["plot-input-ascii"] = (
+    ("plot", "--input", "rows.csv", "--brink", "100", "--ascii"), ())
 CASES["plot-input-file"] = (
     ("plot", "--input", "rows.csv", "--brink", "100", "-o", "{out}"),
     ("plot",))
@@ -121,9 +111,6 @@ CASES["plot-config-sequential"] = (
     ("plot", "--config", "sequential.json"), ())
 CASES["plot-config-independent-ascii"] = (
     ("plot", "--config", "independent.json", "--ascii"), ())
-CASES["plot-s1-ascii"] = (("plot", "--scenario", "1", *SMALL, "--ascii"), ())
-CASES["simulate-s1-plot-svg"] = (
-    ("simulate", "--scenario", "1", *SMALL, "--plot", "{out}"), ("plot",))
 CASES["estimate-table-1-table"] = (
     ("estimate", "--dataset", "table-1", *LAYOUT_1), ())
 for _ds in ("table-3", "table-5", "table-6"):
@@ -173,10 +160,6 @@ ERRORS = {
     "error-plot-input-no-brink": (("plot", "--input", "rows.csv"), 2),
     "error-plot-table-1-no-brink": (("plot", "--dataset", "table-1"), 2),
     "error-plot-empty-input": (("plot", "--input", "empty.csv"), 2),
-    # Rejected before the table reaches stdout.
-    "error-replay-empty-input-plot": (
-        ("replay", "--input", "empty.csv", "--zone0", "0:9", "--zone1", "11:20",
-         "--brink", "10", "--plot", "{out}"), 2),
     "error-plot-unknown-dataset": (("plot", "--dataset", "table-9"), 2),
     "error-simulate-missing-config": (
         ("simulate", "--config", "missing.json"), 1),
@@ -204,12 +187,9 @@ ERRORS = {
     # An output switch without the option whose file it shapes.
     "error-simulate-switches-without-files": (
         ("simulate", "--scenario", "1", "--runs", "2", "--samples", "1",
-         "--step-headers", "--ascii"), 2),
-    "error-replay-step-headers-without-trace": (
-        ("replay", "--dataset", "table-6", "--plot", "{out}",
          "--step-headers"), 2),
-    "error-replay-ascii-without-plot": (
-        ("replay", "--dataset", "table-6", "--trace", "{out}", "--ascii"), 2),
+    "error-replay-step-headers-without-trace": (
+        ("replay", "--dataset", "table-6", "--step-headers"), 2),
     # An empty output path is given, and cannot be opened.
     "error-simulate-empty-trace": (
         ("simulate", "--scenario", "2", "--runs", "1", "--samples", "1",
@@ -217,8 +197,6 @@ ERRORS = {
     "error-simulate-empty-trace-step-headers": (
         ("simulate", "--scenario", "2", "--runs", "1", "--samples", "1",
          "--trace", "", "--step-headers"), 1),
-    "error-replay-empty-plot": (
-        ("replay", "--dataset", "table-6", "--plot", "", "--ascii"), 1),
     "error-plot-empty-output": (("plot", "--dataset", "table-5", "-o", ""), 1),
 }
 for _name, (_argv, _) in ERRORS.items():
