@@ -667,9 +667,9 @@ def _cmd_plot(args: argparse.Namespace) -> None:
 
     The brink is --brink, else the source layout's. A sequential walk is
     drawn as a chain from its start (a scenario's first walk, else the
-    rows); independent moves are one point per trial or row. The text is
-    built before the output is opened, so a source that cannot be drawn
-    writes nothing.
+    rows); independent moves are one point per trial or row. The values
+    are checked before the output is opened, so a source that cannot be
+    drawn writes nothing; the SVG is then written in pieces as it is made.
     """
     from .plotting import render_ascii, render_svg
 
@@ -690,11 +690,11 @@ def _cmd_plot(args: argparse.Namespace) -> None:
         mn0.append(rec.mn0_new)
         mn1.append(rec.mn1_new)
     if args.ascii:
-        text = render_ascii(mn0, mn1, brink)
+        pieces = [render_ascii(mn0, mn1, brink)]
     else:
         xlabel = "step" if chained else "trial" if source.config else "run"
-        text = render_svg(mn0, mn1, brink, chained, source.title, xlabel)
+        pieces = render_svg(mn0, mn1, brink, chained, source.title, xlabel)
     if args.output is not None:
-        _write_text(args.output, [text])
+        _write_text(args.output, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)

@@ -10,9 +10,11 @@ well-formed file, and ASCII axis labels widen to fit their values.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .model import MAGNITUDE_LIMIT
+from .traceio import _pieces
 
 _WIDTH = 720
 _HEIGHT = 480
@@ -77,11 +79,13 @@ def render_svg(
     chained: bool,
     title: str,
     xlabel: str,
-) -> str:
+) -> Iterator[str]:
     """Render position-vs-index series for both nodes plus the brink line.
 
     Chained series draw as polylines (a walk), unchained as scatter points
-    (independent trials).
+    (independent trials). The values are checked on the call, so a series
+    that cannot be drawn raises before any text; the points' text is then
+    made as it is read, in pieces of at most 1,024 points.
     """
     lo, hi = _value_range(mn0, mn1, brink)
     pad = (hi - lo) * 0.05
@@ -98,6 +102,14 @@ def render_svg(
 
     def y_of(value: float) -> float:
         return y1 - (y1 - y0) * ((value - lo) / (hi - lo))
+
+    def points(series: Sequence[float], color: str) -> Iterator[str]:
+        xy = ((_fmt(x_of(i)), _fmt(y_of(v))) for i, v in enumerate(series))
+        if chained:
+            return chain(['<polyline points="'], _pieces("%s,%s", xy, " "),
+                         [f'" fill="none" stroke="{color}" stroke-width="2"/>\n'])
+        return chain(_pieces(f'<circle cx="%s" cy="%s" r="3" fill="{color}"/>',
+                             xy, "\n"), ["\n"])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -125,33 +137,18 @@ def render_svg(
     parts.append(_line(x0, _fmt(by), x1, _fmt(by), "gray", "6,4"))
     parts.append(_text(x1 - 4, _fmt(by - 6), 11, f"brink {_fmt(brink)}",
                        "end", "gray"))
-    # Series.
-    for series, color in ((mn0, _MN0_COLOR), (mn1, _MN1_COLOR)):
-        if chained:
-            points = " ".join(
-                f"{_fmt(x_of(i))},{_fmt(y_of(v))}"
-                for i, v in enumerate(series)
-            )
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" '
-                f'stroke-width="2"/>'
-            )
-        else:
-            for i, v in enumerate(series):
-                parts.append(
-                    f'<circle cx="{_fmt(x_of(i))}" cy="{_fmt(y_of(v))}" '
-                    f'r="3" fill="{color}"/>'
-                )
-    # Legend, top-right corner of the plot rectangle.
+    # Legend, top-right corner of the plot rectangle; drawn after the series.
+    legend = []
     for slot, (label, color) in enumerate((("MN_0", _MN0_COLOR), ("MN_1", _MN1_COLOR))):
         y = y0 + 14 + slot * 16
-        parts.append(
+        legend.append(
             f'<rect x="{x1 - 84}" y="{y - 8}" width="10" height="10" '
             f'fill="{color}"/>'
         )
-        parts.append(_text(x1 - 70, y, 11, label))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        legend.append(_text(x1 - 70, y, 11, label))
+    legend.append("</svg>")
+    return chain(["\n".join(parts) + "\n"], points(mn0, _MN0_COLOR),
+                 points(mn1, _MN1_COLOR), ["\n".join(legend) + "\n"])
 
 
 def render_ascii(

@@ -14,7 +14,10 @@ draw or to the draw order shows as changed bytes.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import rshift
 
 from .model import Position, StepLength, ZoneLayout
 
@@ -32,6 +35,33 @@ def pcg32_seed(seed: int, stream: int) -> tuple[int, int]:
     """
     inc = ((stream << 1) | 1) & _MASK64
     return ((inc + seed) * _PCG_MULTIPLIER + inc) & _MASK64, inc
+
+
+@lru_cache(maxsize=4)  # a sample's full and last chunk, of one or two runs
+def _lanes(n: int) -> tuple:
+    """pcg32_block's constants for ``n`` outputs, built on first use."""
+    powers, sums = bytearray(), bytearray()
+    power, total = 1, 0  # a**i and a**0 + ... + a**(i-1), mod 2**64
+    for _ in range(n):
+        powers += power.to_bytes(16, "little")
+        sums += total.to_bytes(16, "little")
+        power, total = power * _PCG_MULTIPLIER & _MASK64, (total + power) & _MASK64
+    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
+    return (int.from_bytes(powers, "little"), int.from_bytes(sums, "little"),
+            ones * _MASK64, ones * _MASK32, ones * (31 << 64), power, total,
+            struct.Struct("<" + "Q8x" * n))
+
+
+def pcg32_block(state: int, inc: int, n: int) -> tuple[list[int], int]:
+    """The next ``n`` XSH-RR outputs of the stream at ``(state, inc)``, and
+    the state after them. Lane i (bits 128i up) of one int is the state i
+    steps on (Brown 1994); only the rotation, at lane byte 8, is per output."""
+    powers, sums, mask64, mask32, rots, power, total, words = _lanes(n)
+    old = ((state * powers & mask64) + inc * sums) & mask64
+    raw = ((((old >> 18) ^ old) >> 27 & mask32) * 0x100000001
+           | (old << 5) & rots).to_bytes(16 * n, "little")
+    return ([w & _MASK32 for w in map(rshift, words.unpack(raw), raw[8::16])],
+            (state * power + inc * total) & _MASK64)
 
 
 class Pcg32:

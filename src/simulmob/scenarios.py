@@ -13,13 +13,12 @@ Each sample (or run) owns a private substream, so samples may run in any
 order, or in parallel, without changing results, and any one of them can
 be redrawn alone from its seed and stream.
 
-Each shape has one draw generator, which inlines PCG32's XSH-RR step and
-``pcg32_boundedrand_r`` rejection (O'Neill 2014) in its one draw loop:
-``_sample_draws`` yields a sample's draw column in chunks, looping over a
-trial's three ranges, and ``_walks`` yields each walk's steps and terminal
-outcome. A range of one value consumes no draw. They draw exactly what a
-:class:`Sampler` on the same stream draws; the tests hold the Sampler-driven
-reference loops. The rotation is one shift of the doubled word.
+Each shape has one draw generator, with ``pcg32_boundedrand_r`` rejection
+(O'Neill 2014): ``_sample_draws`` yields a sample's draw column in chunks,
+from ``pcg32_block``'s outputs, and ``_walks``, which steps PCG32 inline,
+yields each walk's steps and terminal outcome. A range of one value
+consumes no draw. Both draw exactly what a :class:`Sampler` on the same
+stream draws; the tests hold the Sampler-driven reference loops.
 
 The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken, the step sum and the timed-out count.
@@ -44,7 +43,7 @@ from .model import (
     crossing,
 )
 from .sampling import (_DRAW_RANGE, _MASK32, _MASK64, _PCG_MULTIPLIER, Sampler,
-                       SamplerConfig, pcg32_seed)
+                       SamplerConfig, pcg32_block, pcg32_seed)
 from .stats import Tally, tally
 
 
@@ -193,7 +192,7 @@ def run_independent_trial(
     """One trial: fresh inits, one shared step, one simultaneous move.
 
     No runner calls it; it stays only for ``perfbench``'s ``trial_ns``
-    probe, until that probe times the runner's inlined trial instead.
+    probe, until that probe times the runner's own trial instead.
     """
     mn0_init, mn1_init = sampler.draw_init_positions()
     step = sampler.draw_step()
@@ -204,7 +203,7 @@ def run_independent_trial(
 # Trials in one chunk of a sample's draw column, or walks in one chunk of
 # terminal outcomes: a runner holds one chunk at a time, so its memory does
 # not grow with the run.
-_CHUNK = 1024
+_CHUNK = 256
 
 
 def _sample_draws(
@@ -214,8 +213,9 @@ def _sample_draws(
     at most ``_CHUNK`` trials.
 
     Each trial draws as :func:`run_independent_trial` does, but builds no
-    record: the loop draws from a trial's three ranges in turn (mn0_init,
-    mn1_init, step), three ints a trial.
+    record: three ints a trial (mn0_init, mn1_init, step). A chunk whose
+    outputs all pass every rejection threshold is three columns of
+    ``r % width + lo``; any other runs the draw loop, one output at a time.
     """
     layout = sampler.layout
     # (lowest value, width, rejection threshold) of each draw, in draw order
@@ -223,22 +223,32 @@ def _sample_draws(
         (layout.zone0_lo, layout.zone0_width),
         (layout.zone1_lo, layout.zone1_width),
         (0, sampler.max_step + 1))]
-    mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
+    # No output below floor: every draw takes one output, none rejected.
+    floor = max(_DRAW_RANGE if width == 1 else t for _, width, t in ranges)
     state, inc = pcg32_seed(sampler.seed, k)
+    spare: list[int] = []  # outputs drawn and not yet used
     for done in range(0, runs, _CHUNK):
-        draws: list[int] = []
-        append = draws.append
-        for value, bound, threshold in islice(
-                cycle(ranges), 3 * min(_CHUNK, runs - done)):
-            if bound > 1:
-                while True:
-                    old, state = state, (state * mult + inc) & mask64
-                    x = (((old >> 18) ^ old) >> 27) & mask32
-                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
+        n = 3 * min(_CHUNK, runs - done)
+        if len(spare) < n:  # the outputs extend spare in place
+            spare[len(spare):], state = pcg32_block(state, inc, n)
+        if min(islice(spare, n)) >= floor:
+            draws = [0] * n
+            for i, (lo, width, _) in enumerate(ranges):
+                draws[i::3] = [r % width + lo for r in spare[i:n:3]]
+            used = n
+        else:
+            draws, used = [], 0
+            for value, bound, threshold in islice(cycle(ranges), n):
+                while bound > 1:
+                    if used == len(spare):
+                        spare[used:], state = pcg32_block(state, inc, n)
+                    r = spare[used]
+                    used += 1
                     if r >= threshold:
+                        value += r % bound
                         break
-                value += r % bound
-            append(value)
+                draws.append(value)
+        del spare[:used]
         yield draws
 
 

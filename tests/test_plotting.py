@@ -54,7 +54,8 @@ class TestSvg:
     @example(([-7] * 3, [-7] * 3, -7), True, "&amp; ]]> <!-- \"'")
     def test_well_formed(self, data, chained, title):
         mn0, mn1, brink = data
-        root = ET.fromstring(render_svg(mn0, mn1, brink, chained, title, "step"))
+        root = ET.fromstring("".join(
+            render_svg(mn0, mn1, brink, chained, title, "step")))
         assert (root.find(f"{SVG}text").text or "") == title
         if chained:
             assert len(root.findall(f"{SVG}polyline")) == 2
@@ -62,6 +63,17 @@ class TestSvg:
         else:
             assert root.findall(f"{SVG}polyline") == []
             assert len(root.findall(f"{SVG}circle")) == 2 * len(mn0)
+
+    @pytest.mark.parametrize("chained", [True, False])
+    def test_pieces_hold_at_most_1024_points(self, chained):
+        n = 2500
+        pieces = list(render_svg(list(range(n)), list(range(n, 0, -1)), n // 2,
+                                 chained, "", "step"))
+        points = [piece.count('" r="3"') if not chained else piece.count(",")
+                  for piece in pieces[1:-1]]
+        assert max(points) == 1024 and sum(points) == 2 * n
+        root = ET.fromstring("".join(pieces))
+        assert len(root.findall(f"{SVG}circle")) == (0 if chained else 2 * n)
 
     def test_input_path_with_markup_is_the_title(self, tmp_path, monkeypatch):
         shutil.copy(GOLDEN / "rows.csv", tmp_path / "a&b<c>.csv")
@@ -124,7 +136,7 @@ class TestMagnitudeLimit:
     @example(([-(LIMIT - 1)], [LIMIT - 1], 0), True)
     @example(([0], [LIMIT - 1], 0), False)
     def test_finite_below_the_limit(self, data, chained):
-        svg = render_svg(*data, chained, "", "step")
+        svg = "".join(render_svg(*data, chained, "", "step"))
         assert "nan" not in svg and "inf" not in svg
         assert len(ascii_lines(render_ascii(*data))) == 23
 

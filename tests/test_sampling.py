@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simulmob.model import LayoutError, ZoneLayout
-from simulmob.sampling import Pcg32, Sampler, SamplerConfig, validate
+from simulmob.sampling import (Pcg32, Sampler, SamplerConfig, pcg32_block,
+                               pcg32_seed, validate)
 
 LAYOUT_1 = ZoneLayout(0, 374, 376, 750, 375)
 LAYOUT_2 = ZoneLayout(50, 99, 101, 150, 100)
@@ -72,6 +73,29 @@ class TestPcg32:
             Pcg32(1 << 64)
         with pytest.raises(ValueError):
             Pcg32(0, -1)
+
+
+class TestPcg32Block:
+    """The lane-packed block against the one-step generator, across the
+    seed and stream extremes and the block sizes around a runner's chunk
+    of 256 trials (768 draws)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 767, 768, 769])
+    @pytest.mark.parametrize("stream", [0, 1, 2**63])
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_matches_the_step(self, seed, stream, n):
+        gen = Pcg32(seed, stream)
+        outputs, state = pcg32_block(*pcg32_seed(seed, stream), n)
+        assert outputs == [gen._next_u32() for _ in range(n)]
+        assert state == gen._state
+
+    @pytest.mark.parametrize("n", [1, 3, 384, 769])
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (2**64 - 1, 2**63)])
+    def test_two_blocks_are_one(self, seed, stream, n):
+        state, inc = pcg32_seed(seed, stream)
+        first, middle = pcg32_block(state, inc, n)
+        second, end = pcg32_block(middle, inc, n)
+        assert pcg32_block(state, inc, 2 * n) == (first + second, end)
 
 
 class TestSampler:

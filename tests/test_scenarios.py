@@ -469,7 +469,7 @@ kernel_max_steps = (st.sampled_from([0, 1, 50, 2**31, 2**32 - 1])
 
 
 class TestKernelAgainstSampler:
-    """The inline PCG32 draws of both runners against the Sampler path."""
+    """The PCG32 draws of both runners against the Sampler path."""
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_seeds, kernel_max_steps, kernel_layouts(),
@@ -540,6 +540,60 @@ class TestKernelAgainstSampler:
                 run_sequential_scenario(sequential)) == before
         with pytest.raises(AssertionError):
             Sampler(independent.sampler).draw_step()
+
+
+# Ranges 2**31 - 2**21 wide reject an output below 2**22, one in 1,024,
+# so about half of a sample's 256-trial chunks run the draw loop, and its
+# spare outputs carry into the next chunk.
+MIXED = ZoneLayout(0, 2**31 - 2**21 - 1, 2**31 - 2**21 + 1, 2**32 - 2**22,
+                   2**31 - 2**21)
+CHUNK_CASES = {
+    "preset-1": preset(1, seed=5).sampler,
+    "preset-2": preset(2, seed=5).sampler,
+    "max-step-0": SamplerConfig(5, 0, WIDE),
+    "one-position-zone": SamplerConfig(5, 50, ZoneLayout(1000, 1399, 1401,
+                                                         1401, 1400)),
+    # Rejects outputs below 2**31 - 1: no chunk ever takes the fast path.
+    "zones-2**31+1": SamplerConfig(5, 50, ZoneLayout(0, 2**31, 2**31 + 2,
+                                                     2**32 + 2, 2**31 + 1)),
+    "mixed-paths": SamplerConfig(5, 2**31 - 2**21 - 1, MIXED),
+}
+
+
+class TestChunkBoundaries:
+    """The block-drawn column against the Sampler path for runs around one
+    and four chunks, where a chunk's block and its spare outputs meet."""
+
+    @pytest.mark.parametrize("runs", [255, 256, 257, 1025])
+    @pytest.mark.parametrize("case", CHUNK_CASES)
+    def test_against_reference(self, case, runs):
+        sampler = CHUNK_CASES[case]
+        config = IndependentTrialConfig(sampler, runs, 2)
+        results = run_independent_scenario(config)
+        for k, (result, (total, records, _)) in enumerate(
+                zip(results, reference_independent(config), strict=True)):
+            chunks = list(scenarios._sample_draws(sampler, k, runs))
+            assert [len(c) for c in chunks] == [
+                3 * min(256, runs - done) for done in range(0, runs, 256)]
+            assert list(chain.from_iterable(chunks)) == [
+                value for rec in records
+                for value in (rec.mn0_init, rec.mn1_init, rec.step)]
+            assert result.tally == total
+            assert result.step_sum == sum(rec.step for rec in records)
+
+    # Preset 2's zone 0 rejects an output below 2**32 % 50 = 46, the
+    # highest threshold of its three ranges: a chunk that starts with 45
+    # leaves the fast path, one that starts with 46 keeps it.
+    @pytest.mark.parametrize("first", [45, 46])
+    def test_first_output_at_the_threshold(self, first):
+        sampler = replace(preset(2).sampler,
+                          seed=seed_with_first_draw(first, stream=0))
+        config = IndependentTrialConfig(sampler, 300, 1)
+        [result] = run_independent_scenario(config)
+        [(total, records, _)] = reference_independent(config)
+        assert result.records == records
+        assert result.tally == total
+        assert (records[0].mn0_init == 96) is (first == 46)
 
 
 class TestSampleMemory:
