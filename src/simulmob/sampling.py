@@ -37,9 +37,13 @@ def pcg32_seed(seed: int, stream: int) -> tuple[int, int]:
     return ((inc + seed) * _PCG_MULTIPLIER + inc) & _MASK64, inc
 
 
-@lru_cache(maxsize=4)  # a sample's full and last chunk, of one or two runs
+# Room for the five sizes a process that runs both shapes uses: a
+# sample's full chunk (768 outputs) and its last, a chunk of 256 walks and
+# the last one, and the one lane that redraws a single walk.
+@lru_cache(maxsize=8)
 def _lanes(n: int) -> tuple:
-    """pcg32_block's constants for ``n`` outputs, built on first use."""
+    """pcg32_block's and xsh_rr's constants for ``n`` lanes, built on first
+    use."""
     powers, sums = bytearray(), bytearray()
     power, total = 1, 0  # a**i and a**0 + ... + a**(i-1), mod 2**64
     for _ in range(n):
@@ -52,15 +56,24 @@ def _lanes(n: int) -> tuple:
             struct.Struct("<" + "Q8x" * n))
 
 
+def xsh_rr(old: int, n: int) -> tuple[tuple[int, ...], bytes]:
+    """The XSH-RR output of the ``n`` states in ``old``'s 128-bit lanes, as
+    each lane's doubled xorshifted word and its rotation: output i is
+    ``words[i] >> rots[i] & _MASK32``. The shift and the mask are left to
+    the caller, which may need only some of the lanes."""
+    _, _, _, mask32, rots, _, _, words = _lanes(n)
+    raw = ((((old >> 18) ^ old) >> 27 & mask32) * 0x100000001
+           | (old << 5) & rots).to_bytes(16 * n, "little")
+    return words.unpack(raw), raw[8::16]
+
+
 def pcg32_block(state: int, inc: int, n: int) -> tuple[list[int], int]:
     """The next ``n`` XSH-RR outputs of the stream at ``(state, inc)``, and
     the state after them. Lane i (bits 128i up) of one int is the state i
-    steps on (Brown 1994); only the rotation, at lane byte 8, is per output."""
-    powers, sums, mask64, mask32, rots, power, total, words = _lanes(n)
-    old = ((state * powers & mask64) + inc * sums) & mask64
-    raw = ((((old >> 18) ^ old) >> 27 & mask32) * 0x100000001
-           | (old << 5) & rots).to_bytes(16 * n, "little")
-    return ([w & _MASK32 for w in map(rshift, words.unpack(raw), raw[8::16])],
+    steps on (Brown 1994)."""
+    powers, sums, mask64, _, _, power, total, _ = _lanes(n)
+    words, rots = xsh_rr(((state * powers & mask64) + inc * sums) & mask64, n)
+    return ([w & _MASK32 for w in map(rshift, words, rots)],
             (state * power + inc * total) & _MASK64)
 
 

@@ -15,10 +15,11 @@ be redrawn alone from its seed and stream.
 
 Each shape has one draw generator, with ``pcg32_boundedrand_r`` rejection
 (O'Neill 2014): ``_sample_draws`` yields a sample's draw column in chunks,
-from ``pcg32_block``'s outputs, and ``_walks``, which steps PCG32 inline,
-yields each walk's steps and terminal outcome. A range of one value
-consumes no draw. Both draw exactly what a :class:`Sampler` on the same
-stream draws; the tests hold the Sampler-driven reference loops.
+from ``pcg32_block``'s outputs, and ``_walks`` yields each walk's steps and
+terminal outcome, stepping a chunk's walks together in one PCG32 lane per
+walk. A range of one value consumes no draw. Both draw exactly what a
+:class:`Sampler` on the same stream draws; the tests hold the
+Sampler-driven reference loops.
 
 The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken, the step sum and the timed-out count.
@@ -42,8 +43,8 @@ from .model import (
     classify,
     crossing,
 )
-from .sampling import (_DRAW_RANGE, _MASK32, _MASK64, _PCG_MULTIPLIER, Sampler,
-                       SamplerConfig, pcg32_block, pcg32_seed)
+from .sampling import (_DRAW_RANGE, _MASK32, _PCG_MULTIPLIER, Sampler,
+                       SamplerConfig, _lanes, pcg32_block, pcg32_seed, xsh_rr)
 from .stats import Tally, tally
 
 
@@ -200,9 +201,9 @@ def run_independent_trial(
     return rec, classify(rec, layout)
 
 
-# Trials in one chunk of a sample's draw column, or walks in one chunk of
-# terminal outcomes: a runner holds one chunk at a time, so its memory does
-# not grow with the run.
+# Trials in one chunk of a sample's draw column, or walks stepped together
+# in one int's lanes: a runner holds one chunk at a time, so its memory
+# does not grow with the run.
 _CHUNK = 256
 
 
@@ -287,33 +288,51 @@ def _walks(
     terminal outcome; walk j draws from substream j.
 
     Each walk draws its shared steps from fixed starts until the first
-    crossing or ``max_steps_cap`` moves.
+    crossing or ``max_steps_cap`` moves. The walks of a chunk of at most
+    ``_CHUNK`` step together: the chunk's i-th walk keeps its PCG32 state
+    in lane i (bits 128i up) of one int, and every stream shares the
+    multiplier, so each round one product steps them all (Brown 1994) and
+    each walk still moving takes its own lane's output. A rejected output
+    costs its walk a round but no move, so each lane stays in step with
+    its stream. A walk has crossed once it has moved ``reach``.
     """
     sampler = config.sampler
     brink, cap = sampler.layout.brink, config.max_steps_cap
+    mn0, mn1 = config.mn0_start, config.mn1_start
+    reach = min(brink - mn0, mn1 - brink)
     bound = sampler.max_step + 1
     threshold = _DRAW_RANGE % bound
-    mult, mask64, mask32 = _PCG_MULTIPLIER, _MASK64, _MASK32
-    for j in range(first, stop):
-        state, inc = pcg32_seed(sampler.seed, j)
-        mn0, mn1 = config.mn0_start, config.mn1_start
-        steps: list[int] = []
-        for _ in range(cap):
-            step = 0
-            if bound > 1:
-                while True:
-                    old, state = state, (state * mult + inc) & mask64
-                    x = (((old >> 18) ^ old) >> 27) & mask32
-                    r = ((x * 0x100000001) >> (old >> 59)) & mask32
-                    if r >= threshold:
-                        break
-                step = r % bound
-            steps.append(step)
-            mn0 += step
-            mn1 -= step
-            if mn0 >= brink or mn1 <= brink:
-                break
-        yield steps, crossing(mn0, mn1, brink)
+    for c in range(first, stop, _CHUNK):
+        n = min(_CHUNK, stop - c)
+        if bound == 1:  # a one-value range draws nothing; no walk moves
+            yield from (([0] * cap, crossing(mn0, mn1, brink)) for _ in range(n))
+            continue
+        _, _, mask64, _, _, _, _, words = _lanes(n)
+        seeds = [pcg32_seed(sampler.seed, j) for j in range(c, c + n)]
+        state, inc = (int.from_bytes(words.pack(*lanes), "little")
+                      for lanes in zip(*seeds))
+        steps: list[list[int]] = [[] for _ in range(n)]
+        moved = [0] * n
+        live: Sequence[int] = range(n)
+        while live:
+            old, state = state, (state * _PCG_MULTIPLIER + inc) & mask64
+            doubled, rots = xsh_rr(old, n)
+            going: list[int] = []
+            keep = going.append
+            for i in live:
+                r = doubled[i] >> rots[i] & _MASK32
+                if r >= threshold:
+                    walk = steps[i]
+                    step = r % bound
+                    walk.append(step)
+                    m = moved[i] = moved[i] + step
+                    if m < reach and len(walk) < cap:
+                        keep(i)
+                else:
+                    keep(i)
+            live = going
+        for walk, m in zip(steps, moved):
+            yield walk, crossing(mn0 + m, mn1 - m, brink)
 
 
 def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from simulmob import scenarios
 from simulmob.datasets import load_dataset
-from simulmob.model import LayoutError, MoveRecord, Outcome, ZoneLayout, classify
-from simulmob.sampling import Pcg32, Sampler, SamplerConfig
+from simulmob.model import (LayoutError, MoveRecord, Outcome, ZoneLayout, classify,
+                            crossing)
+from simulmob.sampling import Pcg32, Sampler, SamplerConfig, _lanes, pcg32_seed
 from simulmob.stats import tally
 from simulmob.traceio import (JsonRecords, format_trace, json_pieces,
                               trace_pieces, write_json)
@@ -334,6 +335,37 @@ def reference_independent(config):
     return samples
 
 
+def reference_walks(config):
+    """Per-draw walks: each one's steps and terminal outcome, walk j
+    stepping PCG32 on stream j one output at a time, with
+    pcg32_boundedrand_r rejection."""
+    sampler = config.sampler
+    brink, cap = sampler.layout.brink, config.max_steps_cap
+    bound = sampler.max_step + 1
+    threshold = 2**32 % bound
+    for j in range(config.runs):
+        state, inc = pcg32_seed(sampler.seed, j)
+        mn0, mn1 = config.mn0_start, config.mn1_start
+        steps = []
+        for _ in range(cap):
+            step = 0
+            if bound > 1:
+                while True:
+                    old = state
+                    state = (state * 6364136223846793005 + inc) % 2**64
+                    x = (((old >> 18) ^ old) >> 27) % 2**32
+                    r = ((x * 0x100000001) >> (old >> 59)) % 2**32
+                    if r >= threshold:
+                        break
+                step = r % bound
+            steps.append(step)
+            mn0 += step
+            mn1 -= step
+            if mn0 >= brink or mn1 <= brink:
+                break
+        yield steps, crossing(mn0, mn1, brink)
+
+
 def reference_sequential(config):
     """Record-building walks: (tally, [(records, terminal, timed_out)])."""
     layout = config.sampler.layout
@@ -594,6 +626,80 @@ class TestChunkBoundaries:
         assert result.records == records
         assert result.tally == total
         assert (records[0].mn0_init == 96) is (first == 46)
+
+
+# Zones 2**32 wide: a walk of steps up to 2**31 needs about five moves to
+# cross, and that range rejects outputs below 2**31 - 1, nearly half.
+BIG = ZoneLayout(0, 2**32 - 1, 2**32 + 1, 2**33, 2**32)
+WALK_CHUNK_CASES = {
+    "preset-3": preset(3, seed=5),
+    "seed-2**64-1": preset(3, seed=2**64 - 1),
+    "rejecting-cap-3": SequentialConfig(SamplerConfig(5, 2**31, BIG), 0, 2**33,
+                                        max_steps_cap=3),
+    "rejecting-cap-40": SequentialConfig(SamplerConfig(5, 2**31, BIG), 0,
+                                         2**33, max_steps_cap=40),
+    "max-step-0": SequentialConfig(SamplerConfig(5, 0, WIDE), 1200, 1600,
+                                   max_steps_cap=5),
+    "max-step-3": SequentialConfig(SamplerConfig(5, 3, WIDE), 1200, 1600,
+                                   max_steps_cap=7),
+    "one-from-the-brink": SequentialConfig(SamplerConfig(5, 50, WIDE), 1399,
+                                           1800),
+}
+
+
+class TestWalkChunkBoundaries:
+    """The lane-stepped walks against the per-draw reference for runs
+    around one and two chunks of 256 walks, where a chunk's lanes end."""
+
+    @pytest.mark.parametrize("runs", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("case", WALK_CHUNK_CASES)
+    def test_against_reference(self, case, runs):
+        config = replace(WALK_CHUNK_CASES[case], runs=runs)
+        expected = list(reference_walks(config))
+        assert list(scenarios._walks(config, 0, runs)) == expected
+        total, walks = run_sequential_scenario(config)
+        assert [(list(run.steps), run.terminal) for run in walks] == expected
+        assert total == tally(terminal for _, terminal in expected)
+        assert walks.moves == sum(len(steps) for steps, _ in expected)
+        assert walks.step_sum == sum(sum(steps) for steps, _ in expected)
+        assert walks.timed_out == sum(terminal is Outcome.NO_OVERLAP
+                                      for _, terminal in expected)
+
+    def test_cases_reach_both_ends(self):
+        ends = {case: {(len(steps), terminal is Outcome.NO_OVERLAP)
+                       for steps, terminal in reference_walks(
+                           replace(WALK_CHUNK_CASES[case], runs=513))}
+                for case in WALK_CHUNK_CASES}
+        assert ends["max-step-0"] == {(5, True)}
+        assert ends["max-step-3"] == {(7, True)}
+        assert (3, True) in ends["rejecting-cap-3"]
+        assert any(not timed_out for _, timed_out in ends["rejecting-cap-3"])
+        assert not any(timed_out for _, timed_out in ends["rejecting-cap-40"])
+
+    def test_walks_index_at_chunk_edges(self):
+        config = replace(preset(3, seed=5), runs=513)
+        _, walks = run_sequential_scenario(config)
+        runs = list(walks)
+        expected = list(reference_walks(config))
+        for j in (255, 256, -1):
+            assert walks[j] == runs[j]
+            assert (list(walks[j].steps), walks[j].terminal) == expected[j]
+
+    # Both shapes in one process use five lane counts: 768 and 132 (a
+    # sample of 300 trials), 256 and 44 (300 walks), and 1 (one walk).
+    def test_lane_constants_stay_cached_for_both_shapes(self):
+        independent = replace(preset(2, seed=1), runs_per_sample=300,
+                              samples=2)
+        sequential = replace(preset(3, seed=1), runs=300)
+
+        def both():
+            run_independent_scenario(independent)
+            run_sequential_scenario(sequential)[1][7]
+
+        both()
+        misses = _lanes.cache_info().misses
+        both()
+        assert _lanes.cache_info().misses == misses
 
 
 class TestSampleMemory:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from simulmob.model import LayoutError, Outcome, ZoneLayout
 from simulmob.sampling import Sampler, SamplerConfig
 from simulmob.scenarios import (
     IndependentTrialConfig,
+    SequentialConfig,
     preset,
     replay_independent,
     run_independent_scenario,
+    run_sequential_scenario,
 )
 from simulmob.stats import (
     METRIC_LABELS,
@@ -272,3 +275,75 @@ class TestExactProbability:
             p = float(exact_crossing_probability(layout, max_step, node))
             se = math.sqrt(p * (1 - p) / n)
             assert abs(hits / n - p) <= 3 * se
+
+
+def walk_counts(config):
+    """A sequential scenario's tally and its Walks counts."""
+    total, walks = run_sequential_scenario(config)
+    return total, (walks.moves, walks.step_sum, walks.timed_out)
+
+
+@st.composite
+def walk_configs(draw, d0=None, d1=None, max_step=None):
+    """Sequential configs of up to 300 walks (more than one chunk of
+    lanes), starting ``d0`` and ``d1`` from the brink when given."""
+    d0 = draw(st.integers(1, 80)) if d0 is None else d0
+    d1 = draw(st.integers(1, 80)) if d1 is None else d1
+    max_step = draw(st.integers(0, 60)) if max_step is None else max_step
+    brink = draw(st.integers(-50, 50))
+    layout = ZoneLayout(brink - d0 - draw(st.integers(0, 20)),
+                        brink - draw(st.integers(1, d0)),
+                        brink + draw(st.integers(1, d1)),
+                        brink + d1 + draw(st.integers(0, 20)), brink)
+    sampler = SamplerConfig(draw(st.integers(0, 2**64 - 1)), max_step, layout)
+    return SequentialConfig(sampler, brink - d0, brink + d1,
+                            runs=draw(st.sampled_from([1, 40, 300])),
+                            max_steps_cap=draw(st.integers(1, 40)))
+
+
+@st.composite
+def far_apart_walks(draw):
+    """Walks whose brink distances differ by at least max_step."""
+    max_step = draw(st.integers(0, 60))
+    near = draw(st.integers(1, 80))
+    far = near + max_step + draw(st.integers(0, 10))
+    d0, d1 = (near, far) if draw(st.booleans()) else (far, near)
+    return draw(walk_configs(d0, d1, max_step))
+
+
+class TestWalkMetamorphic:
+    """A walk draws only its steps, so these hold for every seed, not only
+    in distribution."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk_configs())
+    @example(preset(3, seed=11))
+    def test_mirror_swaps_nodes(self, config):
+        b2 = 2 * config.sampler.layout.brink
+        image = replace(
+            config, sampler=replace(config.sampler,
+                                    layout=mirrored(config.sampler.layout)),
+            mn0_start=b2 - config.mn1_start, mn1_start=b2 - config.mn0_start)
+        total, counts = walk_counts(config)
+        image_total, image_counts = walk_counts(image)
+        assert image_counts == counts
+        assert image_total == Tally(total.mn1_only, total.mn0_only,
+                                    total.simultaneous, total.no_overlap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 80).flatmap(lambda d: walk_configs(d, d)))
+    def test_equal_distances_cross_together(self, config):
+        total, _ = walk_counts(config)
+        assert total.mn0_only == total.mn1_only == 0
+
+    # Preset 3's MN_1 starts 250 from the brink, with max_step 50: an MN_0
+    # start of 50 leaves a gap of 50, and one of 40 a gap of 40.
+    @settings(max_examples=40, deadline=None)
+    @given(far_apart_walks())
+    @example(replace(preset(3, seed=11), mn0_start=50, runs=300))
+    def test_gap_of_max_step_never_crosses_together(self, config):
+        assert walk_counts(config)[0].simultaneous == 0
+
+    def test_gap_below_max_step_can_cross_together(self):
+        config = replace(preset(3, seed=11), mn0_start=40, runs=300)
+        assert walk_counts(config)[0].simultaneous > 0
