@@ -26,7 +26,6 @@ from .scenarios import (
     SampleResult,
     SequentialConfig,
     SequentialRun,
-    Walks,
     config_from_dict,
     config_to_dict,
     preset,
@@ -36,6 +35,7 @@ from .scenarios import (
     run_sequential_scenario,
 )
 from .stats import (
+    METRIC_KEYS,
     METRIC_LABELS,
     Tally,
     average_step_length,
@@ -257,6 +257,8 @@ class Source:
     (overrides applied), the samples or :class:`Walks` it ran (``parts``,
     which keep counts and sums and redraw their moves on access) and their
     ``total`` tally; it draws no move again until :meth:`moves` asks.
+    A subcommand reports a source through the one document it builds from
+    it: its tables read that document, not the source.
     """
 
     kind: str
@@ -353,37 +355,29 @@ def _check_output_switches(args: argparse.Namespace) -> None:
 
 
 def _report(
-    args: argparse.Namespace, source: Source,
-    table: Callable[[], str], doc: Callable[[], dict],
+    args: argparse.Namespace, source: Source, doc: dict,
+    table: Callable[[dict], str],
 ) -> None:
     """Write the --trace file, then the stdout that --format picks.
 
-    Only the chosen renderer runs, so table output builds no move record.
-    The table or the JSON document is built and the trace written before
-    stdout, so a document that cannot be built or a trace that cannot be
-    opened or written leaves stdout empty. Trace, CSV and JSON text goes
-    out in pieces of at most 1,024 moves, rendered from the moves as they
-    are drawn: each output of a scenario redraws its samples or walks, and
-    no output keeps a move.
+    ``doc`` is the ``--format json`` document, and ``table(doc)`` renders
+    the table from its values alone. The document's records are lazy, so
+    table output builds no move record. The document is built before this
+    is called and the trace is written before stdout, so a document that
+    cannot be built or a trace that cannot be opened or written leaves
+    stdout empty. Trace, CSV and JSON text goes out in pieces of at most
+    1,024 moves, rendered from the moves as they are drawn: each output of
+    a scenario redraws its samples or walks, and no output keeps a move.
     """
     if args.format == "table":
-        pieces = [table()]
+        pieces = [table(doc)]
     elif args.format == "csv":
         pieces = csv_pieces(source.moves(), source.layout.brink)
     else:
-        pieces = json_pieces(doc())
+        pieces = json_pieces(doc)
     if args.trace is not None:
         _write_text(args.trace, trace_pieces(source.moves(), args.step_headers))
     sys.stdout.writelines(pieces)
-
-
-def _walk_summary(walks: Walks) -> tuple[float, int]:
-    """Mean steps to first crossing of a batch of walks, and how many timed out.
-
-    ``float(total) / n`` is ``fsum / len`` of the walks' step counts:
-    ``fsum`` of ints exact as floats rounds their sum once, as ``float`` does.
-    """
-    return float(walks.moves) / len(walks), walks.timed_out
 
 
 # -- simulate ---------------------------------------------------------------
@@ -393,47 +387,37 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     _check_output_switches(args)
     source = _resolve_source(args, ("scenario", "config"))
     if source.kind == "sequential":
-        table, doc = _sequential_table, _sequential_doc
+        doc, table = _sequential_doc(source), _sequential_table
     else:
-        table, doc = _independent_table, _independent_doc
-    _report(args, source, lambda: table(source), lambda: doc(source))
+        doc, table = _independent_doc(source), _independent_table
+        if args.format == "json":  # so a table loads no ``fractions``
+            doc["estimate"] = _estimate_block(source)
+    _report(args, source, doc, table)
 
 
-def _independent_table(source: Source) -> str:
-    results = source.parts
-    header = ["sample", *METRIC_LABELS]
-    rows = [[str(r.sample + 1), *(str(c) for c in r.tally.columns())]
-            for r in results]
-    means = [fsum(col) / len(col)
-             for col in zip(*(r.tally.columns() for r in results))]
+def _independent_table(doc: dict) -> str:
+    counts = [[s["tally"][key] for key in METRIC_KEYS] for s in doc["samples"]]
+    rows = [[str(s["sample"] + 1), *map(str, c)]
+            for s, c in zip(doc["samples"], counts)]
+    means = [fsum(col) / len(col) for col in zip(*counts)]
     rows.append(["mean", *(f"{m:.2f}" for m in means)])
-    return _format_table(header, rows)
+    return _format_table(["sample", *METRIC_LABELS], rows)
 
 
-def _sequential_table(source: Source) -> str:
-    total = source.total
-    header = ["runs", *METRIC_LABELS]
-    rows = [[str(total.trials), *(str(c) for c in total.columns())]]
-    mean_taken, timed_out = _walk_summary(source.parts)
+def _sequential_table(doc: dict) -> str:
+    # A walk ends without crossing only at its step cap.
+    total = doc["tally"]
+    rows = [[str(total["trials"]), *(str(total[key]) for key in METRIC_KEYS)]]
     return (
-        _format_table(header, rows)
-        + f"mean steps to first crossing: {mean_taken:.2f}\n"
-        + f"timed out: {timed_out} of {len(source.parts)}\n"
+        _format_table(["runs", *METRIC_LABELS], rows)
+        + f"mean steps to first crossing: {doc['mean_steps_taken']:.2f}\n"
+        + f"timed out: {total['no_overlap']} of {total['trials']}\n"
     )
 
 
 def _independent_doc(source: Source) -> dict:
     """Rendered once only: its record lists are single-use generators."""
-    config, results = source.config, source.parts
-    try:
-        full = _estimate_doc(source, config.sampler.max_step)
-    except UsageError:
-        estimate = None  # undefined estimators are reported as null
-    else:
-        estimate = {key: full[key] for key in (
-            "avg_step", "expected_steps_to_cross", "expected_crossings")}
-        estimate.update(observed_crossings=full["observed"]["mn0_handover"],
-                        exact_probability=full["exact_probability"])
+    config = source.config
     return {
         "config": config_to_dict(config),
         "samples": [
@@ -442,19 +426,32 @@ def _independent_doc(source: Source) -> dict:
                 "tally": r.tally.as_dict(),
                 "records": JsonRecords(r.moves(), config.sampler.layout.brink),
             }
-            for r in results
+            for r in source.parts
         ],
         "total": source.total.as_dict(),
-        "estimate": estimate,
     }
+
+
+def _estimate_block(source: Source) -> dict | None:
+    """Five values of the ``estimate`` document; None when undefined."""
+    try:
+        full = _estimate_doc(source, source.config.sampler.max_step)
+    except UsageError:
+        return None
+    block = {key: full[key] for key in (
+        "avg_step", "expected_steps_to_cross", "expected_crossings")}
+    block.update(observed_crossings=full["observed"]["mn0_handover"],
+                 exact_probability=full["exact_probability"])
+    return block
 
 
 def _sequential_doc(source: Source) -> dict:
     """Rendered once only: its runs are a single-use generator."""
+    walks = source.parts
     return {
         "config": config_to_dict(source.config),
         "tally": source.total.as_dict(),
-        "mean_steps_taken": _walk_summary(source.parts)[0],
+        "mean_steps_taken": float(walks.moves) / len(walks),
         "runs": (
             {
                 "run": j,
@@ -464,7 +461,7 @@ def _sequential_doc(source: Source) -> dict:
                 "final_positions": list(run.final_positions),
                 "records": JsonRecords(run.moves()),
             }
-            for j, run in enumerate(source.parts)
+            for j, run in enumerate(walks)
         ),
     }
 
@@ -488,27 +485,28 @@ def _cmd_replay(args: argparse.Namespace) -> None:
         doc.update(terminal=run.terminal.value, steps_taken=run.steps_taken,
                    timed_out=run.timed_out,
                    final_positions=list(run.final_positions))
+    _report(args, source, doc, _replay_table)
 
-    _report(args, source, lambda: _replay_table(source, run, doc), lambda: doc)
 
-
-def _replay_table(source: Source, run: SequentialRun | None, doc: dict) -> str:
+def _replay_table(doc: dict) -> str:
     """Replayed counts, beside the published counts and notes in ``doc``."""
-    rows_read = len(source.records)
-    if run is None:
-        text = f"dataset {source.title}: {rows_read} rows replayed\n"
+    title = doc["dataset"] or doc["input"]
+    if "terminal" not in doc:
+        text = f"dataset {title}: {doc['tally']['trials']} rows replayed\n"
     else:
-        # A replayed walk has no step cap, so it never times out.
+        # A replayed walk has no step cap, so it never times out; each row
+        # is one step.
         state = ("ended without crossing"
-                 if run.terminal is Outcome.NO_OVERLAP else "crossed")
-        text = (f"dataset {source.title}: sequential walk, {rows_read} rows\n"
-                f"terminal outcome: {run.terminal.value} at step "
-                f"{run.steps_taken} ({state})\n"
-                f"final positions: {run.final_positions}\n")
+                 if doc["terminal"] == Outcome.NO_OVERLAP.value else "crossed")
+        text = (f"dataset {title}: sequential walk, {doc['steps_taken']} rows\n"
+                f"terminal outcome: {doc['terminal']} at step "
+                f"{doc['steps_taken']} ({state})\n"
+                f"final positions: {tuple(doc['final_positions'])}\n")
     published = doc.get("published_counts")
     header = ["metric", "replayed", *(("published", "") if published else ())]
     rows = []
-    for label, ours in zip(METRIC_LABELS, source.total.columns()):
+    for label, key in zip(METRIC_LABELS, METRIC_KEYS):
+        ours = doc["tally"][key]
         row = [label, str(ours)]
         if published:
             theirs = published[label]
@@ -595,10 +593,9 @@ def _estimate_doc(source: Source, max_step: int | None) -> dict:
         doc.update(observed_steps=run.steps_taken, terminal=run.terminal.value,
                    final_positions=list(run.final_positions))
     else:
-        mean_taken, timed_out = _walk_summary(source.parts)
-        doc.update(observed_mean_steps=mean_taken,
+        doc.update(observed_mean_steps=float(source.parts.moves) / total.trials,
                    simultaneous_fraction=total.simultaneous / total.trials,
-                   timed_out=timed_out, tally=total.as_dict())
+                   timed_out=total.no_overlap, tally=total.as_dict())
     if dataset is not None and dataset.notes:
         doc["notes"] = list(dataset.notes)
     return doc

@@ -22,7 +22,7 @@ walk. A range of one value consumes no draw. Both draw exactly what a
 Sampler-driven reference loops.
 
 The runners keep counts only: a tally and a step sum per sample, and for
-the walks a tally, the moves taken, the step sum and the timed-out count.
+the walks a tally, the moves taken and the step sum.
 A :class:`SampleResult`'s moves, and each walk of a :class:`Walks`, are
 redrawn from their stream through the same generator on each read.
 """
@@ -97,8 +97,8 @@ class SequentialRun:
     ended by crossing or cap.
 
     :meth:`moves` rebuilds the records from the start positions and the
-    steps, and ``records`` is their tuple; table and estimate output never
-    need them. Every move but the last is a no-overlap move, since a walk
+    steps, one at a time; only record output (CSV, JSON, trace) and a plot
+    read them. Every move but the last is a no-overlap move, since a walk
     stops at its first crossing; a replayed walk too, because the replay
     rejects rows past the first crossing.
     """
@@ -123,10 +123,6 @@ class SequentialRun:
             rec = MoveRecord.from_inits(mn0, mn1, step)
             yield rec
             mn0, mn1 = rec.mn0_new, rec.mn1_new
-
-    @property
-    def records(self) -> tuple[MoveRecord, ...]:
-        return tuple(self.moves())
 
 
 @dataclass(frozen=True)
@@ -160,15 +156,15 @@ class Walks(Sequence[SequentialRun]):
 
     ``len(walks)`` is the run count, and ``walks[j]`` is the
     :class:`SequentialRun` redrawn from stream j on each access; iterating
-    redraws them in order. ``moves`` is the number of moves the walks took,
-    ``step_sum`` the sum of their steps and ``timed_out`` the number that
-    reached the step cap.
+    redraws them in order. ``moves`` is the number of moves the walks took
+    and ``step_sum`` the sum of their steps. The number that reached the
+    step cap is the ``no_overlap`` of the tally returned beside them: a
+    walk ends without crossing only at the cap.
     """
 
     config: SequentialConfig
     moves: int
     step_sum: int
-    timed_out: int
 
     def __len__(self) -> int:
         return self.config.runs
@@ -339,8 +335,8 @@ def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
     """Run all walks; tally their terminal outcomes and count their moves.
 
     Timing out is a result (timed_out=True, terminal no_overlap), not an
-    error, and counts as no_overlap in the tally. No walk is kept: the
-    returned :class:`Walks` redraws one on access.
+    error, and the tally's no_overlap counts the walks that timed out. No
+    walk is kept: the returned :class:`Walks` redraws one on access.
     """
     total = Tally()
     moves = step_sum = 0
@@ -353,8 +349,7 @@ def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
             total += tally(terminals)
             terminals.clear()
     total += tally(terminals)
-    # A walk ends without crossing only at the step cap.
-    return total, Walks(config, moves, step_sum, total.no_overlap)
+    return total, Walks(config, moves, step_sum)
 
 
 def replay_independent(records: Iterable[MoveRecord], layout: ZoneLayout) -> Tally:
@@ -368,8 +363,8 @@ def replay_sequential(
     """Re-run a recorded chained walk, validating the chain as it goes.
 
     A walk whose rows never cross ends with terminal no_overlap, not timed
-    out. The run's ``records`` are rebuilt from its start and steps, like
-    a simulated walk's. Raises ValueError when consecutive rows do not
+    out. The run's moves are rebuilt from its start and steps, like a
+    simulated walk's. Raises ValueError when consecutive rows do not
     chain or when rows continue past the first crossing.
     """
     if not records:

@@ -28,6 +28,9 @@ METRIC_LABELS = (
     "No overlap",
     "Simultaneous Handover",
 )
+# The ``Tally.as_dict`` key that each METRIC_LABELS column prints.
+METRIC_KEYS = ("mn0_only", "mn0_handover", "mn1_only", "mn1_handover",
+               "simultaneous", "no_overlap", "simultaneous")
 
 
 @dataclass(frozen=True)
@@ -78,15 +81,7 @@ class Tally:
 
     def columns(self) -> tuple[int, ...]:
         """Counts in METRIC_LABELS order."""
-        return (
-            self.mn0_only,
-            self.mn0_handover,
-            self.mn1_only,
-            self.mn1_handover,
-            self.simultaneous,
-            self.no_overlap,
-            self.simultaneous,
-        )
+        return tuple(getattr(self, key) for key in METRIC_KEYS)
 
     def as_dict(self) -> dict:
         return {

@@ -85,7 +85,7 @@ def test_criterion_3(capsys):
         assert run.terminal is Outcome.SIMULTANEOUS_OVERLAP
         assert run.steps_taken == 11
         assert run.final_positions == (289, 221)
-        trace = format_trace(run.records)
+        trace = format_trace(run.moves())
         assert ("M 0.00100 1 (500.00, 00.00), (472.00, 00.00), 28.00"
                 in trace.splitlines())
 

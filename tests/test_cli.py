@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from math import fsum
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ROWS_CSV = str(Path(__file__).resolve().parent / "golden" / "rows.csv")
+LAYOUT_2 = ("--zone0", "50:99", "--zone1", "101:150", "--brink", "100")
 
 
 class TestSimulate:
@@ -549,9 +554,21 @@ def scenario_argvs(draw, scenarios=("1", "2", "3")):
     return argv
 
 
+# The ``tally`` key of each METRIC_LABELS column of a result table.
+COLUMN_KEYS = dict(zip(METRIC_LABELS, (
+    "mn0_only", "mn0_handover", "mn1_only", "mn1_handover", "simultaneous",
+    "no_overlap", "simultaneous")))
+
+
+def _cells(line):
+    """A table row's cells: they are padded apart by two spaces or more."""
+    return re.split(r"\s{2,}", line.strip())
+
+
 class TestReportMatchesDocument:
-    """estimate's table and simulate's estimate block print the values of
-    ``estimate --format json``; the goldens pin only fixed seeds."""
+    """Each table prints the values of its ``--format json`` document:
+    estimate's, simulate's and replay's; and simulate's estimate block holds
+    values of ``estimate --format json``. The goldens pin only fixed seeds."""
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -604,6 +621,86 @@ class TestReportMatchesDocument:
             ("exact_probability", doc["exact_probability"]),
         ]
 
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario_argvs())
+    def test_simulate_table_prints_the_document(self, capsys, argv):
+        code, table, _ = run_cli(capsys, "simulate", *argv)
+        json_code, out, _ = run_cli(capsys, "simulate", *argv,
+                                    "--format", "json")
+        assert code == json_code == 0
+        doc = json.loads(out)
+        header, *rows = (_cells(line) for line in table.splitlines())
+        if "samples" in doc:
+            assert list(doc)[-1] == "estimate"
+            assert header == ["sample", *METRIC_LABELS]
+            *rows, mean = rows
+            tallies = [s["tally"] for s in doc["samples"]]
+            assert [row[0] for row in rows] == [
+                str(s["sample"] + 1) for s in doc["samples"]]
+            assert [row[1:] for row in rows] == [
+                [str(t[key]) for key in COLUMN_KEYS.values()] for t in tallies]
+            assert mean == ["mean", *(
+                f"{fsum(t[key] for t in tallies) / len(tallies):.2f}"
+                for key in COLUMN_KEYS.values())]
+            return
+        total, runs = doc["tally"], doc["runs"]
+        assert header == ["runs", *METRIC_LABELS]
+        (row, mean_line, timed_out_line) = rows
+        assert row == [str(len(runs)),
+                       *(str(total[key]) for key in COLUMN_KEYS.values())]
+        assert doc["mean_steps_taken"] == fsum(
+            run["steps_taken"] for run in runs) / len(runs)
+        assert mean_line == [
+            f"mean steps to first crossing: {doc['mean_steps_taken']:.2f}"]
+        assert total["no_overlap"] == sum(run["timed_out"] for run in runs)
+        assert timed_out_line == [
+            f"timed out: {total['no_overlap']} of {total['trials']}"]
+
+    @pytest.mark.parametrize("source", [
+        *(("--dataset", dataset, *(("--zone0", "0:37", "--zone1", "39:60",
+                                    "--brink", "38")
+                                   if dataset == "table-1" else ()))
+          for dataset in DATASET_IDS),
+        ("--input", ROWS_CSV, *LAYOUT_2),
+    ], ids=[*DATASET_IDS, "rows.csv"])
+    def test_replay_table_prints_the_document(self, capsys, source):
+        code, table, _ = run_cli(capsys, "replay", *source)
+        json_code, out, _ = run_cli(capsys, "replay", *source,
+                                    "--format", "json")
+        assert code == json_code == 0
+        doc = json.loads(out)
+        table, _, notes = table.partition("notes:\n")
+        assert notes == "".join(f"  - {note}\n" for note in doc.get("notes", ()))
+        lines = table.splitlines()
+        title, rows = doc["dataset"] or doc["input"], len(doc["records"])
+        if "terminal" in doc:
+            x, y = doc["final_positions"]
+            assert lines[:3] == [
+                f"dataset {title}: sequential walk, {rows} rows",
+                f"terminal outcome: {doc['terminal']} at step "
+                f"{doc['steps_taken']} (crossed)",
+                f"final positions: ({x}, {y})"]
+            lines = lines[3:]
+        else:
+            assert lines[0] == f"dataset {title}: {rows} rows replayed"
+            lines = lines[1:]
+        published = doc.get("published_counts")
+        assert _cells(lines[0]) == ["metric", "replayed",
+                                    *(["published"] if published else [])]
+        differs = False
+        for (label, key), line in zip(COLUMN_KEYS.items(), lines[1:8],
+                                      strict=True):
+            ours = doc["tally"][key]
+            cells = [label, str(ours)]
+            if published:
+                theirs = published[label]
+                differs |= ours != theirs
+                cells += [str(theirs), *(["*"] if ours != theirs else [])]
+            assert _cells(line) == cells
+        assert lines[8:] == (["* differs from the published count"]
+                             if differs else [])
+
 
 class TestPlot:
     def test_svg_deterministic(self, capsys):
@@ -654,8 +751,6 @@ class TestPlot:
         assert run_cli(capsys, "plot")[0] == 2
 
 
-ROWS_CSV = str(Path(__file__).resolve().parent / "golden" / "rows.csv")
-LAYOUT_2 = ("--zone0", "50:99", "--zone1", "101:150", "--brink", "100")
 FLAG_VALUES = {"--seed": "1", "--runs": "2", "--samples": "2",
                "--max-step": "30", "--zone0": "40:89", "--zone1": "101:160",
                "--brink": "100"}

@@ -149,7 +149,7 @@ class TestSequentialRuns:
                                     Outcome.SIMULTANEOUS_OVERLAP, False)
         assert not run.timed_out
         assert run.final_positions == (289, 221)
-        assert run.records == ds.rows
+        assert tuple(run.moves()) == ds.rows
 
     def test_zero_steps_time_out(self):
         config = replace(self._config(max_steps_cap=100),
@@ -173,7 +173,7 @@ class TestSequentialRuns:
     def test_chaining_and_approach(self):
         _, runs = run_sequential_scenario(replace(preset(3, seed=4), runs=10))
         for run in runs:
-            records = run.records
+            records = tuple(run.moves())
             for prev, rec in zip(records, records[1:]):
                 assert (rec.mn0_init, rec.mn1_init) == (
                     prev.mn0_new, prev.mn1_new)
@@ -246,7 +246,7 @@ class TestReplay:
         assert run.terminal is Outcome.NO_OVERLAP
         assert not run.timed_out
         assert run.steps_taken == 5
-        assert run.records == ds.rows[:5]
+        assert tuple(run.moves()) == ds.rows[:5]
         assert run.final_positions == (ds.rows[4].mn0_new, ds.rows[4].mn1_new)
 
     def test_broken_chain_rejected(self):
@@ -284,7 +284,7 @@ def small_walk_configs(draw):
 
 
 def classified(run, layout):
-    return tuple(classify(rec, layout) for rec in run.records)
+    return tuple(classify(rec, layout) for rec in run.moves())
 
 
 class TestWalkOutcomes:
@@ -307,7 +307,7 @@ class TestWalkOutcomes:
             outcomes = classified(run, layout)
             assert outcomes == ((Outcome.NO_OVERLAP,) * (run.steps_taken - 1)
                                 + (run.terminal,))
-            replayed = replay_sequential(run.records, layout)
+            replayed = replay_sequential(tuple(run.moves()), layout)
             assert replayed.terminal is run.terminal
             assert classified(replayed, layout) == outcomes
 
@@ -438,7 +438,7 @@ class TestAgainstReferenceLoop:
         assert total == expected_total
         for run, (records, terminal, timed_out) in zip(runs, expected,
                                                        strict=True):
-            assert run.records == records
+            assert tuple(run.moves()) == records
             assert run.terminal is terminal
             assert run.steps_taken == len(records)
             assert run.timed_out is timed_out
@@ -662,8 +662,12 @@ class TestWalkChunkBoundaries:
         assert total == tally(terminal for _, terminal in expected)
         assert walks.moves == sum(len(steps) for steps, _ in expected)
         assert walks.step_sum == sum(sum(steps) for steps, _ in expected)
-        assert walks.timed_out == sum(terminal is Outcome.NO_OVERLAP
-                                      for _, terminal in expected)
+        # A walk ends without crossing only at its cap, so the tally's
+        # no_overlap is the timed-out count.
+        ended = [len(steps) for steps, terminal in expected
+                 if terminal is Outcome.NO_OVERLAP]
+        assert set(ended) <= {config.max_steps_cap}
+        assert total.no_overlap == len(ended)
 
     def test_cases_reach_both_ends(self):
         ends = {case: {(len(steps), terminal is Outcome.NO_OVERLAP)
@@ -772,7 +776,7 @@ class TestRedrawnViews:
         assert float(walks.step_sum) / walks.moves == fmean(steps)
         assert float(walks.moves) / len(walks) == fmean(
             run.steps_taken for run in runs)
-        assert walks.timed_out == sum(run.timed_out for run in runs)
+        assert total.no_overlap == sum(run.timed_out for run in runs)
         assert total == tally(run.terminal for run in runs)
 
     # ``cli`` takes a mean as float(total) / n for fmean: each value is exact

@@ -280,7 +280,7 @@ class TestExactProbability:
 def walk_counts(config):
     """A sequential scenario's tally and its Walks counts."""
     total, walks = run_sequential_scenario(config)
-    return total, (walks.moves, walks.step_sum, walks.timed_out)
+    return total, (walks.moves, walks.step_sum)
 
 
 @st.composite

@@ -60,7 +60,7 @@ def test_import_loads_only_stdlib_modules():
     assert foreign == []
 
 
-# Modules that the table path of ``simulate`` and a trace reader never call.
+# Modules that the table paths of ``simulate`` and a trace reader never call.
 UNUSED_AT_START = {"simulmob.datasets", "simulmob.plotting", "fractions",
                    "decimal", "statistics"}
 
@@ -73,7 +73,10 @@ UNUSED_AT_START = {"simulmob.datasets", "simulmob.plotting", "fractions",
     ("import simulmob.cli\n"
      "simulmob.cli.main(['simulate', '--scenario', '2', '--runs', '1',"
      " '--samples', '1'])", None, UNUSED_AT_START),
-], ids=["package", "traceio", "cli", "simulate"])
+    ("import simulmob.cli\n"
+     "simulmob.cli.main(['simulate', '--scenario', '3', '--runs', '1'])",
+     None, UNUSED_AT_START),
+], ids=["package", "traceio", "cli", "simulate", "simulate-walks"])
 def test_entry_point_loads_only_what_it_runs(code, package, absent):
     out = loaded_modules(code)
     if package is not None:
