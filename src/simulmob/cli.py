@@ -453,17 +453,17 @@ def _sequential_doc(source: Source) -> dict:
         "tally": source.total.as_dict(),
         "mean_steps_taken": float(walks.moves) / len(walks),
         "runs": (
-            {
-                "run": j,
-                "terminal": run.terminal.value,
-                "steps_taken": run.steps_taken,
-                "timed_out": run.timed_out,
-                "final_positions": list(run.final_positions),
-                "records": JsonRecords(run.moves()),
-            }
+            {"run": j, **_walk_fields(run), "records": JsonRecords(run.moves())}
             for j, run in enumerate(walks)
         ),
     }
+
+
+def _walk_fields(run: SequentialRun) -> dict:
+    """A walk's fields in a simulated or replayed document, in their order."""
+    return {"terminal": run.terminal.value, "steps_taken": run.steps_taken,
+            "timed_out": run.timed_out,
+            "final_positions": list(run.final_positions)}
 
 
 # -- replay -----------------------------------------------------------------
@@ -482,9 +482,7 @@ def _cmd_replay(args: argparse.Namespace) -> None:
             if dataset.published_counts else None)
         doc["notes"] = list(dataset.notes)
     if run is not None:
-        doc.update(terminal=run.terminal.value, steps_taken=run.steps_taken,
-                   timed_out=run.timed_out,
-                   final_positions=list(run.final_positions))
+        doc.update(_walk_fields(run))
     _report(args, source, doc, _replay_table)
 
 

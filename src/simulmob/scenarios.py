@@ -14,12 +14,12 @@ order, or in parallel, without changing results, and any one of them can
 be redrawn alone from its seed and stream.
 
 Each shape has one draw generator, with ``pcg32_boundedrand_r`` rejection
-(O'Neill 2014): ``_sample_draws`` yields a sample's draw column in chunks,
-from ``pcg32_block``'s outputs, and ``_walks`` yields each walk's steps and
-terminal outcome, stepping a chunk's walks together in one PCG32 lane per
-walk. A range of one value consumes no draw. Both draw exactly what a
-:class:`Sampler` on the same stream draws; the tests hold the
-Sampler-driven reference loops.
+(O'Neill 2014): ``_sample_draws`` yields a sample's draws in chunks of
+three columns (mn0 inits, mn1 inits, steps), from ``pcg32_block``'s
+outputs, and ``_walks`` yields each walk's steps and terminal outcome,
+stepping a chunk's walks together in one PCG32 lane per walk. A range of
+one value consumes no draw. Both draw exactly what a :class:`Sampler` on
+the same stream draws; the tests hold the Sampler-driven reference loops.
 
 The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken and the step sum.
@@ -141,9 +141,8 @@ class SampleResult:
     sampler: SamplerConfig
 
     def moves(self) -> Iterator[MoveRecord]:
-        for draws in _sample_draws(self.sampler, self.sample, self.tally.trials):
-            yield from map(MoveRecord.from_inits,
-                           draws[0::3], draws[1::3], draws[2::3])
+        for chunk in _sample_draws(self.sampler, self.sample, self.tally.trials):
+            yield from map(MoveRecord.from_inits, *chunk)
 
     @property
     def records(self) -> tuple[MoveRecord, ...]:
@@ -155,11 +154,12 @@ class Walks(Sequence[SequentialRun]):
     """The walks of a sequential scenario, kept as counts.
 
     ``len(walks)`` is the run count, and ``walks[j]`` is the
-    :class:`SequentialRun` redrawn from stream j on each access; iterating
-    redraws them in order. ``moves`` is the number of moves the walks took
-    and ``step_sum`` the sum of their steps. The number that reached the
-    step cap is the ``no_overlap`` of the tally returned beside them: a
-    walk ends without crossing only at the cap.
+    :class:`SequentialRun` redrawn from stream j on each access;
+    ``walks[a:b]`` is the list of those walks, each redrawn from its own
+    stream, and iterating redraws them in order. ``moves`` is the number
+    of moves the walks took and ``step_sum`` the sum of their steps. The
+    number that reached the step cap is the ``no_overlap`` of the tally
+    returned beside them: a walk ends without crossing only at the cap.
     """
 
     config: SequentialConfig
@@ -169,9 +169,13 @@ class Walks(Sequence[SequentialRun]):
     def __len__(self) -> int:
         return self.config.runs
 
-    def __getitem__(self, j: int) -> SequentialRun:
-        j = range(self.config.runs)[j]  # a list's negative indices and IndexError
-        return next(self._runs(j, j + 1))
+    def __getitem__(
+        self, j: int | slice
+    ) -> SequentialRun | list[SequentialRun]:
+        picked = range(self.config.runs)[j]  # as a list indexes and slices
+        if isinstance(picked, range):
+            return [self[i] for i in picked]
+        return next(self._runs(picked, picked + 1))
 
     def __iter__(self) -> Iterator[SequentialRun]:
         return self._runs(0, self.config.runs)
@@ -197,7 +201,7 @@ def run_independent_trial(
     return rec, classify(rec, layout)
 
 
-# Trials in one chunk of a sample's draw column, or walks stepped together
+# Trials in one chunk of a sample's draws, or walks stepped together
 # in one int's lanes: a runner holds one chunk at a time, so its memory
 # does not grow with the run.
 _CHUNK = 256
@@ -205,14 +209,16 @@ _CHUNK = 256
 
 def _sample_draws(
     sampler: SamplerConfig, k: int, runs: int
-) -> Iterator[list[int]]:
-    """Sample k's draw column, ``runs`` trials from stream k, in chunks of
-    at most ``_CHUNK`` trials.
+) -> Iterator[list[list[int]]]:
+    """Sample k's draws, ``runs`` trials from stream k, in chunks of at
+    most ``_CHUNK`` trials.
 
     Each trial draws as :func:`run_independent_trial` does, but builds no
-    record: three ints a trial (mn0_init, mn1_init, step). A chunk whose
-    outputs all pass every rejection threshold is three columns of
-    ``r % width + lo``; any other runs the draw loop, one output at a time.
+    record. A chunk is three columns, one int per trial in each: the mn0
+    inits, the mn1 inits and the steps. A chunk whose outputs all pass
+    every rejection threshold takes each column as ``r % width + lo`` of
+    every third output; any other runs the draw loop, one output at a
+    time, in draw order, and splits its values into the columns.
     """
     layout = sampler.layout
     # (lowest value, width, rejection threshold) of each draw, in draw order
@@ -229,9 +235,8 @@ def _sample_draws(
         if len(spare) < n:  # the outputs extend spare in place
             spare[len(spare):], state = pcg32_block(state, inc, n)
         if min(islice(spare, n)) >= floor:
-            draws = [0] * n
-            for i, (lo, width, _) in enumerate(ranges):
-                draws[i::3] = [r % width + lo for r in spare[i:n:3]]
+            columns = [[r % width + lo for r in spare[i:n:3]]
+                       for i, (lo, width, _) in enumerate(ranges)]
             used = n
         else:
             draws, used = [], 0
@@ -245,24 +250,24 @@ def _sample_draws(
                         value += r % bound
                         break
                 draws.append(value)
+            columns = [draws[i::3] for i in range(3)]
         del spare[:used]
-        yield draws
+        yield columns
 
 
 def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResult]:
     """Run all samples; sample k draws from substream k.
 
-    One pass counts the outcomes of each chunk of the sample's draw column
-    and adds up its steps; the chunk is then dropped.
+    One pass counts the outcomes of each chunk of the sample's draws and
+    adds up its step column; the chunk is then dropped.
     """
     sampler = config.sampler
-    brink = sampler.layout.brink
+    brink, runs = sampler.layout.brink, config.runs_per_sample
     results = []
     for k in range(config.samples):
         mn0_only = mn1_only = simultaneous = step_sum = 0
-        for draws in _sample_draws(sampler, k, config.runs_per_sample):
-            column = iter(draws)
-            for mn0, mn1, step in zip(column, column, column):
+        for mn0s, mn1s, steps in _sample_draws(sampler, k, runs):
+            for mn0, mn1, step in zip(mn0s, mn1s, steps):
                 if mn0 + step >= brink:
                     if mn1 - step <= brink:
                         simultaneous += 1
@@ -270,8 +275,8 @@ def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResul
                         mn0_only += 1
                 elif mn1 - step <= brink:
                     mn1_only += 1
-            step_sum += sum(draws[2::3])
-        no_overlap = config.runs_per_sample - mn0_only - mn1_only - simultaneous
+            step_sum += sum(steps)
+        no_overlap = runs - mn0_only - mn1_only - simultaneous
         total = Tally(mn0_only, mn1_only, simultaneous, no_overlap)
         results.append(SampleResult(k, total, step_sum, sampler))
     return results
@@ -338,17 +343,16 @@ def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
     error, and the tally's no_overlap counts the walks that timed out. No
     walk is kept: the returned :class:`Walks` redraws one on access.
     """
-    total = Tally()
     moves = step_sum = 0
-    terminals: list[Outcome] = []
-    for steps, terminal in _walks(config, 0, config.runs):
-        moves += len(steps)
-        step_sum += sum(steps)
-        terminals.append(terminal)
-        if len(terminals) == _CHUNK:
-            total += tally(terminals)
-            terminals.clear()
-    total += tally(terminals)
+
+    def terminals() -> Iterator[Outcome]:
+        nonlocal moves, step_sum
+        for steps, terminal in _walks(config, 0, config.runs):
+            moves += len(steps)
+            step_sum += sum(steps)
+            yield terminal
+
+    total = tally(terminals())
     return total, Walks(config, moves, step_sum)
 
 

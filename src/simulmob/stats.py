@@ -79,10 +79,6 @@ class Tally:
             self.no_overlap + other.no_overlap,
         )
 
-    def columns(self) -> tuple[int, ...]:
-        """Counts in METRIC_LABELS order."""
-        return tuple(getattr(self, key) for key in METRIC_KEYS)
-
     def as_dict(self) -> dict:
         return {
             "mn0_only": self.mn0_only,

@@ -369,6 +369,23 @@ class TestReplay:
         assert (code, err) == (0, "")
         assert out.encode() == (golden / "replay-input-table.stdout").read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="no /dev/stdin on this platform")
+    def test_csv_input_from_a_pipe(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        outputs = []
+        for path, stdin in ((ROWS_CSV, b""),
+                            ("/dev/stdin", Path(ROWS_CSV).read_bytes())):
+            proc = subprocess.run(
+                [sys.executable, "-m", "simulmob", "replay", "--input", path,
+                 *LAYOUT_2, "--format", "csv"],
+                input=stdin, capture_output=True, env=env, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0].startswith(",".join(CSV_HEADER).encode() + b"\n")
+        assert outputs[1] == outputs[0]
+
     def test_malformed_csv_input(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("step,mn0_init\n1,2\n", encoding="utf-8")
@@ -788,6 +805,39 @@ class TestSourceFlags:
             assert (code, out) == (2, "")
             assert err == (f"error: {command} {source[0]} {source[1]} "
                            f"does not read {flag}\n")
+
+
+SCENARIO_FLAGS = ("--scenario", "--config", "--seed", "--runs", "--samples",
+                  "--max-step", "--zone0", "--zone1", "--brink")
+OUTPUT_FLAGS = ("--format", "--trace", "--step-headers")
+# The flags that each subcommand's --help lists, beside -h and --help.
+HELP_FLAGS = {
+    "simulate": (*SCENARIO_FLAGS, *OUTPUT_FLAGS),
+    "replay": ("--dataset", "--input", "--zone0", "--zone1", "--brink",
+               *OUTPUT_FLAGS),
+    "estimate": ("--dataset", *SCENARIO_FLAGS, "--format"),
+    "plot": ("--dataset", "--input", *SCENARIO_FLAGS, "--ascii", "-o",
+             "--output"),
+}
+FLAG = re.compile(r"(?<![\w-])--?[a-z][\w-]*")  # not "STEP-k" or "table-1"
+
+
+class TestHelp:
+    """``--help`` prints the usage and every flag of its parser, with exit 0."""
+
+    def test_top_level(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: simulmob ")
+        assert all(command in out for command in HELP_FLAGS)
+        assert set(FLAG.findall(out)) == {"-h", "--help"}
+
+    @pytest.mark.parametrize("command", HELP_FLAGS)
+    def test_subcommand(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: simulmob {command} ")
+        assert set(FLAG.findall(out)) == {"-h", "--help", *HELP_FLAGS[command]}
 
 
 class TestReplayOnce:

@@ -593,7 +593,7 @@ CHUNK_CASES = {
 
 
 class TestChunkBoundaries:
-    """The block-drawn column against the Sampler path for runs around one
+    """The block-drawn columns against the Sampler path for runs around one
     and four chunks, where a chunk's block and its spare outputs meet."""
 
     @pytest.mark.parametrize("runs", [255, 256, 257, 1025])
@@ -605,11 +605,10 @@ class TestChunkBoundaries:
         for k, (result, (total, records, _)) in enumerate(
                 zip(results, reference_independent(config), strict=True)):
             chunks = list(scenarios._sample_draws(sampler, k, runs))
-            assert [len(c) for c in chunks] == [
-                3 * min(256, runs - done) for done in range(0, runs, 256)]
-            assert list(chain.from_iterable(chunks)) == [
-                value for rec in records
-                for value in (rec.mn0_init, rec.mn1_init, rec.step)]
+            assert [[len(column) for column in chunk] for chunk in chunks] == [
+                [min(256, runs - done)] * 3 for done in range(0, runs, 256)]
+            assert [trial for chunk in chunks for trial in zip(*chunk)] == [
+                (rec.mn0_init, rec.mn1_init, rec.step) for rec in records]
             assert result.tally == total
             assert result.step_sum == sum(rec.step for rec in records)
 
@@ -821,6 +820,12 @@ class TestRedrawnViews:
         for j in (6, -7):
             with pytest.raises(IndexError):
                 walks[j]
+        # A slice is a list of walks, each redrawn from its own stream.
+        for cut in (slice(1, 3), slice(-4, -1), slice(-2, None),
+                    slice(None, None, 2), slice(5, 0, -2),
+                    slice(None, None, -1), slice(3, 3), slice(4, 2),
+                    slice(7, 9)):
+            assert walks[cut] == runs[cut]
         assert run_sequential_scenario(config) == (total, walks)
         assert hash(walks) == hash(run_sequential_scenario(config)[1])
 

@@ -17,6 +17,7 @@ from simulmob.scenarios import (
     run_sequential_scenario,
 )
 from simulmob.stats import (
+    METRIC_KEYS,
     METRIC_LABELS,
     Tally,
     average_step_length,
@@ -78,7 +79,8 @@ class TestTally:
     def test_columns_follow_labels(self):
         t = Tally(mn0_only=8, mn1_only=2, simultaneous=5, no_overlap=15)
         assert len(METRIC_LABELS) == 7
-        assert t.columns() == (8, 13, 2, 7, 5, 15, 5)
+        counts = [t.as_dict()[key] for key in METRIC_KEYS]
+        assert counts == [8, 13, 2, 7, 5, 15, 5]
 
 
 class TestAverageStepLength:
