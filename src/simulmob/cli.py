@@ -19,7 +19,7 @@ from itertools import chain
 from math import fsum
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .model import MAGNITUDE_LIMIT, MoveRecord, Outcome, ZoneLayout
+from .model import MAGNITUDE_LIMIT, Outcome, Row, ZoneLayout
 from .sampling import SamplerConfig, validate
 from .scenarios import (
     IndependentTrialConfig,
@@ -250,13 +250,14 @@ class Source:
     """One resolved input: a bundled dataset, a CSV file or a scenario run.
 
     ``kind`` is the mobility shape, "independent" or "sequential". A dataset
-    or CSV file carries its ``records`` and its own ``layout``, if any, and
-    ``plot`` draws it so; for ``replay`` and ``estimate`` it is replayed, and
-    carries the merged ``layout``, the ``total`` tally and, for a walk, the
-    replayed run as ``parts``. A scenario carries its ``config``
-    (overrides applied), the samples or :class:`Walks` it ran (``parts``,
-    which keep counts and sums and redraw their moves on access) and their
-    ``total`` tally; it draws no move again until :meth:`moves` asks.
+    or CSV file carries its ``records`` (rows of five ints) and its own
+    ``layout``, if any, and ``plot`` draws it so; for ``replay`` and
+    ``estimate`` it is replayed, and carries the merged ``layout``, the
+    ``total`` tally and, for a walk, the replayed run as ``parts``. A
+    scenario carries its ``config`` (overrides applied), the samples or
+    :class:`Walks` it ran (``parts``, which keep counts and sums and redraw
+    their moves on access) and their ``total`` tally; it draws no move again
+    until :meth:`moves` asks.
     A subcommand reports a source through the one document it builds from
     it: its tables read that document, not the source.
     """
@@ -265,13 +266,13 @@ class Source:
     layout: ZoneLayout | None
     title: str
     dataset: ReplayDataset | None = None
-    records: Sequence[MoveRecord] | None = None
+    records: Sequence[Row] | None = None
     config: IndependentTrialConfig | SequentialConfig | None = None
     parts: Sequence[SampleResult | SequentialRun] = ()
     total: Tally | None = None
 
-    def moves(self) -> Iterable[MoveRecord]:
-        """Every move record, in order; a scenario's are redrawn per call."""
+    def moves(self) -> Iterable[Row]:
+        """Every move's row, in order; a scenario's are redrawn per call."""
         if self.records is not None:
             return self.records
         return chain.from_iterable(part.moves() for part in self.parts)
@@ -362,7 +363,7 @@ def _report(
 
     ``doc`` is the ``--format json`` document, and ``table(doc)`` renders
     the table from its values alone. The document's records are lazy, so
-    table output builds no move record. The document is built before this
+    table output builds no move row. The document is built before this
     is called and the trace is written before stdout, so a document that
     cannot be built or a trace that cannot be opened or written leaves
     stdout empty. Trace, CSV and JSON text goes out in pieces of at most
@@ -677,13 +678,14 @@ def _cmd_plot(args: argparse.Namespace) -> None:
         raise UsageError("this input carries no zone layout; supply --brink")
     chained = source.kind == "sequential"
     mn0, mn1 = [], []
-    for rec in (source.parts[0].moves() if chained and source.parts
-                else source.moves()):
+    for _, mn0_init, mn0_new, mn1_init, mn1_new in (
+            source.parts[0].moves() if chained and source.parts
+            else source.moves()):
         if chained and not mn0:
-            mn0.append(rec.mn0_init)
-            mn1.append(rec.mn1_init)
-        mn0.append(rec.mn0_new)
-        mn1.append(rec.mn1_new)
+            mn0.append(mn0_init)
+            mn1.append(mn1_init)
+        mn0.append(mn0_new)
+        mn1.append(mn1_new)
     if args.ascii:
         pieces = [render_ascii(mn0, mn1, brink)]
     else:

@@ -1,9 +1,11 @@
 """Reference datasets bundled for golden replay.
 
-Row tuples are (step, mn0_init, mn0_new, mn1_init, mn1_new), stored exactly
-as published except where a dataset note says otherwise. Known
-inconsistencies in the published tables are preserved as notes rather than
-silently corrected so that replay reports can show them side by side.
+Rows are (step, mn0_init, mn0_new, mn1_init, mn1_new) tuples of ints, as
+every reader, writer and replay takes them, stored exactly as published
+except where a dataset note says otherwise; each is checked once through
+``MoveRecord`` when the module loads. Known inconsistencies in the
+published tables are preserved as notes rather than silently corrected so
+that replay reports can show them side by side.
 
 ``published_counts`` holds the result table printed alongside a dataset, in
 METRIC_LABELS column order; it is what `simulmob replay` diffs against.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import MoveRecord, ZoneLayout
+from .model import MoveRecord, Row, ZoneLayout
 
 # Sample moves illustrating the update equations; no zones were published
 # with them, so replaying needs a caller-supplied layout.
@@ -117,18 +119,21 @@ class ReplayDataset:
     id: str
     kind: str  # "independent" rows or one chained "sequential" run
     layout: ZoneLayout | None  # None: replay needs a caller-supplied layout
-    rows: tuple[MoveRecord, ...]
+    rows: tuple[Row, ...]
     max_step: int | None = None
     published_counts: tuple[int, ...] | None = None  # METRIC_LABELS order
     notes: tuple[str, ...] = field(default=())
 
     @property
     def steps(self) -> tuple[int, ...]:
-        return tuple(rec.step for rec in self.rows)
+        return tuple(row[0] for row in self.rows)
 
 
-def _records(raw) -> tuple[MoveRecord, ...]:
-    return tuple(MoveRecord(*row) for row in raw)
+def _checked(rows: tuple[Row, ...]) -> tuple[Row, ...]:
+    """``rows``, once each has passed ``MoveRecord``'s checks."""
+    for row in rows:
+        MoveRecord(*row)
+    return rows
 
 
 _DATASETS = {
@@ -136,7 +141,7 @@ _DATASETS = {
         id="table-1",
         kind="independent",
         layout=None,
-        rows=_records(_TABLE_1_ROWS),
+        rows=_checked(_TABLE_1_ROWS),
         notes=(
             "illustrative sample moves; no zones were published with them, "
             "so replay requires --zone0/--zone1/--brink",
@@ -148,7 +153,7 @@ _DATASETS = {
         id="table-3",
         kind="independent",
         layout=ZoneLayout(0, 374, 376, 750, 375),
-        rows=_records(_TABLE_3_ROWS),
+        rows=_checked(_TABLE_3_ROWS),
         max_step=50,
         published_counts=(1, 1, 1, 1, 0, 28, 0),
         notes=(
@@ -164,7 +169,7 @@ _DATASETS = {
         id="table-5",
         kind="independent",
         layout=ZoneLayout(50, 99, 101, 150, 100),
-        rows=_records(_TABLE_5_ROWS),
+        rows=_checked(_TABLE_5_ROWS),
         max_step=50,
         published_counts=(8, 13, 2, 7, 5, 5, 5),
         notes=(
@@ -176,7 +181,7 @@ _DATASETS = {
         id="table-6",
         kind="sequential",
         layout=ZoneLayout(0, 249, 251, 500, 250),
-        rows=_records(_TABLE_6_ROWS),
+        rows=_checked(_TABLE_6_ROWS),
         max_step=50,
         notes=(
             "row 9 is stored with mn1_new 285: the published 282 contradicts "

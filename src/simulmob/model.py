@@ -106,6 +106,11 @@ class Outcome(enum.Enum):
     MN1_OVERLAP = "mn1_overlap"
     SIMULTANEOUS_OVERLAP = "simultaneous_overlap"
 
+    # The members are singletons and enum equality is identity, so the
+    # identity hash agrees with ``==``; Enum's own hashes the name in Python,
+    # a call per move in a tally's Counter and a writer's outcome lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, init=False, slots=True)
 class MoveRecord:
@@ -164,6 +169,11 @@ class MoveRecord:
         classify.
         """
         return cls(step, mn0_init, mn0_init + step, mn1_init, mn1_init - step)
+
+
+# A move as the codecs, scenarios and replays pass it: (step, mn0_init,
+# mn0_new, mn1_init, mn1_new), plain ints. ``MoveRecord(*row)`` checks one.
+Row = tuple[int, int, int, int, int]
 
 
 _set_step, _set_mn0_init, _set_mn0_new, _set_mn1_init, _set_mn1_new = (

@@ -24,20 +24,25 @@ the same stream draws; the tests hold the Sampler-driven reference loops.
 The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken and the step sum.
 A :class:`SampleResult`'s moves, and each walk of a :class:`Walks`, are
-redrawn from their stream through the same generator on each read.
+redrawn from their stream through the same generator on each read. Each
+move comes out as a row, ``(step, mn0_init, mn0_new, mn1_init, mn1_new)``:
+a sample's rows are zipped from its draw columns, a walk's from its start
+and the running sums of its steps, and the replays take rows too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from itertools import cycle, islice
+from itertools import accumulate, cycle, islice
+from operator import add, sub
 from typing import get_type_hints
 
 from .model import (
     MoveRecord,
     Outcome,
     Position,
+    Row,
     StepLength,
     ZoneLayout,
     classify,
@@ -96,11 +101,11 @@ class SequentialRun:
     """One chained walk: the shared step of every move taken from ``start``,
     ended by crossing or cap.
 
-    :meth:`moves` rebuilds the records from the start positions and the
-    steps, one at a time; only record output (CSV, JSON, trace) and a plot
-    read them. Every move but the last is a no-overlap move, since a walk
-    stops at its first crossing; a replayed walk too, because the replay
-    rejects rows past the first crossing.
+    :meth:`moves` rebuilds the rows from the start positions and the
+    steps; only record output (CSV, JSON, trace) and a plot read them.
+    Every move but the last is a no-overlap move, since a walk stops at its
+    first crossing; a replayed walk too, because the replay rejects rows
+    past the first crossing.
     """
 
     start: tuple[Position, Position]
@@ -117,12 +122,12 @@ class SequentialRun:
         moved = sum(self.steps)
         return (self.start[0] + moved, self.start[1] - moved)
 
-    def moves(self) -> Iterator[MoveRecord]:
-        mn0, mn1 = self.start
-        for step in self.steps:
-            rec = MoveRecord.from_inits(mn0, mn1, step)
-            yield rec
-            mn0, mn1 = rec.mn0_new, rec.mn1_new
+    def moves(self) -> Iterator[Row]:
+        # Each node's position before the first move and after every move.
+        steps = self.steps
+        mn0 = list(accumulate(steps, initial=self.start[0]))
+        mn1 = list(accumulate(steps, sub, initial=self.start[1]))
+        return zip(steps, mn0, islice(mn0, 1, None), mn1, islice(mn1, 1, None))
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,8 @@ class SampleResult:
 
     A sample keeps no draw. :meth:`moves` redraws stream ``sample`` of
     ``sampler`` for ``tally.trials`` trials, one chunk of draws at a time,
-    and ``records`` is their tuple; each read redraws. Table and estimate
-    output need neither.
+    and yields their rows; ``records`` is the tuple of those rows, and each
+    read redraws. Table and estimate output need neither.
     """
 
     sample: int
@@ -140,12 +145,12 @@ class SampleResult:
     step_sum: int
     sampler: SamplerConfig
 
-    def moves(self) -> Iterator[MoveRecord]:
-        for chunk in _sample_draws(self.sampler, self.sample, self.tally.trials):
-            yield from map(MoveRecord.from_inits, *chunk)
+    def moves(self) -> Iterator[Row]:
+        for a, b, s in _sample_draws(self.sampler, self.sample, self.tally.trials):
+            yield from zip(s, a, map(add, a, s), b, map(sub, b, s))
 
     @property
-    def records(self) -> tuple[MoveRecord, ...]:
+    def records(self) -> tuple[Row, ...]:
         return tuple(self.moves())
 
 
@@ -214,8 +219,8 @@ def _sample_draws(
     most ``_CHUNK`` trials.
 
     Each trial draws as :func:`run_independent_trial` does, but builds no
-    record. A chunk is three columns, one int per trial in each: the mn0
-    inits, the mn1 inits and the steps. A chunk whose outputs all pass
+    record or row. A chunk is three columns, one int per trial in each: the
+    mn0 inits, the mn1 inits and the steps. A chunk whose outputs all pass
     every rejection threshold takes each column as ``r % width + lo`` of
     every third output; any other runs the draw loop, one output at a
     time, in draw order, and splits its values into the columns.
@@ -356,38 +361,39 @@ def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
     return total, Walks(config, moves, step_sum)
 
 
-def replay_independent(records: Iterable[MoveRecord], layout: ZoneLayout) -> Tally:
-    """Tally pre-recorded independent trials, classified under a layout."""
-    return tally(classify(rec, layout) for rec in records)
+def replay_independent(rows: Iterable[Row], layout: ZoneLayout) -> Tally:
+    """Tally the rows of pre-recorded independent trials, classified under a
+    layout."""
+    brink = layout.brink
+    return tally(crossing(row[2], row[4], brink) for row in rows)
 
 
-def replay_sequential(
-    records: Sequence[MoveRecord], layout: ZoneLayout
-) -> SequentialRun:
-    """Re-run a recorded chained walk, validating the chain as it goes.
+def replay_sequential(rows: Sequence[Row], layout: ZoneLayout) -> SequentialRun:
+    """Re-run the rows of a recorded chained walk, validating the chain as it
+    goes.
 
     A walk whose rows never cross ends with terminal no_overlap, not timed
     out. The run's moves are rebuilt from its start and steps, like a
     simulated walk's. Raises ValueError when consecutive rows do not
     chain or when rows continue past the first crossing.
     """
-    if not records:
+    if not rows:
         raise ValueError("sequential replay needs at least one record")
+    brink = layout.brink
     outcome = Outcome.NO_OVERLAP
-    for i, rec in enumerate(records):
+    # The first row's inits stand in for the finals of a row before it.
+    start = mn0, mn1 = rows[0][1], rows[0][3]
+    for i, (_, mn0_init, mn0_new, mn1_init, mn1_new) in enumerate(rows):
         if outcome is not Outcome.NO_OVERLAP:
             raise ValueError(f"rows continue past the first crossing at row {i}")
-        if i:
-            prev = records[i - 1]
-            if (rec.mn0_init, rec.mn1_init) != (prev.mn0_new, prev.mn1_new):
-                raise ValueError(
-                    f"row {i + 1} inits ({rec.mn0_init}, {rec.mn1_init}) do not "
-                    f"chain from row {i} finals ({prev.mn0_new}, {prev.mn1_new})"
-                )
-        outcome = classify(rec, layout)
-    first = records[0]
-    return SequentialRun((first.mn0_init, first.mn1_init),
-                         tuple(rec.step for rec in records), outcome, False)
+        if (mn0_init, mn1_init) != (mn0, mn1):
+            raise ValueError(
+                f"row {i + 1} inits ({mn0_init}, {mn1_init}) do not "
+                f"chain from row {i} finals ({mn0}, {mn1})"
+            )
+        mn0, mn1 = mn0_new, mn1_new
+        outcome = crossing(mn0, mn1, brink)
+    return SequentialRun(start, tuple(row[0] for row in rows), outcome, False)
 
 
 def preset(scenario_id: int, seed: int = 0) -> IndependentTrialConfig | SequentialConfig:

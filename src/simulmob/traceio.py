@@ -16,6 +16,13 @@ Positions and steps are integers, in a trace as in a CSV: ``-?[0-9]+``,
 which a trace may follow with a fraction of zeros (``format_trace`` writes
 ``.00``). Both readers convert them to exact ints.
 
+A move on every path is a row of five ints, ``(step, mn0_init, mn0_new,
+mn1_init, mn1_new)`` in ``CSV_HEADER[:5]`` order: ``read_csv`` and
+``parse_trace`` return lists of rows, and the writers take any iterable of
+rows. Each reader checks every row's position-update identities inline
+and builds a :class:`MoveRecord` only for a row that fails them, to raise
+its message.
+
 ``parse_trace`` reads ``format_trace``'s own text (without step headers) in
 one scan, a pattern that matches it move by move. Any other text (headers,
 another node order, other spellings of numbers, CRLF endings, an error) is
@@ -30,9 +37,10 @@ template of both lines. ``write_json`` writes the bytes of the stdlib's
 stdlib's encoder writes its scalars, and a :class:`JsonRecords` list of
 moves renders from one template per move. Each writer joins the pieces of
 one generator, none of more than ``_CHUNK`` moves; a CSV row, or a move
-of a :class:`JsonRecords` given a brink, gets its outcome from ``crossing``
-as it is written. ``read_csv`` and ``parse_trace`` convert each number text
-to an int once per call, so equal numbers share one int.
+of a :class:`JsonRecords` given a brink, gets its outcome from
+``crossing(row[2], row[4], brink)`` as it is written. ``read_csv`` and
+``parse_trace`` convert each number text to an int once per call, so equal
+numbers share one int.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from itertools import chain, islice, repeat
 from types import GeneratorType
 from typing import Iterable, Iterator, NoReturn
 
-from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, abbreviate, crossing
+from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, Row, abbreviate, crossing
 
 CSV_HEADER = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new", "outcome")
 _CHUNK = 1024  # moves in one piece of a writer's text
@@ -177,23 +185,23 @@ def _fields(line: str, ints: _Ints) -> tuple[int, float, int, int, int]:
     return int(m[2]), float(m[1]), init_x, new_x, step
 
 
-def trace_pieces(records: Iterable[MoveRecord],
-                 step_headers: bool = False) -> Iterator[str]:
+def trace_pieces(rows: Iterable[Row], step_headers: bool = False) -> Iterator[str]:
     """The text of :func:`format_trace`, in pieces."""
     # One template per move; without headers, ``%.0s`` takes k and prints nothing.
     head = "STEP-%d\n" if step_headers else "%.0s"
     return _pieces(f"{head}{_LINE % 1}\n{_LINE % 0}\n", (
-        (k, rec.mn1_init, rec.mn1_new, rec.step, rec.mn0_init, rec.mn0_new, rec.step)
-        for k, rec in enumerate(records, 1)), "\n" if step_headers else "")
+        (k, mn1_init, mn1_new, step, mn0_init, mn0_new, step)
+        for k, (step, mn0_init, mn0_new, mn1_init, mn1_new) in enumerate(rows, 1)
+    ), "\n" if step_headers else "")
 
 
-def format_trace(records: Iterable[MoveRecord], step_headers: bool = False) -> str:
+def format_trace(rows: Iterable[Row], step_headers: bool = False) -> str:
     """Render a whole trace, node 1 before node 0 within each move.
 
     With ``step_headers`` each pair is preceded by a ``STEP-k`` line and the
     blocks are blank-line separated.
     """
-    return "".join(trace_pieces(records, step_headers))
+    return "".join(trace_pieces(rows, step_headers))
 
 
 # One move as ``format_trace`` writes it without step headers: node 1's
@@ -208,46 +216,50 @@ _PAIR = (
 )
 
 
-def _scan(text: str, ints: _Ints) -> tuple[list[MoveRecord], int]:
+def _scan(text: str, ints: _Ints) -> tuple[list[Row], int]:
     """The moves of the ``_PAIR`` matches that tile ``text`` from its start,
     and the offset where they stop: the end of the text, a miss, or a move
     whose nodes go the wrong way or whose number ``ints`` cannot convert.
     Each match is anchored where the last one ended, so a miss ends the
     scan."""
     match = re.compile(_PAIR).match
-    records = []
+    rows = []
     pos = 0
     while m := match(text, pos):
         _, init1, new1, step, init0, new0 = m.groups()
         try:
-            records.append(MoveRecord(ints[step], ints[init0], ints[new0],
-                                      ints[init1], ints[new1]))
-        except ValueError:  # a node moved the wrong way, or too many digits
+            row = step, mn0_init, mn0_new, mn1_init, mn1_new = (
+                ints[step], ints[init0], ints[new0], ints[init1], ints[new1])
+        except ValueError:  # too many digits
             break
+        # ``_PAIR``'s step has no sign, so only a node can go the wrong way.
+        if mn0_new != mn0_init + step or mn1_new != mn1_init - step:
+            break
+        rows.append(row)
         pos = m.end()
-    return records, pos
+    return rows, pos
 
 
-def parse_trace(text: str) -> list[MoveRecord]:
-    """Rebuild move records from trace text.
+def parse_trace(text: str) -> list[Row]:
+    """Rebuild the rows of the moves in trace text.
 
     Skips blank lines and STEP-k headers; accepts either node order within a
     pair. Raises :class:`TraceParseError` on grammar violations, unpaired
     lines, or pairs that do not assemble into a consistent move. The lines
-    of a pair must agree on the move time, which no record keeps.
+    of a pair must agree on the move time, which no row keeps.
 
     Text as :func:`format_trace` writes it without step headers is read in
     one scan, as far as it goes; the rest of the text, and every error, comes
     from reading it line by line.
     """
     ints = _Ints()
-    records, pos = _scan(text, ints)
+    rows, pos = _scan(text, ints)
     if pos == len(text):
-        return records
+        return rows
     # (line number, node id, move time, initial x, new x, step)
     fragments = []
     # The scanned text is two lines a move, each ended by "\n" alone.
-    first = 2 * len(records) + 1
+    first = 2 * len(rows) + 1
     for lineno, raw in enumerate(text[pos:].splitlines(), first):
         if not raw.strip() or raw.startswith("STEP-"):
             continue
@@ -271,71 +283,74 @@ def parse_trace(text: str) -> list[MoveRecord]:
                 f"paired lines disagree on move time ({a[2]} vs {b[2]})", 1, lineno
             )
         n0, n1 = (a, b) if a[1] == 0 else (b, a)
-        try:
-            records.append(MoveRecord(n0[5], n0[3], n0[4], n1[3], n1[4]))
-        except ValueError as exc:
-            raise TraceParseError(str(exc), 1, lineno) from None
-    return records
+        row = step, mn0_init, mn0_new, mn1_init, mn1_new = (
+            n0[5], n0[3], n0[4], n1[3], n1[4])
+        # ``_fields`` has matched each step to its node's |new - initial|.
+        if mn0_new != mn0_init + step or mn1_new != mn1_init - step:
+            try:
+                MoveRecord(*row)  # raises the broken identity's message
+            except ValueError as exc:
+                raise TraceParseError(str(exc), 1, lineno) from None
+        rows.append(row)
+    return rows
 
 
-def csv_pieces(records: Iterable[MoveRecord], brink: int) -> Iterator[str]:
+def csv_pieces(rows: Iterable[Row], brink: int) -> Iterator[str]:
     """The text of :func:`write_csv`, in pieces."""
     return chain([",".join(CSV_HEADER) + "\n"], _pieces("%d,%d,%d,%d,%d,%s\n", (
-        (rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new,
-         crossing(rec.mn0_new, rec.mn1_new, brink).value) for rec in records), ""))
+        (*row, crossing(row[2], row[4], brink).value) for row in rows), ""))
 
 
-def write_csv(records: Iterable[MoveRecord], brink: int) -> str:
-    """Render records as CSV (header always present), each row with the
+def write_csv(rows: Iterable[Row], brink: int) -> str:
+    """Render rows as CSV (header always present), each row with the
     outcome of its move against ``brink``.
 
     Every field is an int or an outcome name, so none needs quoting, and
     each row comes from one template.
     """
-    return "".join(csv_pieces(records, brink))
+    return "".join(csv_pieces(rows, brink))
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """The rows of ``text``; the csv module's own errors become CsvFormatError."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
-
-
-def read_csv(text: str) -> list[MoveRecord]:
-    """Parse rows written by :func:`write_csv` back into move records.
+def read_csv(text: str) -> list[Row]:
+    """Parse the rows written by :func:`write_csv` back into rows of five ints.
 
     The outcome column is optional and ignored (replays recompute it).
     Raises :class:`CsvFormatError` on schema or arithmetic violations and
     on text the csv module cannot split into rows.
     """
-    reader = _csv_rows(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CsvFormatError("empty CSV: missing header") from None
-    if tuple(header) not in (CSV_HEADER, CSV_HEADER[:5]):
-        raise CsvFormatError(
-            f"unexpected header {header!r}; want {','.join(CSV_HEADER)}"
-        )
+    reader = csv.reader(io.StringIO(text))
     ints = _Ints()
-    records = []
-    for rownum, row in enumerate(reader, 2):
-        if not row:
-            continue
-        if len(row) not in (5, 6):
-            raise CsvFormatError(f"row {rownum}: expected 5 or 6 fields, got {len(row)}")
-        cells = row[:5]
-        try:
-            records.append(MoveRecord(*map(ints.__getitem__, cells)))
-        except KeyError:
-            raise CsvFormatError(f"row {rownum}: non-integer field in "
-                                 f"{list(map(abbreviate, cells))}") from None
-        except ValueError as exc:  # too many digits, or not a valid move
-            raise CsvFormatError(f"row {rownum}: {exc}") from None
-    return records
+    rows = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("empty CSV: missing header")
+        if tuple(header) not in (CSV_HEADER, CSV_HEADER[:5]):
+            raise CsvFormatError(
+                f"unexpected header {header!r}; want {','.join(CSV_HEADER)}"
+            )
+        for rownum, cells in enumerate(reader, 2):
+            if not cells:
+                continue
+            if len(cells) not in (5, 6):
+                raise CsvFormatError(
+                    f"row {rownum}: expected 5 or 6 fields, got {len(cells)}")
+            try:
+                row = step, mn0_init, mn0_new, mn1_init, mn1_new = (
+                    ints[cells[0]], ints[cells[1]], ints[cells[2]],
+                    ints[cells[3]], ints[cells[4]])
+                if (step < 0 or mn0_new != mn0_init + step
+                        or mn1_new != mn1_init - step):
+                    MoveRecord(*row)  # raises the failed check's message
+            except KeyError:
+                raise CsvFormatError(f"row {rownum}: non-integer field in "
+                                     f"{list(map(abbreviate, cells[:5]))}") from None
+            except ValueError as exc:  # too many digits, or not a valid move
+                raise CsvFormatError(f"row {rownum}: {exc}") from None
+            rows.append(row)
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+    return rows
 
 
 # Scalars go through the stdlib's encoder: its escaping, float repr and
@@ -347,17 +362,17 @@ _RECORD_KEYS = CSV_HEADER[:5]  # a move's fields, without the outcome
 class JsonRecords:
     """A list of moves in a result document, one object per move.
 
-    Each object holds the record's step and positions, plus, when ``brink``
-    is given, the outcome of the move against it; :func:`write_json`
-    renders the list from one template per record. ``records`` may be an
-    iterator, which the document can then be rendered from only once.
+    Each object holds a row's step and positions, plus, when ``brink`` is
+    given, the outcome of the move against it; :func:`write_json` renders
+    the list from one template per row. ``rows`` may be an iterator, which
+    the document can then be rendered from only once.
     """
 
     # A plain class: a dataclass would add about 0.6 ms to every start-up.
-    __slots__ = ("records", "brink")
+    __slots__ = ("rows", "brink")
 
-    def __init__(self, records: Iterable[MoveRecord], brink: int | None = None):
-        self.records = records
+    def __init__(self, rows: Iterable[Row], brink: int | None = None):
+        self.rows = rows
         self.brink = brink
 
 
@@ -380,15 +395,13 @@ def _render(value: object, pad: str, lead: str = "") -> Iterator[str]:
     if isinstance(value, JsonRecords):
         key = inner + "  "
         fields = ",".join(f'{key}"{name}": %d' for name in _RECORD_KEYS)
-        brink = value.brink
-        # The text after a move's fields: its outcome, if the list has a brink.
-        tails = {} if brink is None else {
-            o: f',{key}"outcome": {_scalar(o.value)}' for o in Outcome}
-        rows = ((rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new,
-                 tails[crossing(rec.mn0_new, rec.mn1_new, brink)] if tails else "")
-                for rec in value.records)
+        brink, rows = value.brink, value.rows
+        if brink is not None:  # each move's fields, then its outcome
+            tails = {o: f',{key}"outcome": {_scalar(o.value)}' for o in Outcome}
+            fields += "%s"
+            rows = ((*row, tails[crossing(row[2], row[4], brink)]) for row in rows)
         text = lead + "["
-        for piece in _pieces(f"{inner}{{{fields}%s{inner}}}", rows, ","):
+        for piece in _pieces(f"{inner}{{{fields}{inner}}}", rows, ","):
             yield text + piece
             text = ""
         yield text + "]" if text else pad + "]"

@@ -233,7 +233,8 @@ def holds_everywhere(layout, rec):
         return False
 
     # Formatting a move's trace and parsing it back is the identity.
-    return parse_trace(format_trace([rec])) == [rec]
+    row = dataclasses.astuple(rec)
+    return parse_trace(format_trace([row])) == [row]
 
 
 def test_criterion_9(capsys):

@@ -953,7 +953,10 @@ class TestClosedStdout:
 
 
 class TestNoRecordsForTables:
-    """Table and estimate output are tallies; they must build no MoveRecord."""
+    """Table and estimate output are tallies, and record output (CSV, JSON,
+    trace) of a scenario or a CSV file passes its moves as rows: none of
+    them builds a MoveRecord. Only a row that fails its check does, to
+    raise its message."""
 
     @pytest.fixture(autouse=True)
     def _no_records(self, monkeypatch):
@@ -972,9 +975,29 @@ class TestNoRecordsForTables:
         assert code == 0
         assert out
 
-    def test_patch_is_live(self, capsys):
-        with pytest.raises(AssertionError):
-            run_cli(capsys, "simulate", "--scenario", "2", "--format", "csv")
+    @pytest.mark.parametrize("source", [
+        ("simulate", "--scenario", "2", "--runs", "50", "--samples", "2"),
+        ("simulate", "--scenario", "3", "--runs", "20"),
+        ("replay", "--input", ROWS_CSV, *LAYOUT_2),
+    ], ids=["trials", "walks", "csv-input"])
+    @pytest.mark.parametrize("output", [
+        ("--format", "csv"), ("--format", "json"), ("--trace", "{tmp}/t.tr"),
+    ], ids=["csv", "json", "trace"])
+    def test_record_outputs(self, capsys, tmp_path, source, output):
+        argv = [*source, *(arg.replace("{tmp}", str(tmp_path)) for arg in output)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out
+        if "--trace" in argv:
+            assert (tmp_path / "t.tr").read_text(encoding="utf-8")
+
+    def test_patch_is_live(self, capsys, tmp_path):
+        path = tmp_path / "broken.csv"
+        rows = Path(ROWS_CSV).read_text(encoding="utf-8").splitlines()
+        rows[3] = "5,14,20,55,50,no_overlap"  # MN_0 moved 6, not 5
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(AssertionError, match="MoveRecord built"):
+            run_cli(capsys, "replay", "--input", str(path), *LAYOUT_2)
 
 
 class TestRedrawOnce:

@@ -79,6 +79,23 @@ class TestCrossingPredicates:
         assert crossing(0, 344, 375) is Outcome.MN1_OVERLAP
 
 
+class TestOutcome:
+    """An outcome hashes by identity, so a copy must be the same member."""
+
+    @pytest.mark.parametrize("outcome", list(Outcome))
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_member(self, outcome, duplicate):
+        again = duplicate(outcome)
+        assert again is outcome
+        assert hash(again) == hash(outcome)
+
+    def test_members_hash_apart(self):
+        assert len({hash(o) for o in Outcome}) == len(Outcome)
+        assert {o: o.value for o in Outcome}[Outcome.MN0_OVERLAP] == "mn0_overlap"
+
+
 class TestMoveRecord:
     def test_from_inits(self):
         rec = MoveRecord.from_inits(10, 500, 28)

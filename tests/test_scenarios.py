@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from itertools import chain
 from statistics import fmean
 
@@ -173,7 +173,7 @@ class TestSequentialRuns:
     def test_chaining_and_approach(self):
         _, runs = run_sequential_scenario(replace(preset(3, seed=4), runs=10))
         for run in runs:
-            records = tuple(run.moves())
+            records = tuple(MoveRecord(*row) for row in run.moves())
             for prev, rec in zip(records, records[1:]):
                 assert (rec.mn0_init, rec.mn1_init) == (
                     prev.mn0_new, prev.mn1_new)
@@ -247,17 +247,15 @@ class TestReplay:
         assert not run.timed_out
         assert run.steps_taken == 5
         assert tuple(run.moves()) == ds.rows[:5]
-        assert run.final_positions == (ds.rows[4].mn0_new, ds.rows[4].mn1_new)
+        assert run.final_positions == (ds.rows[4][2], ds.rows[4][4])
 
     def test_broken_chain_rejected(self):
-        rows = [MoveRecord.from_inits(10, 500, 5),
-                MoveRecord.from_inits(16, 495, 5)]
+        rows = [move_row(10, 500, 5), move_row(16, 495, 5)]
         with pytest.raises(ValueError):
             replay_sequential(rows, ZoneLayout(0, 249, 251, 500, 250))
 
     def test_rows_after_crossing_rejected(self):
-        rows = [MoveRecord.from_inits(240, 260, 10),
-                MoveRecord.from_inits(250, 250, 10)]
+        rows = [move_row(240, 260, 10), move_row(250, 250, 10)]
         with pytest.raises(ValueError):
             replay_sequential(rows, ZoneLayout(0, 249, 251, 500, 250))
 
@@ -283,8 +281,13 @@ def small_walk_configs(draw):
         runs=draw(st.integers(1, 4)), max_steps_cap=draw(st.integers(1, 30)))
 
 
+def move_row(mn0_init, mn1_init, step):
+    """The row of both nodes' move by ``step``, checked by ``MoveRecord``."""
+    return astuple(MoveRecord.from_inits(mn0_init, mn1_init, step))
+
+
 def classified(run, layout):
-    return tuple(classify(rec, layout) for rec in run.moves())
+    return tuple(classify(MoveRecord(*row), layout) for row in run.moves())
 
 
 class TestWalkOutcomes:
@@ -320,7 +323,7 @@ class TestWalkOutcomes:
 
 
 def reference_independent(config):
-    """Record-building loop: (tally, records, outcomes) per sample."""
+    """Record-building loop: (tally, rows, outcomes) per sample."""
     layout = config.sampler.layout
     samples = []
     for k in range(config.samples):
@@ -329,7 +332,7 @@ def reference_independent(config):
         for _ in range(config.runs_per_sample):
             mn0, mn1 = sampler.draw_init_positions()
             rec = MoveRecord.from_inits(mn0, mn1, sampler.draw_step())
-            records.append(rec)
+            records.append(astuple(rec))
             outcomes.append(classify(rec, layout))
         samples.append((tally(outcomes), tuple(records), tuple(outcomes)))
     return samples
@@ -367,7 +370,7 @@ def reference_walks(config):
 
 
 def reference_sequential(config):
-    """Record-building walks: (tally, [(records, terminal, timed_out)])."""
+    """Record-building walks: (tally, [(rows, terminal, timed_out)])."""
     layout = config.sampler.layout
     runs = []
     for j in range(config.runs):
@@ -377,7 +380,7 @@ def reference_sequential(config):
         outcome = Outcome.NO_OVERLAP
         while len(records) < config.max_steps_cap:
             rec = MoveRecord.from_inits(mn0, mn1, sampler.draw_step())
-            records.append(rec)
+            records.append(astuple(rec))
             outcome = classify(rec, layout)
             if outcome is not Outcome.NO_OVERLAP:
                 break
@@ -428,8 +431,8 @@ class TestAgainstReferenceLoop:
                                                       strict=True):
             assert result.tally == total
             assert result.records == records
-            assert tuple(classify(rec, config.sampler.layout)
-                         for rec in result.moves()) == outcomes
+            assert tuple(classify(MoveRecord(*row), config.sampler.layout)
+                         for row in result.moves()) == outcomes
 
     @pytest.mark.parametrize("config", SEQUENTIAL_CASES)
     def test_sequential(self, config):
@@ -442,8 +445,7 @@ class TestAgainstReferenceLoop:
             assert run.terminal is terminal
             assert run.steps_taken == len(records)
             assert run.timed_out is timed_out
-            assert run.final_positions == (records[-1].mn0_new,
-                                           records[-1].mn1_new)
+            assert run.final_positions == (records[-1][2], records[-1][4])
 
     def test_cases_cover_caps(self):
         capped = [run for config in SEQUENTIAL_CASES
@@ -529,7 +531,7 @@ class TestKernelAgainstSampler:
         assert total == expected_total
         for run, (records, terminal, timed_out) in zip(runs, expected,
                                                        strict=True):
-            assert run.steps == tuple(rec.step for rec in records)
+            assert run.steps == tuple(row[0] for row in records)
             assert run.terminal is terminal
             assert run.timed_out is timed_out
 
@@ -549,8 +551,8 @@ class TestKernelAgainstSampler:
                                         2, 1)
         [result] = run_independent_scenario(config)
         lo = (layout.zone0_lo, layout.zone1_lo, 0)[column]
-        first = result.records[0]
-        assert (first.mn0_init, first.mn1_init, first.step)[column] == \
+        step, mn0_init, _, mn1_init, _ = result.records[0]
+        assert (mn0_init, mn1_init, step)[column] == \
             lo + 2**31 - 1
         assert result.records == reference_independent(config)[0][1]
         walk = SequentialConfig(SamplerConfig(seed, 2**31, WIDE), 1000, 1800,
@@ -608,9 +610,9 @@ class TestChunkBoundaries:
             assert [[len(column) for column in chunk] for chunk in chunks] == [
                 [min(256, runs - done)] * 3 for done in range(0, runs, 256)]
             assert [trial for chunk in chunks for trial in zip(*chunk)] == [
-                (rec.mn0_init, rec.mn1_init, rec.step) for rec in records]
+                (row[1], row[3], row[0]) for row in records]
             assert result.tally == total
-            assert result.step_sum == sum(rec.step for rec in records)
+            assert result.step_sum == sum(row[0] for row in records)
 
     # Preset 2's zone 0 rejects an output below 2**32 % 50 = 46, the
     # highest threshold of its three ranges: a chunk that starts with 45
@@ -624,7 +626,7 @@ class TestChunkBoundaries:
         [(total, records, _)] = reference_independent(config)
         assert result.records == records
         assert result.tally == total
-        assert (records[0].mn0_init == 96) is (first == 46)
+        assert (records[0][1] == 96) is (first == 46)
 
 
 # Zones 2**32 wide: a walk of steps up to 2**31 needs about five moves to
@@ -760,7 +762,7 @@ class TestRedrawnViews:
         config = IndependentTrialConfig(SamplerConfig(seed, max_step, layout),
                                         runs, samples)
         for result in run_independent_scenario(config):
-            steps = [rec.step for rec in result.records]
+            steps = [row[0] for row in result.records]
             assert result.step_sum == sum(steps)
             assert float(result.step_sum) / result.tally.trials == fmean(steps)
 
@@ -801,13 +803,14 @@ class TestRedrawnViews:
                             lambda *args: redraws.append(args) or draw(*args))
         views = {
             "records": lambda: result.records,
-            "outcomes": lambda: [classify(rec, layout) for rec in result.moves()],
+            "outcomes": lambda: [classify(MoveRecord(*row), layout)
+                                 for row in result.moves()],
         }
         assert len(views[first]()) == 2500
         assert len(redraws) == 1
         records, outcomes = views["records"](), views["outcomes"]()
         assert len(redraws) == 3
-        assert outcomes == [classify(rec, layout) for rec in records]
+        assert outcomes == [classify(MoveRecord(*row), layout) for row in records]
         assert tally(outcomes) == result.tally
 
     def test_walks_index_like_a_list(self):
@@ -830,13 +833,14 @@ class TestRedrawnViews:
         assert hash(walks) == hash(run_sequential_scenario(config)[1])
 
 
-def replay_document() -> tuple[list[MoveRecord], dict]:
-    """A 20,000-move replay's records and its JSON document."""
+def replay_document() -> tuple[list[tuple], dict]:
+    """A 20,000-move replay's rows and its JSON document."""
     layout = ZoneLayout(5000, 5049, 5051, 5100, 5050)
-    records = [MoveRecord.from_inits(5000 + i * 7 % 50, 5051 + i * 13 % 50,
-                                     i * 31 % 51) for i in range(20_000)]
+    records = [move_row(5000 + i * 7 % 50, 5051 + i * 13 % 50, i * 31 % 51)
+               for i in range(20_000)]
     doc = {"dataset": None, "input": "rows.csv",
-           "tally": tally(classify(rec, layout) for rec in records).as_dict(),
+           "tally": tally(classify(MoveRecord(*row), layout)
+                          for row in records).as_dict(),
            "records": JsonRecords(records, layout.brink)}
     return records, doc
 
@@ -1015,8 +1019,8 @@ class TestBuiltConfigsRun:
         [result] = run_independent_scenario(
             IndependentTrialConfig(sampler, 3, 1))
         assert result.tally.trials == 3
-        assert all(lo0 <= rec.mn0_init <= hi0 for rec in result.records)
-        assert all(lo1 <= rec.mn1_init <= hi1 for rec in result.records)
+        assert all(lo0 <= row[1] <= hi0 for row in result.records)
+        assert all(lo1 <= row[3] <= hi1 for row in result.records)
         total, runs = run_sequential_scenario(SequentialConfig(
             sampler, layout.zone0_hi, layout.zone1_lo, runs=2, max_steps_cap=4))
         assert total.trials == len(runs) == 2

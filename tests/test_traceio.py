@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import astuple
 from unittest import mock
 
 import pytest
@@ -25,25 +26,30 @@ from simulmob.traceio import (
     write_json,
 )
 
+
+def move_row(mn0_init: int, mn1_init: int, step: int) -> tuple:
+    """The row of both nodes' move by ``step``, checked by ``MoveRecord``."""
+    return astuple(MoveRecord.from_inits(mn0_init, mn1_init, step))
+
+
 records = st.builds(
-    MoveRecord.from_inits,
-    st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 500))
+    move_row, st.integers(0, 2000), st.integers(0, 2000), st.integers(0, 500))
 # Positions and steps up to 2**70, well past the 2**53 a float holds exactly.
 wide_records = st.builds(
-    MoveRecord.from_inits,
+    move_row,
     st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70),
     st.integers(0, 2**70))
 
 
-def reference_line(rec: MoveRecord, node_id: int) -> str:
-    """Node ``node_id``'s half of ``rec`` as one movement line."""
-    init, new = ((rec.mn0_init, rec.mn0_new) if node_id == 0
-                 else (rec.mn1_init, rec.mn1_new))
+def reference_line(row: tuple, node_id: int) -> str:
+    """Node ``node_id``'s half of ``row`` as one movement line."""
+    step, mn0_init, mn0_new, mn1_init, mn1_new = row
+    init, new = (mn0_init, mn0_new) if node_id == 0 else (mn1_init, mn1_new)
     return (f"M 0.00100 {node_id} ({init}.00, 00.00), ({new}.00, 00.00), "
-            f"{rec.step}.00")
+            f"{step}.00")
 
 
-def reference_trace(recs: list[MoveRecord], step_headers: bool) -> str:
+def reference_trace(recs: list[tuple], step_headers: bool) -> str:
     """A trace built line by line from :func:`reference_line`."""
     blocks = []
     for k, rec in enumerate(recs, 1):
@@ -146,7 +152,7 @@ def cursor_parse_trace_line(line: str) -> tuple[int, float, int, int, int]:
     return node_id, time_s, init_x, new_x, step
 
 
-def cursor_parse_trace(text: str) -> list[MoveRecord]:
+def cursor_parse_trace(text: str) -> list[tuple]:
     """Reference for ``parse_trace``: the whole-trace parser before the regex."""
     fragments = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -174,7 +180,7 @@ def cursor_parse_trace(text: str) -> list[MoveRecord]:
         n0, n1 = (a, b) if node_a == 0 else (b, a)
         (_, _, init0, new0, step), (_, _, init1, new1, _) = n0, n1
         try:
-            out.append(MoveRecord(step, init0, new0, init1, new1))
+            out.append(astuple(MoveRecord(step, init0, new0, init1, new1)))
         except ValueError as exc:
             raise TraceParseError(str(exc), 1, line_b) from None
     return out
@@ -290,7 +296,7 @@ def traces(draw):
 class TestFormatTraceLine:
     """The two lines ``format_trace`` writes for one move."""
 
-    WALK_START = MoveRecord.from_inits(10, 500, 28)
+    WALK_START = move_row(10, 500, 28)
 
     def test_node1_line(self):
         assert format_trace([self.WALK_START]).splitlines()[0] == \
@@ -301,8 +307,8 @@ class TestFormatTraceLine:
             "M 0.00100 0 (10.00, 00.00), (38.00, 00.00), 28.00"
 
     def test_zero_step_line(self):
-        rec = MoveRecord.from_inits(96, 146, 0)
-        assert format_trace([rec]).splitlines()[1] == \
+        row = move_row(96, 146, 0)
+        assert format_trace([row]).splitlines()[1] == \
             "M 0.00100 0 (96.00, 00.00), (96.00, 00.00), 0.00"
 
 
@@ -324,7 +330,7 @@ class TestParseTraceLine:
         line = "M 0.00100 0 (38.00, 00.00), (81.00, 00.00), 43.00"
         partner = "M 0.00100 1 (472.00, 00.00), (429.00, 00.00), 43.00"
         assert parse_trace(f"{line}\n{partner}\n") == \
-            [MoveRecord(43, 38, 81, 472, 429)]
+            [(43, 38, 81, 472, 429)]
 
     @given(records, st.sampled_from([0, 1]))
     def test_round_trip(self, rec, node_id):
@@ -373,7 +379,7 @@ class TestParseTraceLine:
         line = "M 0.00100 0 (0.1, 00.00), (0.3, 00.00), 0.2"
         assert _outcome(parse_trace, line) == ("non-zero fraction in initial x", 15, 1)
         line = "M 0.00100 0 (1.0, 00.00), (3.000, 00.00), 2"
-        assert parse_trace(f"{line}\n{self.PARTNER}") == [MoveRecord(2, 1, 3, 10, 8)]
+        assert parse_trace(f"{line}\n{self.PARTNER}") == [(2, 1, 3, 10, 8)]
 
     def test_step_equal_only_as_floats_rejected(self):
         # As floats, 2**53 + 1 is 2**53, so the step 0 would match.
@@ -389,7 +395,7 @@ class TestParseTraceLine:
         # for zeros, however long.
         zeros = "0" * 5000
         line = f"M 0.00100 0 (1.{zeros}, 00.00), (3, 00.00), 2.{zeros}"
-        assert parse_trace(f"{line}\n{self.PARTNER}") == [MoveRecord(2, 1, 3, 10, 8)]
+        assert parse_trace(f"{line}\n{self.PARTNER}") == [(2, 1, 3, 10, 8)]
         odd = line.replace(f"2.{zeros}", f"2.{zeros}1")
         assert _outcome(parse_trace, f"{odd}\n{self.PARTNER}") == (
             "non-zero fraction in step length", odd.index("2.") + 2, 1)
@@ -474,8 +480,7 @@ class TestParseTraceLine:
 
 
 class TestWholeTrace:
-    WALK = [MoveRecord.from_inits(10, 500, 28),
-            MoveRecord.from_inits(38, 472, 43)]
+    WALK = [move_row(10, 500, 28), move_row(38, 472, 43)]
 
     def test_node1_printed_first(self):
         lines = format_trace(self.WALK).splitlines()
@@ -596,7 +601,7 @@ class TestWholeTrace:
         big = "9" * 400
         text = (f"M 0.00100 1 (0, 00.00), (-{big}, 00.00), {big}\n"
                 f"M 0.00100 0 (0, 00.00), ({big}, 00.00), {big}\n")
-        assert parse_trace(text) == [MoveRecord(int(big), 0, int(big), 0, -int(big))]
+        assert parse_trace(text) == [(int(big), 0, int(big), 0, -int(big))]
         huge = "9" * (sys.get_int_max_str_digits() + 1)
         text = text.replace(f"({big}, 00.00), {big}", f"({huge}, 00.00), {huge}")
         with pytest.raises(TraceParseError) as err:
@@ -610,15 +615,15 @@ class TestWholeTrace:
 
     @given(st.integers(-(2**53) + 1, 2**53 - 1))
     def test_positions_print_as_through_a_float_below_2_53(self, x):
-        rec = MoveRecord.from_inits(x, x, 0)
-        assert format_trace([rec]).splitlines()[1] == (
+        row = move_row(x, x, 0)
+        assert format_trace([row]).splitlines()[1] == (
             f"M 0.00100 0 ({x:.2f}, 00.00), ({x:.2f}, 00.00), 0.00")
 
     def test_positions_above_2_53_exact(self):
-        rec = MoveRecord.from_inits(9007199254741001, 9007199254741068, 22)
-        text = format_trace([rec])
+        row = move_row(9007199254741001, 9007199254741068, 22)
+        text = format_trace([row])
         assert "(9007199254741001.00, 00.00), (9007199254741023.00, 00.00)" in text
-        assert parse_trace(text) == [rec]
+        assert parse_trace(text) == [row]
 
     def test_leading_zeros_past_the_int_digit_limit(self):
         zeros = "0" * 5000
@@ -626,7 +631,7 @@ class TestWholeTrace:
                 f"(-9007199254740979.00, 00.00), {zeros}22")
         partner = "M 0.00100 1 (100.00, 00.00), (78.00, 00.00), 22.00"
         assert parse_trace(f"{line}\n{partner}\n") == [
-            MoveRecord(22, -9007199254741001, -9007199254740979, 100, 78)]
+            (22, -9007199254741001, -9007199254740979, 100, 78)]
 
     def test_fraction_next_to_a_wide_number_rejected(self):
         line = ("M 0.00100 0 (9007199254741001.00, 00.00), "
@@ -645,8 +650,8 @@ class TestWholeTrace:
 
     def test_wide_numbers_scanned(self):
         # The scan takes numbers of any width, past 2**53 and a float's range.
-        recs = [MoveRecord.from_inits(10**15, -(10**15 - 1), 7),
-                MoveRecord.from_inits(-(10**400), 10**400, 10**399)]
+        recs = [move_row(10**15, -(10**15 - 1), 7),
+                move_row(-(10**400), 10**400, 10**399)]
         with mock.patch.object(traceio, "_fields", side_effect=AssertionError):
             assert parse_trace(format_trace(recs)) == recs
 
@@ -696,7 +701,7 @@ class TestWholeTrace:
         assert (err.value.reason, err.value.line, err.value.column) == (
             "non-zero fraction in initial x", 1, 15)
         zeros = text.replace("00000000000000000001,", "00000000000000000000,")
-        assert parse_trace(zeros) == [MoveRecord(1, 1, 2, 5, 4)]
+        assert parse_trace(zeros) == [(1, 1, 2, 5, 4)]
 
     @given(traces())
     def test_matches_cursor_parser(self, text):
@@ -719,7 +724,7 @@ class TestDatasets:
     def test_table5_shape(self):
         ds = load_dataset("table-5")
         assert len(ds.rows) == 30
-        assert ds.rows[0] == MoveRecord(36, 99, 135, 142, 106)
+        assert ds.rows[0] == (36, 99, 135, 142, 106)
         assert ds.kind == "independent"
         assert ds.max_step == 50
         assert ds.published_counts == (8, 13, 2, 7, 5, 5, 5)
@@ -733,9 +738,9 @@ class TestDatasets:
         ds = load_dataset("table-6")
         assert ds.kind == "sequential"
         assert len(ds.rows) == 11
-        assert ds.rows[-1] == MoveRecord(42, 247, 289, 263, 221)
+        assert ds.rows[-1] == (42, 247, 289, 263, 221)
         # Ninth row normalized so the chain stays arithmetic-consistent.
-        assert ds.rows[8] == MoveRecord(48, 177, 225, 333, 285)
+        assert ds.rows[8] == (48, 177, 225, 333, 285)
 
     def test_table1_has_no_layout(self):
         ds = load_dataset("table-1")
@@ -751,24 +756,23 @@ class TestDatasets:
             load_dataset("table-9")
 
 
-def reference_outcome(rec: MoveRecord, brink: int) -> Outcome:
+def reference_outcome(row: tuple, brink: int) -> Outcome:
     """The brink rule, written out: MN_0 crosses at or past the brink, MN_1
     at or below it."""
-    crossed = (rec.mn0_new >= brink, rec.mn1_new <= brink)
+    crossed = (row[2] >= brink, row[4] <= brink)
     return {(True, True): Outcome.SIMULTANEOUS_OVERLAP,
             (True, False): Outcome.MN0_OVERLAP,
             (False, True): Outcome.MN1_OVERLAP,
             (False, False): Outcome.NO_OVERLAP}[crossed]
 
 
-def reference_csv(recs: list[MoveRecord], brink: int) -> str:
+def reference_csv(recs: list[tuple], brink: int) -> str:
     """The rows as the stdlib's csv writer writes them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for rec in recs:
-        writer.writerow([rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init,
-                         rec.mn1_new, reference_outcome(rec, brink).value])
+    for row in recs:
+        writer.writerow([*row, reference_outcome(row, brink).value])
     return buf.getvalue()
 
 
@@ -799,7 +803,7 @@ class TestCsv:
 
     def test_outcome_column_optional(self):
         text = "step,mn0_init,mn0_new,mn1_init,mn1_new\n5,14,19,55,50\n"
-        assert read_csv(text) == [MoveRecord(5, 14, 19, 55, 50)]
+        assert read_csv(text) == [(5, 14, 19, 55, 50)]
 
     def test_bad_header_rejected(self):
         with pytest.raises(CsvFormatError):
@@ -827,7 +831,7 @@ class TestCsv:
 
     def test_negative_positions_accepted(self):
         text = "step,mn0_init,mn0_new,mn1_init,mn1_new\n5,-3,2,-10,-15\n"
-        assert read_csv(text) == [MoveRecord(5, -3, 2, -10, -15)]
+        assert read_csv(text) == [(5, -3, 2, -10, -15)]
 
     def test_equation_violation_rejected(self):
         text = ",".join(CSV_HEADER) + "\n5,14,20,55,50,no_overlap\n"
@@ -852,17 +856,12 @@ class TestCsv:
             pass
 
 
-def record_dict(rec: MoveRecord, brink: int | None = None) -> dict:
+def record_dict(row: tuple, brink: int | None = None) -> dict:
     """JSON-ready view of one move, the reference for :class:`JsonRecords`."""
-    out = {
-        "step": rec.step,
-        "mn0_init": rec.mn0_init,
-        "mn0_new": rec.mn0_new,
-        "mn1_init": rec.mn1_init,
-        "mn1_new": rec.mn1_new,
-    }
+    out = dict(zip(
+        ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new"), row, strict=True))
     if brink is not None:
-        out["outcome"] = reference_outcome(rec, brink).value
+        out["outcome"] = reference_outcome(row, brink).value
     return out
 
 
@@ -958,9 +957,8 @@ CHUNK_EDGES = [0, 1, 1023, 1024, 1025, 2049]
 CHUNK_BRINK = 450
 
 
-def chunk_records(n: int) -> list[MoveRecord]:
-    return [MoveRecord.from_inits(i % 500, 400 + i % 700, i % 51)
-            for i in range(n)]
+def chunk_records(n: int) -> list[tuple]:
+    return [move_row(i % 500, 400 + i % 700, i % 51) for i in range(n)]
 
 
 class TestPieces:
@@ -1014,35 +1012,34 @@ def spelled_moves(draw):
 
     recs = draw(st.lists(small_and_wide_records, max_size=4))
     trace, table = [], [",".join(CSV_HEADER[:5])]
-    for rec in recs:
+    for step, mn0_init, mn0_new, mn1_init, mn1_new in recs:
         lines = [f"M 0.00100 {node} ({spell(init, True)}, 00.00), "
-                 f"({spell(new, True)}, 00.00), {spell(rec.step, True)}"
-                 for node, init, new in ((1, rec.mn1_init, rec.mn1_new),
-                                         (0, rec.mn0_init, rec.mn0_new))]
+                 f"({spell(new, True)}, 00.00), {spell(step, True)}"
+                 for node, init, new in ((1, mn1_init, mn1_new),
+                                         (0, mn0_init, mn0_new))]
         trace += draw(st.permutations(lines))
         table.append(",".join(spell(value, False) for value in (
-            rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new)))
+            step, mn0_init, mn0_new, mn1_init, mn1_new)))
     return recs, "\n".join(trace), "\n".join(table)
 
 
 class TestSharedInts:
     """A reader converts each number text once, so equal numbers in its
-    records are one int object."""
+    rows are one int object."""
 
     def test_one_int_per_value(self):
         # Every value is above 256, past CPython's cached small ints.
-        recs = [MoveRecord.from_inits(1000 + i % 7, 5000 + i % 5, 300 + i % 3)
+        recs = [move_row(1000 + i % 7, 5000 + i % 5, 300 + i % 3)
                 for i in range(300)]
         for parsed in (parse_trace(format_trace(recs)),
                        read_csv(write_csv(recs, 0))):
             assert parsed == recs
-            values = [value for rec in parsed for value in (
-                rec.step, rec.mn0_init, rec.mn0_new, rec.mn1_init, rec.mn1_new)]
+            values = [value for row in parsed for value in row]
             assert min(values) > 256
             assert len({id(value) for value in values}) == len(set(values))
 
     @given(spelled_moves())
-    @example(([MoveRecord(3, 0, 3, 10, 7)] * 2,
+    @example(([(3, 0, 3, 10, 7)] * 2,
               "M 0.00100 1 (0010.00, 00.00), (007.00, 00.00), 3.00\n"
               "M 0.00100 0 (-0.00, 00.00), (03.00, 00.00), 3.00\n"
               "M 0.00100 1 (10.00, 00.00), (7.00, 00.00), 3.00\n"
@@ -1056,13 +1053,13 @@ class TestSharedInts:
     def test_long_numbers_read_alike(self, reader):
         """Leading zeros do not count against int()'s digit limit; a number
         with more significant digits than it gets one reason in both readers."""
-        def read(x: str) -> list[MoveRecord]:
+        def read(x: str) -> list[tuple]:
             if reader == "csv":
                 return read_csv(f"{','.join(CSV_HEADER[:5])}\n0,{x},{x},3,3\n")
             return parse_trace(f"M 0.00100 1 (3.00, 00.00), (3.00, 00.00), 0.00\n"
                                f"M 0.00100 0 ({x}.00, 00.00), ({x}.00, 00.00), 0.00\n")
 
-        assert read("0" * 5000 + "5") == [MoveRecord(0, 5, 5, 3, 3)]
+        assert read("0" * 5000 + "5") == [(0, 5, 5, 3, 3)]
         limit = sys.get_int_max_str_digits()
         reason = ("more significant digits than sys.get_int_max_str_digits() "
                   f"allows ({limit})")
@@ -1073,7 +1070,7 @@ class TestSharedInts:
             assert str(err.value) == f"row 2: {reason}"
         else:
             assert (err.value.reason, err.value.line, err.value.column) == (reason, 2, 14)
-        assert read("5" * limit) == [MoveRecord(0, int("5" * limit), int("5" * limit), 3, 3)]
+        assert read("5" * limit) == [(0, int("5" * limit), int("5" * limit), 3, 3)]
 
 
 
@@ -1081,7 +1078,7 @@ SEVENS = "7" * 4300
 LONG = "777...777 (4300 characters)"
 
 
-def csv_row(row: str) -> list[MoveRecord]:
+def csv_row(row: str) -> list[tuple]:
     return read_csv(f"{','.join(CSV_HEADER[:5])}\n{row}\n")
 
 
@@ -1114,3 +1111,49 @@ class TestLongNumbersInErrors:
         with pytest.raises(CsvFormatError) as err:
             csv_row(f"1,{n},{n},3,2")
         assert str(err.value) == f"row 2: MN_0 update broken: {n} + 1 != {n}"
+
+
+class TestRowParity:
+    """Each reader returns the rows its writer was given, as tuples of plain
+    ints, and names a broken row by the message ``MoveRecord`` gives it."""
+
+    @given(st.lists(small_and_wide_records, max_size=8), wide_brinks,
+           st.booleans())
+    @example([move_row(-(2**53) - 1, 2**53 + 1, 3), move_row(-5, -2, 0)], 0,
+             False)
+    def test_round_trip_is_exact(self, rows, brink, headers):
+        for back in (read_csv(write_csv(rows, brink)),
+                     parse_trace(format_trace(rows, headers))):
+            assert back == rows
+            assert all(type(row) is tuple and len(row) == 5 for row in back)
+            assert all(type(value) is int for row in back for value in row)
+
+    @given(wide_records, st.integers(0, 4),
+           st.integers(-(2**60), 2**60).filter(bool), wide_brinks)
+    @example(move_row(1, 2, 3), 0, -4, 0)  # a negative step
+    def test_broken_csv_row_names_the_record_message(self, row, field, delta,
+                                                      brink):
+        broken = tuple(v + delta if i == field else v for i, v in enumerate(row))
+        with pytest.raises(ValueError) as expected:
+            MoveRecord(*broken)
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(write_csv([row, broken], brink))
+        assert str(err.value) == f"row 3: {expected.value}"
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(write_csv([broken], brink))
+        assert str(err.value) == f"row 2: {expected.value}"
+
+    @given(wide_records.filter(lambda row: row[0] > 0), st.sampled_from([0, 1]),
+           st.booleans())
+    def test_wrong_way_trace_move_names_the_record_message(self, row, node,
+                                                           headers):
+        step, mn0_init, mn0_new, mn1_init, mn1_new = row
+        broken = ((step, mn0_init, mn0_init - step, mn1_init, mn1_new)
+                  if node == 0 else
+                  (step, mn0_init, mn0_new, mn1_init, mn1_init + step))
+        with pytest.raises(ValueError) as expected:
+            MoveRecord(*broken)
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(format_trace([row, broken], headers))
+        assert err.value.reason == str(expected.value)
+        assert (err.value.line, err.value.column) == (7 if headers else 4, 1)
