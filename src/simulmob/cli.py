@@ -322,7 +322,7 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
 
         dataset = load_dataset(args.dataset)
         source = Source(dataset.kind, dataset.layout, dataset.id, dataset,
-                        list(dataset.rows))
+                        dataset.rows)
     else:
         with open(args.input, encoding="utf-8-sig") as fh:
             try:

@@ -1,9 +1,9 @@
 """Reference datasets bundled for golden replay.
 
-Rows are (step, mn0_init, mn0_new, mn1_init, mn1_new) tuples of ints, as
-every reader, writer and replay takes them, stored exactly as published
-except where a dataset note says otherwise; each is checked once through
-``MoveRecord`` when the module loads. Known inconsistencies in the
+Rows are ``MoveRecord``s, built and so checked once when the module loads:
+each equals its (step, mn0_init, mn0_new, mn1_init, mn1_new) tuple of ints
+as published, except where a dataset note says otherwise, and every
+reader, writer and replay takes it as a row. Known inconsistencies in the
 published tables are preserved as notes rather than silently corrected so
 that replay reports can show them side by side.
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import MoveRecord, Row, ZoneLayout
+from .model import MoveRecord, ZoneLayout
 
 # Sample moves illustrating the update equations; no zones were published
 # with them, so replaying needs a caller-supplied layout.
@@ -119,21 +119,14 @@ class ReplayDataset:
     id: str
     kind: str  # "independent" rows or one chained "sequential" run
     layout: ZoneLayout | None  # None: replay needs a caller-supplied layout
-    rows: tuple[Row, ...]
+    rows: tuple[MoveRecord, ...]
     max_step: int | None = None
     published_counts: tuple[int, ...] | None = None  # METRIC_LABELS order
     notes: tuple[str, ...] = field(default=())
 
     @property
     def steps(self) -> tuple[int, ...]:
-        return tuple(row[0] for row in self.rows)
-
-
-def _checked(rows: tuple[Row, ...]) -> tuple[Row, ...]:
-    """``rows``, once each has passed ``MoveRecord``'s checks."""
-    for row in rows:
-        MoveRecord(*row)
-    return rows
+        return tuple(row.step for row in self.rows)
 
 
 _DATASETS = {
@@ -141,7 +134,7 @@ _DATASETS = {
         id="table-1",
         kind="independent",
         layout=None,
-        rows=_checked(_TABLE_1_ROWS),
+        rows=tuple(map(MoveRecord._make, _TABLE_1_ROWS)),
         notes=(
             "illustrative sample moves; no zones were published with them, "
             "so replay requires --zone0/--zone1/--brink",
@@ -153,7 +146,7 @@ _DATASETS = {
         id="table-3",
         kind="independent",
         layout=ZoneLayout(0, 374, 376, 750, 375),
-        rows=_checked(_TABLE_3_ROWS),
+        rows=tuple(map(MoveRecord._make, _TABLE_3_ROWS)),
         max_step=50,
         published_counts=(1, 1, 1, 1, 0, 28, 0),
         notes=(
@@ -169,7 +162,7 @@ _DATASETS = {
         id="table-5",
         kind="independent",
         layout=ZoneLayout(50, 99, 101, 150, 100),
-        rows=_checked(_TABLE_5_ROWS),
+        rows=tuple(map(MoveRecord._make, _TABLE_5_ROWS)),
         max_step=50,
         published_counts=(8, 13, 2, 7, 5, 5, 5),
         notes=(
@@ -181,7 +174,7 @@ _DATASETS = {
         id="table-6",
         kind="sequential",
         layout=ZoneLayout(0, 249, 251, 500, 250),
-        rows=_checked(_TABLE_6_ROWS),
+        rows=tuple(map(MoveRecord._make, _TABLE_6_ROWS)),
         max_step=50,
         notes=(
             "row 9 is stored with mn1_new 285: the published 282 contradicts "

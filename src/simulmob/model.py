@@ -5,7 +5,9 @@ the positive direction inside zone 0, MN_1 in the negative direction inside
 zone 1, and both cover the same step length in any given move. The brink
 plane between the zones is the minimal overlapping coverage point; a node
 that touches or passes it has crossed into the other zone, which triggers a
-logical handover. ``classify`` names which nodes crossed on a move.
+logical handover. A move is a row of five ints in ``MoveRecord._fields``
+order; a ``MoveRecord`` is that row, checked and with its fields named.
+``classify`` names which nodes crossed on a move.
 
 Everything here is a pure function over immutable values and is safe to use
 from any number of threads.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 # 1-D model: a position is an integer x coordinate, a step a non-negative
 # integer distance covered in one move interval.
@@ -112,12 +115,23 @@ class Outcome(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class MoveRecord:
-    """One simultaneous move of both nodes.
+# A move's named fields, unchecked; ``MoveRecord`` adds the checks.
+class _Move(NamedTuple):
+    step: StepLength
+    mn0_init: Position
+    mn0_new: Position
+    mn1_init: Position
+    mn1_new: Position
 
-    The position-update identities are enforced at construction and can
-    therefore be assumed everywhere downstream:
+
+class MoveRecord(_Move):
+    """One simultaneous move of both nodes: the checked form of a row.
+
+    A record is the tuple ``(step, mn0_init, mn0_new, mn1_init, mn1_new)``
+    with its fields named, so it equals and hashes as that row, and every
+    function that takes a row takes a record. The position-update identities
+    are enforced whenever one is built (``_replace``, copies and pickles
+    included) and can therefore be assumed everywhere downstream:
 
         mn0_new == mn0_init + step
         mn1_new == mn1_init - step
@@ -127,25 +141,11 @@ class MoveRecord:
     Every move spans :data:`MOVE_INTERVAL_S`, so a record holds no time.
     """
 
-    step: StepLength
-    mn0_init: Position
-    mn0_new: Position
-    mn1_init: Position
-    mn1_new: Position
+    __slots__ = ()
 
-    # Written by hand: the generated frozen ``__init__`` sets each field
-    # through ``object.__setattr__`` and then calls ``__post_init__``, which
-    # costs about twice as much per record. The slots' own setters, bound
-    # below the class, get past the frozen ``__setattr__``. Filling
-    # ``__dict__`` instead is as fast, but gives every record a dict of its
-    # own: 64 more bytes each on CPython 3.11, where slots save 48.
-    def __init__(self, step: StepLength, mn0_init: Position, mn0_new: Position,
-                 mn1_init: Position, mn1_new: Position) -> None:
-        _set_step(self, step)
-        _set_mn0_init(self, mn0_init)
-        _set_mn0_new(self, mn0_new)
-        _set_mn1_init(self, mn1_init)
-        _set_mn1_new(self, mn1_new)
+    def __new__(cls, step: StepLength, mn0_init: Position, mn0_new: Position,
+                mn1_init: Position, mn1_new: Position) -> "MoveRecord":
+        self = tuple.__new__(cls, (step, mn0_init, mn0_new, mn1_init, mn1_new))
         if not (type(step) is type(mn0_init) is type(mn0_new)
                 is type(mn1_init) is type(mn1_new) is int):
             raise ValueError(f"step and positions must be ints, got {self}")
@@ -157,6 +157,13 @@ class MoveRecord:
         if mn1_new != mn1_init - step:
             raise ValueError(f"MN_1 update broken: {abbreviate(mn1_init)} - "
                              f"{abbreviate(step)} != {abbreviate(mn1_new)}")
+        return self
+
+    # namedtuple's own ``_make`` skips ``__new__``; ``_replace`` (and
+    # ``copy.replace``) build through it, so this one checks.
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "MoveRecord":
+        return cls(*iterable)
 
     @classmethod
     def from_inits(
@@ -171,13 +178,9 @@ class MoveRecord:
         return cls(step, mn0_init, mn0_init + step, mn1_init, mn1_init - step)
 
 
-# A move as the codecs, scenarios and replays pass it: (step, mn0_init,
-# mn0_new, mn1_init, mn1_new), plain ints. ``MoveRecord(*row)`` checks one.
+# A move as the codecs, scenarios and replays pass it: a plain tuple in
+# ``MoveRecord._fields`` order, or a record. ``MoveRecord(*row)`` checks one.
 Row = tuple[int, int, int, int, int]
-
-
-_set_step, _set_mn0_init, _set_mn0_new, _set_mn1_init, _set_mn1_new = (
-    getattr(MoveRecord, name).__set__ for name in MoveRecord.__slots__)
 
 
 _NO_OVERLAP = Outcome.NO_OVERLAP
@@ -200,10 +203,10 @@ def crossing(mn0: Position, mn1: Position, brink: Position) -> Outcome:
     return _MN1_OVERLAP if mn1 <= brink else _NO_OVERLAP
 
 
-def classify(rec: MoveRecord, layout: ZoneLayout) -> Outcome:
-    """Name which nodes crossed the brink plane on this move.
+def classify(move: Row, layout: ZoneLayout) -> Outcome:
+    """Name which nodes crossed the brink plane on this move, a row or a record.
 
     Crossing is inclusive (touching the brink counts) for both nodes; the
-    four outcomes partition all (record, layout) pairs.
+    four outcomes partition all (move, layout) pairs.
     """
-    return crossing(rec.mn0_new, rec.mn1_new, layout.brink)
+    return crossing(move[2], move[4], layout.brink)

@@ -17,9 +17,10 @@ which a trace may follow with a fraction of zeros (``format_trace`` writes
 ``.00``). Both readers convert them to exact ints.
 
 A move on every path is a row of five ints, ``(step, mn0_init, mn0_new,
-mn1_init, mn1_new)`` in ``CSV_HEADER[:5]`` order: ``read_csv`` and
-``parse_trace`` return lists of rows, and the writers take any iterable of
-rows. Each reader checks every row's position-update identities inline
+mn1_init, mn1_new)`` in ``MoveRecord._fields`` order, which ``CSV_HEADER``
+and the JSON move objects follow: ``read_csv`` and ``parse_trace`` return
+lists of plain tuples, and the writers take any iterable of rows, records
+included. Each reader checks every row's position-update identities inline
 and builds a :class:`MoveRecord` only for a row that fails them, to raise
 its message.
 
@@ -56,7 +57,7 @@ from typing import Iterable, Iterator, NoReturn
 
 from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, Row, abbreviate, crossing
 
-CSV_HEADER = ("step", "mn0_init", "mn0_new", "mn1_init", "mn1_new", "outcome")
+CSV_HEADER = (*MoveRecord._fields, "outcome")
 _CHUNK = 1024  # moves in one piece of a writer's text
 
 
@@ -356,7 +357,6 @@ def read_csv(text: str) -> list[Row]:
 # Scalars go through the stdlib's encoder: its escaping, float repr and
 # NaN error, with no indent, so the C encoder does the work.
 _scalar = json.JSONEncoder(allow_nan=False).encode
-_RECORD_KEYS = CSV_HEADER[:5]  # a move's fields, without the outcome
 
 
 class JsonRecords:
@@ -394,7 +394,7 @@ def _render(value: object, pad: str, lead: str = "") -> Iterator[str]:
     inner = pad + "  "
     if isinstance(value, JsonRecords):
         key = inner + "  "
-        fields = ",".join(f'{key}"{name}": %d' for name in _RECORD_KEYS)
+        fields = ",".join(f'{key}"{name}": %d' for name in MoveRecord._fields)
         brink, rows = value.brink, value.rows
         if brink is not None:  # each move's fields, then its outcome
             tails = {o: f',{key}"outcome": {_scalar(o.value)}' for o in Outcome}

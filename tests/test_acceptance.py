@@ -233,7 +233,7 @@ def holds_everywhere(layout, rec):
         return False
 
     # Formatting a move's trace and parsing it back is the identity.
-    row = dataclasses.astuple(rec)
+    row = tuple(rec)
     return parse_trace(format_trace([row])) == [row]
 
 

@@ -960,10 +960,11 @@ class TestNoRecordsForTables:
 
     @pytest.fixture(autouse=True)
     def _no_records(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
+        # A record is built, and checked, in ``__new__``.
+        def refuse(cls, *args, **kwargs):
             raise AssertionError("MoveRecord built")
 
-        monkeypatch.setattr(MoveRecord, "__init__", refuse)
+        monkeypatch.setattr(MoveRecord, "__new__", refuse)
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--scenario", "2"),

@@ -1,6 +1,6 @@
 import copy
-import dataclasses
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +13,7 @@ from simulmob.model import (
     classify,
     crossing,
 )
+from simulmob.traceio import CSV_HEADER
 
 
 def layouts(max_coord: int = 500):
@@ -136,37 +137,47 @@ class TestMoveRecord:
 
     def test_replace_validates(self):
         rec = MoveRecord.from_inits(10, 500, 28)
-        assert dataclasses.replace(rec, mn1_init=501, mn1_new=473) == \
+        moved = rec._replace(mn1_init=501, mn1_new=473)
+        assert type(moved) is MoveRecord and moved == MoveRecord.from_inits(10, 501, 28)
+        with pytest.raises(ValueError, match="^MN_0 update broken: 10 [+] 29 != 38$"):
+            rec._replace(step=29)
+        with pytest.raises(ValueError, match="^MN_0 update broken: 14 [+] 5 != 20$"):
+            MoveRecord._make((5, 14, 20, 55, 50))
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in 3.13")
+    def test_copy_replace_validates(self):
+        rec = MoveRecord.from_inits(10, 500, 28)
+        assert copy.replace(rec, mn1_init=501, mn1_new=473) == \
             MoveRecord.from_inits(10, 501, 28)
         with pytest.raises(ValueError, match="^MN_0 update broken: 10 [+] 29 != 38$"):
-            dataclasses.replace(rec, step=29)
+            copy.replace(rec, step=29)
 
     def test_frozen(self):
         rec = MoveRecord.from_inits(10, 500, 28)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             rec.step = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del rec.mn0_new
-        # The fields live in slots, not in a dict per record.
+        # The fields live in the tuple, not in a dict per record.
         assert not hasattr(rec, "__dict__")
 
     def test_fields_and_repr(self):
         rec = MoveRecord(step=28, mn0_init=10, mn0_new=38, mn1_init=500, mn1_new=472)
-        assert [(f.name, f.default) for f in dataclasses.fields(MoveRecord)] == [
-            ("step", dataclasses.MISSING), ("mn0_init", dataclasses.MISSING),
-            ("mn0_new", dataclasses.MISSING), ("mn1_init", dataclasses.MISSING),
-            ("mn1_new", dataclasses.MISSING)]
+        assert MoveRecord._fields == CSV_HEADER[:5] == (
+            "step", "mn0_init", "mn0_new", "mn1_init", "mn1_new")
         assert repr(rec) == ("MoveRecord(step=28, mn0_init=10, mn0_new=38, "
                              "mn1_init=500, mn1_new=472)")
-        assert dataclasses.astuple(rec) == (28, 10, 38, 500, 472)
+        assert tuple(rec) == (28, 10, 38, 500, 472)
 
     def test_eq_and_hash_by_fields(self):
         rec = MoveRecord.from_inits(10, 500, 28)
         same = MoveRecord(28, 10, 38, 500, 472)
         assert rec == same and hash(rec) == hash(same)
-        assert hash(rec) == hash(dataclasses.astuple(rec))
         assert rec != MoveRecord.from_inits(10, 501, 28)
-        assert rec != dataclasses.astuple(rec)
+        # A record is its row: a reader's plain tuple matches it.
+        row = (28, 10, 38, 500, 472)
+        assert isinstance(rec, tuple)
+        assert rec == row and hash(rec) == hash(row)
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda rec: pickle.loads(pickle.dumps(rec))])
@@ -175,6 +186,11 @@ class TestMoveRecord:
         twin = clone(rec)
         assert type(twin) is MoveRecord
         assert twin == rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
+        # A copy is built again, so it is checked again: a broken move made
+        # past the checks does not survive one.
+        broken = tuple.__new__(MoveRecord, (5, 14, 20, 55, 50))
+        with pytest.raises(ValueError, match="^MN_0 update broken: 14 [+] 5 != 20$"):
+            clone(broken)
 
 
 class TestClassify:

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from itertools import chain
 from statistics import fmean
 
@@ -282,12 +282,12 @@ def small_walk_configs(draw):
 
 
 def move_row(mn0_init, mn1_init, step):
-    """The row of both nodes' move by ``step``, checked by ``MoveRecord``."""
-    return astuple(MoveRecord.from_inits(mn0_init, mn1_init, step))
+    """The record of both nodes' move by ``step``."""
+    return MoveRecord.from_inits(mn0_init, mn1_init, step)
 
 
 def classified(run, layout):
-    return tuple(classify(MoveRecord(*row), layout) for row in run.moves())
+    return tuple(classify(row, layout) for row in run.moves())
 
 
 class TestWalkOutcomes:
@@ -332,7 +332,7 @@ def reference_independent(config):
         for _ in range(config.runs_per_sample):
             mn0, mn1 = sampler.draw_init_positions()
             rec = MoveRecord.from_inits(mn0, mn1, sampler.draw_step())
-            records.append(astuple(rec))
+            records.append(rec)
             outcomes.append(classify(rec, layout))
         samples.append((tally(outcomes), tuple(records), tuple(outcomes)))
     return samples
@@ -380,7 +380,7 @@ def reference_sequential(config):
         outcome = Outcome.NO_OVERLAP
         while len(records) < config.max_steps_cap:
             rec = MoveRecord.from_inits(mn0, mn1, sampler.draw_step())
-            records.append(astuple(rec))
+            records.append(rec)
             outcome = classify(rec, layout)
             if outcome is not Outcome.NO_OVERLAP:
                 break
@@ -431,7 +431,7 @@ class TestAgainstReferenceLoop:
                                                       strict=True):
             assert result.tally == total
             assert result.records == records
-            assert tuple(classify(MoveRecord(*row), config.sampler.layout)
+            assert tuple(classify(row, config.sampler.layout)
                          for row in result.moves()) == outcomes
 
     @pytest.mark.parametrize("config", SEQUENTIAL_CASES)
@@ -803,14 +803,14 @@ class TestRedrawnViews:
                             lambda *args: redraws.append(args) or draw(*args))
         views = {
             "records": lambda: result.records,
-            "outcomes": lambda: [classify(MoveRecord(*row), layout)
+            "outcomes": lambda: [classify(row, layout)
                                  for row in result.moves()],
         }
         assert len(views[first]()) == 2500
         assert len(redraws) == 1
         records, outcomes = views["records"](), views["outcomes"]()
         assert len(redraws) == 3
-        assert outcomes == [classify(MoveRecord(*row), layout) for row in records]
+        assert outcomes == [classify(row, layout) for row in records]
         assert tally(outcomes) == result.tally
 
     def test_walks_index_like_a_list(self):
@@ -839,7 +839,7 @@ def replay_document() -> tuple[list[tuple], dict]:
     records = [move_row(5000 + i * 7 % 50, 5051 + i * 13 % 50, i * 31 % 51)
                for i in range(20_000)]
     doc = {"dataset": None, "input": "rows.csv",
-           "tally": tally(classify(MoveRecord(*row), layout)
+           "tally": tally(classify(row, layout)
                           for row in records).as_dict(),
            "records": JsonRecords(records, layout.brink)}
     return records, doc

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import astuple
 from unittest import mock
 
 import pytest
@@ -10,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from simulmob import traceio
 from simulmob.datasets import DATASET_IDS, load_dataset
-from simulmob.model import MoveRecord, Outcome, abbreviate
+from simulmob.model import (MoveRecord, Outcome, ZoneLayout, abbreviate, classify,
+                            crossing)
 from simulmob.traceio import (
     CSV_HEADER,
     CsvFormatError,
@@ -29,7 +29,7 @@ from simulmob.traceio import (
 
 def move_row(mn0_init: int, mn1_init: int, step: int) -> tuple:
     """The row of both nodes' move by ``step``, checked by ``MoveRecord``."""
-    return astuple(MoveRecord.from_inits(mn0_init, mn1_init, step))
+    return tuple(MoveRecord.from_inits(mn0_init, mn1_init, step))
 
 
 records = st.builds(
@@ -180,7 +180,7 @@ def cursor_parse_trace(text: str) -> list[tuple]:
         n0, n1 = (a, b) if node_a == 0 else (b, a)
         (_, _, init0, new0, step), (_, _, init1, new1, _) = n0, n1
         try:
-            out.append(astuple(MoveRecord(step, init0, new0, init1, new1)))
+            out.append(tuple(MoveRecord(step, init0, new0, init1, new1)))
         except ValueError as exc:
             raise TraceParseError(str(exc), 1, line_b) from None
     return out
@@ -1157,3 +1157,28 @@ class TestRowParity:
             parse_trace(format_trace([row, broken], headers))
         assert err.value.reason == str(expected.value)
         assert (err.value.line, err.value.column) == (7 if headers else 4, 1)
+
+
+class TestRecordsAsRows:
+    """A record is its row: each writer gives the same bytes for records as
+    for plain rows, ``classify`` gives the same outcome, and the readers
+    still return plain tuples."""
+
+    @given(st.lists(small_and_wide_records, max_size=8), wide_brinks)
+    @example([move_row(-(2**53) - 1, 2**53 + 1, 3), move_row(-5, -2, 0)], 0)
+    def test_records_write_and_classify_as_rows(self, rows, brink):
+        recs = [MoveRecord(*row) for row in rows]
+        for write in (lambda moves: write_csv(moves, brink),
+                      format_trace,
+                      lambda moves: format_trace(moves, True),
+                      lambda moves: write_json({"records": JsonRecords(moves)}),
+                      lambda moves: write_json({"records": JsonRecords(moves, brink)})):
+            assert write(recs) == write(rows)
+        layout = ZoneLayout(brink - 2, brink - 1, brink + 1, brink + 2, brink)
+        for row, rec in zip(rows, recs, strict=True):
+            assert (classify(row, layout) is classify(rec, layout)
+                    is crossing(row[2], row[4], brink))
+        for back in (read_csv(write_csv(recs, brink)),
+                     parse_trace(format_trace(recs))):
+            assert back == recs
+            assert all(type(row) is tuple for row in back)
