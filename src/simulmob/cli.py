@@ -14,16 +14,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 from math import fsum
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .model import MAGNITUDE_LIMIT, Outcome, Row, ZoneLayout
 from .sampling import SamplerConfig, validate
 from .scenarios import (
     IndependentTrialConfig,
-    SampleResult,
     SequentialConfig,
     SequentialRun,
     config_from_dict,
@@ -47,9 +46,6 @@ from .stats import (
 # ``format_trace`` is not called here, but ``perfbench --trace 1`` binds it.
 from .traceio import (JsonRecords, csv_pieces, format_trace, json_pieces,
                       read_csv, trace_pieces, write_json)
-
-if TYPE_CHECKING:
-    from .datasets import ReplayDataset
 
 # ``datasets`` and ``plotting`` load only on the paths that use them.
 _DATASET_HELP = "bundled dataset id (table-1, table-3, table-5, table-6)"
@@ -214,11 +210,11 @@ def _scenario_config(
             raise UsageError(
                 "--samples applies to independent-trial scenarios only")
         runs = args.runs if args.runs is not None else config.runs
-        return replace(config, sampler=sampler, runs=runs)
+        return config._replace(sampler=sampler, runs=runs)
     runs = args.runs if args.runs is not None else config.runs_per_sample
     samples = args.samples if args.samples is not None else config.samples
-    return replace(
-        config, sampler=sampler, runs_per_sample=runs, samples=samples)
+    return config._replace(
+        sampler=sampler, runs_per_sample=runs, samples=samples)
 
 
 def _write_text(path: str, pieces: Iterable[str]) -> None:
@@ -245,11 +241,13 @@ def _notes_text(doc: dict) -> str:
 # -- sources ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Source:
+class Source(namedtuple(
+        "Source", "kind layout title dataset records config parts total",
+        defaults=(None, None, None, (), None))):
     """One resolved input: a bundled dataset, a CSV file or a scenario run.
 
-    ``kind`` is the mobility shape, "independent" or "sequential". A dataset
+    ``kind`` is the mobility shape, "independent" or "sequential", and
+    ``title`` names the input. A bundled ``dataset`` (a ``ReplayDataset``)
     or CSV file carries its ``records`` (rows of five ints) and its own
     ``layout``, if any, and ``plot`` draws it so; for ``replay`` and
     ``estimate`` it is replayed, and carries the merged ``layout``, the
@@ -262,14 +260,7 @@ class Source:
     it: its tables read that document, not the source.
     """
 
-    kind: str
-    layout: ZoneLayout | None
-    title: str
-    dataset: ReplayDataset | None = None
-    records: Sequence[Row] | None = None
-    config: IndependentTrialConfig | SequentialConfig | None = None
-    parts: Sequence[SampleResult | SequentialRun] = ()
-    total: Tally | None = None
+    __slots__ = ()
 
     def moves(self) -> Iterable[Row]:
         """Every move's row, in order; a scenario's are redrawn per call."""
@@ -343,10 +334,10 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
     layout, records = _layout_from_flags(args, source.layout), source.records
     if source.kind == "sequential":
         run = replay_sequential(records, layout)
-        return replace(source, layout=layout, parts=(run,),
-                       total=tally([run.terminal]))
-    return replace(source, layout=layout,
-                   total=replay_independent(records, layout))
+        return source._replace(layout=layout, parts=(run,),
+                               total=tally([run.terminal]))
+    return source._replace(layout=layout,
+                           total=replay_independent(records, layout))
 
 
 def _check_output_switches(args: argparse.Namespace) -> None:

@@ -13,7 +13,7 @@ METRIC_LABELS column order; it is what `simulmob replay` diffs against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .model import MoveRecord, ZoneLayout
 
@@ -112,17 +112,16 @@ _TABLE_6_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class ReplayDataset:
-    """An embedded batch of moves plus the context needed to replay it."""
+class ReplayDataset(namedtuple(
+        "ReplayDataset", "id kind layout rows max_step published_counts notes",
+        defaults=(None, None, ()))):
+    """An embedded batch of moves plus the context needed to replay it.
 
-    id: str
-    kind: str  # "independent" rows or one chained "sequential" run
-    layout: ZoneLayout | None  # None: replay needs a caller-supplied layout
-    rows: tuple[MoveRecord, ...]
-    max_step: int | None = None
-    published_counts: tuple[int, ...] | None = None  # METRIC_LABELS order
-    notes: tuple[str, ...] = field(default=())
+    ``kind`` is "independent" (rows) or "sequential" (one chained run), and
+    ``layout`` None when replay needs a caller-supplied layout.
+    """
+
+    __slots__ = ()
 
     @property
     def steps(self) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ from any number of threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 # 1-D model: a position is an integer x coordinate, a step a non-negative
 # integer distance covered in one move interval.
@@ -48,8 +48,26 @@ class LayoutError(ValueError):
     """Zone geometry that violates ``zone0 < brink < zone1`` ordering."""
 
 
-@dataclass(frozen=True)
-class ZoneLayout:
+class _Checked:
+    """Base, before the namedtuple, of a value class that checks its fields:
+    ``__new__`` builds the tuple and runs the class's ``_check``. namedtuple's
+    ``_make`` skips ``__new__``; this one calls it, so ``_replace``, copies,
+    pickles and (3.13+) ``copy.replace`` check too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> _Checked:
+        return cls(*iterable)
+
+
+class ZoneLayout(_Checked, namedtuple(
+        "ZoneLayout", "zone0_lo zone0_hi zone1_lo zone1_hi brink")):
     """Inclusive integer ranges of the two zones and the brink plane between them.
 
     Construction raises :class:`LayoutError` unless ``zone0_lo <= zone0_hi
@@ -57,13 +75,9 @@ class ZoneLayout:
     every layout in hand is ordered and nothing downstream re-checks it.
     """
 
-    zone0_lo: Position
-    zone0_hi: Position
-    zone1_lo: Position
-    zone1_hi: Position
-    brink: Position
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (self.zone0_lo <= self.zone0_hi < self.brink
                 < self.zone1_lo <= self.zone1_hi):
             raise LayoutError(
@@ -115,16 +129,8 @@ class Outcome(enum.Enum):
     __hash__ = object.__hash__
 
 
-# A move's named fields, unchecked; ``MoveRecord`` adds the checks.
-class _Move(NamedTuple):
-    step: StepLength
-    mn0_init: Position
-    mn0_new: Position
-    mn1_init: Position
-    mn1_new: Position
-
-
-class MoveRecord(_Move):
+class MoveRecord(_Checked, namedtuple(
+        "MoveRecord", "step mn0_init mn0_new mn1_init mn1_new")):
     """One simultaneous move of both nodes: the checked form of a row.
 
     A record is the tuple ``(step, mn0_init, mn0_new, mn1_init, mn1_new)``
@@ -143,6 +149,7 @@ class MoveRecord(_Move):
 
     __slots__ = ()
 
+    # The checks run inline, not through ``_check``, to keep a build cheap.
     def __new__(cls, step: StepLength, mn0_init: Position, mn0_new: Position,
                 mn1_init: Position, mn1_new: Position) -> "MoveRecord":
         self = tuple.__new__(cls, (step, mn0_init, mn0_new, mn1_init, mn1_new))
@@ -158,12 +165,6 @@ class MoveRecord(_Move):
             raise ValueError(f"MN_1 update broken: {abbreviate(mn1_init)} - "
                              f"{abbreviate(step)} != {abbreviate(mn1_new)}")
         return self
-
-    # namedtuple's own ``_make`` skips ``__new__``; ``_replace`` (and
-    # ``copy.replace``) build through it, so this one checks.
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "MoveRecord":
-        return cls(*iterable)
 
     @classmethod
     def from_inits(

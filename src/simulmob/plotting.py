@@ -10,8 +10,8 @@ well-formed file, and ASCII axis labels widen to fit their values.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import Iterator, Sequence
 
 from .model import MAGNITUDE_LIMIT
 from .traceio import _pieces

@@ -15,11 +15,11 @@ draw or to the draw order shows as changed bytes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import rshift
 
-from .model import Position, StepLength, ZoneLayout
+from .model import Position, StepLength, _Checked
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -123,8 +123,8 @@ class Pcg32:
                 return lo + (r % bound)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(_Checked, namedtuple(
+        "SamplerConfig", "seed max_step layout")):
     """Seed, step bound, and zone geometry that fully determine a sampler.
 
     Construction raises :class:`ValueError` for a seed outside [0, 2**64),
@@ -132,11 +132,9 @@ class SamplerConfig:
     values :meth:`Pcg32.randint` can draw, so no sampler re-checks it.
     """
 
-    seed: int
-    max_step: int
-    layout: ZoneLayout
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.max_step < 0:

@@ -32,19 +32,18 @@ and the running sums of its steps, and the replays take rows too.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import accumulate, cycle, islice
 from operator import add, sub
-from typing import get_type_hints
 
 from .model import (
     MoveRecord,
     Outcome,
     Position,
     Row,
-    StepLength,
     ZoneLayout,
+    _Checked,
     classify,
     crossing,
 )
@@ -53,32 +52,28 @@ from .sampling import (_DRAW_RANGE, _MASK32, _PCG_MULTIPLIER, Sampler,
 from .stats import Tally, tally
 
 
-@dataclass(frozen=True)
-class IndependentTrialConfig:
+class IndependentTrialConfig(_Checked, namedtuple(
+        "IndependentTrialConfig", "sampler runs_per_sample samples",
+        defaults=(30, 30))):
     """Fresh-inits shape: samples x runs_per_sample one-move trials."""
 
-    sampler: SamplerConfig
-    runs_per_sample: int = 30
-    samples: int = 30
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.runs_per_sample < 1:
             raise ValueError(f"runs_per_sample must be >= 1, got {self.runs_per_sample}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
-@dataclass(frozen=True)
-class SequentialConfig:
+class SequentialConfig(_Checked, namedtuple(
+        "SequentialConfig", "sampler mn0_start mn1_start runs max_steps_cap",
+        defaults=(30, 10_000))):
     """Chained-moves shape: runs walks from fixed starts to first crossing."""
 
-    sampler: SamplerConfig
-    mn0_start: int
-    mn1_start: int
-    runs: int = 30
-    max_steps_cap: int = 10_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         layout = self.sampler.layout
         if not layout.zone0_lo <= self.mn0_start <= layout.zone0_hi:
             raise ValueError(
@@ -96,10 +91,11 @@ class SequentialConfig:
             raise ValueError(f"max_steps_cap must be >= 1, got {self.max_steps_cap}")
 
 
-@dataclass(frozen=True)
-class SequentialRun:
+class SequentialRun(namedtuple("SequentialRun",
+                               "start steps terminal timed_out")):
     """One chained walk: the shared step of every move taken from ``start``,
-    ended by crossing or cap.
+    ended by crossing or cap. ``terminal`` is the last move's
+    :class:`Outcome`; ``timed_out`` is true when the cap ended the walk.
 
     :meth:`moves` rebuilds the rows from the start positions and the
     steps; only record output (CSV, JSON, trace) and a plot read them.
@@ -108,10 +104,7 @@ class SequentialRun:
     past the first crossing.
     """
 
-    start: tuple[Position, Position]
-    steps: tuple[StepLength, ...]
-    terminal: Outcome
-    timed_out: bool
+    __slots__ = ()
 
     @property
     def steps_taken(self) -> int:
@@ -130,8 +123,7 @@ class SequentialRun:
         return zip(steps, mn0, islice(mn0, 1, None), mn1, islice(mn1, 1, None))
 
 
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(namedtuple("SampleResult", "sample tally step_sum sampler")):
     """One sample of an independent-trial scenario: its tally and step sum.
 
     A sample keeps no draw. :meth:`moves` redraws stream ``sample`` of
@@ -140,10 +132,7 @@ class SampleResult:
     read redraws. Table and estimate output need neither.
     """
 
-    sample: int
-    tally: Tally
-    step_sum: int
-    sampler: SamplerConfig
+    __slots__ = ()
 
     def moves(self) -> Iterator[Row]:
         for a, b, s in _sample_draws(self.sampler, self.sample, self.tally.trials):
@@ -154,7 +143,6 @@ class SampleResult:
         return tuple(self.moves())
 
 
-@dataclass(frozen=True)
 class Walks(Sequence[SequentialRun]):
     """The walks of a sequential scenario, kept as counts.
 
@@ -165,11 +153,38 @@ class Walks(Sequence[SequentialRun]):
     of moves the walks took and ``step_sum`` the sum of their steps. The
     number that reached the step cap is the ``no_overlap`` of the tally
     returned beside them: a walk ends without crossing only at the cap.
+    Walks are immutable, and equal and hash by those three fields.
     """
 
-    config: SequentialConfig
-    moves: int
-    step_sum: int
+    __slots__ = ("config", "moves", "step_sum")
+
+    def __init__(self, config: SequentialConfig, moves: int, step_sum: int):
+        for name, value in zip(self.__slots__, (config, moves, step_sum)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[SequentialConfig, int, int]:
+        return self.config, self.moves, self.step_sum
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(config={self.config!r}, "
+                f"moves={self.moves!r}, step_sum={self.step_sum!r})")
 
     def __len__(self) -> int:
         return self.config.runs
@@ -411,39 +426,44 @@ def preset(scenario_id: int, seed: int = 0) -> IndependentTrialConfig | Sequenti
     raise ValueError(f"unknown scenario id {scenario_id}; known ids are 1, 2, 3")
 
 
-def _from_dict(cls: type, doc: object, what: str):
-    """Build dataclass ``cls`` from a JSON object, field by field.
+# The config fields that hold a nested config, by the class that holds each;
+# every other field is an int. With each class's ``_fields`` and
+# ``_field_defaults``, this is the config JSON's schema.
+_NESTED = {"sampler": SamplerConfig, "layout": ZoneLayout}
 
-    A dataclass-typed field is built from its nested object the same way
-    and named by its field name; every other field is an int, and a JSON
-    ``true`` is not one. A missing field takes the dataclass default.
+
+def _from_dict(cls: type, doc: object, what: str):
+    """Build config class ``cls`` from a JSON object, field by field.
+
+    A field named in ``_NESTED`` is built from its nested object the same
+    way and named by its field name; every other field is an int, and a
+    JSON ``true`` is not one. A missing field takes the class's default.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be an object, got {doc!r}")
-    known = fields(cls)
-    unknown = set(doc) - {f.name for f in known}
+    unknown = set(doc) - set(cls._fields)
     if unknown:
         raise ValueError(f"{what} has unknown keys {sorted(unknown)}")
-    hints = get_type_hints(cls)
     values = {}
-    for f in known:
-        if f.name not in doc:
-            if f.default is MISSING:
-                raise ValueError(f"{what} is missing key {f.name!r}")
+    for name in cls._fields:
+        if name not in doc:
+            if name not in cls._field_defaults:
+                raise ValueError(f"{what} is missing key {name!r}")
             continue
-        value = doc[f.name]
-        if is_dataclass(hints[f.name]):
-            value = _from_dict(hints[f.name], value, f.name)
+        value = doc[name]
+        if name in _NESTED:
+            value = _from_dict(_NESTED[name], value, name)
         elif isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(
-                f"{what} key {f.name!r} must be an integer, got {value!r}")
-        values[f.name] = value
+                f"{what} key {name!r} must be an integer, got {value!r}")
+        values[name] = value
     return cls(**values)
 
 
 def config_from_dict(doc: dict) -> IndependentTrialConfig | SequentialConfig:
     """Build a scenario config from a JSON-style dict (field names mirror
-    the config dataclasses; the shape is inferred from which fields appear).
+    the config classes' fields; the shape is inferred from which fields
+    appear).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"config document must be an object, got {doc!r}")
@@ -460,5 +480,7 @@ def config_from_dict(doc: dict) -> IndependentTrialConfig | SequentialConfig:
 
 
 def config_to_dict(config: IndependentTrialConfig | SequentialConfig) -> dict:
-    """Inverse of config_from_dict (dataclass field order)."""
-    return asdict(config)
+    """Inverse of config_from_dict: plain dicts, the nested configs' too,
+    with keys in ``_fields`` order."""
+    return {name: config_to_dict(value) if name in _NESTED else value
+            for name, value in zip(config._fields, config)}

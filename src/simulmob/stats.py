@@ -8,15 +8,11 @@ the full (init, step) grid and against Monte Carlo frequencies.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from math import fsum
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import Outcome, ZoneLayout
-
-if TYPE_CHECKING:  # ``fractions`` loads when ``exact_crossing_probability`` runs.
-    from fractions import Fraction
 
 # Canonical column set of the printed result tables, in printing order.
 METRIC_LABELS = (
@@ -33,8 +29,8 @@ METRIC_KEYS = ("mn0_only", "mn0_handover", "mn1_only", "mn1_handover",
                "simultaneous", "no_overlap", "simultaneous")
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(namedtuple("Tally", "mn0_only mn1_only simultaneous no_overlap",
+                       defaults=(0, 0, 0, 0))):
     """Aggregated outcome counts for a batch of moves.
 
     Only the four disjoint outcome counts are stored; the derived totals are
@@ -44,13 +40,10 @@ class Tally:
         mn1_handover == mn1_only + simultaneous
         trials == mn0_only + mn1_only + simultaneous + no_overlap
 
-    hold for every Tally by construction.
+    hold for every Tally by construction. ``+`` adds two tallies.
     """
 
-    mn0_only: int = 0
-    mn1_only: int = 0
-    simultaneous: int = 0
-    no_overlap: int = 0
+    __slots__ = ()
 
     @property
     def trials(self) -> int:
@@ -130,7 +123,7 @@ def expected_crossings(trials: int, zone_span: float, avg_step: float) -> float:
 
 def exact_crossing_probability(
     layout: ZoneLayout, max_step: int, node: int
-) -> Fraction:
+) -> Fraction:  # noqa: F821 (imported on call)
     """Exact per-trial crossing probability, as a reduced fraction.
 
     A trial draws the node's init uniformly from its zone and the step

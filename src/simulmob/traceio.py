@@ -51,9 +51,9 @@ import io
 import json
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice, repeat
 from types import GeneratorType
-from typing import Iterable, Iterator, NoReturn
 
 from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, Row, abbreviate, crossing
 
@@ -142,7 +142,7 @@ _MOVE = re.compile("".join(
 )).fullmatch
 
 
-def _reject(line: str) -> NoReturn:
+def _reject(line: str) -> NoReturn:  # noqa: F821 (never imported: annotation only)
     """Raise the :class:`TraceParseError` for a line that ``_MOVE`` rejects."""
     pos = 0
     for what, piece in _GRAMMAR:
@@ -368,7 +368,7 @@ class JsonRecords:
     the document can then be rendered from only once.
     """
 
-    # A plain class: a dataclass would add about 0.6 ms to every start-up.
+    # Not a namedtuple: ``json.dumps`` would take one for a plain list.
     __slots__ = ("rows", "brink")
 
     def __init__(self, rows: Iterable[Row], brink: int | None = None):

@@ -6,7 +6,6 @@ Golden counts come from the embedded replay datasets; generated-run checks
 are statistical with fixed seeds.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -145,7 +144,7 @@ def test_criterion_6(capsys):
 def test_criterion_7(capsys):
     with criterion(capsys, 7, "1000 seeded sequential runs land in the golden "
                              "statistic bands"):
-        config = dataclasses.replace(preset(3, seed=2026), runs=1000)
+        config = preset(3, seed=2026)._replace(runs=1000)
         total, runs = run_sequential_scenario(config)
         assert not any(run.timed_out for run in runs)
         mean_steps = sum(run.steps_taken for run in runs) / len(runs)

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import fsum
 from pathlib import Path
@@ -309,7 +308,7 @@ class TestReplay:
         import simulmob.datasets as datasets
 
         dataset = load_dataset("table-6")
-        cut = replace(dataset, rows=dataset.rows[:5])
+        cut = dataset._replace(rows=dataset.rows[:5])
         # ``cli`` imports ``load_dataset`` when a dataset is named.
         monkeypatch.setattr(datasets, "load_dataset", lambda _id: cut)
         code, out, _ = run_cli(capsys, "replay", "--dataset", "table-6")

@@ -10,6 +10,7 @@ from simulmob.model import (
     MoveRecord,
     Outcome,
     ZoneLayout,
+    abbreviate,
     classify,
     crossing,
 )
@@ -191,6 +192,16 @@ class TestMoveRecord:
         broken = tuple.__new__(MoveRecord, (5, 14, 20, 55, 50))
         with pytest.raises(ValueError, match="^MN_0 update broken: 14 [+] 5 != 20$"):
             clone(broken)
+
+
+class TestAbbreviate:
+    def test_prints_up_to_32_characters_in_full(self):
+        assert abbreviate(10**31) == "1" + "0" * 31
+        assert abbreviate(-(10**30)) == "-1" + "0" * 30
+
+    def test_shortens_from_33_characters(self):
+        assert abbreviate(10**32 + 7) == "100...007 (33 characters)"
+        assert abbreviate(-(10**31)) == "-10...000 (33 characters)"
 
 
 class TestClassify:

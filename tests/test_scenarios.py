@@ -1,6 +1,8 @@
+import copy
 import json
+import pickle
+import sys
 import tracemalloc
-from dataclasses import fields, replace
 from itertools import chain
 from statistics import fmean
 
@@ -20,6 +22,7 @@ from simulmob.scenarios import (
     IndependentTrialConfig,
     SequentialConfig,
     SequentialRun,
+    Walks,
     config_from_dict,
     config_to_dict,
     preset,
@@ -112,7 +115,7 @@ class TestIndependentTrials:
             assert len(result.records) == 30
 
     def test_sample_count_and_indices(self):
-        config = replace(preset(1, seed=3), samples=4, runs_per_sample=5)
+        config = preset(1, seed=3)._replace(samples=4, runs_per_sample=5)
         results = run_independent_scenario(config)
         assert [r.sample for r in results] == [0, 1, 2, 3]
         assert all(len(r.records) == 5 for r in results)
@@ -152,8 +155,8 @@ class TestSequentialRuns:
         assert tuple(run.moves()) == ds.rows
 
     def test_zero_steps_time_out(self):
-        config = replace(self._config(max_steps_cap=100),
-                         sampler=SamplerConfig(0, 0, self.LAYOUT_3))
+        config = self._config(max_steps_cap=100)._replace(
+            sampler=SamplerConfig(0, 0, self.LAYOUT_3))
         _, (run,) = run_sequential_scenario(config)
         assert run.timed_out
         assert run.steps == (0,) * 100
@@ -161,8 +164,8 @@ class TestSequentialRuns:
         assert run.final_positions == (10, 500)
 
     def test_adjacent_starts_cross_in_one_step(self):
-        config = replace(self._config(mn0_start=249, mn1_start=251, runs=20),
-                         sampler=SamplerConfig(0, 1, self.LAYOUT_3))
+        config = self._config(mn0_start=249, mn1_start=251, runs=20)._replace(
+            sampler=SamplerConfig(0, 1, self.LAYOUT_3))
         _, runs = run_sequential_scenario(config)
         for run in runs:
             assert run.steps[-1] == 1
@@ -171,7 +174,7 @@ class TestSequentialRuns:
             assert not run.timed_out
 
     def test_chaining_and_approach(self):
-        _, runs = run_sequential_scenario(replace(preset(3, seed=4), runs=10))
+        _, runs = run_sequential_scenario(preset(3, seed=4)._replace(runs=10))
         for run in runs:
             records = tuple(MoveRecord(*row) for row in run.moves())
             for prev, rec in zip(records, records[1:]):
@@ -196,7 +199,7 @@ class TestSequentialRuns:
         assert again == total
 
     def test_larger_batch_statistics(self):
-        config = replace(preset(3, seed=123), runs=200)
+        config = preset(3, seed=123)._replace(runs=200)
         total, runs = run_sequential_scenario(config)
         mean_steps = sum(r.steps_taken for r in runs) / len(runs)
         assert 9.5 <= mean_steps <= 11.5
@@ -298,7 +301,7 @@ class TestWalkOutcomes:
 
     @settings(max_examples=150, deadline=None)
     @given(small_walk_configs())
-    @example(replace(preset(3, seed=4), runs=3))  # walks that cross
+    @example(preset(3, seed=4)._replace(runs=3))  # walks that cross
     @example(SequentialConfig(  # walks that time out
         SamplerConfig(7, 0, ZoneLayout(0, 9, 11, 20, 10)), 5, 15, 2, 8))
     @example(SequentialConfig(  # one-move walks
@@ -397,25 +400,25 @@ def _shifted(config, c):
     old = config.sampler.layout
     layout = ZoneLayout(old.zone0_lo + c, old.zone0_hi + c, old.zone1_lo + c,
                         old.zone1_hi + c, old.brink + c)
-    sampler = replace(config.sampler, layout=layout)
+    sampler = config.sampler._replace(layout=layout)
     if isinstance(config, SequentialConfig):
-        return replace(config, sampler=sampler, mn0_start=config.mn0_start + c,
+        return config._replace(sampler=sampler, mn0_start=config.mn0_start + c,
                        mn1_start=config.mn1_start + c)
-    return replace(config, sampler=sampler)
+    return config._replace(sampler=sampler)
 
 
 INDEPENDENT_CASES = [
-    *(replace(preset(s, seed=seed), runs_per_sample=40, samples=3)
+    *(preset(s, seed=seed)._replace(runs_per_sample=40, samples=3)
       for s in (1, 2) for seed in (0, 1, 2**64 - 1)),
     IndependentTrialConfig(SamplerConfig(11, 300, WIDE), 50, 3),
     IndependentTrialConfig(SamplerConfig(3, 0, WIDE), 20, 2),
 ]
 SEQUENTIAL_CASES = [
-    *(replace(preset(3, seed=seed), runs=25) for seed in (0, 1, 2**64 - 1)),
+    *(preset(3, seed=seed)._replace(runs=25) for seed in (0, 1, 2**64 - 1)),
     SequentialConfig(SamplerConfig(11, 90, WIDE), 1010, 1790, runs=10),
     SequentialConfig(SamplerConfig(4, 0, WIDE), 1200, 1600, runs=3,
                      max_steps_cap=40),
-    replace(preset(3, seed=6), runs=25, max_steps_cap=7),
+    preset(3, seed=6)._replace(runs=25, max_steps_cap=7),
 ]
 
 
@@ -563,8 +566,8 @@ class TestKernelAgainstSampler:
         def refuse(*args):
             raise AssertionError("Sampler path used")
 
-        independent = replace(preset(2, seed=3), runs_per_sample=20, samples=3)
-        sequential = replace(preset(3, seed=3), runs=5)
+        independent = preset(2, seed=3)._replace(runs_per_sample=20, samples=3)
+        sequential = preset(3, seed=3)._replace(runs=5)
         before = (run_independent_scenario(independent),
                   run_sequential_scenario(sequential))
         monkeypatch.setattr(Pcg32, "_next_u32", refuse)
@@ -619,8 +622,8 @@ class TestChunkBoundaries:
     # leaves the fast path, one that starts with 46 keeps it.
     @pytest.mark.parametrize("first", [45, 46])
     def test_first_output_at_the_threshold(self, first):
-        sampler = replace(preset(2).sampler,
-                          seed=seed_with_first_draw(first, stream=0))
+        sampler = preset(2).sampler._replace(
+            seed=seed_with_first_draw(first, stream=0))
         config = IndependentTrialConfig(sampler, 300, 1)
         [result] = run_independent_scenario(config)
         [(total, records, _)] = reference_independent(config)
@@ -655,7 +658,7 @@ class TestWalkChunkBoundaries:
     @pytest.mark.parametrize("runs", [1, 255, 256, 257, 513])
     @pytest.mark.parametrize("case", WALK_CHUNK_CASES)
     def test_against_reference(self, case, runs):
-        config = replace(WALK_CHUNK_CASES[case], runs=runs)
+        config = WALK_CHUNK_CASES[case]._replace(runs=runs)
         expected = list(reference_walks(config))
         assert list(scenarios._walks(config, 0, runs)) == expected
         total, walks = run_sequential_scenario(config)
@@ -673,7 +676,7 @@ class TestWalkChunkBoundaries:
     def test_cases_reach_both_ends(self):
         ends = {case: {(len(steps), terminal is Outcome.NO_OVERLAP)
                        for steps, terminal in reference_walks(
-                           replace(WALK_CHUNK_CASES[case], runs=513))}
+                           WALK_CHUNK_CASES[case]._replace(runs=513))}
                 for case in WALK_CHUNK_CASES}
         assert ends["max-step-0"] == {(5, True)}
         assert ends["max-step-3"] == {(7, True)}
@@ -682,7 +685,7 @@ class TestWalkChunkBoundaries:
         assert not any(timed_out for _, timed_out in ends["rejecting-cap-40"])
 
     def test_walks_index_at_chunk_edges(self):
-        config = replace(preset(3, seed=5), runs=513)
+        config = preset(3, seed=5)._replace(runs=513)
         _, walks = run_sequential_scenario(config)
         runs = list(walks)
         expected = list(reference_walks(config))
@@ -693,9 +696,9 @@ class TestWalkChunkBoundaries:
     # Both shapes in one process use five lane counts: 768 and 132 (a
     # sample of 300 trials), 256 and 44 (300 walks), and 1 (one walk).
     def test_lane_constants_stay_cached_for_both_shapes(self):
-        independent = replace(preset(2, seed=1), runs_per_sample=300,
-                              samples=2)
-        sequential = replace(preset(3, seed=1), runs=300)
+        independent = preset(2, seed=1)._replace(runs_per_sample=300,
+                                                 samples=2)
+        sequential = preset(3, seed=1)._replace(runs=300)
 
         def both():
             run_independent_scenario(independent)
@@ -721,8 +724,8 @@ class TestSampleMemory:
     def test_million_trials_fit(self):
         for scenario in (1, 2):
             for runs in (10_000, 30_000):
-                config = replace(preset(scenario, seed=1),
-                                 runs_per_sample=runs, samples=1)
+                config = preset(scenario, seed=1)._replace(
+                    runs_per_sample=runs, samples=1)
                 tracemalloc.start()
                 try:
                     run_independent_scenario(config)
@@ -742,7 +745,7 @@ class TestWalkMemory:
 
     def test_million_walks_fit(self):
         runs = 10_000
-        config = replace(preset(3, seed=1), runs=runs)
+        config = preset(3, seed=1)._replace(runs=runs)
         tracemalloc.start()
         try:
             run_sequential_scenario(config)
@@ -795,7 +798,7 @@ class TestRedrawnViews:
     @pytest.mark.parametrize("first", ["records", "outcomes"])
     def test_records_and_outcomes_redraw_once(self, monkeypatch, first):
         [result] = run_independent_scenario(
-            replace(preset(1, seed=4), runs_per_sample=2500, samples=1))
+            preset(1, seed=4)._replace(runs_per_sample=2500, samples=1))
         layout = result.sampler.layout
         redraws = []
         draw = scenarios._sample_draws
@@ -814,7 +817,7 @@ class TestRedrawnViews:
         assert tally(outcomes) == result.tally
 
     def test_walks_index_like_a_list(self):
-        config = replace(preset(3, seed=2), runs=6)
+        config = preset(3, seed=2)._replace(runs=6)
         total, walks = run_sequential_scenario(config)
         runs = list(walks)
         assert len(walks) == 6
@@ -831,6 +834,31 @@ class TestRedrawnViews:
             assert walks[cut] == runs[cut]
         assert run_sequential_scenario(config) == (total, walks)
         assert hash(walks) == hash(run_sequential_scenario(config)[1])
+
+    def test_walks_are_an_immutable_value(self):
+        config = preset(3, seed=2)._replace(runs=6)
+        _, walks = run_sequential_scenario(config)
+        same = Walks(config, walks.moves, walks.step_sum)
+        assert walks == same and hash(walks) == hash(same)
+        assert hash(walks) == hash((config, walks.moves, walks.step_sum))
+        assert walks != Walks(config, walks.moves, walks.step_sum + 1)
+        assert walks != Walks(config._replace(runs=5), walks.moves, walks.step_sum)
+        # Not a tuple: a Walks equals only a Walks.
+        assert walks != (config, walks.moves, walks.step_sum)
+        assert repr(walks) == (f"Walks(config={config!r}, moves={walks.moves}, "
+                               f"step_sum={walks.step_sum})")
+        assert walks[1:3] == [walks[1], walks[2]]
+        with pytest.raises(AttributeError):
+            walks.moves = 0
+        with pytest.raises(AttributeError):
+            del walks.step_sum
+        with pytest.raises(AttributeError):
+            walks.extra = 0
+        # The refused writes left the counts as they were.
+        assert (walks.moves, walks.step_sum) == (same.moves, same.step_sum)
+        for twin in (copy.copy(walks), copy.deepcopy(walks),
+                     pickle.loads(pickle.dumps(walks))):
+            assert type(twin) is Walks and twin == walks
 
 
 def replay_document() -> tuple[list[tuple], dict]:
@@ -944,13 +972,21 @@ class TestConfigDicts:
         with pytest.raises(ValueError, match="layout must be an object, got 5"):
             config_from_dict(doc)
 
-    @pytest.mark.parametrize("scenario", [2, 3])
-    def test_keys_follow_field_order(self, scenario):
-        config = preset(scenario)
+    # The presets, and a walk on a custom layout at the largest seed.
+    @pytest.mark.parametrize("config", [
+        preset(1), preset(2), preset(3),
+        SequentialConfig(SamplerConfig(2**64 - 1, 3, ZoneLayout(-7, -2, 4, 9, 1)),
+                         mn0_start=-5, mn1_start=4, runs=2),
+    ], ids=["1", "2", "3", "custom"])
+    def test_keys_follow_field_order(self, config):
+        # A namedtuple would go into json.dumps as a list: each part of the
+        # document is a plain dict, keyed in its class's field order.
         doc = config_to_dict(config)
         for obj, part in ((config, doc), (config.sampler, doc["sampler"]),
                           (config.sampler.layout, doc["sampler"]["layout"])):
-            assert list(part) == [f.name for f in fields(obj)]
+            assert type(part) is dict
+            assert list(part) == list(obj._fields)
+        assert config_from_dict(json.loads(json.dumps(doc))) == config
 
 
 json_values = st.recursive(
@@ -989,6 +1025,69 @@ def valid_configs(draw):
         sampler, draw(st.integers(layout.zone0_lo, layout.zone0_hi)),
         draw(st.integers(layout.zone1_lo, layout.zone1_hi)),
         draw(counts), draw(counts))
+
+
+# One valid value of each class that checks its fields, a field to set to
+# a value the class refuses, and the message it refuses it with.
+CHECKED = [
+    (ZoneLayout(0, 374, 376, 750, 375), "brink", 376, LayoutError,
+     "layout must satisfy zone0_lo <= zone0_hi < brink < zone1_lo <= "
+     "zone1_hi, got zone0 0:374 | brink 376 | zone1 376:750"),
+    (preset(2).sampler, "max_step", -1, ValueError,
+     "max_step must be non-negative, got -1"),
+    (preset(1), "samples", 0, ValueError, "samples must be >= 1, got 0"),
+    (preset(3), "mn0_start", 250, ValueError,
+     "mn0_start 250 outside zone0 0:249"),
+]
+
+
+@pytest.mark.parametrize("value, field, bad, error, message", CHECKED,
+                         ids=[type(case[0]).__name__ for case in CHECKED])
+class TestCheckedValues:
+    """A checked class checks on every build: ``_replace``, ``_make``,
+    copies and pickles included, with construction's error and message."""
+
+    def test_replace_checks_as_construction(self, value, field, bad, error,
+                                            message):
+        values = value._asdict() | {field: bad}
+        for build in (lambda: type(value)(**values),
+                      lambda: value._replace(**{field: bad}),
+                      lambda: type(value)._make(values.values())):
+            with pytest.raises(error) as refused:
+                build()
+            assert type(refused.value) is error
+            assert str(refused.value) == message
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))])
+    def test_copies_equal_and_check(self, value, field, bad, error, message,
+                                    clone):
+        twin = clone(value)
+        assert type(twin) is type(value) and twin == value
+        assert hash(twin) == hash(value) and repr(twin) == repr(value)
+        # A value made past the checks does not survive a copy.
+        i = value._fields.index(field)
+        broken = tuple.__new__(type(value), (*value[:i], bad, *value[i + 1:]))
+        with pytest.raises(error) as refused:
+            clone(broken)
+        assert str(refused.value) == message
+
+    @pytest.mark.skipif(sys.version_info < (3, 13),
+                        reason="copy.replace is new in 3.13")
+    def test_copy_replace_checks(self, value, field, bad, error, message):
+        assert copy.replace(value) == value
+        with pytest.raises(error) as replaced:
+            copy.replace(value, **{field: bad})
+        assert str(replaced.value) == message
+
+    def test_frozen(self, value, field, bad, error, message):
+        with pytest.raises(AttributeError):
+            setattr(value, field, bad)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 0
+        assert not hasattr(value, "__dict__")
 
 
 class TestBuiltConfigsRun:

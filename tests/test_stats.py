@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -322,9 +321,9 @@ class TestWalkMetamorphic:
     @example(preset(3, seed=11))
     def test_mirror_swaps_nodes(self, config):
         b2 = 2 * config.sampler.layout.brink
-        image = replace(
-            config, sampler=replace(config.sampler,
-                                    layout=mirrored(config.sampler.layout)),
+        image = config._replace(
+            sampler=config.sampler._replace(
+                layout=mirrored(config.sampler.layout)),
             mn0_start=b2 - config.mn1_start, mn1_start=b2 - config.mn0_start)
         total, counts = walk_counts(config)
         image_total, image_counts = walk_counts(image)
@@ -342,10 +341,10 @@ class TestWalkMetamorphic:
     # start of 50 leaves a gap of 50, and one of 40 a gap of 40.
     @settings(max_examples=40, deadline=None)
     @given(far_apart_walks())
-    @example(replace(preset(3, seed=11), mn0_start=50, runs=300))
+    @example(preset(3, seed=11)._replace(mn0_start=50, runs=300))
     def test_gap_of_max_step_never_crosses_together(self, config):
         assert walk_counts(config)[0].simultaneous == 0
 
     def test_gap_below_max_step_can_cross_together(self):
-        config = replace(preset(3, seed=11), mn0_start=40, runs=300)
+        config = preset(3, seed=11)._replace(mn0_start=40, runs=300)
         assert walk_counts(config)[0].simultaneous > 0

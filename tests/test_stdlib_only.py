@@ -60,9 +60,12 @@ def test_import_loads_only_stdlib_modules():
     assert foreign == []
 
 
+# Modules that no start-up path needs: the value classes are namedtuples,
+# and no module evaluates an annotation.
+NO_CLASS_BUILDERS = {"dataclasses", "inspect", "typing"}
 # Modules that the table paths of ``simulate`` and a trace reader never call.
 UNUSED_AT_START = {"simulmob.datasets", "simulmob.plotting", "fractions",
-                   "decimal", "statistics"}
+                   "decimal", "statistics", *NO_CLASS_BUILDERS}
 
 
 @pytest.mark.parametrize("code, package, absent", [
@@ -76,7 +79,10 @@ UNUSED_AT_START = {"simulmob.datasets", "simulmob.plotting", "fractions",
     ("import simulmob.cli\n"
      "simulmob.cli.main(['simulate', '--scenario', '3', '--runs', '1'])",
      None, UNUSED_AT_START),
-], ids=["package", "traceio", "cli", "simulate", "simulate-walks"])
+    ("import simulmob.cli\n"
+     "simulmob.cli.main(['replay', '--dataset', 'table-5'])",
+     None, NO_CLASS_BUILDERS),
+], ids=["package", "traceio", "cli", "simulate", "simulate-walks", "replay"])
 def test_entry_point_loads_only_what_it_runs(code, package, absent):
     out = loaded_modules(code)
     if package is not None:
