@@ -1,13 +1,20 @@
 """Deterministic random sources: step lengths and initial node positions.
 
 Reproducibility contract: every draw sequence is a pure function of
-``(seed, stream)``. Batch runners hand sample ``k`` stream ``k``, so samples
-reproduce the serial result no matter what order (or how many threads) they
-execute in. A sampler instance itself is single-owner: share configs, never
-streams.
+``(seed, stream)``. Sample ``k`` of an independent scenario, and walk ``k``
+of a sequential one, draws from stream ``k``, so samples and walks
+reproduce the serial result in any order (or on any number of threads). A
+sampler instance itself is single-owner: share configs, never streams.
 
-The generator is a fixed PCG32, implemented here so that sequences survive
-interpreter and library upgrades. The golden tests pin its seeded output
+The generator is a fixed PCG32 (O'Neill 2014), implemented here so that
+sequences survive interpreter and library upgrades. A trial draws its mn0
+init, then its mn1 init, then its step; a walk draws only steps. Every
+draw is ``pcg32_boundedrand_r``'s: an output below ``2**32 % width`` is
+rejected and the next one taken, and a range of one value draws nothing.
+:class:`Sampler` is the reference, one output at a time; the runners'
+kernels draw exactly what it draws, in bulk: ``_sample_draws`` from
+``pcg32_block``'s blocks for a sample's chunk, and ``_walks`` from one
+lane per walk for a chunk of walks. The golden tests pin the seeded output
 (``tests/golden/simulate-*``, ``perfbench/golden.json``), so any change to a
 draw or to the draw order shows as changed bytes.
 """
@@ -16,10 +23,12 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import cycle, islice
 from operator import rshift
 
-from .model import Position, StepLength, _Checked
+from .model import Position, StepLength, _Checked, crossing
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
@@ -37,9 +46,15 @@ def pcg32_seed(seed: int, stream: int) -> tuple[int, int]:
     return ((inc + seed) * _PCG_MULTIPLIER + inc) & _MASK64, inc
 
 
-# Room for the five sizes a process that runs both shapes uses: a
-# sample's full chunk (768 outputs) and its last, a chunk of 256 walks and
-# the last one, and the one lane that redraws a single walk.
+# Trials in one chunk of a sample's draws, or walks stepped together
+# in one int's lanes: a runner holds one chunk at a time, so its memory
+# does not grow with the run.
+_CHUNK = 256
+
+
+# Room for the five lane counts a run of both shapes uses: 3 * _CHUNK
+# outputs for a sample's full chunk and fewer for its last, _CHUNK walks
+# and fewer for the last chunk of walks, and one lane to redraw one walk.
 @lru_cache(maxsize=8)
 def _lanes(n: int) -> tuple:
     """pcg32_block's and xsh_rr's constants for ``n`` lanes, built on first
@@ -188,3 +203,105 @@ class Sampler:
         p0 = self._rng.randint(layout.zone0_lo, layout.zone0_hi)
         p1 = self._rng.randint(layout.zone1_lo, layout.zone1_hi)
         return p0, p1
+
+
+def _sample_draws(
+    sampler: SamplerConfig, k: int, runs: int
+) -> Iterator[list[list[int]]]:
+    """Sample k's draws, ``runs`` trials from stream k, in chunks of at
+    most ``_CHUNK`` trials.
+
+    Each trial draws as a :class:`Sampler` on stream k does, but builds
+    no record or row. A chunk is three columns, one int per trial in each:
+    the mn0 inits, the mn1 inits and the steps. A chunk whose outputs all pass
+    every rejection threshold takes each column as ``r % width + lo`` of
+    every third output; any other runs the draw loop, one output at a
+    time, in draw order, and splits its values into the columns.
+    """
+    layout = sampler.layout
+    # (lowest value, width, rejection threshold) of each draw, in draw order
+    ranges = [(lo, width, _DRAW_RANGE % width) for lo, width in (
+        (layout.zone0_lo, layout.zone0_width),
+        (layout.zone1_lo, layout.zone1_width),
+        (0, sampler.max_step + 1))]
+    # No output below floor: every draw takes one output, none rejected.
+    floor = max(_DRAW_RANGE if width == 1 else t for _, width, t in ranges)
+    state, inc = pcg32_seed(sampler.seed, k)
+    spare: list[int] = []  # outputs drawn and not yet used
+    for done in range(0, runs, _CHUNK):
+        n = 3 * min(_CHUNK, runs - done)
+        if len(spare) < n:  # the outputs extend spare in place
+            spare[len(spare):], state = pcg32_block(state, inc, n)
+        if min(islice(spare, n)) >= floor:
+            columns = [[r % width + lo for r in spare[i:n:3]]
+                       for i, (lo, width, _) in enumerate(ranges)]
+            used = n
+        else:
+            draws, used = [], 0
+            for value, bound, threshold in islice(cycle(ranges), n):
+                while bound > 1:
+                    if used == len(spare):
+                        spare[used:], state = pcg32_block(state, inc, n)
+                    r = spare[used]
+                    used += 1
+                    if r >= threshold:
+                        value += r % bound
+                        break
+                draws.append(value)
+            columns = [draws[i::3] for i in range(3)]
+        del spare[:used]
+        yield columns
+
+
+def _walks(
+    config: SequentialConfig, first: int, stop: int
+) -> Iterator[tuple[list[int], Outcome]]:
+    """Walks ``first`` to ``stop - 1``: the steps each one took and its
+    terminal outcome; walk j draws from substream j.
+
+    Each walk draws its shared steps from fixed starts until the first
+    crossing or ``max_steps_cap`` moves. The walks of a chunk of at most
+    ``_CHUNK`` step together: the chunk's i-th walk keeps its PCG32 state
+    in lane i (bits 128i up) of one int, and every stream shares the
+    multiplier, so each round one product steps them all (Brown 1994) and
+    each walk still moving takes its own lane's output. A rejected output
+    costs its walk a round but no move, so each lane stays in step with
+    its stream. A walk has crossed once it has moved ``reach``.
+    """
+    sampler = config.sampler
+    brink, cap = sampler.layout.brink, config.max_steps_cap
+    mn0, mn1 = config.mn0_start, config.mn1_start
+    reach = min(brink - mn0, mn1 - brink)
+    bound = sampler.max_step + 1
+    threshold = _DRAW_RANGE % bound
+    for c in range(first, stop, _CHUNK):
+        n = min(_CHUNK, stop - c)
+        if bound == 1:  # a one-value range draws nothing; no walk moves
+            yield from (([0] * cap, crossing(mn0, mn1, brink)) for _ in range(n))
+            continue
+        _, _, mask64, _, _, _, _, words = _lanes(n)
+        seeds = [pcg32_seed(sampler.seed, j) for j in range(c, c + n)]
+        state, inc = (int.from_bytes(words.pack(*lanes), "little")
+                      for lanes in zip(*seeds))
+        steps: list[list[int]] = [[] for _ in range(n)]
+        moved = [0] * n
+        live: Sequence[int] = range(n)
+        while live:
+            old, state = state, (state * _PCG_MULTIPLIER + inc) & mask64
+            doubled, rots = xsh_rr(old, n)
+            going: list[int] = []
+            keep = going.append
+            for i in live:
+                r = doubled[i] >> rots[i] & _MASK32
+                if r >= threshold:
+                    walk = steps[i]
+                    step = r % bound
+                    walk.append(step)
+                    m = moved[i] = moved[i] + step
+                    if m < reach and len(walk) < cap:
+                        keep(i)
+                else:
+                    keep(i)
+            live = going
+        for walk, m in zip(steps, moved):
+            yield walk, crossing(mn0 + m, mn1 - m, brink)

@@ -9,17 +9,11 @@ Two shapes exist:
   with freshly drawn shared steps until the first crossing by either node
   (or a step cap).
 
-Each sample (or run) owns a private substream, so samples may run in any
-order, or in parallel, without changing results, and any one of them can
-be redrawn alone from its seed and stream.
-
-Each shape has one draw generator, with ``pcg32_boundedrand_r`` rejection
-(O'Neill 2014): ``_sample_draws`` yields a sample's draws in chunks of
-three columns (mn0 inits, mn1 inits, steps), from ``pcg32_block``'s
-outputs, and ``_walks`` yields each walk's steps and terminal outcome,
-stepping a chunk's walks together in one PCG32 lane per walk. A range of
-one value consumes no draw. Both draw exactly what a :class:`Sampler` on
-the same stream draws; the tests hold the Sampler-driven reference loops.
+Each shape draws through one kernel of :mod:`.sampling`, which states the
+draw contract: ``_sample_draws`` yields a sample's draws in chunks of
+three columns (mn0 inits, mn1 inits, steps), and ``_walks`` yields each
+walk's steps and terminal outcome. Sample or walk k draws from stream k
+alone, so any one of them can be redrawn from its seed and stream.
 
 The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken and the step sum.
@@ -34,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, islice
 from operator import add, sub
 
 from .model import (
@@ -47,8 +41,7 @@ from .model import (
     classify,
     crossing,
 )
-from .sampling import (_DRAW_RANGE, _MASK32, _PCG_MULTIPLIER, Sampler,
-                       SamplerConfig, _lanes, pcg32_block, pcg32_seed, xsh_rr)
+from .sampling import Sampler, SamplerConfig, _sample_draws, _walks
 from .stats import Tally, tally
 
 
@@ -221,60 +214,6 @@ def run_independent_trial(
     return rec, classify(rec, layout)
 
 
-# Trials in one chunk of a sample's draws, or walks stepped together
-# in one int's lanes: a runner holds one chunk at a time, so its memory
-# does not grow with the run.
-_CHUNK = 256
-
-
-def _sample_draws(
-    sampler: SamplerConfig, k: int, runs: int
-) -> Iterator[list[list[int]]]:
-    """Sample k's draws, ``runs`` trials from stream k, in chunks of at
-    most ``_CHUNK`` trials.
-
-    Each trial draws as :func:`run_independent_trial` does, but builds no
-    record or row. A chunk is three columns, one int per trial in each: the
-    mn0 inits, the mn1 inits and the steps. A chunk whose outputs all pass
-    every rejection threshold takes each column as ``r % width + lo`` of
-    every third output; any other runs the draw loop, one output at a
-    time, in draw order, and splits its values into the columns.
-    """
-    layout = sampler.layout
-    # (lowest value, width, rejection threshold) of each draw, in draw order
-    ranges = [(lo, width, _DRAW_RANGE % width) for lo, width in (
-        (layout.zone0_lo, layout.zone0_width),
-        (layout.zone1_lo, layout.zone1_width),
-        (0, sampler.max_step + 1))]
-    # No output below floor: every draw takes one output, none rejected.
-    floor = max(_DRAW_RANGE if width == 1 else t for _, width, t in ranges)
-    state, inc = pcg32_seed(sampler.seed, k)
-    spare: list[int] = []  # outputs drawn and not yet used
-    for done in range(0, runs, _CHUNK):
-        n = 3 * min(_CHUNK, runs - done)
-        if len(spare) < n:  # the outputs extend spare in place
-            spare[len(spare):], state = pcg32_block(state, inc, n)
-        if min(islice(spare, n)) >= floor:
-            columns = [[r % width + lo for r in spare[i:n:3]]
-                       for i, (lo, width, _) in enumerate(ranges)]
-            used = n
-        else:
-            draws, used = [], 0
-            for value, bound, threshold in islice(cycle(ranges), n):
-                while bound > 1:
-                    if used == len(spare):
-                        spare[used:], state = pcg32_block(state, inc, n)
-                    r = spare[used]
-                    used += 1
-                    if r >= threshold:
-                        value += r % bound
-                        break
-                draws.append(value)
-            columns = [draws[i::3] for i in range(3)]
-        del spare[:used]
-        yield columns
-
-
 def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResult]:
     """Run all samples; sample k draws from substream k.
 
@@ -300,60 +239,6 @@ def run_independent_scenario(config: IndependentTrialConfig) -> list[SampleResul
         total = Tally(mn0_only, mn1_only, simultaneous, no_overlap)
         results.append(SampleResult(k, total, step_sum, sampler))
     return results
-
-
-def _walks(
-    config: SequentialConfig, first: int, stop: int
-) -> Iterator[tuple[list[int], Outcome]]:
-    """Walks ``first`` to ``stop - 1``: the steps each one took and its
-    terminal outcome; walk j draws from substream j.
-
-    Each walk draws its shared steps from fixed starts until the first
-    crossing or ``max_steps_cap`` moves. The walks of a chunk of at most
-    ``_CHUNK`` step together: the chunk's i-th walk keeps its PCG32 state
-    in lane i (bits 128i up) of one int, and every stream shares the
-    multiplier, so each round one product steps them all (Brown 1994) and
-    each walk still moving takes its own lane's output. A rejected output
-    costs its walk a round but no move, so each lane stays in step with
-    its stream. A walk has crossed once it has moved ``reach``.
-    """
-    sampler = config.sampler
-    brink, cap = sampler.layout.brink, config.max_steps_cap
-    mn0, mn1 = config.mn0_start, config.mn1_start
-    reach = min(brink - mn0, mn1 - brink)
-    bound = sampler.max_step + 1
-    threshold = _DRAW_RANGE % bound
-    for c in range(first, stop, _CHUNK):
-        n = min(_CHUNK, stop - c)
-        if bound == 1:  # a one-value range draws nothing; no walk moves
-            yield from (([0] * cap, crossing(mn0, mn1, brink)) for _ in range(n))
-            continue
-        _, _, mask64, _, _, _, _, words = _lanes(n)
-        seeds = [pcg32_seed(sampler.seed, j) for j in range(c, c + n)]
-        state, inc = (int.from_bytes(words.pack(*lanes), "little")
-                      for lanes in zip(*seeds))
-        steps: list[list[int]] = [[] for _ in range(n)]
-        moved = [0] * n
-        live: Sequence[int] = range(n)
-        while live:
-            old, state = state, (state * _PCG_MULTIPLIER + inc) & mask64
-            doubled, rots = xsh_rr(old, n)
-            going: list[int] = []
-            keep = going.append
-            for i in live:
-                r = doubled[i] >> rots[i] & _MASK32
-                if r >= threshold:
-                    walk = steps[i]
-                    step = r % bound
-                    walk.append(step)
-                    m = moved[i] = moved[i] + step
-                    if m < reach and len(walk) < cap:
-                        keep(i)
-                else:
-                    keep(i)
-            live = going
-        for walk, m in zip(steps, moved):
-            yield walk, crossing(mn0 + m, mn1 - m, brink)
 
 
 def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:

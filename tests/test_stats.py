@@ -277,6 +277,37 @@ class TestExactProbability:
             se = math.sqrt(p * (1 - p) / n)
             assert abs(hits / n - p) <= 3 * se
 
+    # Every zone and step draw of the heavy layout, width W = 3 * 2**30,
+    # rejects the outputs below 2**32 % W = 2**30, so every chunk of its
+    # samples takes the runner's draw loop. A loop that took every output
+    # reads z = -137 for node 0 there. A width of 2**31 + 1 would not show
+    # it: skipping rejection biases only 2 of its 2**31 values.
+    @pytest.mark.parametrize("layout, max_step", [
+        (LAYOUT_1, 50),
+        (LAYOUT_2, 50),
+        (ZoneLayout(60, 89, 101, 180, 100), 40),  # exact 31/82 and 1/4
+        (ZoneLayout(0, 3 * 2**30 - 1, 3 * 2**30 + 1, 6 * 2**30, 3 * 2**30),
+         3 * 2**30 - 1),
+    ], ids=["preset-1", "preset-2", "asymmetric", "heavy-rejection"])
+    def test_runner_tallies_in_distribution(self, layout, max_step):
+        # 200 samples x 1,000 trials at seed 11, chosen once. Each node's
+        # pooled crossing count is within 4 SE of the exact probability,
+        # and the dispersion chi-square of the 200 per-sample counts (200
+        # degrees of freedom, SD 20) is within 4 SD of its mean. A failure
+        # is a finding, not a reason to pick another seed.
+        config = IndependentTrialConfig(SamplerConfig(11, max_step, layout),
+                                        runs_per_sample=1000, samples=200)
+        tallies = [r.tally for r in run_independent_scenario(config)]
+        n, samples = config.runs_per_sample, config.samples
+        for node, crossings in ((0, [t.mn0_handover for t in tallies]),
+                                (1, [t.mn1_handover for t in tallies])):
+            p = float(exact_crossing_probability(layout, max_step, node))
+            var = n * p * (1 - p)
+            z = (sum(crossings) - samples * n * p) / math.sqrt(samples * var)
+            chi2 = sum((c - n * p) ** 2 for c in crossings) / var
+            assert abs(z) <= 4, (node, z)
+            assert 120 <= chi2 <= 280, (node, chi2)
+
 
 def walk_counts(config):
     """A sequential scenario's tally and its Walks counts."""
