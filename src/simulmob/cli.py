@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import namedtuple
@@ -19,7 +18,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 from math import fsum
 
-from .model import MAGNITUDE_LIMIT, Outcome, Row, ZoneLayout
+from .model import MAGNITUDE_LIMIT, JsonRecords, Outcome, Row, ZoneLayout
 from .sampling import SamplerConfig, validate
 from .scenarios import (
     IndependentTrialConfig,
@@ -43,14 +42,30 @@ from .stats import (
     expected_steps_to_cross,
     tally,
 )
-# ``format_trace`` is not called here, but ``perfbench --trace 1`` binds it.
-from .traceio import (JsonRecords, csv_pieces, format_trace, json_pieces,
-                      read_csv, trace_pieces, write_json)
 
-# ``datasets`` and ``plotting`` load only on the paths that use them.
+# ``traceio`` (with ``csv`` and ``json``), ``datasets`` and ``plotting``
+# load only on the paths that use them.
+_LAZY = ("csv_pieces", "format_trace", "json_pieces", "read_csv",
+         "trace_pieces", "write_json")
+_cli = sys.modules[__name__]
 _DATASET_HELP = "bundled dataset id (table-1, table-3, table-5, table-6)"
 _LAYOUT_FLAGS = ("zone0", "zone1", "brink")
 _SCENARIO_FLAGS = ("seed", "runs", "samples", "max_step", *_LAYOUT_FLAGS)
+
+
+def __getattr__(name: str) -> object:
+    """Import ``traceio`` for a codec name on first use; keep it here.
+
+    The commands call these names as ``_cli.name``, through this module,
+    so a name rebound on it is the one called: ``perfbench/traced.py``
+    wraps ``read_csv``, ``write_json`` and ``format_trace`` here.
+    """
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import traceio
+
+    value = globals()[name] = getattr(traceio, name)
+    return value
 
 
 class UsageError(ValueError):
@@ -189,6 +204,8 @@ def _scenario_config(
     if args.scenario is not None:
         config = preset(args.scenario)
     else:
+        import json
+
         with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 doc = json.load(fh)
@@ -322,7 +339,7 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
                 raise UsageError(
                     f"input {args.input} is not UTF-8 text: {exc}") from None
         source = Source("independent", None, args.input,
-                        records=read_csv(text))
+                        records=_cli.read_csv(text))
     reads = _RECORDS_READ[args.command][source.kind == "sequential"]
     unread = [f"--{flag.replace('_', '-')}" for flag in _SCENARIO_FLAGS
               if flag not in reads and getattr(args, flag, None) is not None]
@@ -364,11 +381,12 @@ def _report(
     if args.format == "table":
         pieces = [table(doc)]
     elif args.format == "csv":
-        pieces = csv_pieces(source.moves(), source.layout.brink)
+        pieces = _cli.csv_pieces(source.moves(), source.layout.brink)
     else:
-        pieces = json_pieces(doc)
+        pieces = _cli.json_pieces(doc)
     if args.trace is not None:
-        _write_text(args.trace, trace_pieces(source.moves(), args.step_headers))
+        _write_text(args.trace,
+                    _cli.trace_pieces(source.moves(), args.step_headers))
     sys.stdout.writelines(pieces)
 
 
@@ -525,7 +543,7 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
                  else f"scenario ({config.runs} runs, sequential)")
         max_step = config.sampler.max_step
     doc = _estimate_doc(source, max_step)
-    sys.stdout.write(write_json(doc) if args.format == "json"
+    sys.stdout.write(_cli.write_json(doc) if args.format == "json"
                      else _estimate_text(doc, label))
 
 

@@ -184,6 +184,25 @@ class MoveRecord(_Checked, namedtuple(
 Row = tuple[int, int, int, int, int]
 
 
+class JsonRecords:
+    """A list of moves in a result document, one object per move.
+
+    Each object holds a row's step and positions, plus, when ``brink`` is
+    given, the outcome of the move against it; ``traceio.write_json``
+    renders the list from one template per row. ``rows`` may be an
+    iterator, which the document can then be rendered from only once.
+    It lives here, not in ``traceio``, so a document can be built
+    without loading the codecs.
+    """
+
+    # Not a namedtuple: ``json.dumps`` would take one for a plain list.
+    __slots__ = ("rows", "brink")
+
+    def __init__(self, rows: Iterable[Row], brink: int | None = None):
+        self.rows = rows
+        self.brink = brink
+
+
 _NO_OVERLAP = Outcome.NO_OVERLAP
 _MN0_OVERLAP = Outcome.MN0_OVERLAP
 _MN1_OVERLAP = Outcome.MN1_OVERLAP

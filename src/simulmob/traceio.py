@@ -55,7 +55,8 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, islice, repeat
 from types import GeneratorType
 
-from .model import MOVE_INTERVAL_S, MoveRecord, Outcome, Row, abbreviate, crossing
+from .model import (MOVE_INTERVAL_S, JsonRecords, MoveRecord, Outcome, Row,
+                    abbreviate, crossing)
 
 CSV_HEADER = (*MoveRecord._fields, "outcome")
 _CHUNK = 1024  # moves in one piece of a writer's text
@@ -357,23 +358,6 @@ def read_csv(text: str) -> list[Row]:
 # Scalars go through the stdlib's encoder: its escaping, float repr and
 # NaN error, with no indent, so the C encoder does the work.
 _scalar = json.JSONEncoder(allow_nan=False).encode
-
-
-class JsonRecords:
-    """A list of moves in a result document, one object per move.
-
-    Each object holds a row's step and positions, plus, when ``brink`` is
-    given, the outcome of the move against it; :func:`write_json` renders
-    the list from one template per row. ``rows`` may be an iterator, which
-    the document can then be rendered from only once.
-    """
-
-    # Not a namedtuple: ``json.dumps`` would take one for a plain list.
-    __slots__ = ("rows", "brink")
-
-    def __init__(self, rows: Iterable[Row], brink: int | None = None):
-        self.rows = rows
-        self.brink = brink
 
 
 def _key(key: object) -> str:

@@ -63,9 +63,14 @@ def test_import_loads_only_stdlib_modules():
 # Modules that no start-up path needs: the value classes are namedtuples,
 # and no module evaluates an annotation.
 NO_CLASS_BUILDERS = {"dataclasses", "inspect", "typing"}
+# The codecs: a table reads no file and writes no record.
+CODECS = {"simulmob.traceio", "csv", "json"}
 # Modules that the table paths of ``simulate`` and a trace reader never call.
 UNUSED_AT_START = {"simulmob.datasets", "simulmob.plotting", "fractions",
-                   "decimal", "statistics", *NO_CLASS_BUILDERS}
+                   "decimal", "statistics", *NO_CLASS_BUILDERS, *CODECS}
+# ``estimate`` loads ``fractions`` (which imports ``decimal``) for its exact
+# probability, and nothing more.
+UNUSED_BY_ESTIMATE = UNUSED_AT_START - {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("code, package, absent", [
@@ -81,8 +86,14 @@ UNUSED_AT_START = {"simulmob.datasets", "simulmob.plotting", "fractions",
      None, UNUSED_AT_START),
     ("import simulmob.cli\n"
      "simulmob.cli.main(['replay', '--dataset', 'table-5'])",
-     None, NO_CLASS_BUILDERS),
-], ids=["package", "traceio", "cli", "simulate", "simulate-walks", "replay"])
+     None, NO_CLASS_BUILDERS | CODECS),
+    # The run of ``perfbench``'s ``oracle_wide`` workload.
+    ("import simulmob.cli\n"
+     "simulmob.cli.main(['estimate', '--scenario', '2', '--runs', '5',"
+     " '--samples', '1', '--zone0', '1000:50999', '--zone1', '51040:101039',"
+     " '--brink', '51010', '--max-step', '99'])", None, UNUSED_BY_ESTIMATE),
+], ids=["package", "traceio", "cli", "simulate", "simulate-walks", "replay",
+        "estimate"])
 def test_entry_point_loads_only_what_it_runs(code, package, absent):
     out = loaded_modules(code)
     if package is not None:
