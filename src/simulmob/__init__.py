@@ -20,11 +20,13 @@ _HOME = {name: module for module, names in {
              "StepLength ZoneLayout classify crossing",
     "sampling": "Pcg32 Sampler SamplerConfig validate",
     "scenarios": "IndependentTrialConfig SampleResult SequentialConfig "
-                 "SequentialRun Walks config_from_dict config_to_dict preset "
-                 "replay_independent replay_sequential run_independent_scenario "
-                 "run_independent_trial run_sequential_scenario",
-    "stats": "METRIC_LABELS Tally average_step_length exact_crossing_probability "
-             "expected_crossings expected_steps_to_cross tally",
+                 "Walks config_from_dict config_to_dict preset "
+                 "run_independent_scenario run_independent_trial "
+                 "run_sequential_scenario",
+    "stats": "METRIC_LABELS SequentialRun Tally average_step_length "
+             "exact_crossing_probability expected_crossings "
+             "expected_steps_to_cross replay_independent replay_sequential "
+             "tally",
     "traceio": "CSV_HEADER CsvFormatError TraceParseError format_trace "
                "parse_trace read_csv write_csv write_json",
 }.items() for name in names.split()}

@@ -15,38 +15,37 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
+from importlib import import_module
 from itertools import chain
 from math import fsum
 
 from .model import MAGNITUDE_LIMIT, JsonRecords, Outcome, Row, ZoneLayout
-from .sampling import SamplerConfig, validate
-from .scenarios import (
-    IndependentTrialConfig,
-    SequentialConfig,
-    SequentialRun,
-    config_from_dict,
-    config_to_dict,
-    preset,
-    replay_independent,
-    replay_sequential,
-    run_independent_scenario,
-    run_sequential_scenario,
-)
 from .stats import (
     METRIC_KEYS,
     METRIC_LABELS,
+    SequentialRun,
     Tally,
     average_step_length,
     exact_crossing_probability,
     expected_crossings,
     expected_steps_to_cross,
+    replay_independent,
+    replay_sequential,
     tally,
 )
 
-# ``traceio`` (with ``csv`` and ``json``), ``datasets`` and ``plotting``
-# load only on the paths that use them.
-_LAZY = ("csv_pieces", "format_trace", "json_pieces", "read_csv",
-         "trace_pieces", "write_json")
+# The names loaded on first use, by the module that defines each: only a
+# scenario run loads ``sampling`` and ``scenarios``, and only record output
+# or a CSV input loads ``traceio`` (and with it ``csv`` or ``json``).
+# ``datasets`` and ``plotting`` load on the paths that use them.
+_LAZY = {name: module for module, names in {
+    "sampling": "SamplerConfig validate",
+    "scenarios": "IndependentTrialConfig SequentialConfig config_from_dict "
+                 "config_to_dict preset run_independent_scenario "
+                 "run_sequential_scenario",
+    "traceio": "csv_pieces format_trace json_pieces read_csv trace_pieces "
+               "write_json",
+}.items() for name in names.split()}
 _cli = sys.modules[__name__]
 _DATASET_HELP = "bundled dataset id (table-1, table-3, table-5, table-6)"
 _LAYOUT_FLAGS = ("zone0", "zone1", "brink")
@@ -54,17 +53,18 @@ _SCENARIO_FLAGS = ("seed", "runs", "samples", "max_step", *_LAYOUT_FLAGS)
 
 
 def __getattr__(name: str) -> object:
-    """Import ``traceio`` for a codec name on first use; keep it here.
+    """Import the module that defines ``name`` in ``_LAZY`` on first use;
+    keep the value here.
 
     The commands call these names as ``_cli.name``, through this module,
     so a name rebound on it is the one called: ``perfbench/traced.py``
-    wraps ``read_csv``, ``write_json`` and ``format_trace`` here.
+    wraps the two runners, ``read_csv``, ``write_json`` and
+    ``format_trace`` here.
     """
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import traceio
-
-    value = globals()[name] = getattr(traceio, name)
+    module = import_module(f".{_LAZY[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
     return value
 
 
@@ -202,7 +202,7 @@ def _scenario_config(
 ) -> IndependentTrialConfig | SequentialConfig:
     """The preset or config file's scenario, with the flags applied over it."""
     if args.scenario is not None:
-        config = preset(args.scenario)
+        config = _cli.preset(args.scenario)
     else:
         import json
 
@@ -216,13 +216,13 @@ def _scenario_config(
                 raise UsageError(
                     f"config {args.config} is not a JSON document: {exc}"
                 ) from None
-        config = config_from_dict(doc)
+        config = _cli.config_from_dict(doc)
     base = config.sampler
-    sampler = SamplerConfig(
+    sampler = _cli.SamplerConfig(
         args.seed if args.seed is not None else base.seed,
         args.max_step if args.max_step is not None else base.max_step,
         _layout_from_flags(args, base.layout))
-    if isinstance(config, SequentialConfig):
+    if isinstance(config, _cli.SequentialConfig):
         if args.samples is not None:
             raise UsageError(
                 "--samples applies to independent-trial scenarios only")
@@ -312,15 +312,15 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
                          f"{names[-1]} is required")
     if given in (["scenario"], ["config"]):
         config = _scenario_config(args)
-        for warning in validate(config.sampler):
+        for warning in _cli.validate(config.sampler):
             print(f"warning: {warning}", file=sys.stderr)
         title = (f"scenario {args.scenario}" if args.scenario is not None
                  else "custom scenario")
-        sequential = isinstance(config, SequentialConfig)
+        sequential = isinstance(config, _cli.SequentialConfig)
         if sequential:
-            total, parts = run_sequential_scenario(config)
+            total, parts = _cli.run_sequential_scenario(config)
         else:
-            parts = run_independent_scenario(config)
+            parts = _cli.run_independent_scenario(config)
             total = sum((part.tally for part in parts), Tally())
         return Source("sequential" if sequential else "independent",
                       config.sampler.layout, title, config=config,
@@ -429,7 +429,7 @@ def _independent_doc(source: Source) -> dict:
     """Rendered once only: its record lists are single-use generators."""
     config = source.config
     return {
-        "config": config_to_dict(config),
+        "config": _cli.config_to_dict(config),
         "samples": [
             {
                 "sample": r.sample,
@@ -459,7 +459,7 @@ def _sequential_doc(source: Source) -> dict:
     """Rendered once only: its runs are a single-use generator."""
     walks = source.parts
     return {
-        "config": config_to_dict(source.config),
+        "config": _cli.config_to_dict(source.config),
         "tally": source.total.as_dict(),
         "mean_steps_taken": float(walks.moves) / len(walks),
         "runs": (

@@ -20,29 +20,22 @@ the walks a tally, the moves taken and the step sum.
 A :class:`SampleResult`'s moves, and each walk of a :class:`Walks`, are
 redrawn from their stream through the same generator on each read. Each
 move comes out as a row, ``(step, mn0_init, mn0_new, mn1_init, mn1_new)``:
-a sample's rows are zipped from its draw columns, a walk's from its start
-and the running sums of its steps, and the replays take rows too.
+a sample's rows are zipped from its draw columns, and a walk is a
+:class:`~simulmob.stats.SequentialRun`, whose rows are rebuilt from its
+start and the running sums of its steps. The replays of recorded rows are
+in :mod:`.stats`, which imports no sampler, so replaying a dataset or a
+file loads neither this module nor :mod:`.sampling`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, islice
+from collections.abc import Iterator, Sequence
 from operator import add, sub
 
-from .model import (
-    MoveRecord,
-    Outcome,
-    Position,
-    Row,
-    ZoneLayout,
-    _Checked,
-    classify,
-    crossing,
-)
+from .model import MoveRecord, Outcome, Row, ZoneLayout, _Checked, classify
 from .sampling import Sampler, SamplerConfig, _sample_draws, _walks
-from .stats import Tally, tally
+from .stats import SequentialRun, Tally, tally
 
 
 class IndependentTrialConfig(_Checked, namedtuple(
@@ -82,38 +75,6 @@ class SequentialConfig(_Checked, namedtuple(
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.max_steps_cap < 1:
             raise ValueError(f"max_steps_cap must be >= 1, got {self.max_steps_cap}")
-
-
-class SequentialRun(namedtuple("SequentialRun",
-                               "start steps terminal timed_out")):
-    """One chained walk: the shared step of every move taken from ``start``,
-    ended by crossing or cap. ``terminal`` is the last move's
-    :class:`Outcome`; ``timed_out`` is true when the cap ended the walk.
-
-    :meth:`moves` rebuilds the rows from the start positions and the
-    steps; only record output (CSV, JSON, trace) and a plot read them.
-    Every move but the last is a no-overlap move, since a walk stops at its
-    first crossing; a replayed walk too, because the replay rejects rows
-    past the first crossing.
-    """
-
-    __slots__ = ()
-
-    @property
-    def steps_taken(self) -> int:
-        return len(self.steps)
-
-    @property
-    def final_positions(self) -> tuple[Position, Position]:
-        moved = sum(self.steps)
-        return (self.start[0] + moved, self.start[1] - moved)
-
-    def moves(self) -> Iterator[Row]:
-        # Each node's position before the first move and after every move.
-        steps = self.steps
-        mn0 = list(accumulate(steps, initial=self.start[0]))
-        mn1 = list(accumulate(steps, sub, initial=self.start[1]))
-        return zip(steps, mn0, islice(mn0, 1, None), mn1, islice(mn1, 1, None))
 
 
 class SampleResult(namedtuple("SampleResult", "sample tally step_sum sampler")):
@@ -259,41 +220,6 @@ def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
 
     total = tally(terminals())
     return total, Walks(config, moves, step_sum)
-
-
-def replay_independent(rows: Iterable[Row], layout: ZoneLayout) -> Tally:
-    """Tally the rows of pre-recorded independent trials, classified under a
-    layout."""
-    brink = layout.brink
-    return tally(crossing(row[2], row[4], brink) for row in rows)
-
-
-def replay_sequential(rows: Sequence[Row], layout: ZoneLayout) -> SequentialRun:
-    """Re-run the rows of a recorded chained walk, validating the chain as it
-    goes.
-
-    A walk whose rows never cross ends with terminal no_overlap, not timed
-    out. The run's moves are rebuilt from its start and steps, like a
-    simulated walk's. Raises ValueError when consecutive rows do not
-    chain or when rows continue past the first crossing.
-    """
-    if not rows:
-        raise ValueError("sequential replay needs at least one record")
-    brink = layout.brink
-    outcome = Outcome.NO_OVERLAP
-    # The first row's inits stand in for the finals of a row before it.
-    start = mn0, mn1 = rows[0][1], rows[0][3]
-    for i, (_, mn0_init, mn0_new, mn1_init, mn1_new) in enumerate(rows):
-        if outcome is not Outcome.NO_OVERLAP:
-            raise ValueError(f"rows continue past the first crossing at row {i}")
-        if (mn0_init, mn1_init) != (mn0, mn1):
-            raise ValueError(
-                f"row {i + 1} inits ({mn0_init}, {mn1_init}) do not "
-                f"chain from row {i} finals ({mn0}, {mn1})"
-            )
-        mn0, mn1 = mn0_new, mn1_new
-        outcome = crossing(mn0, mn1, brink)
-    return SequentialRun(start, tuple(row[0] for row in rows), outcome, False)
 
 
 def preset(scenario_id: int, seed: int = 0) -> IndependentTrialConfig | SequentialConfig:

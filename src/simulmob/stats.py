@@ -1,18 +1,28 @@
-"""Outcome tallies, crossing estimators, and the exact crossing probability.
+"""Outcome tallies, replays of recorded moves, crossing estimators, and
+the exact crossing probability.
 
-Pure functions throughout. The exact probability is a closed-form
-arithmetic series over the init-to-brink distances, so its cost does not
-depend on zone width or step bound. The tests check it against a walk of
-the full (init, step) grid and against Monte Carlo frequencies.
+Pure functions throughout. A replay classifies rows that were recorded,
+not drawn: ``replay_independent`` tallies independent trials, and
+``replay_sequential`` re-runs a chained walk into a :class:`SequentialRun`,
+the type a simulated walk has too. This module imports only :mod:`.model`,
+so a replay of a dataset or a CSV file loads no sampler and no scenario
+code.
+
+The exact probability is a closed-form arithmetic series over the
+init-to-brink distances, so its cost does not depend on zone width or step
+bound. The tests check it against a walk of the full (init, step) grid and
+against Monte Carlo frequencies.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate, islice
 from math import fsum
+from operator import sub
 
-from .model import Outcome, ZoneLayout
+from .model import Outcome, Position, Row, ZoneLayout, crossing
 
 # Canonical column set of the printed result tables, in printing order.
 METRIC_LABELS = (
@@ -93,6 +103,73 @@ def tally(outcomes: Iterable[Outcome]) -> Tally:
         simultaneous=counts[Outcome.SIMULTANEOUS_OVERLAP],
         no_overlap=counts[Outcome.NO_OVERLAP],
     )
+
+
+class SequentialRun(namedtuple("SequentialRun",
+                               "start steps terminal timed_out")):
+    """One chained walk: the shared step of every move taken from ``start``,
+    ended by crossing or cap. ``terminal`` is the last move's
+    :class:`Outcome`; ``timed_out`` is true when the cap ended the walk.
+
+    :meth:`moves` rebuilds the rows from the start positions and the
+    steps; only record output (CSV, JSON, trace) and a plot read them.
+    Every move but the last is a no-overlap move, since a walk stops at its
+    first crossing; a replayed walk too, because the replay rejects rows
+    past the first crossing.
+    """
+
+    __slots__ = ()
+
+    @property
+    def steps_taken(self) -> int:
+        return len(self.steps)
+
+    @property
+    def final_positions(self) -> tuple[Position, Position]:
+        moved = sum(self.steps)
+        return (self.start[0] + moved, self.start[1] - moved)
+
+    def moves(self) -> Iterator[Row]:
+        # Each node's position before the first move and after every move.
+        steps = self.steps
+        mn0 = list(accumulate(steps, initial=self.start[0]))
+        mn1 = list(accumulate(steps, sub, initial=self.start[1]))
+        return zip(steps, mn0, islice(mn0, 1, None), mn1, islice(mn1, 1, None))
+
+
+def replay_independent(rows: Iterable[Row], layout: ZoneLayout) -> Tally:
+    """Tally the rows of pre-recorded independent trials, classified under a
+    layout."""
+    brink = layout.brink
+    return tally(crossing(row[2], row[4], brink) for row in rows)
+
+
+def replay_sequential(rows: Sequence[Row], layout: ZoneLayout) -> SequentialRun:
+    """Re-run the rows of a recorded chained walk, validating the chain as it
+    goes.
+
+    A walk whose rows never cross ends with terminal no_overlap, not timed
+    out. The run's moves are rebuilt from its start and steps, like a
+    simulated walk's. Raises ValueError when consecutive rows do not
+    chain or when rows continue past the first crossing.
+    """
+    if not rows:
+        raise ValueError("sequential replay needs at least one record")
+    brink = layout.brink
+    outcome = Outcome.NO_OVERLAP
+    # The first row's inits stand in for the finals of a row before it.
+    start = mn0, mn1 = rows[0][1], rows[0][3]
+    for i, (_, mn0_init, mn0_new, mn1_init, mn1_new) in enumerate(rows):
+        if outcome is not Outcome.NO_OVERLAP:
+            raise ValueError(f"rows continue past the first crossing at row {i}")
+        if (mn0_init, mn1_init) != (mn0, mn1):
+            raise ValueError(
+                f"row {i + 1} inits ({mn0_init}, {mn1_init}) do not "
+                f"chain from row {i} finals ({mn0}, {mn1})"
+            )
+        mn0, mn1 = mn0_new, mn1_new
+        outcome = crossing(mn0, mn1, brink)
+    return SequentialRun(start, tuple(row[0] for row in rows), outcome, False)
 
 
 def average_step_length(steps: Sequence[float]) -> float:

@@ -42,13 +42,15 @@ of a :class:`JsonRecords` given a brink, gets its outcome from
 ``crossing(row[2], row[4], brink)`` as it is written. ``read_csv`` and
 ``parse_trace`` convert each number text to an int once per call, so equal
 numbers share one int.
+
+The stdlib codecs load on first use: ``read_csv`` imports ``csv``, and the
+first JSON document rendered imports ``json``. So ``parse_trace``,
+``format_trace`` and ``write_csv`` load neither.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -320,6 +322,8 @@ def read_csv(text: str) -> list[Row]:
     Raises :class:`CsvFormatError` on schema or arithmetic violations and
     on text the csv module cannot split into rows.
     """
+    import csv
+
     reader = csv.reader(io.StringIO(text))
     ints = _Ints()
     rows = []
@@ -355,9 +359,16 @@ def read_csv(text: str) -> list[Row]:
     return rows
 
 
-# Scalars go through the stdlib's encoder: its escaping, float repr and
-# NaN error, with no indent, so the C encoder does the work.
-_scalar = json.JSONEncoder(allow_nan=False).encode
+def _scalar(value: object) -> str:
+    """``value`` as the stdlib's encoder writes a JSON scalar: its escaping,
+    float repr and NaN error, with no indent, so the C encoder does the
+    work. The first call imports ``json`` and rebinds this name to that
+    encoder's ``encode``, so only a rendered document loads ``json``."""
+    global _scalar
+    import json
+
+    _scalar = json.JSONEncoder(allow_nan=False).encode
+    return _scalar(value)
 
 
 def _key(key: object) -> str:

@@ -17,12 +17,13 @@ from simulmob.cli import main
 from simulmob.datasets import load_dataset
 from simulmob.model import MoveRecord, Outcome, ZoneLayout, classify
 from simulmob.sampling import Sampler
-from simulmob.scenarios import preset, replay_sequential, run_sequential_scenario
+from simulmob.scenarios import preset, run_sequential_scenario
 from simulmob.stats import (
     average_step_length,
     exact_crossing_probability,
     expected_crossings,
     expected_steps_to_cross,
+    replay_sequential,
 )
 from simulmob.traceio import format_trace, parse_trace
 from test_stats import grid_walk_probability

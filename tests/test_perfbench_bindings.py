@@ -5,10 +5,11 @@
 imports more names from ``simulmob`` for its micro-probes. Only
 ``run.py --trace 1`` runs that code, so a rename in ``src/`` would
 otherwise break the benchmark without failing a test. ``cli`` loads its
-codec names on first use, so a wrapper bound there must still be the
-function that a command calls.
+runner, sampler and codec names on first use, so a wrapper bound there
+must still be the function that a command calls.
 """
 
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -64,12 +65,31 @@ def test_traced_read_csv_takes_effect(traced, tmp_path, capsys):
     assert reads == [{"bytes_in": len(text)}]
 
 
-@pytest.mark.parametrize("name", ["csv_pieces", "format_trace", "json_pieces",
-                                  "read_csv", "trace_pieces", "write_json"])
-def test_cli_codec_names_are_traceio_names(name):
-    from simulmob import cli, traceio
+def _lazy_names(codecs: bool) -> list[str]:
+    """The names in ``cli``'s first-use map whose home is, or is not,
+    ``traceio``; the two tests below cover the whole map."""
+    from simulmob import cli
 
-    assert getattr(cli, name) is getattr(traceio, name)
+    return sorted(name for name, home in cli._LAZY.items()
+                  if (home == "traceio") == codecs)
+
+
+def _assert_home_object(name: str) -> None:
+    from simulmob import cli
+
+    home = import_module(f"simulmob.{cli._LAZY[name]}")
+    assert getattr(cli, name) is getattr(home, name)
+
+
+@pytest.mark.parametrize("name", _lazy_names(codecs=True))
+def test_cli_codec_names_are_traceio_names(name):
+    _assert_home_object(name)
+
+
+@pytest.mark.parametrize("name", _lazy_names(codecs=False))
+def test_cli_scenario_names_are_their_home_names(name):
+    # The sampler and scenario names a scenario run resolves on first use.
+    _assert_home_object(name)
 
 
 def test_cli_unknown_name_raises_attribute_error():

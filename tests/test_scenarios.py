@@ -15,19 +15,17 @@ from simulmob.datasets import load_dataset
 from simulmob.model import (LayoutError, MoveRecord, Outcome, ZoneLayout, classify,
                             crossing)
 from simulmob.sampling import Pcg32, Sampler, SamplerConfig, _lanes, pcg32_seed
-from simulmob.stats import tally
+from simulmob.stats import (SequentialRun, replay_independent,
+                            replay_sequential, tally)
 from simulmob.traceio import (JsonRecords, format_trace, json_pieces,
                               trace_pieces, write_json)
 from simulmob.scenarios import (
     IndependentTrialConfig,
     SequentialConfig,
-    SequentialRun,
     Walks,
     config_from_dict,
     config_to_dict,
     preset,
-    replay_independent,
-    replay_sequential,
     run_independent_scenario,
     run_independent_trial,
     run_sequential_scenario,

@@ -11,7 +11,6 @@ from simulmob.scenarios import (
     IndependentTrialConfig,
     SequentialConfig,
     preset,
-    replay_independent,
     run_independent_scenario,
     run_sequential_scenario,
 )
@@ -23,6 +22,7 @@ from simulmob.stats import (
     exact_crossing_probability,
     expected_crossings,
     expected_steps_to_cross,
+    replay_independent,
     tally,
 )
 from test_scenarios import _shifted

@@ -71,13 +71,19 @@ UNUSED_AT_START = {"simulmob.datasets", "simulmob.plotting", "fractions",
 # ``estimate`` loads ``fractions`` (which imports ``decimal``) for its exact
 # probability, and nothing more.
 UNUSED_BY_ESTIMATE = UNUSED_AT_START - {"fractions", "decimal"}
+# The sampler and scenario code: a dataset or file source draws nothing.
+SCENARIO_CODE = {"simulmob.sampling", "simulmob.scenarios"}
+# A CSV of two independent trials, and the flags that replay it.
+ROWS = ("step,mn0_init,mn0_new,mn1_init,mn1_new\\n"
+        "3,10,13,20,17\\n5,11,16,19,14\\n")
+LAYOUT = "'--zone0', '0:14', '--zone1', '16:30', '--brink', '15'"
 
 
 @pytest.mark.parametrize("code, package, absent", [
     ("import simulmob", {"simulmob"}, set()),
     ("import simulmob.traceio",
      {"simulmob", "simulmob.model", "simulmob.traceio"}, set()),
-    ("import simulmob.cli", None, UNUSED_AT_START),
+    ("import simulmob.cli", None, UNUSED_AT_START | SCENARIO_CODE),
     ("import simulmob.cli\n"
      "simulmob.cli.main(['simulate', '--scenario', '2', '--runs', '1',"
      " '--samples', '1'])", None, UNUSED_AT_START),
@@ -86,14 +92,44 @@ UNUSED_BY_ESTIMATE = UNUSED_AT_START - {"fractions", "decimal"}
      None, UNUSED_AT_START),
     ("import simulmob.cli\n"
      "simulmob.cli.main(['replay', '--dataset', 'table-5'])",
-     None, NO_CLASS_BUILDERS | CODECS),
+     None, NO_CLASS_BUILDERS | CODECS | SCENARIO_CODE),
+    ("import simulmob.cli\n"
+     "assert simulmob.cli.main(['replay', '--dataset', 'table-6']) == 0",
+     None, NO_CLASS_BUILDERS | CODECS | SCENARIO_CODE),
+    # The CSV is written in a temporary directory that the child removes.
+    ("import os, tempfile, simulmob.cli\n"
+     "with tempfile.TemporaryDirectory() as tmp:\n"
+     "    path = os.path.join(tmp, 'rows.csv')\n"
+     "    with open(path, 'w', encoding='utf-8') as fh:\n"
+     f"        fh.write('{ROWS}')\n"
+     f"    assert simulmob.cli.main(['replay', '--input', path, {LAYOUT}]) == 0",
+     None, NO_CLASS_BUILDERS | SCENARIO_CODE | {"json"}),
+    ("import simulmob.cli\n"
+     "assert simulmob.cli.main(['estimate', '--dataset', 'table-5']) == 0",
+     None, NO_CLASS_BUILDERS | CODECS | SCENARIO_CODE),
+    ("import simulmob.cli\n"
+     "assert simulmob.cli.main(['plot', '--dataset', 'table-6', '--ascii']) == 0",
+     None, NO_CLASS_BUILDERS | SCENARIO_CODE | {"csv", "json"}),
     # The run of ``perfbench``'s ``oracle_wide`` workload.
     ("import simulmob.cli\n"
      "simulmob.cli.main(['estimate', '--scenario', '2', '--runs', '5',"
      " '--samples', '1', '--zone0', '1000:50999', '--zone1', '51040:101039',"
      " '--brink', '51010', '--max-step', '99'])", None, UNUSED_BY_ESTIMATE),
+    # The trace codec and the CSV writer need neither stdlib codec; the
+    # CSV reader needs ``csv`` alone.
+    ("from simulmob.traceio import format_trace, parse_trace, write_csv\n"
+     "rows = [(3, 10, 13, 20, 17), (5, 11, 16, 19, 14)]\n"
+     "assert parse_trace(format_trace(rows)) == rows\n"
+     "assert parse_trace(format_trace(rows, step_headers=True)) == rows\n"
+     "assert write_csv(rows, 15)",
+     {"simulmob", "simulmob.model", "simulmob.traceio"}, {"csv", "json"}),
+    ("from simulmob.traceio import read_csv\n"
+     f"assert len(read_csv('{ROWS}')) == 2\n"
+     "assert 'csv' in sys.modules",
+     {"simulmob", "simulmob.model", "simulmob.traceio"}, {"json"}),
 ], ids=["package", "traceio", "cli", "simulate", "simulate-walks", "replay",
-        "estimate"])
+        "replay-walk", "replay-input", "estimate-dataset", "plot-dataset",
+        "estimate", "trace-codec", "read-csv"])
 def test_entry_point_loads_only_what_it_runs(code, package, absent):
     out = loaded_modules(code)
     if package is not None:
