@@ -34,15 +34,15 @@ from .stats import (
     tally,
 )
 
-# The names loaded on first use, by the module that defines each: only a
-# scenario run loads ``sampling`` and ``scenarios``, and only record output
-# or a CSV input loads ``traceio`` (and with it ``csv`` or ``json``).
+# The names the commands call, loaded on first use from the module that
+# defines each: only a scenario run loads ``sampling`` and ``scenarios``,
+# and only record output or a CSV input loads ``traceio`` (and with it
+# ``csv`` or ``json``).
 # ``datasets`` and ``plotting`` load on the paths that use them.
 _LAZY = {name: module for module, names in {
     "sampling": "SamplerConfig validate",
-    "scenarios": "IndependentTrialConfig SequentialConfig config_from_dict "
-                 "config_to_dict preset run_independent_scenario "
-                 "run_sequential_scenario",
+    "scenarios": "SequentialConfig config_from_dict config_to_dict preset "
+                 "run_independent_scenario run_sequential_scenario",
     "traceio": "csv_pieces format_trace json_pieces read_csv trace_pieces "
                "write_json",
 }.items() for name in names.split()}

@@ -149,10 +149,8 @@ class MoveRecord(_Checked, namedtuple(
 
     __slots__ = ()
 
-    # The checks run inline, not through ``_check``, to keep a build cheap.
-    def __new__(cls, step: StepLength, mn0_init: Position, mn0_new: Position,
-                mn1_init: Position, mn1_new: Position) -> "MoveRecord":
-        self = tuple.__new__(cls, (step, mn0_init, mn0_new, mn1_init, mn1_new))
+    def _check(self) -> None:
+        step, mn0_init, mn0_new, mn1_init, mn1_new = self
         if not (type(step) is type(mn0_init) is type(mn0_new)
                 is type(mn1_init) is type(mn1_new) is int):
             raise ValueError(f"step and positions must be ints, got {self}")
@@ -164,7 +162,6 @@ class MoveRecord(_Checked, namedtuple(
         if mn1_new != mn1_init - step:
             raise ValueError(f"MN_1 update broken: {abbreviate(mn1_init)} - "
                              f"{abbreviate(step)} != {abbreviate(mn1_new)}")
-        return self
 
     @classmethod
     def from_inits(

@@ -12,11 +12,12 @@ init, then its mn1 init, then its step; a walk draws only steps. Every
 draw is ``pcg32_boundedrand_r``'s: an output below ``2**32 % width`` is
 rejected and the next one taken, and a range of one value draws nothing.
 :class:`Sampler` is the reference, one output at a time; the runners'
-kernels draw exactly what it draws, in bulk: ``_sample_draws`` from
-``pcg32_block``'s blocks for a sample's chunk, and ``_walks`` from one
-lane per walk for a chunk of walks. The golden tests pin the seeded output
-(``tests/golden/simulate-*``, ``perfbench/golden.json``), so any change to a
-draw or to the draw order shows as changed bytes.
+kernels draw exactly what it draws, in bulk: ``_sample_draws`` from one
+``pcg32_block`` per chunk of a sample's trials, or through
+:meth:`Pcg32.randint` for a chunk with a rejected output, and ``_walks``
+from one lane per walk for a chunk of walks. The golden tests pin the
+seeded output (``tests/golden/simulate-*``, ``perfbench/golden.json``), so
+any change to a draw or to the draw order shows as changed bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import struct
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from itertools import cycle, islice
 from operator import rshift
 
 from .model import Position, StepLength, _Checked, crossing
@@ -52,9 +52,10 @@ def pcg32_seed(seed: int, stream: int) -> tuple[int, int]:
 _CHUNK = 256
 
 
-# Room for the five lane counts a run of both shapes uses: 3 * _CHUNK
-# outputs for a sample's full chunk and fewer for its last, _CHUNK walks
-# and fewer for the last chunk of walks, and one lane to redraw one walk.
+# Room for the five lane counts a run of both shapes uses: drawn * _CHUNK
+# outputs for a sample's full chunk (drawn <= 3 ranges wider than one value
+# per trial) and fewer for its last, _CHUNK walks and fewer for the last
+# chunk of walks, and one lane to redraw one walk.
 @lru_cache(maxsize=8)
 def _lanes(n: int) -> tuple:
     """pcg32_block's and xsh_rr's constants for ``n`` lanes, built on first
@@ -213,44 +214,38 @@ def _sample_draws(
 
     Each trial draws as a :class:`Sampler` on stream k does, but builds
     no record or row. A chunk is three columns, one int per trial in each:
-    the mn0 inits, the mn1 inits and the steps. A chunk whose outputs all pass
-    every rejection threshold takes each column as ``r % width + lo`` of
-    every third output; any other runs the draw loop, one output at a
-    time, in draw order, and splits its values into the columns.
+    the mn0 inits, the mn1 inits and the steps. A one-value range's column
+    is its value and takes no output. A chunk of m trials draws one
+    ``pcg32_block`` of ``drawn * m`` outputs, ``drawn`` being the trial's
+    ranges wider than one value; if every output passes every rejection
+    threshold, each such column is ``r % width + lo`` of every ``drawn``-th
+    output. Otherwise the chunk is drawn again by the stream's
+    :class:`Pcg32`, one ``randint`` per draw in draw order, and the state
+    it ends on starts the next chunk.
     """
     layout = sampler.layout
-    # (lowest value, width, rejection threshold) of each draw, in draw order
-    ranges = [(lo, width, _DRAW_RANGE % width) for lo, width in (
-        (layout.zone0_lo, layout.zone0_width),
-        (layout.zone1_lo, layout.zone1_width),
-        (0, sampler.max_step + 1))]
+    # (lowest value, width, place among the trial's drawn outputs) of each
+    # draw, in draw order
+    ranges, drawn = [], 0
+    for lo, width in ((layout.zone0_lo, layout.zone0_width),
+                      (layout.zone1_lo, layout.zone1_width),
+                      (0, sampler.max_step + 1)):
+        ranges.append((lo, width, drawn))
+        drawn += width > 1
     # No output below floor: every draw takes one output, none rejected.
-    floor = max(_DRAW_RANGE if width == 1 else t for _, width, t in ranges)
-    state, inc = pcg32_seed(sampler.seed, k)
-    spare: list[int] = []  # outputs drawn and not yet used
+    floor = max(_DRAW_RANGE % width for _, width, _ in ranges)
+    rng = Pcg32(sampler.seed, k)
     for done in range(0, runs, _CHUNK):
-        n = 3 * min(_CHUNK, runs - done)
-        if len(spare) < n:  # the outputs extend spare in place
-            spare[len(spare):], state = pcg32_block(state, inc, n)
-        if min(islice(spare, n)) >= floor:
-            columns = [[r % width + lo for r in spare[i:n:3]]
-                       for i, (lo, width, _) in enumerate(ranges)]
-            used = n
+        m = min(_CHUNK, runs - done)
+        outputs, state = pcg32_block(rng._state, rng._inc, drawn * m)
+        if min(outputs, default=floor) >= floor:
+            rng._state = state
+            yield [[r % width + lo for r in outputs[i::drawn]] if width > 1
+                   else [lo] * m for lo, width, i in ranges]
         else:
-            draws, used = [], 0
-            for value, bound, threshold in islice(cycle(ranges), n):
-                while bound > 1:
-                    if used == len(spare):
-                        spare[used:], state = pcg32_block(state, inc, n)
-                    r = spare[used]
-                    used += 1
-                    if r >= threshold:
-                        value += r % bound
-                        break
-                draws.append(value)
-            columns = [draws[i::3] for i in range(3)]
-        del spare[:used]
-        yield columns
+            draws = [rng.randint(lo, lo + width - 1)
+                     for _ in range(m) for lo, width, _ in ranges]
+            yield [draws[i::3] for i in range(3)]
 
 
 def _walks(

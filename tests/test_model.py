@@ -196,10 +196,12 @@ class TestMoveRecord:
 
 class TestAbbreviate:
     def test_prints_up_to_32_characters_in_full(self):
+        assert abbreviate(int("7" * 32)) == "7" * 32
         assert abbreviate(10**31) == "1" + "0" * 31
         assert abbreviate(-(10**30)) == "-1" + "0" * 30
 
     def test_shortens_from_33_characters(self):
+        assert abbreviate(int("7" * 33)) == "777...777 (33 characters)"
         assert abbreviate(10**32 + 7) == "100...007 (33 characters)"
         assert abbreviate(-(10**31)) == "-10...000 (33 characters)"
 

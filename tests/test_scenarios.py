@@ -578,8 +578,8 @@ class TestKernelAgainstSampler:
 
 
 # Ranges 2**31 - 2**21 wide reject an output below 2**22, one in 1,024,
-# so about half of a sample's 256-trial chunks run the draw loop, and its
-# spare outputs carry into the next chunk.
+# so about half of a sample's 256-trial chunks are drawn again through
+# Pcg32.randint, and the next chunk starts where that draw ended.
 MIXED = ZoneLayout(0, 2**31 - 2**21 - 1, 2**31 - 2**21 + 1, 2**32 - 2**22,
                    2**31 - 2**21)
 CHUNK_CASES = {
@@ -592,12 +592,16 @@ CHUNK_CASES = {
     "zones-2**31+1": SamplerConfig(5, 50, ZoneLayout(0, 2**31, 2**31 + 2,
                                                      2**32 + 2, 2**31 + 1)),
     "mixed-paths": SamplerConfig(5, 2**31 - 2**21 - 1, MIXED),
+    # One-position zones: a chunk draws one output per trial, the step.
+    "symmetric": SamplerConfig(5, 50, ZoneLayout(75, 75, 125, 125, 100)),
+    # One-position zones and one step: pcg32_block draws no output.
+    "nothing-drawn": SamplerConfig(5, 0, ZoneLayout(75, 75, 125, 125, 100)),
 }
 
 
 class TestChunkBoundaries:
     """The block-drawn columns against the Sampler path for runs around one
-    and four chunks, where a chunk's block and its spare outputs meet."""
+    and four chunks, where one chunk's draws end and the next one's begin."""
 
     @pytest.mark.parametrize("runs", [255, 256, 257, 1025])
     @pytest.mark.parametrize("case", CHUNK_CASES)

@@ -278,10 +278,11 @@ class TestExactProbability:
             assert abs(hits / n - p) <= 3 * se
 
     # Every zone and step draw of the heavy layout, width W = 3 * 2**30,
-    # rejects the outputs below 2**32 % W = 2**30, so every chunk of its
-    # samples takes the runner's draw loop. A loop that took every output
-    # reads z = -137 for node 0 there. A width of 2**31 + 1 would not show
-    # it: skipping rejection biases only 2 of its 2**31 values.
+    # rejects the outputs below 2**32 % W = 2**30, a quarter of them, so
+    # this case guards against a kernel that skips rejection: one that
+    # took every output reads z = -137 for node 0 there. A width of
+    # 2**31 + 1 would not show it: skipping rejection biases only 2 of its
+    # 2**31 values.
     @pytest.mark.parametrize("layout, max_step", [
         (LAYOUT_1, 50),
         (LAYOUT_2, 50),
