@@ -15,8 +15,10 @@ three columns (mn0 inits, mn1 inits, steps), and ``_walks`` yields each
 walk's steps and terminal outcome. Sample or walk k draws from stream k
 alone, so any one of them can be redrawn from its seed and stream.
 
-The runners keep counts only: a tally and a step sum per sample, and for
-the walks a tally, the moves taken and the step sum.
+The runners return counts only: a tally and a step sum per sample, and
+for the walks a tally, the moves taken and the step sum. While it runs,
+the walk runner holds every step of a chunk of 256 walks, so its memory
+grows with ``max_steps_cap``, not with the run count (ROADMAP item 18(c)).
 A :class:`SampleResult`'s moves, and each walk of a :class:`Walks`, are
 redrawn from their stream through the same generator on each read. Each
 move comes out as a row, ``(step, mn0_init, mn0_new, mn1_init, mn1_new)``:
@@ -107,38 +109,12 @@ class Walks(Sequence[SequentialRun]):
     of moves the walks took and ``step_sum`` the sum of their steps. The
     number that reached the step cap is the ``no_overlap`` of the tally
     returned beside them: a walk ends without crossing only at the cap.
-    Walks are immutable, and equal and hash by those three fields.
     """
 
     __slots__ = ("config", "moves", "step_sum")
 
     def __init__(self, config: SequentialConfig, moves: int, step_sum: int):
-        for name, value in zip(self.__slots__, (config, moves, step_sum)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple[SequentialConfig, int, int]:
-        return self.config, self.moves, self.step_sum
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._key()
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(config={self.config!r}, "
-                f"moves={self.moves!r}, step_sum={self.step_sum!r})")
+        self.config, self.moves, self.step_sum = config, moves, step_sum
 
     def __len__(self) -> int:
         return self.config.runs
