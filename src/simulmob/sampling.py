@@ -249,10 +249,11 @@ def _sample_draws(
 
 
 def _walks(
-    config: SequentialConfig, first: int, stop: int
-) -> Iterator[tuple[list[int], Outcome]]:
-    """Walks ``first`` to ``stop - 1``: the steps each one took and its
-    terminal outcome; walk j draws from substream j.
+    config: SequentialConfig, first: int, stop: int, steps: bool = False
+) -> Iterator[tuple[int, int, Outcome, list[int] | None]]:
+    """Walks ``first`` to ``stop - 1``: each one's move count, step sum,
+    terminal outcome and, if ``steps``, the list of its steps (else None);
+    walk j draws from substream j.
 
     Each walk draws its shared steps from fixed starts until the first
     crossing or ``max_steps_cap`` moves. The walks of a chunk of at most
@@ -263,10 +264,11 @@ def _walks(
     costs its walk a round but no move, so each lane stays in step with
     its stream. A walk has crossed once it has moved ``reach``.
 
-    A walk's steps stay in its list until the chunk's last walk ends, so a
-    chunk holds up to ``_CHUNK * max_steps_cap`` steps: 256 walks that all
-    reach the default cap of 10,000 with max step 1,000 peak at 95.2 MB of
-    RSS, and at cap 1,000 at 22.8 MB (CPython 3.11.7; ROADMAP item 18(c)).
+    Without ``steps`` a walk keeps only its move count and step sum, all
+    that a walk table reads, so counting does not grow with
+    ``max_steps_cap``. With ``steps``, for record output and a redrawn
+    walk, each walk keeps its steps until the chunk's last walk ends: up
+    to ``_CHUNK * max_steps_cap`` steps.
     """
     sampler = config.sampler
     brink, cap = sampler.layout.brink, config.max_steps_cap
@@ -277,14 +279,15 @@ def _walks(
     for c in range(first, stop, _CHUNK):
         n = min(_CHUNK, stop - c)
         if bound == 1:  # a one-value range draws nothing; no walk moves
-            yield from (([0] * cap, crossing(mn0, mn1, brink)) for _ in range(n))
+            yield from ((cap, 0, crossing(mn0, mn1, brink),
+                         [0] * cap if steps else None) for _ in range(n))
             continue
         _, _, mask64, _, _, _, _, words = _lanes(n)
         seeds = [pcg32_seed(sampler.seed, j) for j in range(c, c + n)]
         state, inc = (int.from_bytes(words.pack(*lanes), "little")
                       for lanes in zip(*seeds))
-        steps: list[list[int]] = [[] for _ in range(n)]
-        moved = [0] * n
+        kept = [[] for _ in range(n)] if steps else [None] * n
+        taken, moved = [0] * n, [0] * n
         live: Sequence[int] = range(n)
         while live:
             old, state = state, (state * _PCG_MULTIPLIER + inc) & mask64
@@ -294,14 +297,15 @@ def _walks(
             for i in live:
                 r = doubled[i] >> rots[i] & _MASK32
                 if r >= threshold:
-                    walk = steps[i]
                     step = r % bound
-                    walk.append(step)
+                    if steps:
+                        kept[i].append(step)
                     m = moved[i] = moved[i] + step
-                    if m < reach and len(walk) < cap:
+                    t = taken[i] = taken[i] + 1
+                    if m < reach and t < cap:
                         keep(i)
                 else:
                     keep(i)
             live = going
-        for walk, m in zip(steps, moved):
-            yield walk, crossing(mn0 + m, mn1 - m, brink)
+        for t, m, walk in zip(taken, moved, kept):
+            yield t, m, crossing(mn0 + m, mn1 - m, brink), walk

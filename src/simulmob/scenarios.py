@@ -12,16 +12,16 @@ Two shapes exist:
 Each shape draws through one kernel of :mod:`.sampling`, which states the
 draw contract: ``_sample_draws`` yields a sample's draws in chunks of
 three columns (mn0 inits, mn1 inits, steps), and ``_walks`` yields each
-walk's steps and terminal outcome. Sample or walk k draws from stream k
-alone, so any one of them can be redrawn from its seed and stream.
+walk's move count, step sum and terminal outcome, and its steps only when
+asked. Sample or walk k draws from stream k alone, so any one of them can
+be redrawn from its seed and stream.
 
-The runners return counts only: a tally and a step sum per sample, and
-for the walks a tally, the moves taken and the step sum. While it runs,
-the walk runner holds every step of a chunk of 256 walks, so its memory
-grows with ``max_steps_cap``, not with the run count (ROADMAP item 18(c)).
-A :class:`SampleResult`'s moves, and each walk of a :class:`Walks`, are
-redrawn from their stream through the same generator on each read. Each
-move comes out as a row, ``(step, mn0_init, mn0_new, mn1_init, mn1_new)``:
+The runners keep counts only: a tally and a step sum per sample, and for
+the walks a tally, the moves taken and the step sum. So their memory grows
+with neither the run count nor ``max_steps_cap``. A :class:`SampleResult`'s
+moves, and each walk of a :class:`Walks`, are redrawn from their stream
+through the same generator on each read. Each move comes out as a row,
+``(step, mn0_init, mn0_new, mn1_init, mn1_new)``:
 a sample's rows are zipped from its draw columns, and a walk is a
 :class:`~simulmob.stats.SequentialRun`, whose rows are rebuilt from its
 start and the running sums of its steps. The replays of recorded rows are
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from operator import add, sub
+from operator import add, index, sub
 
 from .model import MoveRecord, Outcome, Row, ZoneLayout, _Checked, classify
 from .sampling import Sampler, SamplerConfig, _sample_draws, _walks
@@ -102,10 +102,9 @@ class SampleResult(namedtuple("SampleResult", "sample tally step_sum sampler")):
 class Walks(Sequence[SequentialRun]):
     """The walks of a sequential scenario, kept as counts.
 
-    ``len(walks)`` is the run count, and ``walks[j]`` is the
-    :class:`SequentialRun` redrawn from stream j on each access;
-    ``walks[a:b]`` is the list of those walks, each redrawn from its own
-    stream, and iterating redraws them in order. ``moves`` is the number
+    ``len(walks)`` is the run count, ``walks[j]`` is the
+    :class:`SequentialRun` redrawn from stream j, with its steps, on each
+    access, and iterating redraws them in order. ``moves`` is the number
     of moves the walks took and ``step_sum`` the sum of their steps. The
     number that reached the step cap is the ``no_overlap`` of the tally
     returned beside them: a walk ends without crossing only at the cap.
@@ -119,20 +118,16 @@ class Walks(Sequence[SequentialRun]):
     def __len__(self) -> int:
         return self.config.runs
 
-    def __getitem__(
-        self, j: int | slice
-    ) -> SequentialRun | list[SequentialRun]:
-        picked = range(self.config.runs)[j]  # as a list indexes and slices
-        if isinstance(picked, range):
-            return [self[i] for i in picked]
-        return next(self._runs(picked, picked + 1))
+    def __getitem__(self, j: int) -> SequentialRun:
+        j = range(self.config.runs)[index(j)]  # as a list indexes
+        return next(self._runs(j, j + 1))
 
     def __iter__(self) -> Iterator[SequentialRun]:
         return self._runs(0, self.config.runs)
 
     def _runs(self, first: int, stop: int) -> Iterator[SequentialRun]:
         start = (self.config.mn0_start, self.config.mn1_start)
-        for steps, terminal in _walks(self.config, first, stop):
+        for _, _, terminal, steps in _walks(self.config, first, stop, True):
             yield SequentialRun(start, tuple(steps), terminal,
                                 terminal is Outcome.NO_OVERLAP)
 
@@ -189,9 +184,9 @@ def run_sequential_scenario(config: SequentialConfig) -> tuple[Tally, Walks]:
 
     def terminals() -> Iterator[Outcome]:
         nonlocal moves, step_sum
-        for steps, terminal in _walks(config, 0, config.runs):
-            moves += len(steps)
-            step_sum += sum(steps)
+        for taken, moved, terminal, _ in _walks(config, 0, config.runs):
+            moves += taken
+            step_sum += moved
             yield terminal
 
     total = tally(terminals())

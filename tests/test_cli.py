@@ -1016,8 +1016,9 @@ class TestRedrawOnce:
             counted[k] += 1
             return sample_draws(sampler, k, runs)
 
-        def count_walks(config, first, stop):
-            for j, walk in zip(range(first, stop), walks(config, first, stop)):
+        def count_walks(config, first, stop, steps=False):
+            for j, walk in zip(range(first, stop),
+                               walks(config, first, stop, steps)):
                 counted[j] += 1
                 yield walk
 
@@ -1061,7 +1062,7 @@ class TestRecordOutputMemory:
     Never run at full size: each output renders its pieces of 1,024 moves
     from the moves as they are redrawn, so the peak of 10,000 trials (2,000
     walks) is that of 30,000 trials (6,000 walks) and of 300,000 (50,000).
-    On top of the 17.5 MB of RSS a one-trial ``simulate`` peaks at (CPython
+    On top of the 15.3 MB of RSS a one-trial ``simulate`` peaks at (CPython
     3.11), such a run stays well under CI's 30 MB bound. When every record
     was cached until exit, 30,000 trials peaked at 3.8 MB of heap and 6,000
     walks at 11 MB.

@@ -670,7 +670,13 @@ class TestWalkChunkBoundaries:
     def test_against_reference(self, case, runs):
         config = WALK_CHUNK_CASES[case]._replace(runs=runs)
         expected = list(reference_walks(config))
-        assert list(scenarios._walks(config, 0, runs)) == expected
+        assert [(steps, terminal) for _, _, terminal, steps in
+                scenarios._walks(config, 0, runs, True)] == expected
+        # Counting mode keeps no step: each walk's move count, step sum and
+        # terminal outcome.
+        assert list(scenarios._walks(config, 0, runs)) == [
+            (len(steps), sum(steps), terminal, None)
+            for steps, terminal in expected]
         total, walks = run_sequential_scenario(config)
         assert [(list(run.steps), run.terminal) for run in walks] == expected
         assert total == tally(terminal for _, terminal in expected)
@@ -727,7 +733,7 @@ class TestSampleMemory:
     at a time, so a sample's heap peak does not grow with its trials. It
     stays under 256 KiB at 10,000 and at 30,000 trials, on preset 2's
     cached small ints and on preset 1's positions above 256. A one-trial
-    ``simulate`` peaks at about 17.5 MB of RSS (CPython 3.11), which bounds
+    ``simulate`` peaks at about 15.3 MB of RSS (CPython 3.11), which bounds
     the interpreter and imports.
     """
 
@@ -763,6 +769,23 @@ class TestWalkMemory:
         finally:
             tracemalloc.stop()
         assert 18 * 2**20 + peak / runs * 1_000_000 < 50 * 2**20
+
+    def test_table_peak_does_not_grow_with_the_cap(self):
+        # Every walk moves at most 1,000 of the 10**7 it needs to cross, so
+        # each reaches its cap; the table keeps two counts per walk.
+        layout = ZoneLayout(0, 9_999_999, 10_000_001, 20_000_000, 10_000_000)
+        peaks = []
+        for cap in (1_000, 3_000):
+            config = SequentialConfig(SamplerConfig(1, 1_000, layout), 0,
+                                      20_000_000, runs=8, max_steps_cap=cap)
+            tracemalloc.start()
+            try:
+                total, _ = run_sequential_scenario(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert total.no_overlap == 8
+        assert peaks[1] < peaks[0] + 64 * 2**10, peaks
 
 
 class TestRedrawnViews:
@@ -836,12 +859,9 @@ class TestRedrawnViews:
         for j in (6, -7):
             with pytest.raises(IndexError):
                 walks[j]
-        # A slice is a list of walks, each redrawn from its own stream.
-        for cut in (slice(1, 3), slice(-4, -1), slice(-2, None),
-                    slice(None, None, 2), slice(5, 0, -2),
-                    slice(None, None, -1), slice(3, 3), slice(4, 2),
-                    slice(7, 9)):
-            assert walks[cut] == runs[cut]
+        # A walk is handed out by index only.
+        with pytest.raises(TypeError):
+            walks[1:3]
         # A rerun gives the same counts and redraws the same walks.
         assert sequential_contents(*run_sequential_scenario(config)) == \
             sequential_contents(total, walks)

@@ -289,7 +289,10 @@ class TestExactProbability:
         (ZoneLayout(60, 89, 101, 180, 100), 40),  # exact 31/82 and 1/4
         (ZoneLayout(0, 3 * 2**30 - 1, 3 * 2**30 + 1, 6 * 2**30, 3 * 2**30),
          3 * 2**30 - 1),
-    ], ids=["preset-1", "preset-2", "asymmetric", "heavy-rejection"])
+        # The paper's symmetric positions: exact 26/51 for both nodes.
+        (ZoneLayout(75, 75, 125, 125, 100), 50),
+    ], ids=["preset-1", "preset-2", "asymmetric", "heavy-rejection",
+            "mirrored-one-position"])
     def test_runner_tallies_in_distribution(self, layout, max_step):
         # 200 samples x 1,000 trials at seed 11, chosen once. Each node's
         # pooled crossing count is within 4 SE of the exact probability,
@@ -308,6 +311,10 @@ class TestExactProbability:
             chi2 = sum((c - n * p) ** 2 for c in crossings) / var
             assert abs(z) <= 4, (node, z)
             assert 120 <= chi2 <= 280, (node, chi2)
+        # Nodes mirrored about the brink cross together or not at all.
+        if layout.zone0_width == layout.zone1_width == 1 and \
+                layout.zone0_lo + layout.zone1_lo == 2 * layout.brink:
+            assert not any(t.mn0_only or t.mn1_only for t in tallies)
 
 
 def walk_counts(config):
