@@ -16,7 +16,6 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from importlib import import_module
-from itertools import chain
 from math import fsum
 
 from .model import MAGNITUDE_LIMIT, JsonRecords, Outcome, Row, ZoneLayout
@@ -42,7 +41,8 @@ from .stats import (
 _LAZY = {name: module for module, names in {
     "sampling": "SamplerConfig validate",
     "scenarios": "SequentialConfig config_from_dict config_to_dict preset "
-                 "run_independent_scenario run_sequential_scenario",
+                 "run_independent_scenario run_sequential_scenario "
+                 "scenario_moves",
     "traceio": "csv_pieces format_trace json_pieces read_csv trace_pieces "
                "write_json",
 }.items() for name in names.split()}
@@ -261,18 +261,17 @@ def _notes_text(doc: dict) -> str:
 class Source(namedtuple(
         "Source", "kind layout title dataset records config parts total",
         defaults=(None, None, None, (), None))):
-    """One resolved input: a bundled dataset, a CSV file or a scenario run.
+    """One resolved input: a bundled dataset, a CSV file or a scenario.
 
     ``kind`` is the mobility shape, "independent" or "sequential", and
     ``title`` names the input. A bundled ``dataset`` (a ``ReplayDataset``)
-    or CSV file carries its ``records`` (rows of five ints) and its own
-    ``layout``, if any, and ``plot`` draws it so; for ``replay`` and
-    ``estimate`` it is replayed, and carries the merged ``layout``, the
-    ``total`` tally and, for a walk, the replayed run as ``parts``. A
-    scenario carries its ``config`` (overrides applied), the samples or
-    :class:`Walks` it ran (``parts``, which keep counts and sums and redraw
-    their moves on access) and their ``total`` tally; it draws no move again
-    until :meth:`moves` asks.
+    or CSV file carries its ``records`` (rows of five ints) and its
+    ``layout``: its own for ``plot``, which draws the rows as given, and the
+    merged one for ``replay`` and ``estimate``. A scenario carries its
+    ``config`` (overrides applied) and has run nothing. Only
+    :func:`_counted` fills ``parts`` and ``total``: the samples or
+    :class:`Walks` a scenario ran (which keep counts and sums and redraw
+    their moves on access), or a replayed walk, and their tally.
     A subcommand reports a source through the one document it builds from
     it: its tables read that document, not the source.
     """
@@ -283,7 +282,7 @@ class Source(namedtuple(
         """Every move's row, in order; a scenario's are redrawn per call."""
         if self.records is not None:
             return self.records
-        return chain.from_iterable(part.moves() for part in self.parts)
+        return _cli.scenario_moves(self.config)
 
 
 # The scenario flags a dataset or CSV file reads, by subcommand, for
@@ -297,13 +296,14 @@ _RECORDS_READ = {
 
 
 def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
-    """Load, or resolve and run, the one input named by one of ``flags``.
+    """Load or resolve the one input named by one of ``flags``; run nothing.
 
     ``flags`` are the subcommand's source options (``dataset``, ``input``,
-    ``scenario``, ``config``); exactly one must be given. A scenario's
-    warnings are printed before it runs. A dataset or CSV file rejects the
-    scenario flags it does not read; ``replay`` and ``estimate`` get it
-    replayed under the merged layout, ``plot`` gets its rows as given.
+    ``scenario``, ``config``); exactly one must be given. A scenario becomes
+    its config, and its warnings are printed here, before any output. A
+    dataset or CSV file rejects the scenario flags it does not read, and
+    ``replay`` and ``estimate`` get the merged layout with its rows. An
+    output that prints counts passes the source to :func:`_counted`.
     """
     given = [flag for flag in flags if getattr(args, flag) is not None]
     if len(given) != 1:
@@ -316,15 +316,9 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
             print(f"warning: {warning}", file=sys.stderr)
         title = (f"scenario {args.scenario}" if args.scenario is not None
                  else "custom scenario")
-        sequential = isinstance(config, _cli.SequentialConfig)
-        if sequential:
-            total, parts = _cli.run_sequential_scenario(config)
-        else:
-            parts = _cli.run_independent_scenario(config)
-            total = sum((part.tally for part in parts), Tally())
-        return Source("sequential" if sequential else "independent",
-                      config.sampler.layout, title, config=config,
-                      parts=parts, total=total)
+        kind = ("sequential" if isinstance(config, _cli.SequentialConfig)
+                else "independent")
+        return Source(kind, config.sampler.layout, title, config=config)
     if given == ["dataset"]:
         from .datasets import load_dataset
 
@@ -348,13 +342,27 @@ def _resolve_source(args: argparse.Namespace, flags: Sequence[str]) -> Source:
                          f"does not read {', '.join(unread)}")
     if "zone0" not in reads:
         return source
-    layout, records = _layout_from_flags(args, source.layout), source.records
+    return source._replace(layout=_layout_from_flags(args, source.layout))
+
+
+def _counted(source: Source) -> Source:
+    """``source`` with its ``parts`` and ``total``: its scenario run, or its
+    rows replayed under its layout (which also checks a walk's chain).
+
+    The one place a source is counted. Only the outputs that print counts
+    call it: tables, JSON, ``estimate``, and ``replay`` in every format.
+    """
+    if source.config is None and source.kind == "sequential":
+        run = replay_sequential(source.records, source.layout)
+        return source._replace(parts=(run,), total=tally([run.terminal]))
+    if source.config is None:
+        return source._replace(total=replay_independent(source.records, source.layout))
     if source.kind == "sequential":
-        run = replay_sequential(records, layout)
-        return source._replace(layout=layout, parts=(run,),
-                               total=tally([run.terminal]))
-    return source._replace(layout=layout,
-                           total=replay_independent(records, layout))
+        total, parts = _cli.run_sequential_scenario(source.config)
+    else:
+        parts = _cli.run_independent_scenario(source.config)
+        total = sum((part.tally for part in parts), Tally())
+    return source._replace(parts=parts, total=total)
 
 
 def _check_output_switches(args: argparse.Namespace) -> None:
@@ -370,13 +378,15 @@ def _report(
     """Write the --trace file, then the stdout that --format picks.
 
     ``doc`` is the ``--format json`` document, and ``table(doc)`` renders
-    the table from its values alone. The document's records are lazy, so
-    table output builds no move row. The document is built before this
-    is called and the trace is written before stdout, so a document that
-    cannot be built or a trace that cannot be opened or written leaves
-    stdout empty. Trace, CSV and JSON text goes out in pieces of at most
-    1,024 moves, rendered from the moves as they are drawn: each output of
-    a scenario redraws its samples or walks, and no output keeps a move.
+    the table from its values alone; CSV output needs neither, so its
+    caller counts nothing and passes None. The document's records are
+    lazy, so table output builds no move row. The document is built before
+    this is called and the trace is written before stdout, so a document
+    that cannot be built or a trace that cannot be opened or written
+    leaves stdout empty. Trace, CSV and JSON text goes out in pieces of at
+    most 1,024 moves, rendered from the moves as they are drawn: each
+    output of a scenario redraws its samples or walks once, and no output
+    keeps a move.
     """
     if args.format == "table":
         pieces = [table(doc)]
@@ -396,12 +406,15 @@ def _report(
 def _cmd_simulate(args: argparse.Namespace) -> None:
     _check_output_switches(args)
     source = _resolve_source(args, ("scenario", "config"))
-    if source.kind == "sequential":
-        doc, table = _sequential_doc(source), _sequential_table
-    else:
-        doc, table = _independent_doc(source), _independent_table
-        if args.format == "json":  # so a table loads no ``fractions``
-            doc["estimate"] = _estimate_block(source)
+    doc = table = None
+    if args.format != "csv":  # CSV prints no count, so it runs nothing
+        source = _counted(source)
+        if source.kind == "sequential":
+            doc, table = _sequential_doc(source), _sequential_table
+        else:
+            doc, table = _independent_doc(source), _independent_table
+            if args.format == "json":  # so a table loads no ``fractions``
+                doc["estimate"] = _estimate_block(source)
     _report(args, source, doc, table)
 
 
@@ -481,7 +494,8 @@ def _walk_fields(run: SequentialRun) -> dict:
 
 def _cmd_replay(args: argparse.Namespace) -> None:
     _check_output_switches(args)
-    source = _resolve_source(args, ("dataset", "input"))
+    # Every format counts: the walk replay is also the chain check.
+    source = _counted(_resolve_source(args, ("dataset", "input")))
     dataset, run = source.dataset, (source.parts[0] if source.parts else None)
     doc = {"dataset": dataset.id if dataset else None, "input": args.input,
            "tally": source.total.as_dict(),
@@ -530,7 +544,7 @@ def _replay_table(doc: dict) -> str:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
-    source = _resolve_source(args, ("dataset", "scenario", "config"))
+    source = _counted(_resolve_source(args, ("dataset", "scenario", "config")))
     dataset, config = source.dataset, source.config
     if dataset is not None:
         label = f"dataset {dataset.id} ({len(dataset.rows)} rows, {dataset.kind})"
@@ -671,25 +685,28 @@ def _cmd_plot(args: argparse.Namespace) -> None:
     """Plot both nodes' positions after each move, as SVG or with --ascii.
 
     The brink is --brink, else the source layout's. A sequential walk is
-    drawn as a chain from its start (a scenario's first walk, else the
-    rows); independent moves are one point per trial or row. The values
-    are checked before the output is opened, so a source that cannot be
-    drawn writes nothing; the SVG is then written in pieces as it is made.
+    drawn as a chain from its start (a scenario's walk 0, else the rows);
+    independent moves are one point per trial or row. Nothing is counted:
+    a scenario's moves are drawn from its config, and walk j draws from
+    stream j alone, so a scenario of walks is drawn with ``runs=1`` and
+    runs no other walk. The values are checked before the output is
+    opened, so a source that cannot be drawn writes nothing; the SVG is
+    then written in pieces as it is made.
     """
     from .plotting import render_ascii, render_svg
 
     source = _resolve_source(args, ("dataset", "input", "scenario", "config"))
-    if not (source.records or source.parts):
+    if not (source.records or source.config):  # a config runs at least once
         raise UsageError("no records to plot")
     brink = (args.brink if args.brink is not None
              else getattr(source.layout, "brink", None))
     if brink is None:
         raise UsageError("this input carries no zone layout; supply --brink")
     chained = source.kind == "sequential"
+    if chained and source.config:
+        source = source._replace(config=source.config._replace(runs=1))
     mn0, mn1 = [], []
-    for _, mn0_init, mn0_new, mn1_init, mn1_new in (
-            source.parts[0].moves() if chained and source.parts
-            else source.moves()):
+    for _, mn0_init, mn0_new, mn1_init, mn1_new in source.moves():
         if chained and not mn0:
             mn0.append(mn0_init)
             mn1.append(mn1_init)

@@ -20,8 +20,11 @@ The runners keep counts only: a tally and a step sum per sample, and for
 the walks a tally, the moves taken and the step sum. So their memory grows
 with neither the run count nor ``max_steps_cap``. A :class:`SampleResult`'s
 moves, and each walk of a :class:`Walks`, are redrawn from their stream
-through the same generator on each read. Each move comes out as a row,
-``(step, mn0_init, mn0_new, mn1_init, mn1_new)``:
+on each read, through one generator per shape. :func:`scenario_moves`
+redraws every move of a config through those same two generators, with
+no runner pass, for the outputs that print no count (CSV, trace, plot).
+Each move comes out as a row, ``(step, mn0_init, mn0_new, mn1_init,
+mn1_new)``:
 a sample's rows are zipped from its draw columns, and a walk is a
 :class:`~simulmob.stats.SequentialRun`, whose rows are rebuilt from its
 start and the running sums of its steps. The replays of recorded rows are
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from itertools import chain
 from operator import add, index, sub
 
 from .model import MoveRecord, Outcome, Row, ZoneLayout, _Checked, classify
@@ -91,8 +95,7 @@ class SampleResult(namedtuple("SampleResult", "sample tally step_sum sampler")):
     __slots__ = ()
 
     def moves(self) -> Iterator[Row]:
-        for a, b, s in _sample_draws(self.sampler, self.sample, self.tally.trials):
-            yield from zip(s, a, map(add, a, s), b, map(sub, b, s))
+        return _sample_moves(self.sampler, self.sample, self.tally.trials)
 
     @property
     def records(self) -> tuple[Row, ...]:
@@ -120,16 +123,34 @@ class Walks(Sequence[SequentialRun]):
 
     def __getitem__(self, j: int) -> SequentialRun:
         j = range(self.config.runs)[index(j)]  # as a list indexes
-        return next(self._runs(j, j + 1))
+        return next(_runs(self.config, j, j + 1))
 
     def __iter__(self) -> Iterator[SequentialRun]:
-        return self._runs(0, self.config.runs)
+        return _runs(self.config, 0, self.config.runs)
 
-    def _runs(self, first: int, stop: int) -> Iterator[SequentialRun]:
-        start = (self.config.mn0_start, self.config.mn1_start)
-        for _, _, terminal, steps in _walks(self.config, first, stop, True):
-            yield SequentialRun(start, tuple(steps), terminal,
-                                terminal is Outcome.NO_OVERLAP)
+
+def _sample_moves(sampler: SamplerConfig, k: int, runs: int) -> Iterator[Row]:
+    """The rows of sample k's ``runs`` trials, redrawn a chunk at a time."""
+    for a, b, s in _sample_draws(sampler, k, runs):
+        yield from zip(s, a, map(add, a, s), b, map(sub, b, s))
+
+
+def _runs(config: SequentialConfig, first: int, stop: int) -> Iterator[SequentialRun]:
+    """Walks ``first`` to ``stop - 1`` of ``config``, each redrawn with its steps."""
+    start = (config.mn0_start, config.mn1_start)
+    for _, _, terminal, steps in _walks(config, first, stop, True):
+        yield SequentialRun(start, tuple(steps), terminal,
+                            terminal is Outcome.NO_OVERLAP)
+
+
+def scenario_moves(config: IndependentTrialConfig | SequentialConfig) -> Iterator[Row]:
+    """Every move of a run of ``config``, in output order, redrawn from its
+    streams: each sample's trials, or each walk's moves. Nothing is counted,
+    so this costs one draw of the run and no runner pass."""
+    if isinstance(config, SequentialConfig):
+        return chain.from_iterable(run.moves() for run in _runs(config, 0, config.runs))
+    return chain.from_iterable(_sample_moves(config.sampler, k, config.runs_per_sample)
+                               for k in range(config.samples))
 
 
 def run_independent_trial(

@@ -301,8 +301,9 @@ def parse_trace(text: str) -> list[Row]:
 
 def csv_pieces(rows: Iterable[Row], brink: int) -> Iterator[str]:
     """The text of :func:`write_csv`, in pieces."""
+    names = {o: o.value for o in Outcome}
     return chain([",".join(CSV_HEADER) + "\n"], _pieces("%d,%d,%d,%d,%d,%s\n", (
-        (*row, crossing(row[2], row[4], brink).value) for row in rows), ""))
+        (*row, names[crossing(row[2], row[4], brink)]) for row in rows), ""))
 
 
 def write_csv(rows: Iterable[Row], brink: int) -> str:

@@ -747,6 +747,14 @@ class TestPlot:
         assert code == 0
         assert out.startswith("<svg ")
 
+    @pytest.mark.parametrize("style", [(), ("--ascii",)], ids=["svg", "ascii"])
+    def test_walk_plot_is_walk_0_at_any_runs(self, capsys, style):
+        # Walk j draws from stream j alone, so more walks change no byte.
+        one = run_cli(capsys, "plot", "--scenario", "3", "--runs", "1", *style)
+        four = run_cli(capsys, "plot", "--scenario", "3", "--runs", "4", *style)
+        assert one[0] == 0 and one[1]
+        assert four == one
+
     def test_empty_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("step,mn0_init,mn0_new,mn1_init,mn1_new,outcome\n",
@@ -840,8 +848,8 @@ class TestHelp:
 
 
 class TestReplayOnce:
-    """A dataset or CSV file is replayed once, by the source resolver, and
-    only where the subcommand reads the zone flags."""
+    """A dataset or CSV file is replayed once, by ``cli._counted``, and only
+    where the subcommand reads the zone flags."""
 
     @pytest.mark.parametrize("command", ["replay", "plot"])
     def test_non_utf8_input_is_named(self, capsys, tmp_path, command):
@@ -1001,9 +1009,11 @@ class TestNoRecordsForTables:
 
 
 class TestRedrawOnce:
-    """A scenario draws each sample or walk once for its counts. Each record
-    output (CSV, JSON, trace) and each plot redraws each one once more, and
-    keeps none of its moves; a plot of a walk redraws only walk 0."""
+    """Only the outputs that print counts (tables, JSON, ``estimate``) draw
+    each sample or walk once to count it. Each record output (CSV, JSON,
+    trace) draws each one once more and keeps none of its moves. CSV and
+    plot count nothing, so they draw each one once in all, and a plot of
+    walks draws walk 0 alone."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -1032,19 +1042,40 @@ class TestRedrawOnce:
         (("simulate", "--scenario", "3"), [1, 1, 1, 1]),
         (("estimate", "--scenario", "3"), [1, 1, 1, 1]),
         (("simulate", "--scenario", "2", "--samples", "3", "--format", "csv",
-          "--trace", "{tmp}/t.tr"), [3, 3, 3]),
+          "--trace", "{tmp}/t.tr"), [2, 2, 2]),
         (("simulate", "--scenario", "2", "--samples", "3", "--format", "json",
           "--trace", "{tmp}/t.tr"), [3, 3, 3]),
         (("simulate", "--scenario", "3", "--format", "csv",
-          "--trace", "{tmp}/t.tr"), [3, 3, 3, 3]),
+          "--trace", "{tmp}/t.tr"), [2, 2, 2, 2]),
         (("simulate", "--scenario", "3", "--format", "json"), [2, 2, 2, 2]),
-        (("plot", "--scenario", "3"), [2, 1, 1, 1]),
+        (("plot", "--scenario", "3"), [1]),
+        (("simulate", "--scenario", "2", "--samples", "3", "--format", "csv"),
+         [1, 1, 1]),
+        (("simulate", "--scenario", "3", "--format", "csv"), [1, 1, 1, 1]),
+        (("plot", "--scenario", "2", "--samples", "3"), [1, 1, 1]),
     ])
     def test_passes(self, capsys, tmp_path, passes, argv, passes_per_part):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code, out, _ = run_cli(capsys, *argv, "--runs", "4")
         assert code == 0 and out
         assert [passes[j] for j in range(len(passes))] == passes_per_part
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--scenario", "2", "--samples", "3", "--format", "csv"),
+        ("simulate", "--scenario", "3", "--format", "csv"),
+        ("plot", "--scenario", "2", "--samples", "3"),
+        ("plot", "--scenario", "3"),
+    ])
+    def test_no_count_runs_no_runner(self, capsys, monkeypatch, argv):
+        import simulmob.cli as cli
+
+        def refuse(config):
+            raise AssertionError("runner called")
+
+        for name in ("run_independent_scenario", "run_sequential_scenario"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, _ = run_cli(capsys, *argv, "--runs", "4")
+        assert code == 0 and out
 
 
 class _Discard(io.TextIOBase):

@@ -127,9 +127,18 @@ LAYOUT = "'--zone0', '0:14', '--zone1', '16:30', '--brink', '15'"
      f"assert len(read_csv('{ROWS}')) == 2\n"
      "assert 'csv' in sys.modules",
      {"simulmob", "simulmob.model", "simulmob.traceio"}, {"json"}),
+    # CSV output counts nothing, so it computes no estimate either.
+    ("import simulmob.cli\n"
+     "assert simulmob.cli.main(['simulate', '--scenario', '2', '--runs', '2',"
+     " '--samples', '1', '--format', 'csv']) == 0",
+     None, {"json", "fractions", "decimal", *NO_CLASS_BUILDERS}),
+    ("import simulmob.cli\n"
+     "assert simulmob.cli.main(['plot', '--scenario', '3', '--runs', '2'])"
+     " == 0",
+     None, {"csv", "json", *NO_CLASS_BUILDERS}),
 ], ids=["package", "traceio", "cli", "simulate", "simulate-walks", "replay",
         "replay-walk", "replay-input", "estimate-dataset", "plot-dataset",
-        "estimate", "trace-codec", "read-csv"])
+        "estimate", "trace-codec", "read-csv", "simulate-csv", "plot-walks"])
 def test_entry_point_loads_only_what_it_runs(code, package, absent):
     out = loaded_modules(code)
     if package is not None:
